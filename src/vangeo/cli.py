@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,8 +153,6 @@ def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
     lines.append(f"max = {report.value.decimal(fmt.digits)}")
     lines.append(f"argmax = {_pairs(report.argmax)}")
     lines.append(f"regime = {report.regime}" + (" (boundary)" if report.boundary else ""))
-    if report.tie:
-        lines.append("tie = true (equal limits within the refinement budget)")
     return 0, "\n".join(lines)
 
 
@@ -546,7 +545,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if output:
-        print(output)
+        try:
+            print(output, flush=True)
+        except BrokenPipeError:
+            # the reader left early (`vangeo table | head -4`); devnull keeps
+            # the interpreter's flush at exit from reporting it as well
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

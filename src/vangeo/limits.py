@@ -1,28 +1,34 @@
-"""Large-n limits of the inverse entries.
+"""Large-n limits of the inverse entries, in closed form.
 
 As n grows, |c_{i,j,n}| converges to
 
-    l_{i,j} = sigma_{i,j,inf}(1/b) * prod_{s=1}^{j} (b^s - 1)^{-1}
-                                   * prod_{t>=1} (1 - b^{-t})^{-1},
+    l_{i,j} = sigma_{i,j,inf}(q) * prod_{s=1}^{j} (b^s - 1)^{-1} / (q;q)_inf,
 
-where sigma_{i,j,inf}(x), for 0 < x < 1, sums x^{h_1+...+h_i} over strictly
-increasing i-tuples of nonnegative exponents avoiding j (the coefficient of
-t^i in prod_{h != j} (1 + x^h t)).  Every evaluator here truncates at an
-adaptive cutoff and carries a mathematically guaranteed tail bound inside the
-returned enclosure radius:
+with q = 1/b and (q;q)_inf = prod_{t>=1} (1 - q^t); sigma_{i,j,inf}(q) is the
+coefficient of t^i in prod_{h >= 0, h != j} (1 + q^h t).  By Euler's identity
+(Andrews, The Theory of Partitions, ch. 2) the elementary symmetric sums of
+all the nodes q^h are e_m = q^{m(m-1)/2} / (q;q)_m = b^m / G_m, with
+G_m = prod_{s<=m} (b^s - 1).  Removing the node q^j is the deflation
+f_m = e_m - q^j f_{m-1}, and sigma_{i,j,inf} = f_i.  Hence
 
-* sigma truncated at h <= H:  e_i(full) - e_i(trunc)
-    <= sum_{m=1}^{i} e_{i-m}(trunc) * T^m / m!   with  T = x^{H+1}/(1-x),
-  since the dropped elements have elementary symmetric sums e_m <= T^m/m!.
-* the infinite product truncated at t <= T:  the log tail
-  sum_{t>T} -log(1 - b^-t) is at most L = 2 b^{-(T+1)} / (1 - b^{-1}) once
-  b^{-(T+1)} <= 1/2, and e^L <= 1 + 2L for L <= 1/2, giving the enclosure
-  [P_T, P_T (1 + 2L)].
+    l_{i,j} = N_{i,j}(b) / (D_{i,j}(b) * (q;q)_inf),
+    N_{i,j} = sum_{m=0}^{i} (-1)^{i-m} b^{(j+1)m} prod_{s=m+1}^{i} (b^s - 1),
+    D_{i,j} = b^{ij} G_i G_j > 0,
 
-The module also evaluates lim M_b(n) = max of l_{i,j} over the [0, n0]^2 box
-(computed over i <= j by symmetry), the closed forms for l_{0,0} and l_{1,1}
-with their crossover classification, and the base-2 product identity
-3 * prod_{i>=2} (1 + 1/(2^i - 1)).
+with integer polynomials N and D.  Only 1/(q;q)_inf is irrational; Euler's
+pentagonal number theorem sums it as
+
+    (q;q)_inf = 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}),
+
+whose pairs alternate in sign and shrink, so the remainder after k pairs is
+below the next pair, 2 q^{(k+1)(3k+2)/2}.  Since 1/(q;q)_inf > 0, l_a > l_b
+exactly when N_a D_b - N_b D_a > 0 at b: the argmax of lim M_b(n) over the
+[0, n0]^2 box (computed over i <= j by symmetry) and the regime of b are
+decided by exact signs of integer polynomials at b.
+
+The truncated series sigma_infinite with finite_j_product is kept as an
+independent oracle, and base2_product_identity evaluates
+3 * prod_{i>=2} (1 + 1/(2^i - 1)), which equals l_{1,1} at b = 2.
 """
 
 from __future__ import annotations
@@ -31,14 +37,16 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import n_zero
 from .scalar import (BaseSpec, Numeric, RigorousReal, certified_poly_sign,
-                     fraction_to_sci, poly_remainder, resolve_precision_ceiling)
+                     fraction_to_sci, poly_eval, poly_eval_ball, poly_remainder,
+                     resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
+Poly = List[int]
 
 REGIME_ABOVE = "above_alpha"
 REGIME_BETWEEN = "between_tau_alpha"
@@ -58,12 +66,18 @@ def _prec_for_tol(tol: Fraction) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sigma_{i,j,inf}
+# sigma_{i,j,inf}: the truncated-series oracle
 # ---------------------------------------------------------------------------
 
 
-def _sigma_infinite(i: int, j: int, q: Numeric, tol: Fraction):
-    """Core evaluator returning (enclosure, cutoff H, tail bound Fraction)."""
+def sigma_infinite(i: int, j: int, q: Numeric, tol) -> RigorousReal:
+    """Enclosure of sigma_{i,j,inf}(q) for 0 < q < 1, truncation tail <= tol.
+
+    The series is truncated at h <= H, with H doubled until the tail bound
+    e_i(full) - e_i(trunc) <= sum_{m=1}^{i} e_{i-m}(trunc) T^m / m!, with
+    T = q^{H+1}/(1-q), meets tol: the dropped elements have e_m <= T^m/m!.
+    """
+    tol = _to_tol(tol)
     if i < 0 or j < 0:
         raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
     rigorous = isinstance(q, RigorousReal)
@@ -80,7 +94,7 @@ def _sigma_infinite(i: int, j: int, q: Numeric, tol: Fraction):
         one = Fraction(1)
     prec = _prec_for_tol(tol)
     if i == 0:
-        return RigorousReal.exact(1, prec), j, Fraction(0)
+        return RigorousReal.exact(1, prec)
     e = [one] + [one * 0] * i
     qh = one                      # q^h for the next h to fold
     h = 0
@@ -103,66 +117,57 @@ def _sigma_infinite(i: int, j: int, q: Numeric, tol: Fraction):
             break
         cutoff *= 2
     if rigorous:
-        return RigorousReal.from_interval(e[i].lower, e[i].upper + tail, prec), cutoff, tail
-    return RigorousReal.from_interval(e[i], e[i] + tail, prec), cutoff, tail
-
-
-def sigma_infinite(i: int, j: int, q: Numeric, tol) -> RigorousReal:
-    """Enclosure of sigma_{i,j,inf}(q) for 0 < q < 1, truncation tail <= tol."""
-    value, _, _ = _sigma_infinite(i, j, q, _to_tol(tol))
-    return value
+        return RigorousReal.from_interval(e[i].lower, e[i].upper + tail, prec)
+    return RigorousReal.from_interval(e[i], e[i] + tail, prec)
 
 
 # ---------------------------------------------------------------------------
-# the infinite product  prod (1 - b^-t)^-1
+# the infinite product  1 / (q;q)_inf = prod (1 - b^-t)^-1
 # ---------------------------------------------------------------------------
 
 
-def _inverse_q_product(b: Numeric, tol: Fraction):
-    """Core evaluator returning (enclosure, cutoff T, tail bound Fraction)."""
-    rigorous = isinstance(b, RigorousReal)
-    if rigorous:
-        if not b.lower > 1:
-            raise DomainError("base must be certifiably > 1")
-        b_lo = b.lower
-        one = RigorousReal.exact(1, b.precision_bits)
-        inv = one / b
-    else:
-        b = Fraction(b)
-        if b <= 1:
-            raise DomainError(f"base must be > 1, got {b}")
-        b_lo = b
-        one = Fraction(1)
-        inv = 1 / b
-    prec = _prec_for_tol(tol)
-    partial = one
-    qt = one                      # b^-t for the next t to fold
-    t = 0
-    cutoff = 8
-    inv_lo = 1 / b_lo
+def _inverse_q_product(b: RigorousReal, tol: Fraction):
+    """Core evaluator at the precision of b: returns (enclosure, number of
+    pentagonal pairs summed, bound on the remainder of the series).
+
+    Pairs are summed until the next one is small enough for the enclosure of
+    1/(q;q)_inf to meet tol, or until it falls below the rounding error of
+    the partial sum; in the second case the radius can exceed tol, and the
+    enclosure is None when that precision cannot separate (q;q)_inf from 0.
+    """
+    if not b.lower > 1:
+        raise DomainError("base must be certifiably > 1")
+    q = 1 / b
+    total = RigorousReal.exact(1, b.precision_bits)
+    k = 1
     while True:
-        while t < cutoff:
-            qt = qt * inv
-            t += 1
-            partial = partial / (one - qt)
-        # log tail: sum_{t > cutoff} -log(1 - b^-t) <= 2 b^-(cutoff+1) / (1 - 1/b)
-        x = inv_lo ** (cutoff + 1)
-        partial_up = partial.upper if rigorous else partial
-        if 2 * x <= 1:
-            log_tail = 2 * x / (1 - inv_lo)
-            if log_tail <= Fraction(1, 2):
-                tail = partial_up * 2 * log_tail
-                if tail <= tol:
-                    break
-        cutoff *= 2
-    if rigorous:
-        return RigorousReal.from_interval(partial.lower, partial.upper + tail, prec), cutoff, tail
-    return RigorousReal.from_interval(partial, partial + tail, prec), cutoff, tail
+        a = k * (3 * k - 1) // 2
+        pair = q ** a + q ** (a + k)
+        tail = pair.upper                 # bounds the remainder; <= 2 q^{k(3k-1)/2}
+        floor = total.lower - tail
+        # 1/x near (q;q)_inf has about the radius of x over (q;q)_inf^2
+        if (floor > 0 and 4 * tail <= tol * floor * floor) or tail <= total.radius:
+            break
+        total = total - pair if k % 2 else total + pair
+        k += 1
+    if floor <= 0:
+        return None, k - 1, tail
+    euler = RigorousReal.from_interval(floor, total.upper + tail, b.precision_bits)
+    return 1 / euler, k - 1, tail
 
 
 def inverse_q_product(b: Numeric, tol) -> RigorousReal:
-    """Enclosure of prod_{t >= 1} (1 - b^-t)^-1 for b > 1, tail <= tol."""
-    value, _, _ = _inverse_q_product(b, _to_tol(tol))
+    """Enclosure of prod_{t >= 1} (1 - b^-t)^-1 for b > 1.  Its radius is at
+    most tol for an exact b; an enclosure b is used at its own precision."""
+    tolf = _to_tol(tol)
+    if not isinstance(b, RigorousReal):
+        b = Fraction(b)
+        # l_{0,0} is the product itself
+        return limit_entry(0, 0, BaseSpec.rational(b.numerator, b.denominator), tolf).value
+    value, _, _ = _inverse_q_product(b, tolf)
+    if value is None:
+        raise UndecidableComparisonError(
+            f"{b.precision_bits} bits cannot separate (q;q)_inf from 0")
     return value
 
 
@@ -190,16 +195,58 @@ def finite_j_product(j: int, b: Numeric) -> Numeric:
 # ---------------------------------------------------------------------------
 
 
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> Poly:
+    out = [0] * (len(a) + len(b) - 1)
+    for k, x in enumerate(a):
+        for m, y in enumerate(b):
+            out[k + m] += x * y
+    return out
+
+
+def _poly_sub(a: Sequence[int], b: Sequence[int]) -> Poly:
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] -= y
+    return out
+
+
+def _gap(s: int) -> Poly:
+    """b^s - 1, ascending integer coefficients."""
+    return [-1] + [0] * (s - 1) + [1]
+
+
+def _closed_form(i: int, j: int) -> Tuple[Poly, Poly]:
+    """Integer coefficient lists (ascending) of N_{i,j} and D_{i,j}, with
+    l_{i,j} = N_{i,j}(b) / (D_{i,j}(b) * (q;q)_inf).
+
+    N_m = b^{jm} G_m f_m obeys the deflation recurrence
+    N_m = b^{(j+1)m} - (b^m - 1) N_{m-1} with N_0 = 1.
+    """
+    num: Poly = [1]
+    for m in range(1, i + 1):
+        num = _poly_sub([0] * ((j + 1) * m) + [1], _poly_mul(_gap(m), num))
+    den: Poly = [0] * (i * j) + [1]
+    for s in [*range(1, i + 1), *range(1, j + 1)]:
+        den = _poly_mul(den, _gap(s))
+    return num, den
+
+
 @dataclass(frozen=True)
 class LimitValue:
-    """One entry limit l_{i,j} with the cutoffs that produced it."""
+    """One entry limit l_{i,j} = N_{i,j}(b) / (D_{i,j}(b) * (q;q)_inf).
+
+    sigma_cutoff is i: sigma_{i,j,inf} is the exact deflation sum of i + 1
+    terms, with nothing truncated.  product_cutoff is the number of pentagonal
+    pairs summed for (q;q)_inf and tail_bound the bound on the remainder of
+    that series, which value.radius includes.
+    """
 
     i: int
     j: int
     value: RigorousReal
     sigma_cutoff: int
     product_cutoff: int
-    tail_bound: Fraction          # truncation contribution, included in value.radius
+    tail_bound: Fraction
 
     def to_json_dict(self, digits: int = 20) -> dict:
         return {"i": self.i, "j": self.j, "value": self.value.decimal(digits),
@@ -207,28 +254,27 @@ class LimitValue:
                 "sigma_cutoff": self.sigma_cutoff, "product_cutoff": self.product_cutoff}
 
 
-def _upper(x: Numeric) -> Fraction:
-    return x.upper if isinstance(x, RigorousReal) else Fraction(x)
-
-
 def limit_entry(i: int, j: int, base: BaseSpec, tol,
                 precision_ceiling: Optional[int] = None) -> LimitValue:
-    """l_{i,j} = sigma_{i,j,inf}(1/b) * finite_j_product(j, b)
-    * inverse_q_product(b), with combined enclosure radius <= tol."""
+    """l_{i,j} to enclosure radius <= tol, from the closed form evaluated over
+    enclosures of the base at doubling precision."""
     if i < 0 or j < 0:
         raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
     tolf = _to_tol(tol)
-    exact_value = base.exact_value()
-    if exact_value is not None:
-        if exact_value <= 1:
-            raise DomainError(f"base must be > 1, got {exact_value}")
-        return _limit_entry_at(i, j, exact_value, tolf)
+    num, den = _closed_form(i, j)
     ceiling = resolve_precision_ceiling(precision_ceiling)
-    precision = max(2 * _prec_for_tol(tolf), 64)
+    precision = _prec_for_tol(tolf)
     while True:
-        result = _limit_entry_at(i, j, base.evaluate(precision), tolf)
-        if result.value.radius <= tolf:
-            return result
+        b = base.evaluate(precision)
+        num_b, den_b = poly_eval_ball(num, b), poly_eval_ball(den, b)
+        # N(b) and D(b) are positive; balls that do not show it need more bits
+        if num_b.sign() == den_b.sign() == 1:
+            ratio = num_b / den_b
+            product, pairs, tail = _inverse_q_product(b, tolf / (2 * ratio.upper))
+            value = None if product is None else ratio * product
+            if value is not None and value.radius <= tolf:
+                return LimitValue(i=i, j=j, value=value, sigma_cutoff=i,
+                                  product_cutoff=pairs, tail_bound=tail)
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(
                 f"cannot reach tolerance {tolf} for l_({i},{j}) at base "
@@ -236,32 +282,26 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
         precision *= 2
 
 
-def _limit_entry_at(i: int, j: int, b: Numeric, tolf: Fraction) -> LimitValue:
-    q = (1 / b) if isinstance(b, RigorousReal) else 1 / Fraction(b)
-    jprod = finite_j_product(j, b)
-    # rough pass to size the per-factor budgets
-    rough_sigma, _, _ = _sigma_infinite(i, j, q, Fraction(1))
-    rough_prod, _, _ = _inverse_q_product(b, Fraction(1, 2))
-    sigma_hat = rough_sigma.upper
-    prod_hat = rough_prod.upper
-    jprod_hat = _upper(jprod)
-    tol_sigma = tolf / (8 * prod_hat * jprod_hat)
-    tol_prod = tolf / (8 * sigma_hat * jprod_hat)
-    prec = _prec_for_tol(tolf)
-    while True:
-        sigma, sigma_cut, sigma_tail = _sigma_infinite(i, j, q, tol_sigma)
-        prod, prod_cut, prod_tail = _inverse_q_product(b, tol_prod)
-        jprod_ball = jprod if isinstance(jprod, RigorousReal) \
-            else RigorousReal.exact(jprod, prec)
-        value = sigma * jprod_ball * prod
-        tail_bound = (Fraction(sigma.radius) * prod_hat
-                      + Fraction(prod.radius) * sigma_hat) * jprod_hat
-        if value.radius <= tolf or isinstance(b, RigorousReal):
-            # for enclosure bases the caller escalates the base precision
-            return LimitValue(i=i, j=j, value=value, sigma_cutoff=sigma_cut,
-                              product_cutoff=prod_cut, tail_bound=tail_bound)
-        tol_sigma /= 4
-        tol_prod /= 4
+# ---------------------------------------------------------------------------
+# exact comparisons at the base
+# ---------------------------------------------------------------------------
+
+
+def _sign_at(coeffs: Sequence[int], base: BaseSpec,
+             precision_ceiling: Optional[int]) -> int:
+    """Exact sign of an integer polynomial at the base: exact evaluation at a
+    rational base; at tau and alpha, reduction by the minimal polynomial
+    (a zero remainder is an exact zero) and a certified sign."""
+    value = base.exact_value()
+    if value is not None:
+        if value <= 1:
+            raise DomainError(f"base must be > 1, got {value}")
+        at = poly_eval(coeffs, value)
+        return (at > 0) - (at < 0)
+    remainder = poly_remainder(coeffs, base.minimal_polynomial())
+    if not any(remainder):
+        return 0
+    return certified_poly_sign(remainder, base, resolve_precision_ceiling(precision_ceiling))
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +311,14 @@ def _limit_entry_at(i: int, j: int, b: Numeric, tolf: Fraction) -> LimitValue:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """lim M_b(n): the maximal entry limit over the [0, n0]^2 box."""
+    """lim M_b(n): the maximal entry limit over the [0, n0]^2 box.  argmax
+    lists every pair whose limit equals the maximum exactly."""
 
     base: BaseSpec
     n_zero: int
     value: RigorousReal
     argmax: Tuple[IndexPair, ...]
     entries: Tuple[LimitValue, ...]
-    tie: bool
     regime: str
     boundary: bool
 
@@ -298,34 +338,27 @@ class LimitReport:
 
 def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> LimitReport:
     """Evaluate l_{i,j} over 0 <= i <= j <= n0 (symmetry covers i > j) and
-    maximize with tie-aware argmax; exact ties (the crossover base) are
-    reported with the tie flag after the refinement budget is spent."""
+    pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
+    when N_a D_b - N_b D_a > 0 at the base."""
     tolf = _to_tol(tol)
     box = n_zero(base, precision_ceiling)
     pairs = [(i, j) for j in range(box + 1) for i in range(j + 1)]
-    entry_tol = tolf / 4
-    entries = {p: limit_entry(p[0], p[1], base, entry_tol, precision_ceiling) for p in pairs}
-    candidates = list(pairs)
-    tie = False
-    refinements = 0
-    while True:
-        floor = max(entries[p].value.lower for p in candidates)
-        candidates = [p for p in candidates if entries[p].value.upper >= floor]
-        if len(candidates) == 1:
-            break
-        if refinements >= 3:
-            tie = True
-            break
-        refinements += 1
-        entry_tol /= 64
-        for p in candidates:
-            entries[p] = limit_entry(p[0], p[1], base, entry_tol, precision_ceiling)
-    value = RigorousReal.hull([entries[p].value for p in candidates])
-    argmax = sorted({pair for p in candidates for pair in ((p[0], p[1]), (p[1], p[0]))})
+    entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling) for i, j in pairs]
+    forms = [_closed_form(i, j) for i, j in pairs]
+    best = [0]
+    for k in range(1, len(pairs)):
+        (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
+        sign = _sign_at(_poly_sub(_poly_mul(num_k, den_b), _poly_mul(num_b, den_k)),
+                        base, precision_ceiling)
+        if sign > 0:
+            best = [k]
+        elif sign == 0:
+            best.append(k)
+    value = RigorousReal.hull([entries[k].value for k in best])
+    argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
     regime, boundary = classify_regime(base, precision_ceiling)
     return LimitReport(base=base, n_zero=box, value=value, argmax=tuple(argmax),
-                       entries=tuple(entries[p] for p in pairs), tie=tie,
-                       regime=regime, boundary=boundary)
+                       entries=tuple(entries), regime=regime, boundary=boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -355,69 +388,28 @@ def classify_regime(base: BaseSpec,
                     precision_ceiling: Optional[int] = None) -> Tuple[str, bool]:
     """Classify b against the golden ratio and the crossover constant.
 
-    Returns (regime, boundary).  Bases exactly on a threshold (decided via
-    minimal-polynomial reduction) carry boundary=True and are assigned to the
-    regime whose closed form remains valid there: the golden ratio belongs to
-    the between band, the crossover constant to the above band (where the two
-    closed forms agree).
+    Returns (regime, boundary).  Bases exactly on a threshold carry
+    boundary=True and are assigned to the regime whose closed form remains
+    valid there: the golden ratio belongs to the between band, the crossover
+    constant to the above band (where the two closed forms agree).
     """
-    value = base.exact_value()
-    if value is not None:
-        if value <= 1:
-            raise DomainError(f"base must be > 1, got {value}")
-        golden = value * value - value - 1
-        if golden < 0:
-            return REGIME_BELOW, False
-        crossover = value ** 3 - 3 * value ** 2 + 2 * value - 1
-        # neither test polynomial has a rational root above 1
-        return (REGIME_ABOVE if crossover > 0 else REGIME_BETWEEN), False
-    ceiling = resolve_precision_ceiling(precision_ceiling)
-    minpoly = base.minimal_polynomial()
-    golden_rem = poly_remainder(_GOLDEN_TEST, minpoly)
-    if not any(golden_rem):
-        return REGIME_BETWEEN, True
-    if certified_poly_sign(golden_rem, base, ceiling) < 0:
+    golden = _sign_at(_GOLDEN_TEST, base, precision_ceiling)
+    if golden < 0:
         return REGIME_BELOW, False
-    crossover_rem = poly_remainder(_CROSSOVER_TEST, minpoly)
-    if not any(crossover_rem):
-        return REGIME_ABOVE, True
-    sign = certified_poly_sign(crossover_rem, base, ceiling)
-    return (REGIME_ABOVE if sign > 0 else REGIME_BETWEEN), False
+    if golden == 0:
+        return REGIME_BETWEEN, True
+    crossover = _sign_at(_CROSSOVER_TEST, base, precision_ceiling)
+    return (REGIME_ABOVE if crossover >= 0 else REGIME_BETWEEN), crossover == 0
 
 
 def crossover_values(base: BaseSpec, tol,
                      precision_ceiling: Optional[int] = None) -> CrossoverReport:
     """Closed forms l_{0,0} = prod (1 - b^-t)^-1 and
     l_{1,1} = (b^2 - b + 1) / (b (b-1)^2) * l_{0,0}, each to radius <= tol."""
-    tolf = _to_tol(tol)
     regime, boundary = classify_regime(base, precision_ceiling)
-    exact_value = base.exact_value()
-    if exact_value is not None:
-        if exact_value <= 1:
-            raise DomainError(f"base must be > 1, got {exact_value}")
-        b = exact_value
-        prefactor = (b * b - b + 1) / (b * (b - 1) ** 2)
-        budget = tolf / (2 * max(Fraction(1), prefactor))
-        l00, _, _ = _inverse_q_product(b, budget)
-        l11 = RigorousReal.exact(prefactor, l00.precision_bits) * l00
-        return CrossoverReport(base=base, l00=l00, l11=l11, regime=regime, boundary=boundary)
-    ceiling = resolve_precision_ceiling(precision_ceiling)
-    precision = max(2 * _prec_for_tol(tolf), 64)
-    while True:
-        b = base.evaluate(precision)
-        one = RigorousReal.exact(1, precision)
-        prefactor = (b * b - b + one) / (b * (b - one) ** 2)
-        budget = tolf / (2 * max(Fraction(1), prefactor.upper))
-        l00, _, _ = _inverse_q_product(b, budget)
-        l11 = prefactor * l00
-        if l00.radius <= tolf and l11.radius <= tolf:
-            return CrossoverReport(base=base, l00=l00, l11=l11,
-                                   regime=regime, boundary=boundary)
-        if 2 * precision > ceiling:
-            raise UndecidableComparisonError(
-                f"cannot reach tolerance {tolf} for the closed forms at base "
-                f"{base.display()} within the {ceiling}-bit precision ceiling")
-        precision *= 2
+    l00 = limit_entry(0, 0, base, tol, precision_ceiling).value
+    l11 = limit_entry(1, 1, base, tol, precision_ceiling).value
+    return CrossoverReport(base=base, l00=l00, l11=l11, regime=regime, boundary=boundary)
 
 
 def base2_product_identity(tol) -> RigorousReal:

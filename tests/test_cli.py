@@ -1,10 +1,16 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from vangeo import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_ok(argv):
@@ -207,3 +213,19 @@ class TestDeterminism:
         output = run_ok(["max", "--base", "tau", "--n", "6",
                          "--precision-ceiling", "2048"])
         assert "argmax = (1,1)" in output
+
+
+class TestClosedPipe:
+    def test_reader_gone_before_output(self):
+        """`vangeo table | head -4` must not print a traceback when the reader
+        exits first; the pipe here is closed before the command writes."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "vangeo.cli", "limit", "--base", "2", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""

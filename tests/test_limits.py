@@ -167,6 +167,20 @@ class TestLimitMax:
                    ((None, (e.i, e.j)) for e in report.entries))
         assert len(report.entries) == sum(range(report.n_zero + 2))
 
+    def test_near_alpha_is_not_a_tie(self):
+        # alpha truncated to 50 decimals lies just below alpha, where l_{1,1}
+        # is strictly larger; only the exact comparison can tell
+        text = "2.32471795724474602596090885447809734073440405690173"
+        report = limit_max(BaseSpec.parse(text), TOL20)
+        assert report.argmax == ((1, 1),)
+        assert report.regime == "between_tau_alpha"
+        assert not report.boundary
+
+    def test_exact_tie_at_alpha(self):
+        report = limit_max(BaseSpec.parse("alpha"), TOL20)
+        assert report.argmax == ((0, 0), (1, 1))
+        assert report.regime == "above_alpha" and report.boundary
+
     def test_json_schema(self):
         report = limit_max(BaseSpec.parse("3"), TOL15)
         payload = json.loads(report.to_json())
@@ -174,6 +188,28 @@ class TestLimitMax:
         entry = payload["entries"][0]
         assert set(entry) == {"i", "j", "value", "radius", "sigma_cutoff",
                               "product_cutoff"}
+
+
+class TestClosedFormOracle:
+    """The closed form N/(D (q;q)_inf) against the truncated series
+    sigma_infinite * finite_j_product * inverse_q_product."""
+
+    TOL30 = Fraction(1, 10 ** 30)
+
+    @pytest.mark.parametrize("text", ["2", "3/2", "6/5", "13/10", "7/3", "tau"])
+    def test_matches_truncated_series(self, text):
+        spec = BaseSpec.parse(text)
+        b = spec.exact_value()
+        if b is None:
+            b = evaluate_base(spec, 256)
+        product = inverse_q_product(b, self.TOL30)
+        for i in range(4):
+            for j in range(4):
+                oracle = sigma_infinite(i, j, 1 / b, self.TOL30) \
+                    * finite_j_product(j, b) * product
+                closed = limit_entry(i, j, spec, self.TOL30).value
+                assert closed.radius <= self.TOL30
+                assert closed.overlaps(oracle), (text, i, j)
 
 
 class TestRegimesAndCrossover:
