@@ -6,8 +6,12 @@ form
     |c_{i,j,n}| = sigma_{n-1-i,j,n}(b) / pi_{j,n},      sign = (-1)^{i+j},
 
 where pi_{j,n} = prod_{h != j} |b^j - b^h|.  The exact backend evaluates this
-directly in rational arithmetic.  The rigorous backend works in the reciprocal
-formulation
+over the integers: with b = p/q in lowest terms it scales the nodes to
+N_h = p^h q^{n-1-h}, builds the master polynomial prod_h (1 + N_h t) in O(n)
+from the q-binomial theorem, and deflates one node out of it per column in
+O(n) (Traub 1966; Bjorck & Pereyra 1970).  That is O(n^2) integer operations
+in total and one normalising gcd per symmetric pair of entries.  The rigorous
+backend works in the reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -20,9 +24,11 @@ included for differential testing.
 from __future__ import annotations
 
 import json
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
@@ -145,8 +151,9 @@ def pi_product(j: int, n: int, b: Numeric) -> Numeric:
 
 def inverse_matrix(gv: GeometricVandermonde,
                    precision_bits: int = DEFAULT_PRECISION_BITS) -> InverseMatrix:
-    """Closed-form inverse, one symmetric-function sweep per column
-    (O(n^3) ring operations in total)."""
+    """Closed-form inverse.  Exact bases take O(n^2) integer operations (one
+    master polynomial, one deflation per column, upper triangle mirrored);
+    the rigorous backend runs one symmetric-function sweep per column."""
     if gv.is_exact:
         entries = _inverse_entries_exact(gv)
         return InverseMatrix(n=gv.n, base=gv.base, backend="exact",
@@ -162,32 +169,65 @@ def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
     """Single signed entry c_{i,j,n}; prefer inverse_matrix for whole tables."""
     if not (0 <= i < gv.n and 0 <= j < gv.n):
         raise DomainError(f"index ({i},{j}) out of range for n={gv.n}")
-    n = gv.n
     if gv.is_exact:
-        b = _exact_base(gv)
-        pows = _base_powers(b, n)
-        column_nodes = [pows[h] for h in range(n) if h != j]
-        e = elementary_symmetric(column_nodes, n - 1 - i, b ** 0)
-        magnitude = Fraction(e[n - 1 - i]) / Fraction(pi_product(j, n, b))
-        return -magnitude if (i + j) % 2 else magnitude
+        return _IntegerNodes(_exact_base(gv), gv.n).column(j, [i])[0]
     return _inverse_entries_rigorous(gv, precision_bits)[i][j]
+
+
+class _IntegerNodes:
+    """The nodes b^h of an exact base b = p/q (lowest terms) scaled to the
+    integers N_h = p^h q^(n-1-h) = q^(n-1) b^h, with the coefficients
+    E_k = e_k(N_0, ..., N_{n-1}), k = 0..n, of prod_h (1 + N_h t).
+
+    The q-binomial theorem gives e_k(1, b, ..., b^(n-1)) =
+    b^(k(k-1)/2) [n choose k]_b, hence the O(n) recurrence
+    E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
+    whose division is exact.
+    """
+
+    def __init__(self, b: Union[int, Fraction], n: int):
+        p, q = b.numerator, b.denominator
+        self.n, self.q = n, q
+        self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
+        self.master = [1]
+        for k in range(1, n + 1):
+            self.master.append(self.master[-1] * (p * q) ** (k - 1)
+                               * (p ** (n - k + 1) - q ** (n - k + 1))
+                               // (p ** k - q ** k))
+
+    def column(self, j: int, rows: Iterable[int]) -> List[Fraction]:
+        """Signed entries c_{i,j,n} for i in rows.
+
+        Deflating N_j out of the master polynomial gives
+        F_k = e_k(N_h : h != j) = q^((n-1)k) sigma_{k,j,n}(b), and
+        pi_j(N) = q^((n-1)^2) pi_{j,n}(b), so
+        c_{i,j,n} = (-1)^(i+j) F_{n-1-i} q^((n-1)i) / pi_j(N).
+        """
+        n, node = self.n, self.nodes[j]
+        deflated = [0] * n
+        deflated[n - 1] = self.master[n] // node
+        for m in range(n - 1, 0, -1):
+            deflated[m - 1] = (self.master[m] - deflated[m]) // node
+        pi = 1
+        for h, other in enumerate(self.nodes):
+            if h != j:
+                pi *= abs(node - other)
+        entries = []
+        for i in rows:
+            magnitude = Fraction(deflated[n - 1 - i] * self.q ** ((n - 1) * i), pi)
+            entries.append(-magnitude if (i + j) % 2 else magnitude)
+        return entries
 
 
 def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
     n = gv.n
-    b = _exact_base(gv)
-    pows = _base_powers(b, n)
-    columns: List[List[Fraction]] = []
+    nodes = _IntegerNodes(_exact_base(gv), n)
+    grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    # the inverse is symmetric: fill i <= j and mirror
     for j in range(n):
-        nodes = [pows[h] for h in range(n) if h != j]
-        e = elementary_symmetric(nodes, n - 1, b ** 0)
-        pi_j = pi_product(j, n, b)
-        col = []
-        for i in range(n):
-            magnitude = Fraction(e[n - 1 - i]) / Fraction(pi_j)
-            col.append(-magnitude if (i + j) % 2 else magnitude)
-        columns.append(col)
-    return tuple(tuple(columns[j][i] for j in range(n)) for i in range(n))
+        for i, value in enumerate(nodes.column(j, range(j + 1))):
+            grid[i][j] = grid[j][i] = value
+    return tuple(tuple(row) for row in grid)
 
 
 def _inverse_entries_rigorous(gv: GeometricVandermonde,
@@ -266,13 +306,27 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         raise DimensionError("inverse does not match the given matrix")
     n = gv.n
     if inv.backend == "exact":
-        v = vandermonde_matrix(gv)
+        # Row i of V times q^(i(n-1)) (b = p/q) and column j of inv times the
+        # lcm of its denominators are integer, so every entry of V * inv - I
+        # is an integer dot product over a known denominator, with no gcd
+        # unless the entry is non-zero.
+        b = _exact_base(gv)
+        p_pows = _base_powers(b.numerator, (n - 1) * (n - 1) + 1)
+        q_pows = _base_powers(b.denominator, (n - 1) * (n - 1) + 1)
+        rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)]
+                for i in range(n)]
         worst = Fraction(0)
-        for i in range(n):
-            for j in range(n):
-                acc = sum((v[i][k] * inv.entries[k][j] for k in range(n)), Fraction(0))
-                acc -= 1 if i == j else 0
-                worst = max(worst, abs(Fraction(acc)))
+        for j in range(n):
+            column = [inv.entries[k][j] for k in range(n)]
+            scale = math.lcm(*(c.denominator for c in column))
+            scaled = [c.numerator * (scale // c.denominator) for c in column]
+            for i in range(n):
+                denominator = q_pows[i * (n - 1)] * scale
+                excess = sum(map(operator.mul, rows[i], scaled))
+                if i == j:
+                    excess -= denominator
+                if excess:
+                    worst = max(worst, Fraction(abs(excess), denominator))
         return worst
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)

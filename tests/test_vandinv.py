@@ -4,13 +4,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vangeo.errors import DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec
 from vangeo.symfunc import SigmaQuery, sigma_finite
-from vangeo.vandinv import (GeometricVandermonde, format_entry,
+from vangeo.vandinv import (GeometricVandermonde, InverseMatrix, format_entry,
                             gaussian_inverse, inverse_entry, inverse_matrix,
                             pi_product, residual_norm, vandermonde_matrix)
 
@@ -84,10 +84,17 @@ class TestFrozenInverses:
         with pytest.raises(DomainError):
             inverse_entry(2, 0, gv)
 
-    def test_entry_matches_oracle_case(self):
+    def test_entry_matches_oracle_case(self, cached_inverse):
         gv = GeometricVandermonde(BaseSpec.parse("2"), 3)
         oracle = gaussian_inverse(gv)
         assert inverse_entry(1, 1, gv) == oracle.entry(1, 1)
+        for spec in GRID:
+            for n in range(1, 9):
+                gv = GeometricVandermonde(spec, n)
+                inv = cached_inverse(spec, n)
+                for i in range(n):
+                    for j in range(n):
+                        assert inverse_entry(i, j, gv) == inv.entry(i, j), (spec, n, i, j)
 
 
 class TestExactInvariants:
@@ -140,13 +147,36 @@ class TestExactInvariants:
                 for j in range(n0, n - 1):
                     assert pi_product(j, n, b) <= pi_product(j + 1, n, b), (spec, n, j)
 
-    @given(st.integers(min_value=1, max_value=9),
-           st.fractions(min_value=Fraction(11, 10), max_value=4, max_denominator=30))
+    @given(st.integers(min_value=1, max_value=20),
+           st.one_of(st.integers(min_value=2, max_value=3).map(Fraction),
+                     st.fractions(min_value=1, max_value=3, max_denominator=50)
+                     .filter(lambda b: b > 1)))
+    @example(20, Fraction(2))
+    @example(20, Fraction(3))
+    @example(20, Fraction(51, 50))
     @settings(max_examples=40, deadline=None)
     def test_identity_random_bases(self, n, b):
         spec = BaseSpec.rational(b.numerator, b.denominator)
         gv = GeometricVandermonde(spec, n)
-        assert residual_norm(gv, inverse_matrix(gv)) == 0
+        inv = inverse_matrix(gv)
+        assert inv.entries == gaussian_inverse(gv).entries
+        assert residual_norm(gv, inv) == 0
+
+    @pytest.mark.parametrize("text", ["2", "6/5"])
+    def test_residual_detects_wrong_entry(self, text, cached_inverse):
+        spec = BaseSpec.parse(text)
+        n = 8
+        gv = GeometricVandermonde(spec, n)
+        entries = [list(row) for row in cached_inverse(spec, n).entries]
+        entries[3][5] += Fraction(1, 7)
+        wrong = InverseMatrix(n=n, base=spec, backend="exact", provenance="closed_form",
+                              entries=tuple(tuple(row) for row in entries))
+        v = vandermonde_matrix(gv)
+        expected = max(abs(sum(Fraction(v[i][k]) * entries[k][j] for k in range(n))
+                           - (1 if i == j else 0))
+                       for i in range(n) for j in range(n))
+        assert expected != 0
+        assert residual_norm(gv, wrong) == expected
 
 
 class TestRigorousBackend:
