@@ -215,11 +215,9 @@ def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tup
     return (1 if failed else 0), "\n".join(lines)
 
 
-def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int]):
+def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, boxes):
     """Invariant suite for exact rational bases.  Yields (name, ok, witness)."""
     b = base.exact_value()
-    matrices = {n: vandinv.inverse_matrix(vandinv.GeometricVandermonde(base, n))
-                for n in range(1, n_max + 1)}
 
     def check_identity():
         for n in range(1, n_max + 1):
@@ -305,10 +303,7 @@ def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int]):
         return True, ""
 
     def check_box():
-        for n in range(2, n_max + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            report = extremal.verify_argmax_box(gv, precision_ceiling=ceiling,
-                                                inv=matrices[n])
+        for n, report in boxes.items():
             if not report.passed:
                 return False, f"argmax box at n={n}: witnesses {report.witnesses}"
         return True, ""
@@ -346,11 +341,9 @@ def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int]):
         yield "leading-diagonal max", None, "skipped: base below the golden ratio"
 
 
-def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int]):
+def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, boxes):
     """Certified-enclosure suite for algebraic constant bases."""
     precision = DEFAULT_PRECISION_BITS
-    matrices = {n: vandinv.inverse_matrix(vandinv.GeometricVandermonde(base, n), precision)
-                for n in range(1, n_max + 1)}
 
     def check_residual():
         for n in range(1, n_max + 1):
@@ -371,9 +364,7 @@ def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int]):
         return True, ""
 
     def check_box():
-        for n in range(2, n_max + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            report = extremal.verify_argmax_box(gv, precision, ceiling, inv=matrices[n])
+        for n, report in boxes.items():
             if not report.passed:
                 return False, f"argmax box at n={n}: witnesses {report.witnesses}," \
                               f" undecided {report.undecided}"
@@ -421,10 +412,15 @@ def cmd_verify(base: BaseSpec, n_max: int,
                precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
     if n_max < 2:
         raise DomainError(f"need n_max >= 2, got {n_max}")
-    if base.is_exact:
-        suite = _verify_exact(base, n_max, precision_ceiling)
-    else:
-        suite = _verify_rigorous(base, n_max, precision_ceiling)
+    # each inverse and each box report (with its max_entry) is computed once
+    # and shared by the suite and the diagonal-argmax scan line
+    sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
+    matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
+    boxes = {n: extremal.verify_argmax_box(sizes[n], precision_ceiling=precision_ceiling,
+                                           inv=matrices[n])
+             for n in range(2, n_max + 1)}
+    verify_suite = _verify_exact if base.is_exact else _verify_rigorous
+    suite = verify_suite(base, n_max, precision_ceiling, matrices, boxes)
     lines = [f"verification suite for base {base.display()}, n up to {n_max}"]
     failures = 0
     for name, ok, witness in suite:
@@ -435,10 +431,9 @@ def cmd_verify(base: BaseSpec, n_max: int,
         else:
             failures += 1
             lines.append(f"  [FAIL] {name}: {witness}")
-    scan = extremal.conjecture_scan(base, 2, n_max,
-                                    precision_ceiling=precision_ceiling)
-    lines.append(f"  [info] diagonal-argmax scan: {len(scan.non_diagonal)} of "
-                 f"{len(scan.records)} sizes non-diagonal (excluded from exit status)")
+    non_diagonal = sum(not box.max_report.diagonal_argmax for box in boxes.values())
+    lines.append(f"  [info] diagonal-argmax scan: {non_diagonal} of "
+                 f"{len(boxes)} sizes non-diagonal (excluded from exit status)")
     lines.append("result: " + ("all checks passed" if failures == 0
                                else f"{failures} check(s) FAILED"))
     return (1 if failures else 0), "\n".join(lines)

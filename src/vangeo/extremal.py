@@ -6,8 +6,11 @@ diagonal-argmax question.
 n0 is the least positive integer m with b^m >= 1 + 1/b.  The argmax of
 |c_{i,j,n}| always lies in the box [0, n0]^2; for b at or above the golden
 ratio the maximum is attained at (0,0) or (1,1).  Both statements are checked
-here on concrete instances, exactly for rational bases and by certified
-enclosure comparisons (with precision escalation) otherwise.
+here on concrete instances.  Thresholds on the base (n0 at tau and alpha, the
+golden-ratio requirement) are exact signs from certified_poly_sign.  Entry
+comparisons run one loop over (lower, upper) bounds: an exact entry is its
+own zero-width enclosure and decides at once, and enclosures double the
+working precision until they separate or reach the ceiling.
 """
 
 from __future__ import annotations
@@ -18,8 +21,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
 from .errors import DomainError, UndecidableComparisonError
-from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     certified_poly_sign, fraction_to_decimal, poly_remainder,
+from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
+                     RigorousReal, certified_poly_sign, fraction_to_decimal,
                      resolve_precision_ceiling)
 from .symfunc import SigmaQuery, sigma_finite
 from .vandinv import GeometricVandermonde, InverseMatrix, inverse_matrix
@@ -33,6 +36,23 @@ def _decimal(value: Numeric, digits: int) -> str:
     return fraction_to_decimal(Fraction(value), digits)
 
 
+def _bounds(value: Numeric) -> Tuple[Fraction, Fraction]:
+    """(lower, upper) of an enclosure; an exact value is its own zero-width
+    enclosure."""
+    if isinstance(value, RigorousReal):
+        return value.lower, value.upper
+    return value, value
+
+
+def _inverse_at(gv: GeometricVandermonde, precision: int,
+                inv: Optional[InverseMatrix]) -> InverseMatrix:
+    """inv when it was computed at this working precision (an exact inverse
+    has none), else a fresh inverse."""
+    if inv is None or inv.precision_bits != (None if gv.is_exact else precision):
+        inv = inverse_matrix(gv, precision)
+    return inv
+
+
 # ---------------------------------------------------------------------------
 # n0
 # ---------------------------------------------------------------------------
@@ -42,10 +62,8 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
            precision_ceiling: Optional[int] = None) -> int:
     """Least positive integer m with b^m >= 1 + 1/b.
 
-    Rational bases decide by exact comparison.  Algebraic constants reduce
-    x^{m+1} - x - 1 modulo the minimal polynomial: a zero remainder means the
-    threshold is hit with equality, otherwise the remainder's sign at the
-    base (a provably nonzero value) is certified by enclosure evaluation.
+    Rational bases decide by exact comparison of successive powers.  At tau
+    and alpha the threshold is the exact sign of x^{m+1} - x - 1 at the base.
     Plain enclosures are compared directly and raise if their width cannot
     decide the threshold.
     """
@@ -53,7 +71,11 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
         value = b.exact_value()
         if value is not None:
             return n_zero(value)
-        return _n_zero_algebraic(b, precision_ceiling)
+        m = 1
+        # b^m >= 1 + 1/b  <=>  b^(m+1) - b - 1 >= 0   (b > 0)
+        while certified_poly_sign([-1, -1] + [0] * (m - 1) + [1], b, precision_ceiling) < 0:
+            m += 1
+        return m
     if isinstance(b, RigorousReal):
         if not b.certainly_gt(RigorousReal.exact(1, b.precision_bits)):
             raise DomainError("base must be certifiably > 1")
@@ -80,21 +102,6 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
         m += 1
         power *= bf
     return m
-
-
-def _n_zero_algebraic(spec: BaseSpec, precision_ceiling: Optional[int]) -> int:
-    ceiling = resolve_precision_ceiling(precision_ceiling)
-    minpoly = spec.minimal_polynomial()
-    m = 1
-    while True:
-        # b^m >= 1 + 1/b  <=>  b^(m+1) - b - 1 >= 0   (b > 0)
-        shifted = [-1, -1] + [0] * (m - 1) + [1]
-        remainder = poly_remainder(shifted, minpoly)
-        if not any(remainder):
-            return m            # threshold attained with exact equality
-        if certified_poly_sign(remainder, spec, ceiling) > 0:
-            return m
-        m += 1
 
 
 # ---------------------------------------------------------------------------
@@ -145,52 +152,35 @@ def max_entry(gv: GeometricVandermonde,
               inv: Optional[InverseMatrix] = None) -> MaxReport:
     """Scan all n^2 entries for the maximum absolute value.
 
-    Exact backend compares rationals directly, so ties (including the
-    symmetric mirror pairs) are exact.  Rigorous backend compares enclosures
-    and doubles the working precision until a single symmetry orbit of
-    candidates remains or the ceiling is reached; in the latter case the full
-    candidate set is reported with the tie flag set.
+    The candidates are the entries whose upper bound reaches the largest
+    lower bound.  Exact entries are zero-width, so the candidates are exactly
+    the maximal entries (mirror pairs and ties included) and the scan never
+    escalates.  Enclosures double the working precision until a single
+    symmetry orbit of candidates remains or the ceiling is reached; in the
+    latter case the full candidate set is reported with the tie flag set.
     """
     n0 = n_zero(gv.base, precision_ceiling)
-    if gv.is_exact:
-        if inv is None or inv.backend != "exact":
-            inv = inverse_matrix(gv)
-        best = max(abs(inv.entries[i][j]) for i in range(gv.n) for j in range(gv.n))
-        argmax = tuple((i, j) for i in range(gv.n) for j in range(gv.n)
-                       if abs(inv.entries[i][j]) == best)
-        return _assemble_report(gv, n0, best, argmax, tie=False,
-                                backend="exact", precision_bits=None)
-    ceiling = resolve_precision_ceiling(precision_ceiling)
     precision = precision_bits
-    if inv is None or inv.backend != "rigorous" or inv.precision_bits != precision:
-        inv = inverse_matrix(gv, precision)
+    inv = _inverse_at(gv, precision, inv)
     while True:
-        magnitudes = [[abs(inv.entries[i][j]) for j in range(gv.n)] for i in range(gv.n)]
-        floor = max(magnitudes[i][j].lower for i in range(gv.n) for j in range(gv.n))
-        candidates = tuple((i, j) for i in range(gv.n) for j in range(gv.n)
-                           if magnitudes[i][j].upper >= floor)
-        orbits = {_orbit(p) for p in candidates}
-        if len(orbits) == 1:
-            value = RigorousReal.hull([magnitudes[i][j] for i, j in candidates])
-            return _assemble_report(gv, n0, value, candidates, tie=False,
-                                    backend="rigorous", precision_bits=precision)
-        if 2 * precision > ceiling:
-            value = RigorousReal.hull([magnitudes[i][j] for i, j in candidates])
-            return _assemble_report(gv, n0, value, candidates, tie=True,
-                                    backend="rigorous", precision_bits=precision)
+        magnitudes = {(i, j): abs(v) for i, row in enumerate(inv.entries)
+                      for j, v in enumerate(row)}
+        bounds = {p: _bounds(v) for p, v in magnitudes.items()}
+        floor = max(lower for lower, _ in bounds.values())
+        candidates = tuple(p for p, (_, upper) in bounds.items() if upper >= floor)
+        settled = gv.is_exact or len({_orbit(p) for p in candidates}) == 1
+        if settled or 2 * precision > resolve_precision_ceiling(precision_ceiling):
+            break
         precision *= 2
         inv = inverse_matrix(gv, precision)
-
-
-def _assemble_report(gv: GeometricVandermonde, n0: int, value: Numeric,
-                     argmax: Tuple[IndexPair, ...], tie: bool, backend: str,
-                     precision_bits: Optional[int]) -> MaxReport:
-    argmax = tuple(sorted(argmax))
+    best = [magnitudes[p] for p in candidates]
+    argmax = tuple(sorted(candidates))
     return MaxReport(
-        base=gv.base, n=gv.n, n_zero=n0, max_value=value, argmax=argmax,
-        within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
+        base=gv.base, n=gv.n, n_zero=n0,
+        max_value=RigorousReal.hull(best) if inv.backend == "rigorous" else best[0],
+        argmax=argmax, within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
         diagonal_argmax=any(i == j for i, j in argmax),
-        tie=tie, backend=backend, precision_bits=precision_bits)
+        tie=not settled, backend=inv.backend, precision_bits=inv.precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +210,7 @@ def verify_argmax_box(gv: GeometricVandermonde,
     """Check that the dominant entry cannot escape the [0, n0]^2 box."""
     report = max_entry(gv, precision_bits, precision_ceiling, inv=inv)
     n, n0 = gv.n, report.n_zero
-    witnesses: List[IndexPair] = []
-    undecided: List[IndexPair] = []
-    if n0 < n:
-        if gv.is_exact:
-            if inv is None or inv.backend != "exact":
-                inv = inverse_matrix(gv)
-            reference = abs(inv.entries[n0][n0])
-            for i in range(n0, n):
-                for j in range(n0, n):
-                    if (i, j) != (n0, n0) and abs(inv.entries[i][j]) > reference:
-                        witnesses.append((i, j))
-        else:
-            witnesses, undecided = _box_check_rigorous(
-                gv, n0, precision_bits, resolve_precision_ceiling(precision_ceiling), inv)
+    witnesses, undecided = _box_check(gv, n0, precision_bits, precision_ceiling, inv)
     passed = not witnesses and not undecided and report.within_n_zero_box
     return BoxCheckReport(base=gv.base, n=n, n_zero=n0, passed=passed,
                           argmax_within_box=report.within_n_zero_box,
@@ -241,25 +218,29 @@ def verify_argmax_box(gv: GeometricVandermonde,
                           max_report=report)
 
 
-def _box_check_rigorous(gv: GeometricVandermonde, n0: int, precision: int,
-                        ceiling: int, inv: Optional[InverseMatrix]):
+def _box_check(gv: GeometricVandermonde, n0: int, precision: int,
+               precision_ceiling: Optional[int], inv: Optional[InverseMatrix]):
+    """Entries with both indices >= n0 that provably exceed the (n0, n0)
+    entry, and those still undecided at the ceiling; only enclosures that
+    overlap the reference are re-examined at doubled precision."""
     n = gv.n
-    if inv is None or inv.backend != "rigorous" or inv.precision_bits != precision:
-        inv = inverse_matrix(gv, precision)
     pending = [(i, j) for i in range(n0, n) for j in range(n0, n) if (i, j) != (n0, n0)]
     witnesses: List[IndexPair] = []
+    if not pending:                     # n0 >= n - 1: nothing outside the box
+        return witnesses, pending
+    inv = _inverse_at(gv, precision, inv)
     while True:
-        reference = abs(inv.entries[n0][n0])
+        ref_lower, ref_upper = _bounds(abs(inv.entries[n0][n0]))
         unresolved: List[IndexPair] = []
         for i, j in pending:
-            magnitude = abs(inv.entries[i][j])
-            if magnitude.certainly_le(reference):
+            lower, upper = _bounds(abs(inv.entries[i][j]))
+            if upper <= ref_lower:
                 continue
-            if magnitude.certainly_gt(reference):
+            if lower > ref_upper:
                 witnesses.append((i, j))
                 continue
             unresolved.append((i, j))
-        if not unresolved or 2 * precision > ceiling:
+        if not unresolved or 2 * precision > resolve_precision_ceiling(precision_ceiling):
             return witnesses, unresolved
         precision *= 2
         inv = inverse_matrix(gv, precision)
@@ -281,22 +262,6 @@ class DiagonalCheckReport:
     max_report: MaxReport
 
 
-def _require_base_at_least_golden(base: BaseSpec, ceiling: int) -> None:
-    value = base.exact_value()
-    if value is not None:
-        if value * value < value + 1:
-            raise DomainError(
-                f"requires base >= (1+sqrt(5))/2; got {base.display()} "
-                f"(b^2 = {value * value} < b + 1 = {value + 1})")
-        return
-    # algebraic constant: sign of b^2 - b - 1 via minimal-polynomial reduction
-    remainder = poly_remainder([-1, -1, 1], base.minimal_polynomial())
-    if not any(remainder):
-        return                  # equality: the golden ratio itself
-    if certified_poly_sign(remainder, base, ceiling) < 0:
-        raise DomainError(f"requires base >= (1+sqrt(5))/2; {base.display()} is below")
-
-
 def verify_leading_diagonal_max(gv: GeometricVandermonde,
                                 precision_bits: int = DEFAULT_PRECISION_BITS,
                                 precision_ceiling: Optional[int] = None,
@@ -306,7 +271,9 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     ceiling = resolve_precision_ceiling(precision_ceiling)
     if gv.n < 2:
         raise DomainError(f"requires n >= 2, got n={gv.n}")
-    _require_base_at_least_golden(gv.base, ceiling)
+    # b >= tau  <=>  b^2 - b - 1 >= 0   (b > 1)
+    if certified_poly_sign(TAU_POLYNOMIAL, gv.base, ceiling) < 0:
+        raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.display()} is below")
     report = max_entry(gv, precision_bits, precision_ceiling, inv=inv)
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
     sigma_ok = _sigma_step_holds(gv, precision_bits, ceiling)
@@ -322,16 +289,13 @@ def _sigma_step_holds(gv: GeometricVandermonde, precision: int, ceiling: int) ->
     admissible exponent from the full product never loses mass."""
     n = gv.n
     value = gv.base.exact_value()
-    if value is not None:
-        return sigma_finite(SigmaQuery(n - 1, 1, n, value)) \
-            <= sigma_finite(SigmaQuery(n - 2, 1, n, value))
     while True:
-        b = gv.base.evaluate(precision)
-        top = sigma_finite(SigmaQuery(n - 1, 1, n, b))
-        next_down = sigma_finite(SigmaQuery(n - 2, 1, n, b))
-        if top.certainly_le(next_down):
+        b = value if value is not None else gv.base.evaluate(precision)
+        top_lower, top_upper = _bounds(sigma_finite(SigmaQuery(n - 1, 1, n, b)))
+        next_lower, next_upper = _bounds(sigma_finite(SigmaQuery(n - 2, 1, n, b)))
+        if top_upper <= next_lower:
             return True
-        if next_down.certainly_lt(top):
+        if next_upper < top_lower:
             return False
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(

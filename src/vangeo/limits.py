@@ -41,9 +41,9 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import n_zero
-from .scalar import (BaseSpec, Numeric, RigorousReal, certified_poly_sign,
-                     fraction_to_sci, poly_eval, poly_eval_ball, poly_remainder,
-                     resolve_precision_ceiling)
+from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, Numeric,
+                     RigorousReal, certified_poly_sign, fraction_to_sci,
+                     poly_eval_ball, resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
 Poly = List[int]
@@ -283,28 +283,6 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
 
 
 # ---------------------------------------------------------------------------
-# exact comparisons at the base
-# ---------------------------------------------------------------------------
-
-
-def _sign_at(coeffs: Sequence[int], base: BaseSpec,
-             precision_ceiling: Optional[int]) -> int:
-    """Exact sign of an integer polynomial at the base: exact evaluation at a
-    rational base; at tau and alpha, reduction by the minimal polynomial
-    (a zero remainder is an exact zero) and a certified sign."""
-    value = base.exact_value()
-    if value is not None:
-        if value <= 1:
-            raise DomainError(f"base must be > 1, got {value}")
-        at = poly_eval(coeffs, value)
-        return (at > 0) - (at < 0)
-    remainder = poly_remainder(coeffs, base.minimal_polynomial())
-    if not any(remainder):
-        return 0
-    return certified_poly_sign(remainder, base, resolve_precision_ceiling(precision_ceiling))
-
-
-# ---------------------------------------------------------------------------
 # limit of the maximum
 # ---------------------------------------------------------------------------
 
@@ -348,8 +326,8 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
     best = [0]
     for k in range(1, len(pairs)):
         (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
-        sign = _sign_at(_poly_sub(_poly_mul(num_k, den_b), _poly_mul(num_b, den_k)),
-                        base, precision_ceiling)
+        sign = certified_poly_sign(
+            _poly_sub(_poly_mul(num_k, den_b), _poly_mul(num_b, den_k)), base, precision_ceiling)
         if sign > 0:
             best = [k]
         elif sign == 0:
@@ -379,11 +357,6 @@ class CrossoverReport:
     boundary: bool
 
 
-# b^2 - b - 1 and b^3 - 3 b^2 + 2 b - 1, ascending coefficients
-_GOLDEN_TEST = (-1, -1, 1)
-_CROSSOVER_TEST = (-1, 2, -3, 1)
-
-
 def classify_regime(base: BaseSpec,
                     precision_ceiling: Optional[int] = None) -> Tuple[str, bool]:
     """Classify b against the golden ratio and the crossover constant.
@@ -393,12 +366,14 @@ def classify_regime(base: BaseSpec,
     valid there: the golden ratio belongs to the between band, the crossover
     constant to the above band (where the two closed forms agree).
     """
-    golden = _sign_at(_GOLDEN_TEST, base, precision_ceiling)
+    # tau and alpha are the only roots above 1 of their minimal polynomials,
+    # which are negative below them: the signs at b place b against each
+    golden = certified_poly_sign(TAU_POLYNOMIAL, base, precision_ceiling)
     if golden < 0:
         return REGIME_BELOW, False
     if golden == 0:
         return REGIME_BETWEEN, True
-    crossover = _sign_at(_CROSSOVER_TEST, base, precision_ceiling)
+    crossover = certified_poly_sign(ALPHA_POLYNOMIAL, base, precision_ceiling)
     return (REGIME_ABOVE if crossover >= 0 else REGIME_BETWEEN), crossover == 0
 
 

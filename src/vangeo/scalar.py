@@ -572,16 +572,28 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
 
 
 def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec",
-                        precision_ceiling: int) -> int:
-    """Certified sign of a polynomial known to be nonzero at the base.
+                        precision_ceiling: Optional[int] = None) -> int:
+    """Exact sign (-1, 0 or +1) of a polynomial at the base.
 
-    Evaluates over enclosures of the base at doubling precision until the
-    sign resolves; raises only if the ceiling is hit first (which cannot
-    happen for a truly nonzero value given enough headroom).
+    A rational base evaluates exactly and must be > 1.  At tau and alpha the
+    polynomial is reduced by the minimal polynomial: a zero remainder is an
+    exact zero, and a nonzero remainder has lower degree, so it cannot vanish
+    at the base.  Its enclosure is evaluated at doubling precision until the
+    sign resolves; this raises only if the ceiling is hit first.
     """
+    value = spec.exact_value()
+    if value is not None:
+        if value <= 1:
+            raise DomainError(f"base must be > 1, got {value}")
+        at = poly_eval(coeffs, value)
+        return (at > 0) - (at < 0)
+    precision_ceiling = resolve_precision_ceiling(precision_ceiling)
+    remainder = poly_remainder(coeffs, spec.minimal_polynomial())
+    if not any(remainder):
+        return 0
     precision = 64
     while True:
-        value = poly_eval_ball(coeffs, spec.evaluate(precision))
+        value = poly_eval_ball(remainder, spec.evaluate(precision))
         sign = value.sign()
         if sign is not None:
             return sign

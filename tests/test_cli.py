@@ -146,6 +146,23 @@ class TestVerify:
         assert code == 0
         assert "residual enclosure contains 0" in output
 
+    @pytest.mark.parametrize("base", ["7/3", "tau"])
+    def test_one_inverse_per_size(self, base, monkeypatch):
+        # the suites and the diagonal-argmax line share one inverse per n
+        from vangeo import extremal, vandinv
+        sizes = []
+        original = vandinv.inverse_matrix
+
+        def counted(gv, *args, **kwargs):
+            sizes.append(gv.n)
+            return original(gv, *args, **kwargs)
+        monkeypatch.setattr(vandinv, "inverse_matrix", counted)
+        monkeypatch.setattr(extremal, "inverse_matrix", counted)
+        code, output = cli.run(["verify", "--base", base, "--n-max", "5"])
+        assert code == 0
+        assert sorted(sizes) == [1, 2, 3, 4, 5]
+        assert "[info] diagonal-argmax scan: 0 of 4 sizes non-diagonal" in output
+
 
 class TestConjecture:
     def test_json_well_formed(self):

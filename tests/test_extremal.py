@@ -12,7 +12,7 @@ from vangeo.extremal import (conjecture_scan, max_entry, n_zero,
                              verify_argmax_box, verify_leading_diagonal_max)
 from vangeo.scalar import BaseSpec, RigorousReal, evaluate_base
 from vangeo.symfunc import SigmaQuery, sigma_finite
-from vangeo.vandinv import GeometricVandermonde
+from vangeo.vandinv import GeometricVandermonde, InverseMatrix
 
 
 class TestNZero:
@@ -107,6 +107,38 @@ class TestMaxEntry:
         assert not report.tie
         assert report.argmax == ((1, 1),)
         assert report.max_value.radius < Fraction(1, 10 ** 40)
+
+    def test_escalation_resolves_alpha(self):
+        # at 16 bits (0,0) and (1,1) overlap at n = 12; 32 bits separate them
+        report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16)
+        assert report.argmax == ((0, 0),)
+        assert not report.tie
+        assert report.precision_bits == 32
+
+    def test_tie_at_the_ceiling(self):
+        report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16,
+                           precision_ceiling=16)
+        assert report.argmax == ((0, 0), (1, 1))
+        assert report.tie
+        assert report.precision_bits == 16
+        assert report.max_value.contains(report.max_value.midpoint)
+
+    def test_exact_tie_is_final(self, monkeypatch):
+        # no rational base p/q <= 4 with q <= 12 has an exact tie between two
+        # symmetry orbits for n <= 10, so one is planted in a supplied inverse
+        import vangeo.extremal as extremal
+        gv = GeometricVandermonde(BaseSpec.parse("2"), 2)
+        planted = InverseMatrix(n=2, base=gv.base, backend="exact", provenance="closed_form",
+                                entries=((Fraction(3), Fraction(-1)),
+                                         (Fraction(-1), Fraction(-3))))
+
+        def no_escalation(*args, **kwargs):
+            raise AssertionError("an exact base must not escalate")
+        monkeypatch.setattr(extremal, "inverse_matrix", no_escalation)
+        report = max_entry(gv, 16, precision_ceiling=16, inv=planted)
+        assert report.argmax == ((0, 0), (1, 1))
+        assert not report.tie
+        assert report.max_value == 3 and report.precision_bits is None
 
     def test_max_report_json_schema(self, cached_inverse):
         spec = BaseSpec.parse("6/5")

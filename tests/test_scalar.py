@@ -177,6 +177,24 @@ class TestRootIsolation:
         assert certified_poly_sign(TAU_POLYNOMIAL, alpha, 4096) == 1
         assert certified_poly_sign((-7, 0, 1), BaseSpec.parse("3"), 4096) == 1
 
+    def test_certified_poly_sign_exact_zeros(self):
+        # 9 b^2 - 16 vanishes at 4/3, whose non-dyadic ball straddles 0 at any
+        # precision: a rational base is evaluated exactly instead
+        assert certified_poly_sign((-16, 0, 9), BaseSpec.parse("4/3")) == 0
+        assert certified_poly_sign((-16, 0, 9), BaseSpec.parse("3/2")) == 1
+        # a polynomial that the minimal polynomial divides is an exact zero
+        assert certified_poly_sign(TAU_POLYNOMIAL, BaseSpec.parse("tau")) == 0
+        assert certified_poly_sign(ALPHA_POLYNOMIAL, BaseSpec.parse("alpha")) == 0
+        # (b^2 - b - 1)(b^2 + 1) = b^4 - b^3 - b - 1
+        assert certified_poly_sign((-1, -1, 0, -1, 1), BaseSpec.parse("tau")) == 0
+
+    def test_certified_poly_sign_requires_base_above_one(self):
+        from vangeo.limits import classify_regime
+        with pytest.raises(DomainError):
+            certified_poly_sign((1,), BaseSpec.parse("1"))
+        with pytest.raises(DomainError):
+            classify_regime(BaseSpec.parse("1/2"))
+
     @given(st.integers(min_value=2, max_value=50))
     @settings(max_examples=30, deadline=None)
     def test_square_roots_property(self, k):
