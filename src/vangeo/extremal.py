@@ -265,16 +265,20 @@ class DiagonalCheckReport:
 def verify_leading_diagonal_max(gv: GeometricVandermonde,
                                 precision_bits: int = DEFAULT_PRECISION_BITS,
                                 precision_ceiling: Optional[int] = None,
-                                inv: Optional[InverseMatrix] = None) -> DiagonalCheckReport:
+                                inv: Optional[InverseMatrix] = None,
+                                max_report: Optional[MaxReport] = None) -> DiagonalCheckReport:
     """Check that M_b(n) is attained at entry (0,0) or (1,1); requires
-    b >= (1+sqrt(5))/2 and n >= 2."""
+    b >= (1+sqrt(5))/2 and n >= 2.  A max_report already computed for the
+    same (base, n), such as a box check's, is used instead of a new scan."""
     ceiling = resolve_precision_ceiling(precision_ceiling)
     if gv.n < 2:
         raise DomainError(f"requires n >= 2, got n={gv.n}")
+    if max_report is not None and (max_report.base, max_report.n) != (gv.base, gv.n):
+        raise DomainError(f"max_report is not for base {gv.base.display()}, n={gv.n}")
     # b >= tau  <=>  b^2 - b - 1 >= 0   (b > 1)
     if certified_poly_sign(TAU_POLYNOMIAL, gv.base, ceiling) < 0:
         raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.display()} is below")
-    report = max_entry(gv, precision_bits, precision_ceiling, inv=inv)
+    report = max_report or max_entry(gv, precision_bits, precision_ceiling, inv=inv)
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
     sigma_ok = _sigma_step_holds(gv, precision_bits, ceiling)
     passed = diagonal_ok and sigma_ok

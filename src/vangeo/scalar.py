@@ -16,6 +16,8 @@ bisection root isolation, and small exact polynomial/decimal-string helpers.
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -264,9 +266,6 @@ class RigorousReal:
         lo = min(v.lower for v in values)
         hi = max(v.upper for v in values)
         return RigorousReal.from_interval(lo, hi, max(v.precision_bits for v in values))
-
-    def with_precision(self, precision_bits: int) -> "RigorousReal":
-        return RigorousReal(self._m, self._e, self._r, self._f, precision_bits)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -557,7 +556,7 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
 
     Rational and decimal specs evaluate exactly (radius 0 up to dyadic
     representation rounding); constants are isolated by exact bisection on
-    their minimal polynomials.
+    their minimal polynomials, once per (constant, precision) in a process.
     """
     if precision_bits < 16:
         raise DomainError(f"precision_bits must be >= 16, got {precision_bits}")
@@ -566,9 +565,16 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
         if value <= 1:
             raise DomainError(f"base must be > 1, got {value}")
         return RigorousReal.exact(value, precision_bits)
-    lo, hi = _CONSTANT_BRACKETS[spec.name]
+    return _constant_enclosure(spec.name, precision_bits)
+
+
+# bounded: `limit` derives its precision from --tol, so the keys are open-ended
+@functools.lru_cache(maxsize=64)
+def _constant_enclosure(name: str, precision_bits: int) -> RigorousReal:
+    """One bisection per (constant, precision), shared: RigorousReal is immutable."""
+    lo, hi = _CONSTANT_BRACKETS[name]
     tol = Fraction(1, 1 << precision_bits)
-    return bisect_root(_CONSTANT_POLYS[spec.name], lo, hi, tol, precision_bits=precision_bits)
+    return bisect_root(_CONSTANT_POLYS[name], lo, hi, tol, precision_bits=precision_bits)
 
 
 def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec",
@@ -608,11 +614,13 @@ def bisect_root(coeffs: Sequence[Union[int, Fraction]],
                 lo: Union[int, Fraction], hi: Union[int, Fraction],
                 tol: Union[int, Fraction, str, float],
                 precision_bits: Optional[int] = None) -> RigorousReal:
-    """Isolate a root of the polynomial by exact-rational bisection.
+    """Isolate a root of the polynomial by exact bisection.
 
     Requires a sign change between lo and hi.  Returns an enclosure of width
     <= tol whose endpoints bracket the sign change; if the bisection lands on
-    an exact rational root, the enclosure degenerates to that point.
+    an exact rational root, the enclosure degenerates to that point.  The
+    bisection runs on the integer grid lo + (hi - lo)*k/2^s, with s the least
+    number of halvings that meets tol, and builds no Fraction in its loop.
     """
     lof, hif = Fraction(lo), Fraction(hi)
     tolf = Fraction(tol)
@@ -622,27 +630,38 @@ def bisect_root(coeffs: Sequence[Union[int, Fraction]],
         raise BracketError("bracket endpoints must satisfy lo < hi")
     flo = poly_eval(coeffs, lof)
     fhi = poly_eval(coeffs, hif)
-    if flo == 0:
-        hif = lof
-    elif fhi == 0:
-        lof = hif
-    elif (flo > 0) == (fhi > 0):
+    if flo != 0 and fhi != 0 and (flo > 0) == (fhi > 0):
         raise BracketError(f"no sign change on [{lof}, {hif}]: f(lo)={flo}, f(hi)={fhi}")
-    while hif - lof > tolf:
-        mid = (lof + hif) / 2
-        fm = poly_eval(coeffs, mid)
-        if fm == 0:
-            lof = hif = mid
-            break
-        if (fm > 0) == (flo > 0):
-            lof, flo = mid, fm
-        else:
-            hif = mid
     if precision_bits is None:
         # enough bits to keep representation rounding far below the bracket width
         width_bits = max(1, -(tolf.numerator.bit_length() - tolf.denominator.bit_length()))
         precision_bits = max(64, width_bits + 32)
-    return RigorousReal.from_interval(lof, hif, precision_bits)
+    width = hif - lof
+    steps = (-(-width // tolf) - 1).bit_length()    # least s with width/2^s <= tol
+    # Q(y) = P(lo + width*y), ascending; c_i*2^(s*(d-i)) with the denominators
+    # cleared are the coefficients whose Horner value at k is 2^(s*d)*Q(k/2^s)
+    shifted: List[Fraction] = []
+    for c in reversed(coeffs):
+        shifted = [a * lof + b * width for a, b in zip(shifted + [0], [0] + shifted)]
+        shifted[0] += c
+    scale = math.lcm(*(c.denominator for c in shifted))
+    homogeneous = [c.numerator * (scale // c.denominator) << steps * (len(shifted) - 1 - i)
+                   for i, c in enumerate(shifted)]
+    grid = 1 << steps
+    k_lo, k_hi = (0, 0) if flo == 0 else (grid, grid) if fhi == 0 else (0, grid)
+    while k_hi - k_lo > 1:
+        mid = (k_lo + k_hi) // 2
+        acc = 0
+        for c in reversed(homogeneous):
+            acc = acc * mid + c
+        if acc == 0:
+            k_lo = k_hi = mid
+        elif (acc > 0) == (flo > 0):
+            k_lo = mid
+        else:
+            k_hi = mid
+    return RigorousReal.from_interval(lof + width * Fraction(k_lo, grid),
+                                      lof + width * Fraction(k_hi, grid), precision_bits)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,31 @@ class TestVerify:
         assert sorted(sizes) == [1, 2, 3, 4, 5]
         assert "[info] diagonal-argmax scan: 0 of 4 sizes non-diagonal" in output
 
+    @pytest.mark.parametrize("base", ["7/3", "tau", "alpha", "3/2"])
+    def test_one_max_entry_per_size(self, base, monkeypatch):
+        # the leading-diagonal check reads the box check's max report
+        from vangeo import extremal
+        sizes = []
+        original = extremal.max_entry
+
+        def counted(gv, *args, **kwargs):
+            sizes.append(gv.n)
+            return original(gv, *args, **kwargs)
+        monkeypatch.setattr(extremal, "max_entry", counted)
+        code, _ = cli.run(["verify", "--base", base, "--n-max", "5"])
+        assert code == 0
+        assert sorted(sizes) == [2, 3, 4, 5]
+
+    def test_diagonal_check_rejects_another_size_report(self):
+        from vangeo import extremal, vandinv
+        from vangeo.errors import DomainError
+        from vangeo.scalar import BaseSpec
+        base = BaseSpec.parse("2")
+        box = extremal.verify_argmax_box(vandinv.GeometricVandermonde(base, 4))
+        with pytest.raises(DomainError):
+            extremal.verify_leading_diagonal_max(vandinv.GeometricVandermonde(base, 5),
+                                                 max_report=box.max_report)
+
 
 class TestConjecture:
     def test_json_well_formed(self):
@@ -230,6 +255,17 @@ class TestDeterminism:
         output = run_ok(["max", "--base", "tau", "--n", "6",
                          "--precision-ceiling", "2048"])
         assert "argmax = (1,1)" in output
+
+    def test_shared_parser_keeps_no_options(self):
+        # the parser is built once per process; a json run must not leave its
+        # --format behind for the next command
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "vangeo.cli", "max", "--base", "2",
+                                "--n", "4"], capture_output=True, text=True, env=env,
+                               timeout=60)
+        run_ok(["max", "--base", "2", "--n", "4", "--format", "json"])
+        assert run_ok(["max", "--base", "2", "--n", "4"]) + "\n" == fresh.stdout
 
 
 class TestClosedPipe:

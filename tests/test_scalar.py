@@ -5,7 +5,7 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vangeo.errors import BracketError, DomainError, ParseError
@@ -24,6 +24,48 @@ TAU_LO = (1 + SQRT5_LO) / 2
 TAU_HI = (1 + SQRT5_HI) / 2
 
 fractions_st = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
+
+
+def fraction_bisect(coeffs, lo, hi, tol, precision_bits=None):
+    """Oracle: bisection with a Fraction evaluation per step, the loop that
+    bisect_root's integer grid replaced."""
+    lof, hif = Fraction(lo), Fraction(hi)
+    tolf = Fraction(tol)
+    if tolf <= 0:
+        raise DomainError(f"tolerance must be positive, got {tol}")
+    if lof >= hif:
+        raise BracketError("bracket endpoints must satisfy lo < hi")
+    flo = poly_eval(coeffs, lof)
+    fhi = poly_eval(coeffs, hif)
+    if flo == 0:
+        hif = lof
+    elif fhi == 0:
+        lof = hif
+    elif (flo > 0) == (fhi > 0):
+        raise BracketError(f"no sign change on [{lof}, {hif}]: f(lo)={flo}, f(hi)={fhi}")
+    while hif - lof > tolf:
+        mid = (lof + hif) / 2
+        fm = poly_eval(coeffs, mid)
+        if fm == 0:
+            lof = hif = mid
+            break
+        if (fm > 0) == (flo > 0):
+            lof, flo = mid, fm
+        else:
+            hif = mid
+    if precision_bits is None:
+        width_bits = max(1, -(tolf.numerator.bit_length() - tolf.denominator.bit_length()))
+        precision_bits = max(64, width_bits + 32)
+    return RigorousReal.from_interval(lof, hif, precision_bits)
+
+
+def outcome(isolate, *args, **kwargs):
+    """(midpoint, radius, precision) of the enclosure, or the error raised."""
+    try:
+        ball = isolate(*args, **kwargs)
+    except (BracketError, DomainError) as exc:
+        return type(exc), str(exc)
+    return ball.midpoint, ball.radius, ball.precision_bits
 
 
 class TestRigorousReal:
@@ -149,6 +191,24 @@ class TestBaseSpec:
         ball = evaluate_base(BaseSpec.parse("tau"), bits)
         assert ball.lower <= TAU_HI and TAU_LO <= ball.upper
 
+    @pytest.mark.parametrize("bits", [16, 17, 63, 64, 256, 257, 1024])
+    @pytest.mark.parametrize("name, poly, lo, hi", [("tau", TAU_POLYNOMIAL, 1, 2),
+                                                    ("alpha", ALPHA_POLYNOMIAL, 2, 3)])
+    def test_constants_match_fraction_bisection(self, name, poly, lo, hi, bits):
+        expected = outcome(fraction_bisect, poly, lo, hi, Fraction(1, 1 << bits), bits)
+        assert outcome(bisect_root, poly, lo, hi, Fraction(1, 1 << bits), bits) == expected
+        assert outcome(evaluate_base, BaseSpec.parse(name), bits) == expected
+
+    def test_constant_enclosure_is_shared(self):
+        tau = BaseSpec.parse("tau")
+        assert evaluate_base(tau, 256) is evaluate_base(tau, 256)
+        assert evaluate_base(tau, 257) is not evaluate_base(tau, 256)
+
+    def test_low_precision_refused_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(DomainError):
+                evaluate_base(BaseSpec.parse("tau"), 15)
+
 
 class TestRootIsolation:
     def test_sqrt2(self):
@@ -202,6 +262,26 @@ class TestRootIsolation:
             return
         ball = bisect_root((-k, 0, 1), 0, k, Fraction(1, 10 ** 12))
         assert ball.lower ** 2 <= k <= ball.upper ** 2
+
+    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
+                    min_size=2, max_size=5),
+           st.fractions(min_value=-10, max_value=10, max_denominator=9),
+           st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9),
+           st.fractions(min_value=0, max_value=1, max_denominator=64),
+           st.fractions(min_value=-1, max_value=1, max_denominator=100),
+           st.fractions(min_value=Fraction(1, 10 ** 30), max_value=4,
+                        max_denominator=10 ** 30))
+    @example([-2, 1], 2, 1, 0, 0, Fraction(1, 10 ** 6))         # root at lo
+    @example([0, 0, 1], 0, 16, Fraction(1, 4), 0, Fraction(1, 10 ** 12))   # x^2 - 16
+    @example([0, 0, 1], 0, 9, Fraction(1, 3), 0, Fraction(1, 10 ** 12))    # x^2 - 9
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction_bisection(self, coeffs, lo, width, at, shift, tol):
+        # the constant term plants a root at lo + at*width, moved by shift; a
+        # shift of 0 keeps it rational, a grid point when at is dyadic
+        coeffs = list(coeffs)
+        coeffs[0] += shift - poly_eval(coeffs, lo + at * width)
+        assert outcome(bisect_root, coeffs, lo, lo + width, tol) == \
+            outcome(fraction_bisect, coeffs, lo, lo + width, tol)
 
     def test_poly_eval(self):
         assert poly_eval((-1, -1, 1), Fraction(3, 2)) == Fraction(-1, 4)
