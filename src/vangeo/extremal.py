@@ -6,51 +6,36 @@ diagonal-argmax question.
 n0 is the least positive integer m with b^m >= 1 + 1/b.  The argmax of
 |c_{i,j,n}| always lies in the box [0, n0]^2; for b at or above the golden
 ratio the maximum is attained at (0,0) or (1,1).  Both statements are checked
-here on concrete instances.  Thresholds on the base (n0 at tau and alpha, the
-golden-ratio requirement) are exact signs from certified_poly_sign.  Entry
-comparisons run one loop over (lower, upper) bounds: an exact entry is its
-own zero-width enclosure and decides at once, and enclosures double the
-working precision until they separate or reach the ceiling.
+here on concrete instances, and every decision is an exact sign.  Thresholds
+on the base come from certified_poly_sign.  Entries are compared on the
+column form |c_{i,j,n}| = A_{i,j} / pi_j: |c_a| - |c_b| has the sign of
+A_a pi_b - A_b pi_a, an integer, or at tau and alpha a Z[theta] element whose
+sign certified_poly_sign decides (a zero tuple is an exact tie).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
-from .errors import DomainError, UndecidableComparisonError
+from .errors import DomainError, SizeError, UndecidableComparisonError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, certified_poly_sign, fraction_to_decimal,
-                     resolve_precision_ceiling)
-from .symfunc import SigmaQuery, sigma_finite
-from .vandinv import GeometricVandermonde, InverseMatrix, inverse_matrix
+                     RigorousReal, certified_poly_sign, fraction_to_decimal)
+# inverse_matrix is not called here; bench/tracing.py expects this module to bind it
+from .vandinv import GeometricVandermonde, inverse_matrix  # noqa: F401
 
 IndexPair = Tuple[int, int]
+
+_N_ZERO_MAX_BITS = 1 << 22     # n0 * log2(p): the size of the powers confirming n0 of p/q
 
 
 def _decimal(value: Numeric, digits: int) -> str:
     if isinstance(value, RigorousReal):
         return value.decimal(digits)
     return fraction_to_decimal(Fraction(value), digits)
-
-
-def _bounds(value: Numeric) -> Tuple[Fraction, Fraction]:
-    """(lower, upper) of an enclosure; an exact value is its own zero-width
-    enclosure."""
-    if isinstance(value, RigorousReal):
-        return value.lower, value.upper
-    return value, value
-
-
-def _inverse_at(gv: GeometricVandermonde, precision: int,
-                inv: Optional[InverseMatrix]) -> InverseMatrix:
-    """inv when it was computed at this working precision (an exact inverse
-    has none), else a fresh inverse."""
-    if inv is None or inv.precision_bits != (None if gv.is_exact else precision):
-        inv = inverse_matrix(gv, precision)
-    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +47,8 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
            precision_ceiling: Optional[int] = None) -> int:
     """Least positive integer m with b^m >= 1 + 1/b.
 
-    Rational bases decide by exact comparison of successive powers.  At tau
+    Rational bases estimate m by logarithms and confirm it with exact integer
+    powers, refusing (SizeError) a base too close to 1 to confirm.  At tau
     and alpha the threshold is the exact sign of x^{m+1} - x - 1 at the base.
     Plain enclosures are compared directly and raise if their width cannot
     decide the threshold.
@@ -95,13 +81,35 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
     bf = Fraction(b)
     if bf <= 1:
         raise DomainError(f"base must be > 1, got {bf}")
-    threshold = 1 + 1 / bf
-    power = bf
-    m = 1
-    while power < threshold:
-        m += 1
-        power *= bf
+    p, q = bf.numerator, bf.denominator
+    # m ~ log(1 + 1/b) / log(b), then exact: b^m >= 1 + 1/b <=> p^(m+1) >= q^m (p+q).
+    # log b is capped at log 2 (any b >= 2 has m = 1) so the quotient stays a float.
+    log_b = math.log1p(min(p - q, q) / q)
+    estimate = math.log1p(q / p) / log_b if log_b else math.inf
+    if estimate * p.bit_length() > _N_ZERO_MAX_BITS:
+        raise SizeError(f"n0 of base {bf} is about {estimate:.3g}; confirming it needs "
+                        f"powers of more than {_N_ZERO_MAX_BITS} bits")
+    m = max(1, math.ceil(estimate))
+    p_m, q_m = p ** m, q ** m
+    while m > 1 and p_m * q >= q_m * (p + q):          # m - 1 passes
+        m, p_m, q_m = m - 1, p_m // p, q_m // q
+    while p_m * p < q_m * (p + q):                     # m fails
+        m, p_m, q_m = m + 1, p_m * p, q_m * q
     return m
+
+
+# ---------------------------------------------------------------------------
+# exact comparisons on the column form
+# ---------------------------------------------------------------------------
+
+
+def _compare(a: tuple, b: tuple, base: BaseSpec, precision_ceiling: Optional[int]) -> int:
+    """Exact sign of |c_a| - |c_b|, i.e. of A_a pi_b - A_b pi_a."""
+    (num_a, pi_a), (num_b, pi_b) = a, b
+    difference = num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a
+    if isinstance(difference, int):
+        return (difference > 0) - (difference < 0)
+    return certified_poly_sign(difference.coefficients, base, precision_ceiling)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +128,6 @@ class MaxReport:
     argmax: Tuple[IndexPair, ...]
     within_n_zero_box: bool
     diagonal_argmax: bool
-    tie: bool                      # enclosure tie unresolved at the ceiling
     backend: str
     precision_bits: Optional[int] = None
 
@@ -133,7 +140,7 @@ class MaxReport:
             "argmax": [list(p) for p in self.argmax],
             "within_n_zero_box": self.within_n_zero_box,
             "diagonal_argmax": self.diagonal_argmax,
-            "tie": self.tie,
+            "tie": False,           # comparisons are exact; kept for the output schema
             "backend": self.backend,
         }
 
@@ -141,46 +148,30 @@ class MaxReport:
         return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
 
 
-def _orbit(pair: IndexPair) -> Tuple[IndexPair, ...]:
-    i, j = pair
-    return ((i, j),) if i == j else tuple(sorted({(i, j), (j, i)}))
-
-
 def max_entry(gv: GeometricVandermonde,
               precision_bits: int = DEFAULT_PRECISION_BITS,
-              precision_ceiling: Optional[int] = None,
-              inv: Optional[InverseMatrix] = None) -> MaxReport:
-    """Scan all n^2 entries for the maximum absolute value.
-
-    The candidates are the entries whose upper bound reaches the largest
-    lower bound.  Exact entries are zero-width, so the candidates are exactly
-    the maximal entries (mirror pairs and ties included) and the scan never
-    escalates.  Enclosures double the working precision until a single
-    symmetry orbit of candidates remains or the ceiling is reached; in the
-    latter case the full candidate set is reported with the tie flag set.
-    """
+              precision_ceiling: Optional[int] = None) -> MaxReport:
+    """Scan the entries with i <= j for the maximum absolute value by exact
+    comparisons, and mirror the argmax (the inverse is symmetric), so every
+    maximal entry is reported, ties included.  The maximum is a Fraction at a
+    rational base and its ball image at precision_bits at tau and alpha;
+    precision_ceiling bounds the sign evaluations."""
     n0 = n_zero(gv.base, precision_ceiling)
-    precision = precision_bits
-    inv = _inverse_at(gv, precision, inv)
-    while True:
-        magnitudes = {(i, j): abs(v) for i, row in enumerate(inv.entries)
-                      for j, v in enumerate(row)}
-        bounds = {p: _bounds(v) for p, v in magnitudes.items()}
-        floor = max(lower for lower, _ in bounds.values())
-        candidates = tuple(p for p, (_, upper) in bounds.items() if upper >= floor)
-        settled = gv.is_exact or len({_orbit(p) for p in candidates}) == 1
-        if settled or 2 * precision > resolve_precision_ceiling(precision_ceiling):
-            break
-        precision *= 2
-        inv = inverse_matrix(gv, precision)
-    best = [magnitudes[p] for p in candidates]
-    argmax = tuple(sorted(candidates))
+    best, top = None, []
+    for pair, magnitude in gv.column_form.upper_triangle.items():
+        order = 1 if best is None else _compare(magnitude, best, gv.base, precision_ceiling)
+        if order > 0:
+            best, top = magnitude, [pair]
+        elif order == 0:
+            top.append(pair)
+    argmax = tuple(sorted({pair for i, j in top for pair in ((i, j), (j, i))}))
     return MaxReport(
         base=gv.base, n=gv.n, n_zero=n0,
-        max_value=RigorousReal.hull(best) if inv.backend == "rigorous" else best[0],
+        max_value=gv.column_form.value(*best, precision_bits),
         argmax=argmax, within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
         diagonal_argmax=any(i == j for i, j in argmax),
-        tie=not settled, backend=inv.backend, precision_bits=inv.precision_bits)
+        backend="exact" if gv.is_exact else "rigorous",
+        precision_bits=None if gv.is_exact else precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -198,53 +189,26 @@ class BoxCheckReport:
     n_zero: int
     passed: bool
     argmax_within_box: bool
-    witnesses: Tuple[IndexPair, ...]       # provable violations
-    undecided: Tuple[IndexPair, ...]       # comparisons ambiguous at ceiling
+    witnesses: Tuple[IndexPair, ...]       # entries exceeding (n0, n0)
     max_report: MaxReport
 
 
 def verify_argmax_box(gv: GeometricVandermonde,
                       precision_bits: int = DEFAULT_PRECISION_BITS,
-                      precision_ceiling: Optional[int] = None,
-                      inv: Optional[InverseMatrix] = None) -> BoxCheckReport:
-    """Check that the dominant entry cannot escape the [0, n0]^2 box."""
-    report = max_entry(gv, precision_bits, precision_ceiling, inv=inv)
-    n, n0 = gv.n, report.n_zero
-    witnesses, undecided = _box_check(gv, n0, precision_bits, precision_ceiling, inv)
-    passed = not witnesses and not undecided and report.within_n_zero_box
-    return BoxCheckReport(base=gv.base, n=n, n_zero=n0, passed=passed,
+                      precision_ceiling: Optional[int] = None) -> BoxCheckReport:
+    """Check that the dominant entry cannot escape the [0, n0]^2 box: no
+    entry with both indices >= n0 exceeds the (n0, n0) entry.  Witnesses are
+    listed row-major, both orientations of a symmetric pair included."""
+    report = max_entry(gv, precision_bits, precision_ceiling)
+    n, n0, table = gv.n, report.n_zero, gv.column_form.upper_triangle
+    above = {pair for pair, magnitude in table.items() if min(pair) >= n0
+             and _compare(magnitude, table[n0, n0], gv.base, precision_ceiling) > 0}
+    witnesses = tuple((i, j) for i in range(n0, n) for j in range(n0, n)
+                      if (min(i, j), max(i, j)) in above)
+    return BoxCheckReport(base=gv.base, n=n, n_zero=n0,
+                          passed=not witnesses and report.within_n_zero_box,
                           argmax_within_box=report.within_n_zero_box,
-                          witnesses=tuple(witnesses), undecided=tuple(undecided),
-                          max_report=report)
-
-
-def _box_check(gv: GeometricVandermonde, n0: int, precision: int,
-               precision_ceiling: Optional[int], inv: Optional[InverseMatrix]):
-    """Entries with both indices >= n0 that provably exceed the (n0, n0)
-    entry, and those still undecided at the ceiling; only enclosures that
-    overlap the reference are re-examined at doubled precision."""
-    n = gv.n
-    pending = [(i, j) for i in range(n0, n) for j in range(n0, n) if (i, j) != (n0, n0)]
-    witnesses: List[IndexPair] = []
-    if not pending:                     # n0 >= n - 1: nothing outside the box
-        return witnesses, pending
-    inv = _inverse_at(gv, precision, inv)
-    while True:
-        ref_lower, ref_upper = _bounds(abs(inv.entries[n0][n0]))
-        unresolved: List[IndexPair] = []
-        for i, j in pending:
-            lower, upper = _bounds(abs(inv.entries[i][j]))
-            if upper <= ref_lower:
-                continue
-            if lower > ref_upper:
-                witnesses.append((i, j))
-                continue
-            unresolved.append((i, j))
-        if not unresolved or 2 * precision > resolve_precision_ceiling(precision_ceiling):
-            return witnesses, unresolved
-        precision *= 2
-        inv = inverse_matrix(gv, precision)
-        pending = unresolved
+                          witnesses=witnesses, max_report=report)
 
 
 @dataclass(frozen=True)
@@ -258,54 +222,32 @@ class DiagonalCheckReport:
     passed: bool
     max_on_leading_diagonal: bool
     sigma_step_holds: bool
-    tie: bool
     max_report: MaxReport
 
 
 def verify_leading_diagonal_max(gv: GeometricVandermonde,
                                 precision_bits: int = DEFAULT_PRECISION_BITS,
                                 precision_ceiling: Optional[int] = None,
-                                inv: Optional[InverseMatrix] = None,
                                 max_report: Optional[MaxReport] = None) -> DiagonalCheckReport:
     """Check that M_b(n) is attained at entry (0,0) or (1,1); requires
     b >= (1+sqrt(5))/2 and n >= 2.  A max_report already computed for the
     same (base, n), such as a box check's, is used instead of a new scan."""
-    ceiling = resolve_precision_ceiling(precision_ceiling)
     if gv.n < 2:
         raise DomainError(f"requires n >= 2, got n={gv.n}")
     if max_report is not None and (max_report.base, max_report.n) != (gv.base, gv.n):
         raise DomainError(f"max_report is not for base {gv.base.display()}, n={gv.n}")
     # b >= tau  <=>  b^2 - b - 1 >= 0   (b > 1)
-    if certified_poly_sign(TAU_POLYNOMIAL, gv.base, ceiling) < 0:
+    if certified_poly_sign(TAU_POLYNOMIAL, gv.base, precision_ceiling) < 0:
         raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.display()} is below")
-    report = max_report or max_entry(gv, precision_bits, precision_ceiling, inv=inv)
+    report = max_report or max_entry(gv, precision_bits, precision_ceiling)
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
-    sigma_ok = _sigma_step_holds(gv, precision_bits, ceiling)
-    passed = diagonal_ok and sigma_ok
-    return DiagonalCheckReport(base=gv.base, n=gv.n, passed=passed,
+    # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest
+    # admissible exponent never loses mass iff |c_{0,1}| <= |c_{1,1}|
+    table = gv.column_form.upper_triangle
+    sigma_ok = _compare(table[0, 1], table[1, 1], gv.base, precision_ceiling) <= 0
+    return DiagonalCheckReport(base=gv.base, n=gv.n, passed=diagonal_ok and sigma_ok,
                                max_on_leading_diagonal=diagonal_ok,
-                               sigma_step_holds=sigma_ok, tie=report.tie,
-                               max_report=report)
-
-
-def _sigma_step_holds(gv: GeometricVandermonde, precision: int, ceiling: int) -> bool:
-    """sigma_{n-1,1,n}(b) <= sigma_{n-2,1,n}(b): dropping the largest
-    admissible exponent from the full product never loses mass."""
-    n = gv.n
-    value = gv.base.exact_value()
-    while True:
-        b = value if value is not None else gv.base.evaluate(precision)
-        top_lower, top_upper = _bounds(sigma_finite(SigmaQuery(n - 1, 1, n, b)))
-        next_lower, next_upper = _bounds(sigma_finite(SigmaQuery(n - 2, 1, n, b)))
-        if top_upper <= next_lower:
-            return True
-        if next_upper < top_lower:
-            return False
-        if 2 * precision > ceiling:
-            raise UndecidableComparisonError(
-                f"sigma step comparison for n={n} at base {gv.base.display()} "
-                f"is ambiguous at the {ceiling}-bit ceiling")
-        precision *= 2
+                               sigma_step_holds=sigma_ok, max_report=report)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +262,6 @@ class ScanRecord:
     max_value: Numeric
     argmax: Tuple[IndexPair, ...]
     diagonal: bool
-    tie: bool
 
 
 @dataclass(frozen=True)
@@ -351,9 +292,8 @@ class ConjectureScan:
         for r in self.records:
             pairs = " ".join(f"({i},{j})" for i, j in r.argmax)
             flag = "diagonal" if r.diagonal else "NON-DIAGONAL"
-            tie = " tie" if r.tie else ""
             lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={_decimal(r.max_value, digits)}"
-                         f"  argmax {pairs}  {flag}{tie}")
+                         f"  argmax {pairs}  {flag}")
         lines.append(f"summary: {len(self.non_diagonal)} of {len(self.records)} sizes "
                      f"lack a diagonal argmax"
                      + (f" (n = {', '.join(map(str, self.non_diagonal))})"
@@ -372,8 +312,7 @@ def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
     for n in range(n_min, n_max + 1):
         report = max_entry(GeometricVandermonde(base, n), precision_bits, precision_ceiling)
         records.append(ScanRecord(n=n, n_zero=report.n_zero, max_value=report.max_value,
-                                  argmax=report.argmax, diagonal=report.diagonal_argmax,
-                                  tie=report.tie))
+                                  argmax=report.argmax, diagonal=report.diagonal_argmax))
         if not report.diagonal_argmax:
             non_diagonal.append(n)
     return ConjectureScan(base=base, n_min=n_min, n_max=n_max,

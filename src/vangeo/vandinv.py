@@ -5,13 +5,13 @@ form
 
     |c_{i,j,n}| = sigma_{n-1-i,j,n}(b) / pi_{j,n},      sign = (-1)^{i+j},
 
-where pi_{j,n} = prod_{h != j} |b^j - b^h|.  The exact backend evaluates this
-over the integers: with b = p/q in lowest terms it scales the nodes to
-N_h = p^h q^{n-1-h}, builds the master polynomial prod_h (1 + N_h t) in O(n)
-from the q-binomial theorem, and deflates one node out of it per column in
-O(n) (Traub 1966; Bjorck & Pereyra 1970).  That is O(n^2) integer operations
-in total and one normalising gcd per symmetric pair of entries.  The rigorous
-backend works in the reciprocal formulation
+where pi_{j,n} = prod_{h != j} |b^j - b^h|.  ColumnForm holds every
+magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
+(tau, alpha): one master polynomial, one O(n) deflation per column (Traub
+1966; Bjorck & Pereyra 1970).  The exact backend turns it into Fractions; the
+extremal scans compare its ratios by exact signs.  The rigorous backend, which
+prints the enclosures of `inverse` at tau and alpha, works in the reciprocal
+formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -23,17 +23,18 @@ included for differential testing.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     fraction_to_decimal, fraction_to_sci)
+                     fraction_to_sci, poly_eval_ball)
 from .symfunc import elementary_symmetric
 
 _GAUSSIAN_MAX_N = 64
@@ -56,6 +57,11 @@ class GeometricVandermonde:
     @property
     def is_exact(self) -> bool:
         return self.base.is_exact
+
+    @functools.cached_property
+    def column_form(self) -> "ColumnForm":
+        """The exact column form of the inverse, shared by the checks on this matrix."""
+        return ColumnForm(self)
 
 
 @dataclass(frozen=True)
@@ -115,8 +121,8 @@ def _exact_base(gv: GeometricVandermonde) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def _base_powers(b, n: int) -> List:
-    pows = [b ** 0]
+def _base_powers(b, n: int, one=None) -> List:
+    pows = [b ** 0 if one is None else one]
     for _ in range(1, n):
         pows.append(pows[-1] * b)
     return pows
@@ -170,63 +176,119 @@ def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
     if not (0 <= i < gv.n and 0 <= j < gv.n):
         raise DomainError(f"index ({i},{j}) out of range for n={gv.n}")
     if gv.is_exact:
-        return _IntegerNodes(_exact_base(gv), gv.n).column(j, [i])[0]
+        (a,), pi = ColumnForm(gv).magnitudes(j, [i])
+        return Fraction(-a if (i + j) % 2 else a, pi)
     return _inverse_entries_rigorous(gv, precision_bits)[i][j]
 
 
-class _IntegerNodes:
-    """The nodes b^h of an exact base b = p/q (lowest terms) scaled to the
-    integers N_h = p^h q^(n-1-h) = q^(n-1) b^h, with the coefficients
-    E_k = e_k(N_0, ..., N_{n-1}), k = 0..n, of prod_h (1 + N_h t).
+class _ZTheta:
+    """An element of Z[theta] as its coefficients (ascending) reduced modulo
+    the minimal polynomial of theta, which is monic with constant term -1."""
 
-    The q-binomial theorem gives e_k(1, b, ..., b^(n-1)) =
-    b^(k(k-1)/2) [n choose k]_b, hence the O(n) recurrence
-    E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
-    whose division is exact.
+    __slots__ = ("coefficients", "modulus")
+
+    def __init__(self, coefficients: Sequence[int], modulus: Sequence[int]):
+        self.coefficients = tuple(coefficients)
+        self.modulus = modulus
+
+    def __add__(self, other: "_ZTheta") -> "_ZTheta":
+        return _ZTheta(map(operator.add, self.coefficients, other.coefficients), self.modulus)
+
+    def __sub__(self, other: "_ZTheta") -> "_ZTheta":
+        return _ZTheta(map(operator.sub, self.coefficients, other.coefficients), self.modulus)
+
+    def __mul__(self, other: Union[int, "_ZTheta"]) -> "_ZTheta":
+        if isinstance(other, int):
+            return _ZTheta((c * other for c in self.coefficients), self.modulus)
+        d = len(self.coefficients)
+        product = [0] * (2 * d - 1)
+        for s, a in enumerate(self.coefficients):
+            for t, b in enumerate(other.coefficients):
+                product[s + t] += a * b
+        # theta^d = -(m_0 + m_1 theta + ... + m_(d-1) theta^(d-1))
+        for top in range(2 * d - 2, d - 1, -1):
+            c = product.pop()
+            for k in range(d):
+                product[top - d + k] -= c * self.modulus[k]
+        return _ZTheta(product, self.modulus)
+
+
+class ColumnForm:
+    """|c_{i,j,n}| = A_{i,j} / pi_j with A, pi > 0 in Z (b = p/q in lowest
+    terms, nodes N_h = p^h q^(n-1-h) = q^(n-1) b^h) or in Z[theta] (nodes
+    theta^h, q = 1).  E_k = e_k(N_0, ..., N_{n-1}) comes from the q-binomial
+    theorem over Z, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
+    and from the direct product prod_h (1 + N_h t) over Z[theta], where that
+    division is not exact.  Deflating N_j out gives F_k = e_k(N_h : h != j)
+    = q^((n-1)k) sigma_{k,j,n}(b), and pi_j = prod_{h != j} |N_j - N_h|, so
+    A_{i,j} = F_{n-1-i} q^((n-1)i).  theta is a unit: theta^(-1) is the
+    minimal polynomial without its constant term, so the deflation's division
+    by theta^j is a multiplication by theta^(-j).
     """
 
-    def __init__(self, b: Union[int, Fraction], n: int):
-        p, q = b.numerator, b.denominator
-        self.n, self.q = n, q
-        self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
-        self.master = [1]
-        for k in range(1, n + 1):
-            self.master.append(self.master[-1] * (p * q) ** (k - 1)
-                               * (p ** (n - k + 1) - q ** (n - k + 1))
-                               // (p ** k - q ** k))
+    def __init__(self, gv: GeometricVandermonde):
+        n, value = gv.n, gv.base.exact_value()
+        self.base, self.n = gv.base, n
+        if value is not None:
+            p, q = value.numerator, value.denominator
+            self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
+            self.master = [1]
+            for k in range(1, n + 1):
+                self.master.append(self.master[-1] * (p * q) ** (k - 1)
+                                   * (p ** (n - k + 1) - q ** (n - k + 1))
+                                   // (p ** k - q ** k))
+            # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
+            self._divisors, self._divide = self.nodes, operator.floordiv
+        else:
+            modulus, q = gv.base.minimal_polynomial(), 1
+            one, theta = (_ZTheta([int(k == e) for k in range(len(modulus) - 1)], modulus)
+                          for e in (0, 1))
+            self.nodes = _base_powers(theta, n, one)
+            self.master = [one] + [one * 0] * n
+            for h, node in enumerate(self.nodes):
+                for k in range(h + 1, 0, -1):
+                    self.master[k] = self.master[k] + node * self.master[k - 1]
+            self._divisors = _base_powers(_ZTheta(modulus[1:], modulus), n, one)
+            self._divide = operator.mul
+        self.row_scales = _base_powers(q ** (n - 1), n)
 
-    def column(self, j: int, rows: Iterable[int]) -> List[Fraction]:
-        """Signed entries c_{i,j,n} for i in rows.
-
-        Deflating N_j out of the master polynomial gives
-        F_k = e_k(N_h : h != j) = q^((n-1)k) sigma_{k,j,n}(b), and
-        pi_j(N) = q^((n-1)^2) pi_{j,n}(b), so
-        c_{i,j,n} = (-1)^(i+j) F_{n-1-i} q^((n-1)i) / pi_j(N).
-        """
-        n, node = self.n, self.nodes[j]
+    def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, _ZTheta]]:
+        """([A_{i,j} for i in rows], pi_j)."""
+        n, node, divisor = self.n, self.nodes[j], self._divisors[j]
         deflated = [0] * n
-        deflated[n - 1] = self.master[n] // node
-        for m in range(n - 1, 0, -1):
-            deflated[m - 1] = (self.master[m] - deflated[m]) // node
-        pi = 1
+        deflated[n - 1] = self._divide(self.master[n], divisor)
+        for m in range(n - 1, n - 1 - max(rows), -1):
+            deflated[m - 1] = self._divide(self.master[m] - deflated[m], divisor)
+        pi = self.master[0]
         for h, other in enumerate(self.nodes):
             if h != j:
-                pi *= abs(node - other)
-        entries = []
-        for i in rows:
-            magnitude = Fraction(deflated[n - 1 - i] * self.q ** ((n - 1) * i), pi)
-            entries.append(-magnitude if (i + j) % 2 else magnitude)
-        return entries
+                pi = pi * (node - other if h < j else other - node)
+        return [deflated[n - 1 - i] * self.row_scales[i] for i in rows], pi
+
+    @functools.cached_property
+    def upper_triangle(self) -> dict:
+        """{(i, j): (A_{i,j}, pi_j)} for i <= j; one pi object per column."""
+        table = {}
+        for j in range(self.n):
+            nums, pi = self.magnitudes(j, range(j + 1))
+            table.update(((i, j), (a, pi)) for i, a in enumerate(nums))
+        return table
+
+    def value(self, num: Union[int, _ZTheta], pi: Union[int, _ZTheta],
+              precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
+        """num / pi: a Fraction over Z, its ball image at the base over Z[theta]."""
+        if isinstance(num, int):
+            return Fraction(num, pi)
+        theta = self.base.evaluate(precision_bits)
+        return poly_eval_ball(num.coefficients, theta) / poly_eval_ball(pi.coefficients, theta)
 
 
 def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
     n = gv.n
-    nodes = _IntegerNodes(_exact_base(gv), n)
     grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    # the inverse is symmetric: fill i <= j and mirror
-    for j in range(n):
-        for i, value in enumerate(nodes.column(j, range(j + 1))):
-            grid[i][j] = grid[j][i] = value
+    # the inverse is symmetric: fill i <= j and mirror; c_{i,j,n} = (-1)^(i+j) A_{i,j} / pi_j
+    for (i, j), (a, pi) in ColumnForm(gv).upper_triangle.items():
+        grid[i][j] = grid[j][i] = Fraction(-a if (i + j) % 2 else a, pi)
     return tuple(tuple(row) for row in grid)
 
 

@@ -109,28 +109,25 @@ def test_criterion_05_base2_product_identity(capsys):
     assert ok, (gap, radii)
 
 
-def test_criterion_06_argmax_box(capsys, cached_inverse):
+def test_criterion_06_argmax_box(capsys):
     failures = []
     for text in ["6/5", "13/10", "7/5", "3/2", "tau", "2", "alpha", "3"]:
         spec = BaseSpec.parse(text)
         for n in range(2, 41):
-            inv = cached_inverse(spec, n, 256)
-            result = verify_argmax_box(GeometricVandermonde(spec, n), 256, inv=inv)
+            result = verify_argmax_box(GeometricVandermonde(spec, n), 256)
             if not result.passed:
-                failures.append((text, n, result.witnesses, result.undecided))
+                failures.append((text, n, result.witnesses))
     report(capsys, 6, not failures,
            "argmax confined to [0,n0]^2 with (n0,n0) dominating, 8 bases, n <= 40")
     assert not failures, failures[:5]
 
 
-def test_criterion_07_leading_diagonal_max(capsys, cached_inverse):
+def test_criterion_07_leading_diagonal_max(capsys):
     failures = []
     for text in ["tau", "5/3", "2", "alpha", "3", "4"]:
         spec = BaseSpec.parse(text)
         for n in range(2, 41):
-            inv = cached_inverse(spec, n, 256)
-            result = verify_leading_diagonal_max(
-                GeometricVandermonde(spec, n), 256, inv=inv)
+            result = verify_leading_diagonal_max(GeometricVandermonde(spec, n), 256)
             if not result.passed:
                 failures.append((text, n))
     report(capsys, 7, not failures,
@@ -206,20 +203,18 @@ def test_criterion_09_crossover_constant(capsys):
     assert ok, (nine_decimals, values.l00, values.l11)
 
 
-def test_criterion_10_convergence_spot_check(capsys, cached_inverse):
+def test_criterion_10_convergence_spot_check(capsys):
     spec = BaseSpec.parse("2")
     limit = Fraction("5.194119929182595417")
     gaps = []
     for n in [10, 20, 40, 60]:
-        value = max_entry(GeometricVandermonde(spec, n),
-                          inv=cached_inverse(spec, n)).max_value
+        value = max_entry(GeometricVandermonde(spec, n)).max_value
         gaps.append(abs(value - limit))
     monotone = all(gaps[k] > gaps[k + 1] for k in range(len(gaps) - 1))
     close = gaps[-1] < Fraction(1, 10 ** 6)
     bounded = True
     for n in range(1, 65):
-        value = max_entry(GeometricVandermonde(spec, n),
-                          inv=cached_inverse(spec, n)).max_value
+        value = max_entry(GeometricVandermonde(spec, n)).max_value
         if value > 34:
             bounded = False
     ok = monotone and close and bounded

@@ -1,5 +1,7 @@
 """Command-line contract: outputs, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from vangeo import cli
+from vangeo import cli, vandinv
+from vangeo.scalar import BaseSpec
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -83,6 +88,15 @@ class TestMax:
         payload = json.loads(run_ok(
             ["max", "--base", "1.2", "--n", "12", "--format", "json"]))
         assert payload["n_zero"] == 4 and payload["within_n_zero_box"]
+
+    def test_digits_beyond_the_default_precision(self):
+        # 120 digits need more than the default 256 bits: the max is printed
+        # at 4 bits a digit, and must round like a 1024-bit image of the entry
+        lines = run_ok(["max", "--base", "tau", "--n", "10", "--digits", "120"]).splitlines()
+        assert lines[1] == "argmax = (1,1)"
+        gv = vandinv.GeometricVandermonde(BaseSpec.parse("tau"), 10)
+        image = abs(vandinv.inverse_matrix(gv, 1024).entry(1, 1))
+        assert lines[0] == f"max = {image.decimal(120)}"
 
 
 class TestLimit:
@@ -282,3 +296,51 @@ class TestClosedPipe:
         proc.stderr.close()
         assert proc.wait(timeout=60) == 0
         assert stderr == b""
+
+
+_SIZES = st.integers(min_value=-1, max_value=8).map(str)
+_BASES = st.sampled_from(["2", "3/2", "6/5", "tau", "alpha", "1", "1/2", "-1", "abc", "1e3"])
+_VALUES = {
+    "--base": _BASES, "--x": _BASES, "--n": _SIZES, "--i": _SIZES, "--j": _SIZES,
+    "--n-max": _SIZES,
+    "--tol": st.sampled_from(["1e-12", "1e-20", "1/3", "0", "-1", "x"]),
+    "--range": st.sampled_from(["2:5", "1:4", "-1:3", "5:2", "a:b", "3"]),
+    "--format": st.sampled_from(["text", "json", "csv", "xml"]),
+    "--digits": st.sampled_from(["0", "1", "12", "40", "1001"]),
+    "--precision-ceiling": st.sampled_from(["8", "16", "64", "4096"]),
+}
+_OPTIONS = {
+    "inverse": ("--base", "--n", "--format", "--digits", "--precision-ceiling"),
+    "sigma": ("--i", "--j", "--n", "--x", "--format", "--digits"),
+    "max": ("--base", "--n", "--format", "--digits", "--precision-ceiling"),
+    "limit": ("--base", "--tol", "--format", "--digits", "--precision-ceiling"),
+    "table": ("--format", "--digits", "--precision-ceiling"),
+    "verify": ("--base", "--n-max", "--precision-ceiling"),
+    "conjecture": ("--base", "--range", "--format", "--digits", "--precision-ceiling"),
+}
+
+
+@st.composite
+def _argv(draw):
+    """A command with most of its own options and, now and then, a foreign one."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    flags = [flag for flag in _OPTIONS[command] if draw(st.integers(0, 9))]
+    flags += draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=1))
+    argv = [command]
+    for flag in flags:
+        argv += [flag, draw(_VALUES[flag])]
+    return argv
+
+
+class TestFuzz:
+    @given(_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_status_without_traceback(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:          # argparse usage errors
+                code = exc.code
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in stderr.getvalue(), argv

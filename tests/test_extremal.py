@@ -1,18 +1,42 @@
 """Largest inverse entry: n0 threshold, argmax localization, scans."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vangeo.errors import DomainError, UndecidableComparisonError
+from vangeo.errors import DomainError, SizeError, UndecidableComparisonError
 from vangeo.extremal import (conjecture_scan, max_entry, n_zero,
                              verify_argmax_box, verify_leading_diagonal_max)
 from vangeo.scalar import BaseSpec, RigorousReal, evaluate_base
 from vangeo.symfunc import SigmaQuery, sigma_finite
-from vangeo.vandinv import GeometricVandermonde, InverseMatrix
+import vangeo.extremal as extremal
+import vangeo.vandinv as vandinv
+from vangeo.vandinv import ColumnForm, GeometricVandermonde
+
+
+@pytest.fixture
+def no_inverse(monkeypatch):
+    """Fail any attempt to build an inverse matrix, exact or ball."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("extremal decisions must not build an inverse")
+    for module, name in ((extremal, "inverse_matrix"), (vandinv, "inverse_matrix"),
+                         (vandinv, "_inverse_entries_exact"),
+                         (vandinv, "_inverse_entries_rigorous")):
+        monkeypatch.setattr(module, name, refuse)
+
+
+def _n_zero_by_powers(b: Fraction) -> int:
+    """The definition, one power at a time: the least m >= 1 with b^m >= 1 + 1/b."""
+    threshold = 1 + 1 / b
+    power, m = b, 1
+    while power < threshold:
+        m += 1
+        power *= b
+    return m
 
 
 class TestNZero:
@@ -59,25 +83,48 @@ class TestNZero:
         with pytest.raises(DomainError):
             n_zero(Fraction(1))
 
+    @given(st.integers(min_value=1, max_value=10 ** 4).flatmap(
+        lambda q: st.tuples(st.integers(min_value=q + 1, max_value=4 * q), st.just(q))))
+    @example((10001, 10000))
+    @example((13, 8))
+    @example((8, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_estimate_confirmed_exactly(self, pq):
+        b = Fraction(*pq)
+        assert n_zero(b) == _n_zero_by_powers(b)
+
+    def test_near_one_is_fast(self):
+        b = Fraction("1.00001")
+        start = time.monotonic()
+        m = n_zero(b)
+        assert time.monotonic() - start < 1.0
+        assert b ** m >= 1 + 1 / b > b ** (m - 1)
+
+    def test_refuses_a_base_too_close_to_one(self):
+        with pytest.raises(SizeError):
+            n_zero(Fraction("1.0000001"))
+        with pytest.raises(SizeError):
+            n_zero(Fraction(10 ** 400 + 1, 10 ** 400))
+
 
 class TestMaxEntry:
-    def test_frozen_two_by_two(self, cached_inverse):
+    def test_frozen_two_by_two(self):
         spec = BaseSpec.parse("2")
-        report = max_entry(GeometricVandermonde(spec, 2), inv=cached_inverse(spec, 2))
+        report = max_entry(GeometricVandermonde(spec, 2))
         assert report.max_value == 2
         assert report.argmax == ((0, 0),)
         assert report.n_zero == 1
         assert report.within_n_zero_box and report.diagonal_argmax
-        assert not report.tie
+        assert report.to_json_dict()["tie"] is False
 
     def test_frozen_three_halves(self):
         report = max_entry(GeometricVandermonde(BaseSpec.parse("3/2"), 2))
         assert report.max_value == 3
         assert report.argmax == ((0, 0),)
 
-    def test_base_two_n40_near_limit(self, cached_inverse):
+    def test_base_two_n40_near_limit(self):
         spec = BaseSpec.parse("2")
-        report = max_entry(GeometricVandermonde(spec, 40), inv=cached_inverse(spec, 40))
+        report = max_entry(GeometricVandermonde(spec, 40))
         assert set(report.argmax) <= {(0, 0), (0, 1), (1, 0), (1, 1)}
         limit = Fraction("5.194119929182595417")
         assert abs(report.max_value - limit) < Fraction(1, 10 ** 9)
@@ -87,63 +134,75 @@ class TestMaxEntry:
             spec = BaseSpec.parse(text)
             for n in [3, 6, 9]:
                 inv = cached_inverse(spec, n)
-                report = max_entry(GeometricVandermonde(spec, n), inv=inv)
+                report = max_entry(GeometricVandermonde(spec, n))
                 for i, j in report.argmax:
                     assert abs(inv.entry(i, j)) == report.max_value
                 assert report.max_value == max(
                     abs(inv.entry(i, j)) for i in range(n) for j in range(n))
 
-    def test_argmax_mirror_closed(self, cached_inverse):
+    def test_argmax_mirror_closed(self):
         spec = BaseSpec.parse("6/5")
         for n in [5, 9, 13]:
-            report = max_entry(GeometricVandermonde(spec, n),
-                               inv=cached_inverse(spec, n))
+            report = max_entry(GeometricVandermonde(spec, n))
             pairs = set(report.argmax)
             assert {(j, i) for i, j in pairs} == pairs
 
     def test_rigorous_resolves_argmax(self):
         report = max_entry(GeometricVandermonde(BaseSpec.parse("tau"), 12), 256)
         assert report.backend == "rigorous"
-        assert not report.tie
+        assert report.to_json_dict()["tie"] is False
         assert report.argmax == ((1, 1),)
         assert report.max_value.radius < Fraction(1, 10 ** 40)
 
-    def test_escalation_resolves_alpha(self):
-        # at 16 bits (0,0) and (1,1) overlap at n = 12; 32 bits separate them
+    def test_escalation_resolves_alpha(self, no_inverse):
+        # at 16 bits the ball kernel's (0,0) and (1,1) enclosures overlap at
+        # n = 12; the exact comparison needs no inverse at any precision
         report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16)
         assert report.argmax == ((0, 0),)
-        assert not report.tie
-        assert report.precision_bits == 32
+        assert report.precision_bits == 16
 
-    def test_tie_at_the_ceiling(self):
+    def test_tie_at_the_ceiling(self, no_inverse):
+        # the 16-bit ceiling that left (0,0) and (1,1) tied under the ball
+        # kernel: the Z[alpha] sign decides it exactly
         report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16,
                            precision_ceiling=16)
-        assert report.argmax == ((0, 0), (1, 1))
-        assert report.tie
-        assert report.precision_bits == 16
+        assert report.argmax == ((0, 0),)
+        assert report.to_json_dict()["tie"] is False
         assert report.max_value.contains(report.max_value.midpoint)
 
-    def test_exact_tie_is_final(self, monkeypatch):
+    def test_exact_tie_is_final(self, no_inverse, monkeypatch):
         # no rational base p/q <= 4 with q <= 12 has an exact tie between two
-        # symmetry orbits for n <= 10, so one is planted in a supplied inverse
-        import vangeo.extremal as extremal
-        gv = GeometricVandermonde(BaseSpec.parse("2"), 2)
-        planted = InverseMatrix(n=2, base=gv.base, backend="exact", provenance="closed_form",
-                                entries=((Fraction(3), Fraction(-1)),
-                                         (Fraction(-1), Fraction(-3))))
+        # symmetry orbits for n <= 10, so one is planted in the column form:
+        # |c_00| = x^2/x and |c_11| = x/1, with x = 3 over Z (equal
+        # cross-products) and x = theta over Z[theta] (a zero tuple)
+        for text in ["2", "tau"]:
+            gv = GeometricVandermonde(BaseSpec.parse(text), 2)
+            one, x = (1, 3) if gv.is_exact else ColumnForm(gv).nodes
+            planted = {0: ([x * x], x), 1: ([one, x], one)}
+            monkeypatch.setattr(ColumnForm, "magnitudes", lambda self, j, rows: planted[j])
+            report = max_entry(gv, 64, precision_ceiling=16)
+            assert report.argmax == ((0, 0), (1, 1)), text
+            assert report.to_json_dict()["tie"] is False
+            if gv.is_exact:
+                assert report.max_value == 3 and report.precision_bits is None
+            else:
+                assert report.max_value.overlaps(gv.base.evaluate(64))
 
-        def no_escalation(*args, **kwargs):
-            raise AssertionError("an exact base must not escalate")
-        monkeypatch.setattr(extremal, "inverse_matrix", no_escalation)
-        report = max_entry(gv, 16, precision_ceiling=16, inv=planted)
-        assert report.argmax == ((0, 0), (1, 1))
-        assert not report.tie
-        assert report.max_value == 3 and report.precision_bits is None
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_constant_max_matches_a_ball_kernel_scan(self, name, cached_inverse):
+        spec = BaseSpec.parse(name)
+        for n in range(2, 31):
+            magnitudes = {(i, j): abs(v) for i, row in enumerate(cached_inverse(spec, n).entries)
+                          for j, v in enumerate(row)}
+            floor = max(v.lower for v in magnitudes.values())
+            argmax = tuple(sorted(p for p, v in magnitudes.items() if v.upper >= floor))
+            report = max_entry(GeometricVandermonde(spec, n))
+            assert report.argmax == argmax, (name, n)
+            assert report.max_value.decimal(20) == magnitudes[argmax[0]].decimal(20), (name, n)
 
-    def test_max_report_json_schema(self, cached_inverse):
+    def test_max_report_json_schema(self):
         spec = BaseSpec.parse("6/5")
-        report = max_entry(GeometricVandermonde(spec, 12),
-                           inv=cached_inverse(spec, 12))
+        report = max_entry(GeometricVandermonde(spec, 12))
         payload = json.loads(report.to_json())
         assert payload["n_zero"] == 4
         assert payload["argmax"] == [[3, 3]]
@@ -155,34 +214,37 @@ class TestArgmaxBox:
         report = verify_argmax_box(GeometricVandermonde(BaseSpec.parse("3"), 1))
         assert report.passed
 
-    def test_exact_cases(self, cached_inverse):
+    def test_exact_cases(self):
         for text in ["2", "6/5"]:
             spec = BaseSpec.parse(text)
             for n in [10, 12]:
-                report = verify_argmax_box(GeometricVandermonde(spec, n),
-                                           inv=cached_inverse(spec, n))
+                report = verify_argmax_box(GeometricVandermonde(spec, n))
                 assert report.passed, (text, n)
-                assert not report.witnesses and not report.undecided
+                assert not report.witnesses
 
     def test_rigorous_case(self):
         report = verify_argmax_box(GeometricVandermonde(BaseSpec.parse("alpha"), 10), 256)
         assert report.passed
 
-    def test_report_carries_max_report(self, cached_inverse):
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_constant_checks_build_no_inverse(self, name, no_inverse):
+        gv = GeometricVandermonde(BaseSpec.parse(name), 12)
+        assert verify_argmax_box(gv).passed
+        assert verify_leading_diagonal_max(GeometricVandermonde(gv.base, 12)).passed
+
+    def test_report_carries_max_report(self):
         spec = BaseSpec.parse("13/10")
-        report = verify_argmax_box(GeometricVandermonde(spec, 9),
-                                   inv=cached_inverse(spec, 9))
+        report = verify_argmax_box(GeometricVandermonde(spec, 9))
         assert report.n_zero == 3
         assert report.max_report.n == 9
 
 
 class TestLeadingDiagonal:
-    def test_passes_on_grid(self, cached_inverse):
+    def test_passes_on_grid(self):
         for text in ["2", "5/3", "3", "4"]:
             spec = BaseSpec.parse(text)
             for n in [2, 6, 11]:
-                report = verify_leading_diagonal_max(
-                    GeometricVandermonde(spec, n), inv=cached_inverse(spec, n))
+                report = verify_leading_diagonal_max(GeometricVandermonde(spec, n))
                 assert report.passed, (text, n)
                 assert report.sigma_step_holds
 

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from vangeo.errors import DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec
 from vangeo.symfunc import SigmaQuery, sigma_finite
-from vangeo.vandinv import (GeometricVandermonde, InverseMatrix, format_entry,
-                            gaussian_inverse, inverse_entry, inverse_matrix,
-                            pi_product, residual_norm, vandermonde_matrix)
+from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
+                            format_entry, gaussian_inverse, inverse_entry,
+                            inverse_matrix, pi_product, residual_norm,
+                            vandermonde_matrix)
 
 GRID = [BaseSpec.parse(t) for t in ["2", "3", "3/2", "7/5", "13/10", "6/5"]]
 
@@ -238,3 +239,29 @@ class TestSerialization:
         ball = RigorousReal.exact(Fraction(1, 3), 128)
         text = format_entry(ball, 10)
         assert "±" in text and text.startswith("0.3333333333")
+
+
+class TestColumnForm:
+    """|c_{i,j,n}| = A_{i,j} / pi_j over Z or Z[theta], against the oracles."""
+
+    def test_rational_grid_equals_elimination(self):
+        for spec in GRID:
+            for n in range(1, 11):
+                gv = GeometricVandermonde(spec, n)
+                form = ColumnForm(gv)
+                oracle = gaussian_inverse(gv).entries
+                for j in range(n):
+                    nums, pi = form.magnitudes(j, range(n))
+                    signed = [Fraction(-a if (i + j) % 2 else a, pi) for i, a in enumerate(nums)]
+                    assert signed == [oracle[i][j] for i in range(n)], (spec, n, j)
+
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_constant_images_overlap_the_ball_kernel(self, name, cached_inverse):
+        spec = BaseSpec.parse(name)
+        for n in range(1, 17):
+            form = ColumnForm(GeometricVandermonde(spec, n))
+            entries = cached_inverse(spec, n).entries
+            for j in range(n):
+                nums, pi = form.magnitudes(j, range(n))
+                for i, a in enumerate(nums):
+                    assert form.value(a, pi).overlaps(abs(entries[i][j])), (name, n, i, j)
