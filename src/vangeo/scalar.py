@@ -7,7 +7,10 @@ Two numeric carriers are used throughout the package:
 * :class:`RigorousReal`, a self-validating ball ``midpoint +/- radius`` whose
   midpoint is a dyadic rational held as an integer mantissa and exponent.
   Every operation returns an enclosure guaranteed to contain the true value;
-  rounding errors are folded into the radius explicitly.
+  rounding errors are folded into the radius explicitly.  Ball steps (add,
+  multiply, compare, intersect, abs, the fused ``ball_dot``) are integer
+  operations on dyadics; Fractions appear only in division,
+  ``from_interval`` and printing.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants), exact
@@ -22,7 +25,7 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (BracketError, DomainError, ParseError,
                      UndecidableComparisonError)
@@ -62,10 +65,6 @@ def resolve_precision_ceiling(explicit: Optional[int] = None) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bits(m: int) -> int:
-    return m.bit_length() if m >= 0 else (-m).bit_length()
-
-
 def _dy_cmp(m1: int, e1: int, m2: int, e2: int) -> int:
     """Exact three-way comparison of m1*2**e1 and m2*2**e2."""
     if m1 == 0 or m2 == 0 or (m1 > 0) != (m2 > 0):
@@ -84,8 +83,9 @@ def _dy_add(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
         return m2, e2
     if m2 == 0:
         return m1, e1
-    e = min(e1, e2)
-    return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
+    if e1 <= e2:
+        return m1 + (m2 << (e2 - e1)), e1
+    return (m1 << (e1 - e2)) + m2, e2
 
 
 def _dy_ceil_trim(m: int, e: int, bits: int) -> Tuple[int, int]:
@@ -107,11 +107,26 @@ def _frac_to_dyadic(x: Fraction, prec: int, mode: str) -> Tuple[int, int]:
     if n == 0:
         return 0, 0
     # scale so the quotient carries prec significant bits
-    shift = prec - (_bits(n) - d.bit_length()) + 1
+    shift = prec - (n.bit_length() - d.bit_length()) + 1
     if shift < 0:
         shift = 0
     q, r = divmod(n << shift, d)
     if mode == "ceil" and r:
+        q += 1
+    return q, -shift
+
+
+def _dy_round(m: int, e: int, prec: int, mode: str) -> Tuple[int, int]:
+    """_frac_to_dyadic of the dyadic m*2**e, without a Fraction: reduced,
+    m*2**e is n/2**k with bits(n) - bits(2**k) = bits(m) + e - 1."""
+    if m == 0:
+        return 0, 0
+    shift = max(0, prec - m.bit_length() - e + 2)
+    s = -e - shift
+    if s <= 0:
+        return m << -s, -shift
+    q = m >> s
+    if mode == "ceil" and m & ((1 << s) - 1):
         q += 1
     return q, -shift
 
@@ -132,13 +147,12 @@ class RigorousReal:
 
     __slots__ = ("_m", "_e", "_r", "_f", "_prec")
 
-    def __init__(self, m: int, e: int, r: int, f: int, prec: int, _normalized: bool = False):
+    def __init__(self, m: int, e: int, r: int, f: int, prec: int):
         if r < 0:
             raise DomainError("radius must be nonnegative")
         if prec < 4:
             raise DomainError("precision_bits must be at least 4")
-        if not _normalized:
-            m, e, r, f = _normalize(m, e, r, f, prec)
+        m, e, r, f = _normalize(m, e, r, f, prec)
         self._m = m
         self._e = e
         self._r = r
@@ -151,6 +165,8 @@ class RigorousReal:
     def exact(value: Union[int, Fraction], precision_bits: int = DEFAULT_PRECISION_BITS) -> "RigorousReal":
         """Enclose an exact rational.  Dyadic inputs that fit in
         precision_bits keep radius 0; anything else gets a half-ulp radius."""
+        if type(value) is int:
+            return RigorousReal(value, 0, 0, 0, precision_bits)
         x = Fraction(value)
         d = x.denominator
         if d & (d - 1) == 0:
@@ -252,11 +268,19 @@ class RigorousReal:
     def intersect(self, other: "RigorousReal") -> "RigorousReal":
         """Intersection of two enclosures of the same true value."""
         other = _coerce(other, self._prec)
-        lo = max(self.lower, other.lower)
-        hi = min(self.upper, other.upper)
-        if lo > hi:
+        lo, olo = self._end(-1), other._end(-1)
+        hi, ohi = self._end(1), other._end(1)
+        if _dy_cmp(*olo, *lo) > 0:
+            lo = olo
+        if _dy_cmp(*ohi, *hi) < 0:
+            hi = ohi
+        if _dy_cmp(*lo, *hi) > 0:
             raise DomainError("enclosures are disjoint; they cannot share a true value")
-        return RigorousReal.from_interval(lo, hi, max(self._prec, other._prec))
+        return _from_dyadic_ends(lo, hi, max(self._prec, other._prec))
+
+    def _end(self, side: int) -> Tuple[int, int]:
+        """The lower (side -1) or upper (side +1) end as a dyadic."""
+        return _dy_add(self._m, self._e, side * self._r, self._f)
 
     @staticmethod
     def hull(values: Sequence["RigorousReal"]) -> "RigorousReal":
@@ -270,30 +294,24 @@ class RigorousReal:
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "RigorousReal":
-        return RigorousReal(-self._m, self._e, self._r, self._f, self._prec, _normalized=True)
+        return _filled(-self._m, self._e, self._r, self._f, self._prec)
 
     def __abs__(self) -> "RigorousReal":
-        if self._r == 0:
-            return self if self._m >= 0 else -self
         s = self.sign()
-        if s is not None and s >= 0:
-            return self
-        if s is not None and s < 0:
-            return -self
-        # straddles zero: |x| lies in [0, max(|lower|, |upper|)]
-        hi = max(-self.lower, self.upper)
-        return RigorousReal.from_interval(Fraction(0), hi, self._prec)
+        if s is not None:
+            return self if s >= 0 else -self
+        # straddles zero: |x| lies in [0, max(|lower|, |upper|)] = [0, |m| + r]
+        return _from_dyadic_ends((0, 0), _dy_add(abs(self._m), self._e, self._r, self._f),
+                                 self._prec)
 
     def __add__(self, other) -> "RigorousReal":
-        other = _coerce(other, self._prec)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self._prec, other._prec)
-        m, e = _dy_add(self._m, self._e, other._m, other._e)
-        if self._r == 0 and other._r == 0:
-            return RigorousReal(m, e, 0, 0, prec)
-        r, f = _dy_add(self._r, self._f, other._r, other._f)
-        return RigorousReal(m, e, r, f, prec)
+        if not isinstance(other, RigorousReal):
+            other = _coerce(other, self._prec)
+            if other is NotImplemented:
+                return NotImplemented
+        prec = self._prec if self._prec >= other._prec else other._prec
+        return _filled(*_ball_add(self._m, self._e, self._r, self._f,
+                                  other._m, other._e, other._r, other._f, prec), prec)
 
     __radd__ = __add__
 
@@ -310,22 +328,12 @@ class RigorousReal:
         return other + (-self)
 
     def __mul__(self, other) -> "RigorousReal":
-        other = _coerce(other, self._prec)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = max(self._prec, other._prec)
-        m = self._m * other._m
-        e = self._e + other._e
-        if self._r == 0 and other._r == 0:
-            return RigorousReal(m, e, 0, 0, prec)
-        # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry
-        a1, a2 = abs(self._m), abs(other._m)
-        t1m, t1e = a1 * other._r, self._e + other._f
-        t2m, t2e = a2 * self._r, other._e + self._f
-        t3m, t3e = self._r * other._r, self._f + other._f
-        rm, rf = _dy_add(t1m, t1e, t2m, t2e)
-        rm, rf = _dy_add(rm, rf, t3m, t3e)
-        return RigorousReal(m, e, rm, rf, prec)
+        if not isinstance(other, RigorousReal):
+            other = _coerce(other, self._prec)
+            if other is NotImplemented:
+                return NotImplemented
+        prec = self._prec if self._prec >= other._prec else other._prec
+        return _filled(*_ball_mul(self, other, prec), prec)
 
     __rmul__ = __mul__
 
@@ -379,12 +387,12 @@ class RigorousReal:
 def _normalize(m: int, e: int, r: int, f: int, prec: int) -> Tuple[int, int, int, int]:
     """Trim the midpoint mantissa to prec bits (round to nearest, error into
     the radius) and the radius mantissa to _RAD_BITS bits (round up)."""
-    bl = _bits(m)
+    bl = m.bit_length()
     if bl > prec:
         s = bl - prec
-        q, rem = divmod(m, 1 << s)
+        q, rem = m >> s, m & ((1 << s) - 1)         # floor, as divmod by 2**s
         if rem:
-            if rem >= (1 << (s - 1)):
+            if rem >> (s - 1):
                 q += 1
             # rounding error is at most half an ulp of the trimmed mantissa
             r, f = _dy_add(r, f, 1, e + s - 1) if r else (1, e + s - 1)
@@ -396,6 +404,65 @@ def _normalize(m: int, e: int, r: int, f: int, prec: int) -> Tuple[int, int, int
     elif r.bit_length() > _RAD_BITS:
         r, f = _dy_ceil_trim(r, f, _RAD_BITS)
     return m, e, r, f
+
+
+def _filled(m: int, e: int, r: int, f: int, prec: int) -> RigorousReal:
+    """A RigorousReal from normalised fields, past __init__'s checks."""
+    x = object.__new__(RigorousReal)
+    x._m, x._e, x._r, x._f, x._prec = m, e, r, f, prec
+    return x
+
+
+def _ball_mul(x: RigorousReal, y: RigorousReal, prec: int) -> Tuple[int, int, int, int]:
+    """Normalised fields of x * y."""
+    m, e = x._m * y._m, x._e + y._e
+    if x._r == 0 and y._r == 0:
+        return _normalize(m, e, 0, 0, prec)
+    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry
+    rm, rf = _dy_add(abs(x._m) * y._r, x._e + y._f, abs(y._m) * x._r, y._e + x._f)
+    rm, rf = _dy_add(rm, rf, x._r * y._r, x._f + y._f)
+    return _normalize(m, e, rm, rf, prec)
+
+
+def _ball_add(m: int, e: int, r: int, f: int, m2: int, e2: int, r2: int, f2: int,
+              prec: int) -> Tuple[int, int, int, int]:
+    """Normalised fields of the sum of the balls (m, e, r, f) and (m2, e2, r2, f2)."""
+    m, e = _dy_add(m, e, m2, e2)
+    r, f = _dy_add(r, f, r2, f2)
+    return _normalize(m, e, r, f, prec)
+
+
+def ball_dot(start: RigorousReal, xs: Sequence[RigorousReal],
+             ys: Sequence[RigorousReal]) -> RigorousReal:
+    """start + x_0*y_0 + x_1*y_1 + ..., left to right: the same roundings as
+    the loop of ``*`` and ``+``, on raw fields, building only the final ball."""
+    m, e, r, f, prec = start._m, start._e, start._r, start._f, start._prec
+    for x, y in zip(xs, ys):
+        p = x._prec if x._prec >= y._prec else y._prec
+        if p > prec:
+            prec = p
+        m, e, r, f = _ball_add(m, e, r, f, *_ball_mul(x, y, p), prec)
+    return _filled(m, e, r, f, prec)
+
+
+def max_abs(values: Iterable[RigorousReal], prec: int) -> RigorousReal:
+    """Enclosure of max |x| over the values, at prec bits: from the largest
+    lower end to the largest upper end of the |x|, compared as dyadics."""
+    lo = hi = (0, 0)
+    for x in values:
+        mag = abs(x)
+        low, high = mag._end(-1), mag._end(1)
+        if _dy_cmp(*low, *lo) > 0:
+            lo = low
+        if _dy_cmp(*high, *hi) > 0:
+            hi = high
+    return _from_dyadic_ends(lo, hi, prec)
+
+
+def _from_dyadic_ends(lo: Tuple[int, int], hi: Tuple[int, int], prec: int) -> RigorousReal:
+    """from_interval of two dyadic ends, with no Fraction."""
+    return RigorousReal._from_dyadic_interval(_dy_round(*lo, prec + 4, "floor"),
+                                              _dy_round(*hi, prec + 4, "ceil"), prec)
 
 
 def _coerce(value, prec: int):
@@ -582,10 +649,12 @@ def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec"
     """Exact sign (-1, 0 or +1) of a polynomial at the base.
 
     A rational base evaluates exactly and must be > 1.  At tau and alpha the
-    polynomial is reduced by the minimal polynomial: a zero remainder is an
-    exact zero, and a nonzero remainder has lower degree, so it cannot vanish
-    at the base.  Its enclosure is evaluated at doubling precision until the
-    sign resolves; this raises only if the ceiling is hit first.
+    polynomial is reduced by the minimal polynomial (one of lower degree is
+    its own remainder): a zero remainder is an exact zero, and a nonzero one
+    cannot vanish at the base.  Its enclosure is evaluated at 64 bits, then at
+    doubling precision up to the ceiling, until the sign resolves; this raises
+    only if the ceiling is hit first.  A ceiling below 64 bits bounds only the
+    escalation: the first evaluation is still at 64 bits, and none follows.
     """
     value = spec.exact_value()
     if value is not None:
@@ -594,7 +663,8 @@ def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec"
         at = poly_eval(coeffs, value)
         return (at > 0) - (at < 0)
     precision_ceiling = resolve_precision_ceiling(precision_ceiling)
-    remainder = poly_remainder(coeffs, spec.minimal_polynomial())
+    modulus = spec.minimal_polynomial()
+    remainder = coeffs if len(coeffs) < len(modulus) else poly_remainder(coeffs, modulus)
     if not any(remainder):
         return 0
     precision = 64
@@ -672,11 +742,12 @@ def bisect_root(coeffs: Sequence[Union[int, Fraction]],
 def _floor_log10(x: Fraction) -> int:
     """Exact floor(log10(x)) for positive rational x."""
     n, d = x.numerator, x.denominator
-    # initial guess from digit counts, then exact correction
+    # initial guess from digit counts, then exact correction; x >= 10**g is
+    # compared over the integers as n * 10**max(0, -g) >= d * 10**max(0, g)
     g = len(str(n)) - len(str(d))
-    while x >= Fraction(10) ** (g + 1):
+    while n * 10 ** max(0, -g - 1) >= d * 10 ** max(0, g + 1):
         g += 1
-    while x < Fraction(10) ** g:
+    while n * 10 ** max(0, -g) < d * 10 ** max(0, g):
         g -= 1
     return g
 

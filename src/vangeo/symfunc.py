@@ -95,7 +95,7 @@ def sigma_finite(q: SigmaQuery) -> Numeric:
     keeps enclosure radii small.
     """
     x = q.x
-    if isinstance(x, RigorousReal) and x.lower > 1:
+    if isinstance(x, RigorousReal) and x.certainly_gt(1):
         # sigma_{i,j,n}(x) = sigma_{n-1-i,j,n}(1/x) * x^{n(n-1)/2 - j}
         inv = sigma_finite(SigmaQuery(q.n - 1 - q.i, q.j, q.n, 1 / x))
         return inv * x ** (q.n * (q.n - 1) // 2 - q.j)

@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     fraction_to_sci, poly_eval_ball)
+                     ball_dot, fraction_to_sci, max_abs, poly_eval_ball)
 from .symfunc import elementary_symmetric
 
 _GAUSSIAN_MAX_N = 64
@@ -393,14 +393,7 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)
     v = vandermonde_matrix(gv, prec)
-    lo = Fraction(0)
-    hi = Fraction(0)
-    for i in range(n):
-        for j in range(n):
-            acc = RigorousReal.exact(-1 if i == j else 0, prec)
-            for k in range(n):
-                acc = acc + v[i][k] * inv.entries[k][j]
-            mag = abs(acc)
-            lo = max(lo, mag.lower)
-            hi = max(hi, mag.upper)
-    return RigorousReal.from_interval(lo, hi, prec)
+    starts = (RigorousReal.exact(0, prec), RigorousReal.exact(-1, prec))
+    columns = list(zip(*inv.entries))
+    return max_abs((ball_dot(starts[i == j], row, column)
+                    for i, row in enumerate(v) for j, column in enumerate(columns)), prec)

@@ -5,15 +5,17 @@ import os
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
-                           RigorousReal, bisect_root, certified_poly_sign,
+                           RigorousReal, _dy_ceil_trim, _dy_round, _filled,
+                           _floor_log10, _frac_to_dyadic, _normalize,
+                           ball_dot, bisect_root, certified_poly_sign,
                            evaluate_base, fraction_to_decimal, fraction_to_sci,
-                           poly_eval, poly_eval_ball,
+                           max_abs, poly_eval, poly_eval_ball,
                            resolve_precision_ceiling)
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
@@ -57,6 +59,16 @@ def fraction_bisect(coeffs, lo, hi, tol, precision_bits=None):
         width_bits = max(1, -(tolf.numerator.bit_length() - tolf.denominator.bit_length()))
         precision_bits = max(64, width_bits + 32)
     return RigorousReal.from_interval(lof, hif, precision_bits)
+
+
+def fraction_floor_log10(x):
+    """Oracle: the Fraction-power loop that _floor_log10's integer test replaced."""
+    g = len(str(x.numerator)) - len(str(x.denominator))
+    while x >= Fraction(10) ** (g + 1):
+        g += 1
+    while x < Fraction(10) ** g:
+        g -= 1
+    return g
 
 
 def outcome(isolate, *args, **kwargs):
@@ -145,6 +157,202 @@ class TestRigorousReal:
         balls = [RigorousReal.exact(v, 64) for v in values]
         h = RigorousReal.hull(balls)
         assert all(h.contains(v) for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the Fraction-endpoint and divmod ball arithmetic that the dyadic
+# hot paths replaced, on raw (m, e, r, f, prec) tuples.  Every ball the
+# package builds must stay bit for bit what these give.
+# ---------------------------------------------------------------------------
+
+
+def old_dy_add(m1, e1, m2, e2):
+    if m1 == 0:
+        return m2, e2
+    if m2 == 0:
+        return m1, e1
+    e = min(e1, e2)
+    return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
+
+
+def old_normalize(m, e, r, f, prec):
+    bl = abs(m).bit_length()
+    if bl > prec:
+        s = bl - prec
+        q, rem = divmod(m, 1 << s)
+        if rem:
+            if rem >= (1 << (s - 1)):
+                q += 1
+            r, f = old_dy_add(r, f, 1, e + s - 1) if r else (1, e + s - 1)
+        m, e = q, e + s
+    if m == 0:
+        e = 0
+    if r == 0:
+        f = 0
+    elif r.bit_length() > 32:
+        r, f = _dy_ceil_trim(r, f, 32)
+    return m, e, r, f
+
+
+def old_add(x, y):
+    (m1, e1, r1, f1, p1), (m2, e2, r2, f2, p2) = x, y
+    prec = max(p1, p2)
+    m, e = old_dy_add(m1, e1, m2, e2)
+    if r1 == 0 and r2 == 0:
+        return (*old_normalize(m, e, 0, 0, prec), prec)
+    r, f = old_dy_add(r1, f1, r2, f2)
+    return (*old_normalize(m, e, r, f, prec), prec)
+
+
+def old_mul(x, y):
+    (m1, e1, r1, f1, p1), (m2, e2, r2, f2, p2) = x, y
+    prec = max(p1, p2)
+    m, e = m1 * m2, e1 + e2
+    if r1 == 0 and r2 == 0:
+        return (*old_normalize(m, e, 0, 0, prec), prec)
+    rm, rf = old_dy_add(abs(m1) * r2, e1 + f2, abs(m2) * r1, e2 + f1)
+    rm, rf = old_dy_add(rm, rf, r1 * r2, f1 + f2)
+    return (*old_normalize(m, e, rm, rf, prec), prec)
+
+
+def old_dot(start, xs, ys):
+    acc = start
+    for x, y in zip(xs, ys):
+        acc = old_add(acc, old_mul(x, y))
+    return acc
+
+
+def ends(x):
+    m, e, r, f, _ = x
+    return Fraction(m) * Fraction(2) ** e - r * Fraction(2) ** f, \
+        Fraction(m) * Fraction(2) ** e + r * Fraction(2) ** f
+
+
+def old_from_interval(lo, hi, prec):
+    (ml, el) = _frac_to_dyadic(Fraction(lo), prec + 4, "floor")
+    (mh, eh) = _frac_to_dyadic(Fraction(hi), prec + 4, "ceil")
+    e = min(el, eh) - 1
+    a, b = ml << (el - e), mh << (eh - e)
+    return (*old_normalize(a + b, e - 1, b - a, e - 1, prec), prec)
+
+
+def old_intersect(x, y):
+    lo = max(ends(x)[0], ends(y)[0])
+    hi = min(ends(x)[1], ends(y)[1])
+    if lo > hi:
+        return DomainError
+    return old_from_interval(lo, hi, max(x[4], y[4]))
+
+
+def old_abs(x):
+    lo, hi = ends(x)
+    if lo > 0 or x[2] == 0 and x[0] >= 0:
+        return x
+    if hi < 0 or x[2] == 0:
+        return (-x[0], *x[1:])
+    return old_from_interval(0, max(-lo, hi), x[4])
+
+
+def fields(x):
+    return x._m, x._e, x._r, x._f, x._prec
+
+
+def raw_ball(t):
+    """The ball with exactly these fields: a rounded-up radius may carry 33
+    bits, which RigorousReal(*t) would trim once more."""
+    return _filled(*t)
+
+
+# small, random, and one- or two-bit mantissas of either sign, so that exact
+# rounding ties and single dropped bits come up often
+mantissas = st.one_of(
+    st.integers(-70, 70), st.integers(-2 ** 1200, 2 ** 1200),
+    st.tuples(st.sampled_from([1, -1]), st.integers(0, 1100), st.integers(-1, 1100)).map(
+        lambda t: t[0] * ((1 << t[1]) + (1 << t[2] if 0 <= t[2] < t[1] else 0))))
+exponents = st.integers(-1500, 1500)
+precisions = st.one_of(st.integers(4, 8), st.integers(4, 1100))
+
+
+@st.composite
+def balls(draw, near=None):
+    """A normalised ball; with near = (c, exponent), one containing c*2**exponent."""
+    prec = draw(precisions)
+    if near is None:
+        m, e = draw(mantissas), draw(exponents)
+        r, f = draw(st.one_of(st.just(0), st.integers(0, 2 ** 40))), draw(exponents)
+    else:
+        (c, e), d = near, draw(st.integers(-2 ** 70, 2 ** 70))
+        m, r, f = c + d, abs(d) + draw(st.integers(0, 3)), e
+    return (*old_normalize(m, e, r, f, prec), prec)
+
+
+@st.composite
+def overlapping_pairs(draw):
+    near = (draw(st.integers(-2 ** 80, 2 ** 80)), draw(exponents))
+    return draw(balls(near)), draw(balls(near))
+
+
+class TestDyadicOracles:
+    @given(m=mantissas, e=exponents, r=st.integers(0, 2 ** 80), f=exponents,
+           prec=precisions)
+    @example(m=17, e=0, r=0, f=0, prec=4)           # an exact tie: rounds up
+    @example(m=-17, e=0, r=0, f=0, prec=4)
+    @settings(max_examples=300, deadline=None)
+    def test_normalize(self, m, e, r, f, prec):
+        assert _normalize(m, e, r, f, prec) == old_normalize(m, e, r, f, prec)
+
+    @given(m=mantissas, e=exponents, prec=precisions,
+           mode=st.sampled_from(["floor", "ceil"]))
+    @example(m=130, e=-10, prec=4, mode="ceil")     # only the top dropped bit is set
+    @example(m=-130, e=-10, prec=4, mode="ceil")
+    @settings(max_examples=300, deadline=None)
+    def test_dy_round(self, m, e, prec, mode):
+        assert _dy_round(m, e, prec, mode) == _frac_to_dyadic(Fraction(m) * Fraction(2) ** e,
+                                                              prec, mode)
+
+    @given(x=balls(), y=balls(), k=st.integers(-10 ** 30, 10 ** 30))
+    @settings(max_examples=300, deadline=None)
+    def test_add_mul_neg(self, x, y, k):
+        a, b = raw_ball(x), raw_ball(y)
+        assert fields(a + b) == old_add(x, y)
+        assert fields(a * b) == old_mul(x, y)
+        assert fields(-a) == (-x[0], *x[1:])
+        exact_k = (*old_normalize(k, 0, 0, 0, x[4]), x[4])
+        assert fields(RigorousReal.exact(k, x[4])) == exact_k
+        assert fields(a + k) == old_add(x, exact_k)
+        assert fields(k * a) == old_mul(x, exact_k)
+
+    @given(start=balls(), pairs=st.lists(st.tuples(balls(), balls()), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_ball_dot(self, start, pairs):
+        xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
+        got = ball_dot(raw_ball(start), [raw_ball(x) for x in xs],
+                       [raw_ball(y) for y in ys])
+        assert fields(got) == old_dot(start, xs, ys)
+
+    @given(pair=st.one_of(overlapping_pairs(), st.tuples(balls(), balls())))
+    @settings(max_examples=300, deadline=None)
+    def test_intersect(self, pair):
+        x, y = pair
+        try:
+            got = fields(raw_ball(x).intersect(raw_ball(y)))
+        except DomainError:
+            got = DomainError
+        assert got == old_intersect(x, y)
+
+    @given(x=st.one_of(balls(), st.integers(-2 ** 80, 2 ** 80).flatmap(
+        lambda c: balls((c, 0))), balls((0, -3))))
+    @settings(max_examples=300, deadline=None)
+    def test_abs(self, x):
+        assert fields(abs(raw_ball(x))) == old_abs(x)
+
+    @given(values=st.lists(balls(), min_size=1, max_size=6), prec=st.integers(4, 1100))
+    @settings(max_examples=150, deadline=None)
+    def test_max_abs(self, values, prec):
+        mags = [ends(old_abs(x)) for x in values]
+        expected = old_from_interval(max(max(lo for lo, _ in mags), 0),
+                                     max(max(hi for _, hi in mags), 0), prec)
+        assert fields(max_abs([raw_ball(x) for x in values], prec)) == expected
 
 
 class TestBaseSpec:
@@ -303,6 +511,21 @@ class TestPrinting:
     def test_fraction_to_sci_rounds_up(self):
         assert fraction_to_sci(Fraction(1, 3), 2) == "3.4e-01"
         assert fraction_to_sci(Fraction(0), 2) == "0"
+
+    @given(x=st.fractions(min_value=Fraction(1, 10 ** 60), max_value=10 ** 60))
+    @example(x=Fraction(1))
+    @settings(max_examples=300, deadline=None)
+    def test_floor_log10_matches_fraction_powers(self, x):
+        assume(x > 0)
+        assert _floor_log10(x) == fraction_floor_log10(x)
+
+    @pytest.mark.parametrize("k", [-45, -20, -3, -1, 0, 1, 2, 7, 30, 61])
+    def test_floor_log10_at_powers_of_ten(self, k):
+        for x in (Fraction(10) ** k, Fraction(10) ** k + 1, Fraction(10) ** k - 1,
+                  Fraction(10 ** abs(k) + 1, 10 ** abs(k)) * Fraction(10) ** k,
+                  Fraction(10 ** abs(k) - 1, 10 ** abs(k)) * Fraction(10) ** k):
+            if x > 0:
+                assert _floor_log10(x) == fraction_floor_log10(x)
 
     def test_sci_never_understates(self):
         for num, den in [(1, 3), (2, 7), (355, 113), (1, 10 ** 40)]:
