@@ -21,10 +21,15 @@ pentagonal number theorem sums it as
     (q;q)_inf = 1 + sum_{k>=1} (-1)^k (q^{k(3k-1)/2} + q^{k(3k+1)/2}),
 
 whose pairs alternate in sign and shrink, so the remainder after k pairs is
-below the next pair, 2 q^{(k+1)(3k+2)/2}.  Since 1/(q;q)_inf > 0, l_a > l_b
-exactly when N_a D_b - N_b D_a > 0 at b: the argmax of lim M_b(n) over the
-[0, n0]^2 box (computed over i <= j by symmetry) and the regime of b are
-decided by exact signs of integer polynomials at b.
+below the next pair, 2 q^{(k+1)(3k+2)/2}.  Each enclosure of b has one such
+series, summed once and extended on demand; every entry at that enclosure
+reads its own cutoff from it.  Since 1/(q;q)_inf > 0, l_a > l_b exactly when
+N_a D_b - N_b D_a > 0 at b.  N and D are reduced once per pair modulo the
+minimal polynomial of b over Q (q x - p at p/q, which leaves the value at
+p/q; x^2 - x - 1 or x^3 - 3x^2 + 2x - 1 at tau and alpha), so the argmax of
+lim M_b(n) over the [0, n0]^2 box (computed over i <= j by symmetry) is
+decided by the exact signs of differences of reduced products, and the
+regime of b by the signs of integer polynomials at b.
 
 The truncated series sigma_infinite with finite_j_product is kept as an
 independent oracle, and base2_product_identity evaluates
@@ -33,8 +38,10 @@ independent oracle, and base2_product_identity evaluates
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -126,6 +133,56 @@ def sigma_infinite(i: int, j: int, q: Numeric, tol) -> RigorousReal:
 # ---------------------------------------------------------------------------
 
 
+class _PentagonalSeries:
+    """Euler's pentagonal series for (q;q)_inf at one enclosure b, q = 1/b,
+    summed once and extended on demand.
+
+    Step k >= 1 keeps what the stopping test of _inverse_q_product reads at
+    cutoff k - 1: the remainder bound tail_k (the upper end of the pair
+    q^a + q^(a+k), a = k(3k-1)/2, which bounds all later pairs), the lower end
+    of the sum after k - 1 pairs minus tail_k, and whether tail_k is below
+    that sum's rounding error.  The enclosure of 1/(q;q)_inf is kept for each
+    cutoff that a caller stopped at.
+    """
+
+    def __init__(self, b: RigorousReal):
+        if not b.lower > 1:
+            raise DomainError("base must be certifiably > 1")
+        self.q = 1 / b
+        self.totals = [RigorousReal.exact(1, b.precision_bits)]   # sum after k pairs
+        self.steps: List[Tuple[Fraction, Fraction, bool]] = []
+        self.inverses = {}
+
+    def step(self, k: int) -> Tuple[Fraction, Fraction, bool]:
+        """(tail_k, floor_k, settled_k), summing pairs up to k as needed."""
+        while len(self.steps) < k:
+            m = len(self.steps) + 1
+            a = m * (3 * m - 1) // 2
+            pair = self.q ** a + self.q ** (a + m)
+            tail, total = pair.upper, self.totals[-1]
+            self.steps.append((tail, total.lower - tail, tail <= total.radius))
+            self.totals.append(total - pair if m % 2 else total + pair)
+        return self.steps[k - 1]
+
+    def inverse(self, k: int) -> Optional[RigorousReal]:
+        """1/(q;q)_inf from the first k - 1 pairs and tail_k; None when the
+        lower end of (q;q)_inf is not positive."""
+        if k not in self.inverses:
+            tail, floor, _ = self.steps[k - 1]
+            total = self.totals[k - 1]
+            self.inverses[k] = None if floor <= 0 else 1 / RigorousReal.from_interval(
+                floor, total.upper + tail, total.precision_bits)
+        return self.inverses[k]
+
+
+# bounded: --tol sets the precision, so the enclosures are open-ended.  Keyed
+# on the enclosure's fields, not its identity: a rational base builds a fresh
+# enclosure on every evaluate.
+@functools.lru_cache(maxsize=64)
+def _pentagonal_series(m: int, e: int, r: int, f: int, precision: int) -> _PentagonalSeries:
+    return _PentagonalSeries(RigorousReal(m, e, r, f, precision))
+
+
 def _inverse_q_product(b: RigorousReal, tol: Fraction):
     """Core evaluator at the precision of b: returns (enclosure, number of
     pentagonal pairs summed, bound on the remainder of the series).
@@ -134,26 +191,16 @@ def _inverse_q_product(b: RigorousReal, tol: Fraction):
     1/(q;q)_inf to meet tol, or until it falls below the rounding error of
     the partial sum; in the second case the radius can exceed tol, and the
     enclosure is None when that precision cannot separate (q;q)_inf from 0.
+    The series itself is shared by every call at the same enclosure.
     """
-    if not b.lower > 1:
-        raise DomainError("base must be certifiably > 1")
-    q = 1 / b
-    total = RigorousReal.exact(1, b.precision_bits)
+    series = _pentagonal_series(b._m, b._e, b._r, b._f, b.precision_bits)
     k = 1
     while True:
-        a = k * (3 * k - 1) // 2
-        pair = q ** a + q ** (a + k)
-        tail = pair.upper                 # bounds the remainder; <= 2 q^{k(3k-1)/2}
-        floor = total.lower - tail
+        tail, floor, settled = series.step(k)
         # 1/x near (q;q)_inf has about the radius of x over (q;q)_inf^2
-        if (floor > 0 and 4 * tail <= tol * floor * floor) or tail <= total.radius:
-            break
-        total = total - pair if k % 2 else total + pair
+        if settled or (floor > 0 and 4 * tail <= tol * floor * floor):
+            return series.inverse(k), k - 1, tail
         k += 1
-    if floor <= 0:
-        return None, k - 1, tail
-    euler = RigorousReal.from_interval(floor, total.upper + tail, b.precision_bits)
-    return 1 / euler, k - 1, tail
 
 
 def inverse_q_product(b: Numeric, tol) -> RigorousReal:
@@ -195,40 +242,53 @@ def finite_j_product(j: int, b: Numeric) -> Numeric:
 # ---------------------------------------------------------------------------
 
 
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for k, x in enumerate(a):
-        for m, y in enumerate(b):
-            out[k + m] += x * y
-    return out
-
-
-def _poly_sub(a: Sequence[int], b: Sequence[int]) -> Poly:
-    out = list(a) + [0] * (len(b) - len(a))
-    for k, y in enumerate(b):
-        out[k] -= y
-    return out
-
-
-def _gap(s: int) -> Poly:
-    """b^s - 1, ascending integer coefficients."""
-    return [-1] + [0] * (s - 1) + [1]
-
-
 def _closed_form(i: int, j: int) -> Tuple[Poly, Poly]:
     """Integer coefficient lists (ascending) of N_{i,j} and D_{i,j}, with
     l_{i,j} = N_{i,j}(b) / (D_{i,j}(b) * (q;q)_inf).
 
     N_m = b^{jm} G_m f_m obeys the deflation recurrence
-    N_m = b^{(j+1)m} - (b^m - 1) N_{m-1} with N_0 = 1.
+    N_m = b^{(j+1)m} - (b^m - 1) N_{m-1} with N_0 = 1.  Each factor
+    b^s - 1 is one shift by s and one subtraction.
     """
     num: Poly = [1]
     for m in range(1, i + 1):
-        num = _poly_sub([0] * ((j + 1) * m) + [1], _poly_mul(_gap(m), num))
+        num = [x - y for x, y in zip(num + [0] * m, [0] * m + num)]
+        top = (j + 1) * m
+        num += [0] * (top + 1 - len(num))
+        num[top] += 1
     den: Poly = [0] * (i * j) + [1]
     for s in [*range(1, i + 1), *range(1, j + 1)]:
-        den = _poly_mul(den, _gap(s))
+        den = [x - y for x, y in zip([0] * s + den, den + [0] * s)]
     return num, den
+
+
+def _reduce(coeffs: Sequence[Numeric], modulus: Sequence[int]) -> tuple:
+    """The remainder of coeffs modulo the minimal polynomial.  For q x - p it
+    is the value at p/q, from one Horner pass over the integers
+    sum c_k p^k q^(d-k); the monic x^2 - x - 1 and x^3 - 3x^2 + 2x - 1 leave
+    integer tuples of their degree."""
+    if len(modulus) == 2:
+        p, q = -modulus[0], modulus[1]
+        acc, scale = 0, 1
+        for c in reversed(coeffs):
+            acc, scale = acc * p + c * scale, scale * q
+        return (Fraction(acc * q, scale),)
+    d = len(modulus) - 1
+    out = list(coeffs) + [0] * (d - len(coeffs))
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out.pop()
+        for k in range(d):
+            out[top - d + k] -= c * modulus[k]
+    return tuple(out)
+
+
+def _product(x: tuple, y: tuple, modulus: Sequence[int]) -> tuple:
+    """x * y for reduced x and y, reduced."""
+    out = [0] * (len(x) + len(y) - 1)
+    for s, a in enumerate(x):
+        for t, c in enumerate(y):
+            out[s + t] += a * c
+    return _reduce(out, modulus)
 
 
 @dataclass(frozen=True)
@@ -314,6 +374,30 @@ class LimitReport:
         return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
 
 
+def _argmax(pairs: Sequence[IndexPair], base: BaseSpec,
+            precision_ceiling: Optional[int] = None) -> List[int]:
+    """Indices of the pairs whose limit is the largest, by exact comparison:
+    l_a > l_b exactly when N_a D_b - N_b D_a > 0 at the base.  N and D are
+    reduced modulo the base's minimal polynomial once per pair, so each
+    comparison is the sign of a difference of two reduced products, and a
+    zero is an exact tie."""
+    value = base.exact_value()       # the minimal polynomial over Q is q x - p at p/q
+    modulus = base.minimal_polynomial() if value is None else (-value.numerator,
+                                                               value.denominator)
+    forms = [tuple(_reduce(f, modulus) for f in _closed_form(i, j)) for i, j in pairs]
+    best = [0]
+    for k in range(1, len(pairs)):
+        (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
+        sign = certified_poly_sign(
+            tuple(map(operator.sub, _product(num_k, den_b, modulus),
+                      _product(num_b, den_k, modulus))), base, precision_ceiling)
+        if sign > 0:
+            best = [k]
+        elif sign == 0:
+            best.append(k)
+    return best
+
+
 def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> LimitReport:
     """Evaluate l_{i,j} over 0 <= i <= j <= n0 (symmetry covers i > j) and
     pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
@@ -322,16 +406,7 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
     box = n_zero(base, precision_ceiling)
     pairs = [(i, j) for j in range(box + 1) for i in range(j + 1)]
     entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling) for i, j in pairs]
-    forms = [_closed_form(i, j) for i, j in pairs]
-    best = [0]
-    for k in range(1, len(pairs)):
-        (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
-        sign = certified_poly_sign(
-            _poly_sub(_poly_mul(num_k, den_b), _poly_mul(num_b, den_k)), base, precision_ceiling)
-        if sign > 0:
-            best = [k]
-        elif sign == 0:
-            best.append(k)
+    best = _argmax(pairs, base, precision_ceiling)
     value = RigorousReal.hull([entries[k].value for k in best])
     argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
     regime, boundary = classify_regime(base, precision_ceiling)

@@ -752,6 +752,14 @@ def _floor_log10(x: Fraction) -> int:
     return g
 
 
+def _scaled(x: Fraction, shift: int) -> Tuple[int, int]:
+    """x * 10**shift as an integer numerator and denominator, not reduced:
+    the quotient is the same, and the remainder scales with the denominator."""
+    if shift >= 0:
+        return x.numerator * 10 ** shift, x.denominator
+    return x.numerator, x.denominator * 10 ** -shift
+
+
 def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
     """Render an exact rational to ``digits`` significant decimal digits
     (round half away from zero), in plain positional notation."""
@@ -763,10 +771,9 @@ def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
     ax = -x if x < 0 else x
     e10 = _floor_log10(ax)
     # scale to an integer with exactly `digits` digits, round half away
-    shift = digits - 1 - e10
-    scaled = ax * Fraction(10) ** shift
-    q, r = divmod(scaled.numerator, scaled.denominator)
-    if 2 * r >= scaled.denominator:
+    num, den = _scaled(ax, digits - 1 - e10)
+    q, r = divmod(num, den)
+    if 2 * r >= den:
         q += 1
     mant = str(q)
     if len(mant) > digits:
@@ -789,9 +796,7 @@ def fraction_to_sci(x: Fraction, digits: int = 3) -> str:
     sign = "-" if x < 0 else ""
     ax = -x if x < 0 else x
     e10 = _floor_log10(ax)
-    shift = digits - 1 - e10
-    scaled = ax * Fraction(10) ** shift
-    q, r = divmod(scaled.numerator, scaled.denominator)
+    q, r = divmod(*_scaled(ax, digits - 1 - e10))
     if r:
         q += 1
     mant = str(q)

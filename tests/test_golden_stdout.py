@@ -1,11 +1,14 @@
 """Golden stdout: the exit status and sha256 of the stdout of a fixed set of
 commands, pinned in ``golden_stdout.json``.
 
-The set is every command of one pass of the ``finite_ball`` bench workload
-(seed 1, written out here so this test does not import ``bench/``), plus
-``inverse``/``max``/``verify`` at tau and alpha at 64 and 100 digits, a
-16-bit precision ceiling, a few exact-base maxima, limits and the table.
-A change that moves any printed byte fails here.
+The set is every command of one pass of the ``finite_ball`` and ``limits``
+bench workloads (seed 1, written out here so this test does not import
+``bench/``), plus ``inverse``/``max``/``verify`` at tau and alpha at 64 and
+100 digits, a 16-bit precision ceiling, a few exact-base maxima, and the
+limits paths that print pentagonal cutoffs and radii: ``limit`` in json and
+csv at tau, alpha and two rational bases, ``limit --tol 1e-10`` at the
+near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  A change
+that moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
 
@@ -71,6 +74,59 @@ inverse --base alpha --n 14 --digits 35
 inverse --base alpha --n 16 --digits 37
 """
 
+# each distinct command once, in the order of the pass
+LIMITS_SEED_1 = """\
+limit --base 26/9 --tol 1e-41
+limit --base 11/5 --tol 1e-31
+limit --base 23/8 --tol 1e-41
+limit --base 16/7 --tol 1e-32
+limit --base 23/13 --tol 1e-22
+limit --base alpha --tol 1e-31
+limit --base tau --tol 1e-39
+limit --base 23/9 --tol 1e-37
+limit --base 19/11 --tol 1e-21
+limit --base alpha --tol 1e-32
+limit --base 13/5 --tol 1e-37
+limit --base 19/9 --tol 1e-29
+limit --base 17/8 --tol 1e-29
+limit --base 20/13 --tol 1e-33
+limit --base 15/7 --tol 1e-30
+limit --base 33/13 --tol 1e-36
+limit --base 21/11 --tol 1e-25
+limit --base 32/13 --tol 1e-35
+limit --base 21/8 --tol 1e-38
+limit --base 28/13 --tol 1e-30
+limit --base 9/5 --tol 1e-23
+limit --base 24/13 --tol 1e-24
+limit --base 32/11 --tol 1e-42
+limit --base 12/7 --tol 1e-41
+limit --base 31/11 --tol 1e-40
+limit --base 20/7 --tol 1e-41
+limit --base 15/8 --tol 1e-25
+limit --base 20/9 --tol 1e-31
+table
+limit --base 17/7 --tol 1e-35
+limit --base 17/9 --tol 1e-48
+limit --base tau --tol 1e-41
+limit --base 31/13 --tol 1e-34
+limit --base 17/11 --tol 1e-33
+"""
+
+LIMITS_FORMATS = """\
+limit --base tau --tol 1e-39 --format json
+limit --base tau --tol 1e-39 --format csv
+limit --base alpha --tol 1e-31 --format json
+limit --base alpha --tol 1e-31 --format csv
+limit --base 26/9 --tol 1e-41 --format json
+limit --base 26/9 --tol 1e-41 --format csv
+limit --base 20/13 --tol 1e-33 --format json
+limit --base 20/13 --tol 1e-33 --format csv
+table --format json
+table --format csv
+limit --base 1.1 --tol 1e-10
+limit --base 1.07 --tol 1e-10
+"""
+
 EXTRA = """\
 inverse --base tau --n 8 --digits 64
 inverse --base tau --n 8 --digits 100
@@ -96,7 +152,9 @@ limit --base 3/2 --tol 1e-30
 table
 """
 
-COMMANDS = [line.split() for line in (FINITE_BALL_SEED_1 + EXTRA).splitlines()]
+# ``table`` is in two lists; a command is pinned once
+COMMANDS = [line.split() for line in dict.fromkeys(
+    (FINITE_BALL_SEED_1 + EXTRA + LIMITS_SEED_1 + LIMITS_FORMATS).splitlines())]
 
 
 def digest(argv):

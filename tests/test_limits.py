@@ -4,13 +4,18 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from vangeo.errors import DomainError
-from vangeo.limits import (base2_product_identity, classify_regime,
-                           crossover_values, finite_j_product,
+from vangeo.extremal import n_zero
+from vangeo.limits import (_argmax, _closed_form, _inverse_q_product,
+                           _pentagonal_series, base2_product_identity,
+                           classify_regime, crossover_values, finite_j_product,
                            inverse_q_product, limit_entry, limit_max,
                            sigma_infinite)
-from vangeo.scalar import BaseSpec, evaluate_base
+from vangeo.scalar import (BaseSpec, RigorousReal, certified_poly_sign,
+                           evaluate_base)
 from vangeo.symfunc import SigmaQuery, sigma_finite
 
 TOL15 = Fraction(1, 10 ** 15)
@@ -295,3 +300,165 @@ class TestBase2ProductIdentity:
     def test_partial_product_from_first_factor(self):
         # truncating at i=2 gives 3 * (1 + 1/3) = 4 exactly
         assert 3 * (1 + Fraction(1, 2 ** 2 - 1)) == 4
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-call pentagonal loop and the dense-product argmax that the
+# shared series and the reduced closed forms replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_inverse_q_product(b, tol):
+    """The pentagonal series restarted at k = 1 on every call."""
+    if not b.lower > 1:
+        raise DomainError("base must be certifiably > 1")
+    q = 1 / b
+    total = RigorousReal.exact(1, b.precision_bits)
+    k = 1
+    while True:
+        a = k * (3 * k - 1) // 2
+        pair = q ** a + q ** (a + k)
+        tail = pair.upper
+        floor = total.lower - tail
+        if (floor > 0 and 4 * tail <= tol * floor * floor) or tail <= total.radius:
+            break
+        total = total - pair if k % 2 else total + pair
+        k += 1
+    if floor <= 0:
+        return None, k - 1, tail
+    euler = RigorousReal.from_interval(floor, total.upper + tail, b.precision_bits)
+    return 1 / euler, k - 1, tail
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for k, x in enumerate(a):
+        for m, y in enumerate(b):
+            out[k + m] += x * y
+    return out
+
+
+def poly_sub(a, b):
+    out = list(a) + [0] * (len(b) - len(a))
+    for k, y in enumerate(b):
+        out[k] -= y
+    return out
+
+
+def dense_closed_form(i, j):
+    """N and D by dense products against b^s - 1."""
+    num = [1]
+    for m in range(1, i + 1):
+        num = poly_sub([0] * ((j + 1) * m) + [1], poly_mul([-1] + [0] * (m - 1) + [1], num))
+    den = [0] * (i * j) + [1]
+    for s in [*range(1, i + 1), *range(1, j + 1)]:
+        den = poly_mul(den, [-1] + [0] * (s - 1) + [1])
+    return num, den
+
+
+def dense_argmax(pairs, base):
+    """The argmax from the sign of N_a D_b - N_b D_a multiplied out."""
+    forms = [dense_closed_form(i, j) for i, j in pairs]
+    best = [0]
+    for k in range(1, len(pairs)):
+        (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
+        sign = certified_poly_sign(
+            poly_sub(poly_mul(num_k, den_b), poly_mul(num_b, den_k)), base)
+        if sign > 0:
+            best = [k]
+        elif sign == 0:
+            best.append(k)
+    return best
+
+
+def box(base):
+    top = n_zero(base)
+    return [(i, j) for j in range(top + 1) for i in range(j + 1)]
+
+
+def outcome(result):
+    value, pairs, tail = result
+    return (None if value is None else (value.midpoint, value.radius)), pairs, tail
+
+
+@st.composite
+def enclosures(draw):
+    """A base enclosure: p/q in [1.05, 4], tau or alpha, at 64-1024 bits."""
+    precision = draw(st.integers(64, 1024))
+    kind = draw(st.sampled_from(("rational", "tau", "alpha")))
+    if kind != "rational":
+        return BaseSpec.constant(kind).evaluate(precision)
+    value = draw(st.fractions(min_value=Fraction(21, 20), max_value=4, max_denominator=1000))
+    return BaseSpec.rational(value.numerator, value.denominator).evaluate(precision)
+
+
+class TestPentagonalSeries:
+    @given(b=enclosures(), exponents=st.lists(st.integers(5, 120), min_size=1, max_size=5))
+    @example(b=BaseSpec.parse("2").evaluate(64), exponents=[5, 120, 5])
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_restarted_loop(self, b, exponents):
+        """Tolerances in the drawn, rising and falling order, each from an
+        empty cache: a cutoff below the series' length reuses its prefix,
+        one beyond it extends the series."""
+        tols = [Fraction(1, 10 ** e) for e in exponents]
+        for order in (tols, sorted(tols), sorted(tols, reverse=True)):
+            _pentagonal_series.cache_clear()
+            for tol in order:
+                assert outcome(_inverse_q_product(b, tol)) \
+                    == outcome(loop_inverse_q_product(b, tol))
+
+    def test_precision_too_low_gives_none(self):
+        b = BaseSpec.parse("1.01").evaluate(64)
+        _pentagonal_series.cache_clear()
+        for exponent in (5, 20, 10):
+            tol = Fraction(1, 10 ** exponent)
+            result = _inverse_q_product(b, tol)
+            assert result[0] is None and result[1] == 50
+            assert outcome(result) == outcome(loop_inverse_q_product(b, tol))
+
+    def test_each_pair_is_built_once(self, monkeypatch):
+        """One limit_max at 13/10: each (enclosure, k) pair is built once, so
+        the ** calls are twice the largest number of pairs walked per
+        enclosure.  Its ten entries each evaluate the base afresh, so this
+        also fails if the series is keyed on the enclosure object."""
+        calls = []
+        power = RigorousReal.__pow__
+
+        def counted(self, exponent):
+            calls.append(((self.midpoint, self.radius, self.precision_bits), exponent))
+            return power(self, exponent)
+
+        monkeypatch.setattr(RigorousReal, "__pow__", counted)
+        _pentagonal_series.cache_clear()
+        report = limit_max(BaseSpec.parse("13/10"), Fraction(1, 10 ** 30))
+        assert len(calls) == len(set(calls))
+        assert _pentagonal_series.cache_info().currsize == 1     # one enclosure
+        walked = max(e.product_cutoff for e in report.entries) + 1
+        assert len(calls) == 2 * walked
+        assert _pentagonal_series.cache_info().maxsize is not None
+
+
+class TestReducedArgmax:
+    def test_closed_forms_match_dense_products(self):
+        for i in range(12):
+            for j in range(12):
+                assert _closed_form(i, j) == dense_closed_form(i, j), (i, j)
+
+    @given(b=st.fractions(min_value=Fraction(21, 20), max_value=3, max_denominator=50))
+    @example(b=Fraction(21, 20))
+    @example(b=Fraction(2))
+    @settings(max_examples=15, deadline=None)
+    def test_rational_bases(self, b):
+        base = BaseSpec.rational(b.numerator, b.denominator)
+        pairs = box(base)
+        assert _argmax(pairs, base) == dense_argmax(pairs, base)
+
+    @pytest.mark.parametrize("text", [
+        "tau", "alpha", "2.32471795724474602596090885447809734073440405690173"])
+    def test_constants_and_just_below_alpha(self, text):
+        base = BaseSpec.parse(text)
+        pairs = box(base)
+        best = _argmax(pairs, base)
+        assert best == dense_argmax(pairs, base)
+        if text == "alpha":
+            assert [pairs[k] for k in best] == [(0, 0), (1, 1)]

@@ -71,6 +71,50 @@ def fraction_floor_log10(x):
     return g
 
 
+def fraction_power_decimal(x, digits=20):
+    """Oracle: fraction_to_decimal scaling by a Fraction power of ten, the
+    form that the integer numerator and denominator replaced."""
+    if x == 0:
+        return "0." + "0" * (digits - 1)
+    sign = "-" if x < 0 else ""
+    ax = abs(x)
+    e10 = _floor_log10(ax)
+    scaled = ax * Fraction(10) ** (digits - 1 - e10)
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if 2 * r >= scaled.denominator:
+        q += 1
+    mant = str(q)
+    if len(mant) > digits:
+        e10 += 1
+        mant = mant[:digits]
+    point = e10 + 1
+    if point <= 0:
+        return f"{sign}0.{'0' * (-point)}{mant}"
+    if point >= len(mant):
+        return f"{sign}{mant}{'0' * (point - len(mant))}"
+    return f"{sign}{mant[:point]}.{mant[point:]}"
+
+
+def fraction_power_sci(x, digits=3):
+    """Oracle: fraction_to_sci scaling by a Fraction power of ten."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    ax = abs(x)
+    e10 = _floor_log10(ax)
+    scaled = ax * Fraction(10) ** (digits - 1 - e10)
+    q, r = divmod(scaled.numerator, scaled.denominator)
+    if r:
+        q += 1
+    mant = str(q)
+    if len(mant) > digits:
+        e10 += 1
+        mant = mant[:digits]
+    if digits == 1:
+        return f"{sign}{mant}e{e10:+03d}"
+    return f"{sign}{mant[0]}.{mant[1:]}e{e10:+03d}"
+
+
 def outcome(isolate, *args, **kwargs):
     """(midpoint, radius, precision) of the enclosure, or the error raised."""
     try:
@@ -495,6 +539,27 @@ class TestRootIsolation:
         assert poly_eval((-1, -1, 1), Fraction(3, 2)) == Fraction(-1, 4)
 
 
+@st.composite
+def printed_rationals(draw):
+    """Signed rationals for the printers: magnitudes in [10^-60, 10^60],
+    zero, exact powers of ten and their neighbours, and values whose next
+    digit is exactly 5 (the round-half case) at some width up to 80."""
+    kind = draw(st.sampled_from(("any", "zero", "power", "half")))
+    if kind == "zero":
+        return Fraction(0)
+    if kind == "any":
+        x = draw(st.fractions(min_value=Fraction(1, 10 ** 60), max_value=10 ** 60))
+        assume(x > 0)
+    elif kind == "power":
+        x = Fraction(10) ** draw(st.integers(-60, 60))
+        x += draw(st.sampled_from((0, 1, -1))) * x / 10 ** draw(st.integers(1, 85))
+    else:
+        width = draw(st.integers(1, 80))
+        mantissa = draw(st.integers(10 ** (width - 1), 10 ** width - 1))
+        x = (10 * mantissa + 5) * Fraction(10) ** draw(st.integers(-60 - width, 60 - width))
+    return -x if draw(st.booleans()) else x
+
+
 class TestPrinting:
     @pytest.mark.parametrize("value,digits,expected", [
         (Fraction(1, 3), 5, "0.33333"),
@@ -526,6 +591,17 @@ class TestPrinting:
                   Fraction(10 ** abs(k) - 1, 10 ** abs(k)) * Fraction(10) ** k):
             if x > 0:
                 assert _floor_log10(x) == fraction_floor_log10(x)
+
+    @given(x=printed_rationals(), digits=st.integers(1, 80))
+    @example(x=Fraction(0), digits=1)
+    @example(x=Fraction(-5, 100), digits=1)
+    @example(x=Fraction(995, 1000), digits=2)
+    @example(x=Fraction(10) ** 60, digits=80)
+    @example(x=Fraction(1, 10 ** 60), digits=80)
+    @settings(max_examples=500, deadline=None)
+    def test_integer_scaling_matches_fraction_powers(self, x, digits):
+        assert fraction_to_decimal(x, digits) == fraction_power_decimal(x, digits)
+        assert fraction_to_sci(x, digits) == fraction_power_sci(x, digits)
 
     def test_sci_never_understates(self):
         for num, den in [(1, 3), (2, 7), (355, 113), (1, 10 ** 40)]:
