@@ -82,8 +82,7 @@ def _pairs(argmax) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat,
-                precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
     inv = vandinv.inverse_matrix(gv, precision)
@@ -115,11 +114,10 @@ def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tu
     return 0, rendered
 
 
-def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat,
-            precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
-    report = extremal.max_entry(gv, precision, precision_ceiling)
+    report = extremal.max_entry(gv, precision)
     if fmt.kind == "json":
         return 0, report.to_json(fmt.digits)
     if fmt.kind == "csv":
@@ -215,7 +213,7 @@ def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tup
     return (1 if failed else 0), "\n".join(lines)
 
 
-def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, boxes):
+def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
     """Invariant suite for exact rational bases.  Yields (name, ok, witness)."""
     b = base.exact_value()
 
@@ -332,7 +330,7 @@ def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, 
             for n in range(2, n_max + 1):
                 gv = vandinv.GeometricVandermonde(base, n)
                 report = extremal.verify_leading_diagonal_max(
-                    gv, precision_ceiling=ceiling, max_report=boxes[n].max_report)
+                    gv, max_report=boxes[n].max_report)
                 if not report.passed:
                     return False, f"leading-diagonal max at n={n}"
             return True, ""
@@ -341,7 +339,7 @@ def _verify_exact(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, 
         yield "leading-diagonal max", None, "skipped: base below the golden ratio"
 
 
-def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrices, boxes):
+def _verify_rigorous(base: BaseSpec, n_max: int, matrices, boxes):
     """Certified-enclosure suite for algebraic constant bases."""
     precision = DEFAULT_PRECISION_BITS
 
@@ -372,7 +370,7 @@ def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrice
     def check_diag():
         for n in range(2, n_max + 1):
             gv = vandinv.GeometricVandermonde(base, n)
-            report = extremal.verify_leading_diagonal_max(gv, precision, ceiling,
+            report = extremal.verify_leading_diagonal_max(gv, precision,
                                                           max_report=boxes[n].max_report)
             if not report.passed:
                 return False, f"leading-diagonal max at n={n}"
@@ -390,7 +388,7 @@ def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrice
 
     def check_pi_monotone():
         b = base.evaluate(precision)
-        n0 = extremal.n_zero(base, ceiling)
+        n0 = extremal.n_zero(base)
         for n in range(2, n_max + 1):
             for j in range(n0, n - 1):
                 lhs = vandinv.pi_product(j, n, b)
@@ -407,18 +405,16 @@ def _verify_rigorous(base: BaseSpec, n_max: int, ceiling: Optional[int], matrice
     yield "pi monotonicity above n0 (certified)", *check_pi_monotone()
 
 
-def cmd_verify(base: BaseSpec, n_max: int,
-               precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+def cmd_verify(base: BaseSpec, n_max: int) -> Tuple[int, str]:
     if n_max < 2:
         raise DomainError(f"need n_max >= 2, got {n_max}")
     # each inverse and each box report (with its max_entry) is computed once
     # and shared by the suite and the diagonal-argmax scan line
     sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
     matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
-    boxes = {n: extremal.verify_argmax_box(sizes[n], precision_ceiling=precision_ceiling)
-             for n in range(2, n_max + 1)}
+    boxes = {n: extremal.verify_argmax_box(sizes[n]) for n in range(2, n_max + 1)}
     verify_suite = _verify_exact if base.is_exact else _verify_rigorous
-    suite = verify_suite(base, n_max, precision_ceiling, matrices, boxes)
+    suite = verify_suite(base, n_max, matrices, boxes)
     lines = [f"verification suite for base {base.display()}, n up to {n_max}"]
     failures = 0
     for name, ok, witness in suite:
@@ -437,10 +433,10 @@ def cmd_verify(base: BaseSpec, n_max: int,
     return (1 if failures else 0), "\n".join(lines)
 
 
-def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int, fmt: OutputFormat,
-                   precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
+                   fmt: OutputFormat) -> Tuple[int, str]:
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
-    scan = extremal.conjecture_scan(base, n_min, n_max, precision, precision_ceiling)
+    scan = extremal.conjecture_scan(base, n_min, n_max, precision)
     if fmt.kind == "json":
         return 0, scan.to_json(fmt.digits)
     if fmt.kind == "csv":
@@ -484,8 +480,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--digits", type=int, default=20,
                            help="significant decimal digits to print (default 20)")
         p.add_argument("--precision-ceiling", type=int, default=None,
-                       help="escalation ceiling in bits (default: "
-                            "VANGEO_PRECISION_CEILING or 4096)")
+                       help="precision ceiling in bits for limit and table (default: "
+                            "VANGEO_PRECISION_CEILING or 4096); accepted and "
+                            "without effect elsewhere")
 
     p = sub.add_parser("inverse", help="full signed inverse matrix")
     common(p, n=True)
@@ -514,30 +511,37 @@ def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
     if ceiling is not None:
         resolve_precision_ceiling(ceiling)   # validate eagerly
     if args.command == "verify":
-        return cmd_verify(BaseSpec.parse(args.base), args.n_max, ceiling)
+        return cmd_verify(BaseSpec.parse(args.base), args.n_max)
     fmt = OutputFormat(kind=args.format, digits=args.digits)
     if args.command == "inverse":
-        return cmd_inverse(BaseSpec.parse(args.base), args.n, fmt, ceiling)
+        return cmd_inverse(BaseSpec.parse(args.base), args.n, fmt)
     if args.command == "sigma":
         return cmd_sigma(args.i, args.j, args.n, BaseSpec.parse(args.x), fmt)
     if args.command == "max":
-        return cmd_max(BaseSpec.parse(args.base), args.n, fmt, ceiling)
+        return cmd_max(BaseSpec.parse(args.base), args.n, fmt)
     if args.command == "limit":
         return cmd_limit(BaseSpec.parse(args.base), _parse_tol(args.tol), fmt, ceiling)
     if args.command == "table":
         return cmd_table(fmt, ceiling)
     if args.command == "conjecture":
         lo, hi = _parse_range(args.range)
-        return cmd_conjecture(BaseSpec.parse(args.base), lo, hi, fmt, ceiling)
+        return cmd_conjecture(BaseSpec.parse(args.base), lo, hi, fmt)
     raise ParseError(f"unknown command {args.command!r}")       # unreachable
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    # exact p/q entries can pass the interpreter's 4300-digit limit on int
+    # to str conversion; lift it for this command only, so that library
+    # callers in the same process keep their own setting
+    str_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         code, output = run(argv)
     except VangeoError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(str_digits)
     if output:
         try:
             print(output, flush=True)

@@ -6,11 +6,13 @@ diagonal-argmax question.
 n0 is the least positive integer m with b^m >= 1 + 1/b.  The argmax of
 |c_{i,j,n}| always lies in the box [0, n0]^2; for b at or above the golden
 ratio the maximum is attained at (0,0) or (1,1).  Both statements are checked
-here on concrete instances, and every decision is an exact sign.  Thresholds
-on the base come from certified_poly_sign.  Entries are compared on the
-column form |c_{i,j,n}| = A_{i,j} / pi_j: |c_a| - |c_b| has the sign of
-A_a pi_b - A_b pi_a, an integer, or at tau and alpha a Z[theta] element whose
-sign certified_poly_sign decides (a zero tuple is an exact tie).
+here on concrete instances, and every decision is an exact sign in
+integers; no comparison builds a ball.  Thresholds on the base come from
+certified_poly_sign.  Entries are compared on the column form
+|c_{i,j,n}| = A_{i,j} / pi_j: |c_a| - |c_b| has the sign of A_a pi_b - A_b pi_a,
+an integer, or at tau and alpha a Z[theta] element whose sign
+certified_poly_sign decides by an integer norm test (a zero element is an
+exact tie).  Balls appear only in the printed maximum at tau and alpha.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 from .errors import DomainError, SizeError, UndecidableComparisonError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, certified_poly_sign, fraction_to_decimal)
+                     RigorousReal, ZTheta, certified_poly_sign, fraction_to_decimal)
 # inverse_matrix is not called here; bench/tracing.py expects this module to bind it
 from .vandinv import GeometricVandermonde, inverse_matrix  # noqa: F401
 
@@ -43,8 +45,7 @@ def _decimal(value: Numeric, digits: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
-           precision_ceiling: Optional[int] = None) -> int:
+def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal]) -> int:
     """Least positive integer m with b^m >= 1 + 1/b.
 
     Rational bases estimate m by logarithms and confirm it with exact integer
@@ -59,7 +60,7 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
             return n_zero(value)
         m = 1
         # b^m >= 1 + 1/b  <=>  b^(m+1) - b - 1 >= 0   (b > 0)
-        while certified_poly_sign([-1, -1] + [0] * (m - 1) + [1], b, precision_ceiling) < 0:
+        while certified_poly_sign([-1, -1] + [0] * (m - 1) + [1], b) < 0:
             m += 1
         return m
     if isinstance(b, RigorousReal):
@@ -103,13 +104,15 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal],
 # ---------------------------------------------------------------------------
 
 
-def _compare(a: tuple, b: tuple, base: BaseSpec, precision_ceiling: Optional[int]) -> int:
-    """Exact sign of |c_a| - |c_b|, i.e. of A_a pi_b - A_b pi_a."""
+def compare_ratios(a: tuple, b: tuple, base: BaseSpec) -> int:
+    """Exact sign of A_a / pi_a - A_b / pi_b for positive denominators, i.e.
+    of A_a pi_b - A_b pi_a: rationals at a rational base, Z[theta] elements
+    at tau and alpha."""
     (num_a, pi_a), (num_b, pi_b) = a, b
     difference = num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a
-    if isinstance(difference, int):
-        return (difference > 0) - (difference < 0)
-    return certified_poly_sign(difference.coefficients, base, precision_ceiling)
+    if isinstance(difference, ZTheta):
+        return certified_poly_sign(difference.coefficients, base)
+    return (difference > 0) - (difference < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,17 +152,16 @@ class MaxReport:
 
 
 def max_entry(gv: GeometricVandermonde,
-              precision_bits: int = DEFAULT_PRECISION_BITS,
-              precision_ceiling: Optional[int] = None) -> MaxReport:
+              precision_bits: int = DEFAULT_PRECISION_BITS) -> MaxReport:
     """Scan the entries with i <= j for the maximum absolute value by exact
     comparisons, and mirror the argmax (the inverse is symmetric), so every
     maximal entry is reported, ties included.  The maximum is a Fraction at a
-    rational base and its ball image at precision_bits at tau and alpha;
-    precision_ceiling bounds the sign evaluations."""
-    n0 = n_zero(gv.base, precision_ceiling)
+    rational base and, at tau and alpha, the ball image of its exact ratio at
+    precision_bits, which only its printing uses."""
+    n0 = n_zero(gv.base)
     best, top = None, []
     for pair, magnitude in gv.column_form.upper_triangle.items():
-        order = 1 if best is None else _compare(magnitude, best, gv.base, precision_ceiling)
+        order = 1 if best is None else compare_ratios(magnitude, best, gv.base)
         if order > 0:
             best, top = magnitude, [pair]
         elif order == 0:
@@ -194,15 +196,14 @@ class BoxCheckReport:
 
 
 def verify_argmax_box(gv: GeometricVandermonde,
-                      precision_bits: int = DEFAULT_PRECISION_BITS,
-                      precision_ceiling: Optional[int] = None) -> BoxCheckReport:
+                      precision_bits: int = DEFAULT_PRECISION_BITS) -> BoxCheckReport:
     """Check that the dominant entry cannot escape the [0, n0]^2 box: no
     entry with both indices >= n0 exceeds the (n0, n0) entry.  Witnesses are
     listed row-major, both orientations of a symmetric pair included."""
-    report = max_entry(gv, precision_bits, precision_ceiling)
+    report = max_entry(gv, precision_bits)
     n, n0, table = gv.n, report.n_zero, gv.column_form.upper_triangle
     above = {pair for pair, magnitude in table.items() if min(pair) >= n0
-             and _compare(magnitude, table[n0, n0], gv.base, precision_ceiling) > 0}
+             and compare_ratios(magnitude, table[n0, n0], gv.base) > 0}
     witnesses = tuple((i, j) for i in range(n0, n) for j in range(n0, n)
                       if (min(i, j), max(i, j)) in above)
     return BoxCheckReport(base=gv.base, n=n, n_zero=n0,
@@ -227,7 +228,6 @@ class DiagonalCheckReport:
 
 def verify_leading_diagonal_max(gv: GeometricVandermonde,
                                 precision_bits: int = DEFAULT_PRECISION_BITS,
-                                precision_ceiling: Optional[int] = None,
                                 max_report: Optional[MaxReport] = None) -> DiagonalCheckReport:
     """Check that M_b(n) is attained at entry (0,0) or (1,1); requires
     b >= (1+sqrt(5))/2 and n >= 2.  A max_report already computed for the
@@ -237,14 +237,14 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     if max_report is not None and (max_report.base, max_report.n) != (gv.base, gv.n):
         raise DomainError(f"max_report is not for base {gv.base.display()}, n={gv.n}")
     # b >= tau  <=>  b^2 - b - 1 >= 0   (b > 1)
-    if certified_poly_sign(TAU_POLYNOMIAL, gv.base, precision_ceiling) < 0:
+    if certified_poly_sign(TAU_POLYNOMIAL, gv.base) < 0:
         raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.display()} is below")
-    report = max_report or max_entry(gv, precision_bits, precision_ceiling)
+    report = max_report or max_entry(gv, precision_bits)
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
     # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest
     # admissible exponent never loses mass iff |c_{0,1}| <= |c_{1,1}|
     table = gv.column_form.upper_triangle
-    sigma_ok = _compare(table[0, 1], table[1, 1], gv.base, precision_ceiling) <= 0
+    sigma_ok = compare_ratios(table[0, 1], table[1, 1], gv.base) <= 0
     return DiagonalCheckReport(base=gv.base, n=gv.n, passed=diagonal_ok and sigma_ok,
                                max_on_leading_diagonal=diagonal_ok,
                                sigma_step_holds=sigma_ok, max_report=report)
@@ -302,15 +302,14 @@ class ConjectureScan:
 
 
 def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS,
-                    precision_ceiling: Optional[int] = None) -> ConjectureScan:
+                    precision_bits: int = DEFAULT_PRECISION_BITS) -> ConjectureScan:
     """Record the argmax structure for every n in [n_min, n_max]."""
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     records = []
     non_diagonal = []
     for n in range(n_min, n_max + 1):
-        report = max_entry(GeometricVandermonde(base, n), precision_bits, precision_ceiling)
+        report = max_entry(GeometricVandermonde(base, n), precision_bits)
         records.append(ScanRecord(n=n, n_zero=report.n_zero, max_value=report.max_value,
                                   argmax=report.argmax, diagonal=report.diagonal_argmax))
         if not report.diagonal_argmax:

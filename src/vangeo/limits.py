@@ -24,12 +24,14 @@ whose pairs alternate in sign and shrink, so the remainder after k pairs is
 below the next pair, 2 q^{(k+1)(3k+2)/2}.  Each enclosure of b has one such
 series, summed once and extended on demand; every entry at that enclosure
 reads its own cutoff from it.  Since 1/(q;q)_inf > 0, l_a > l_b exactly when
-N_a D_b - N_b D_a > 0 at b.  N and D are reduced once per pair modulo the
+N_a / D_a > N_b / D_b at b.  N and D are reduced once per pair modulo the
 minimal polynomial of b over Q (q x - p at p/q, which leaves the value at
-p/q; x^2 - x - 1 or x^3 - 3x^2 + 2x - 1 at tau and alpha), so the argmax of
-lim M_b(n) over the [0, n0]^2 box (computed over i <= j by symmetry) is
-decided by the exact signs of differences of reduced products, and the
-regime of b by the signs of integer polynomials at b.
+p/q; x^2 - x - 1 or x^3 - 3x^2 + 2x - 1 at tau and alpha, which leaves a
+Z[theta] element), so the argmax of lim M_b(n) over the [0, n0]^2 box
+(computed over i <= j by symmetry) is decided by the exact ratio comparison
+of the finite maximum, extremal.compare_ratios, and the regime of b by the
+signs of integer polynomials at b.  Precision escalates only in limit_entry,
+which the precision ceiling bounds.
 
 The truncated series sigma_infinite with finite_j_product is kept as an
 independent oracle, and base2_product_identity evaluates
@@ -41,16 +43,15 @@ from __future__ import annotations
 import functools
 import json
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UndecidableComparisonError
-from .extremal import n_zero
+from .extremal import compare_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, certified_poly_sign, fraction_to_sci,
-                     poly_eval_ball, resolve_precision_ceiling)
+                     RigorousReal, ZTheta, certified_poly_sign, fraction_to_sci,
+                     poly_eval_ball, reduce_monic, resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
 Poly = List[int]
@@ -262,33 +263,19 @@ def _closed_form(i: int, j: int) -> Tuple[Poly, Poly]:
     return num, den
 
 
-def _reduce(coeffs: Sequence[Numeric], modulus: Sequence[int]) -> tuple:
-    """The remainder of coeffs modulo the minimal polynomial.  For q x - p it
-    is the value at p/q, from one Horner pass over the integers
-    sum c_k p^k q^(d-k); the monic x^2 - x - 1 and x^3 - 3x^2 + 2x - 1 leave
-    integer tuples of their degree."""
-    if len(modulus) == 2:
-        p, q = -modulus[0], modulus[1]
-        acc, scale = 0, 1
-        for c in reversed(coeffs):
-            acc, scale = acc * p + c * scale, scale * q
-        return (Fraction(acc * q, scale),)
-    d = len(modulus) - 1
-    out = list(coeffs) + [0] * (d - len(coeffs))
-    for top in range(len(out) - 1, d - 1, -1):
-        c = out.pop()
-        for k in range(d):
-            out[top - d + k] -= c * modulus[k]
-    return tuple(out)
-
-
-def _product(x: tuple, y: tuple, modulus: Sequence[int]) -> tuple:
-    """x * y for reduced x and y, reduced."""
-    out = [0] * (len(x) + len(y) - 1)
-    for s, a in enumerate(x):
-        for t, c in enumerate(y):
-            out[s + t] += a * c
-    return _reduce(out, modulus)
+def _reduce(coeffs: Sequence[int], base: BaseSpec) -> Numeric:
+    """The integer polynomial at the base, exactly: at p/q its value, from
+    one Horner pass over the integers sum c_k p^k q^(d-k); at tau and alpha
+    its remainder modulo the monic minimal polynomial, in Z[theta]."""
+    value = base.exact_value()
+    if value is None:
+        modulus = base.minimal_polynomial()
+        return ZTheta(reduce_monic(coeffs, modulus), modulus)
+    p, q = value.numerator, value.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc, scale = acc * p + c * scale, scale * q
+    return Fraction(acc * q, scale)
 
 
 @dataclass(frozen=True)
@@ -374,26 +361,17 @@ class LimitReport:
         return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
 
 
-def _argmax(pairs: Sequence[IndexPair], base: BaseSpec,
-            precision_ceiling: Optional[int] = None) -> List[int]:
+def _argmax(pairs: Sequence[IndexPair], base: BaseSpec) -> List[int]:
     """Indices of the pairs whose limit is the largest, by exact comparison:
-    l_a > l_b exactly when N_a D_b - N_b D_a > 0 at the base.  N and D are
-    reduced modulo the base's minimal polynomial once per pair, so each
-    comparison is the sign of a difference of two reduced products, and a
-    zero is an exact tie."""
-    value = base.exact_value()       # the minimal polynomial over Q is q x - p at p/q
-    modulus = base.minimal_polynomial() if value is None else (-value.numerator,
-                                                               value.denominator)
-    forms = [tuple(_reduce(f, modulus) for f in _closed_form(i, j)) for i, j in pairs]
+    l_a > l_b exactly when N_a / D_a > N_b / D_b at the base.  N and D are
+    reduced at the base once per pair, and a zero difference is an exact tie."""
+    forms = [tuple(_reduce(f, base) for f in _closed_form(i, j)) for i, j in pairs]
     best = [0]
     for k in range(1, len(pairs)):
-        (num_k, den_k), (num_b, den_b) = forms[k], forms[best[0]]
-        sign = certified_poly_sign(
-            tuple(map(operator.sub, _product(num_k, den_b, modulus),
-                      _product(num_b, den_k, modulus))), base, precision_ceiling)
-        if sign > 0:
+        order = compare_ratios(forms[k], forms[best[0]], base)
+        if order > 0:
             best = [k]
-        elif sign == 0:
+        elif order == 0:
             best.append(k)
     return best
 
@@ -403,13 +381,13 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
     pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
     when N_a D_b - N_b D_a > 0 at the base."""
     tolf = _to_tol(tol)
-    box = n_zero(base, precision_ceiling)
+    box = n_zero(base)
     pairs = [(i, j) for j in range(box + 1) for i in range(j + 1)]
     entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling) for i, j in pairs]
-    best = _argmax(pairs, base, precision_ceiling)
+    best = _argmax(pairs, base)
     value = RigorousReal.hull([entries[k].value for k in best])
     argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
-    regime, boundary = classify_regime(base, precision_ceiling)
+    regime, boundary = classify_regime(base)
     return LimitReport(base=base, n_zero=box, value=value, argmax=tuple(argmax),
                        entries=tuple(entries), regime=regime, boundary=boundary)
 
@@ -432,8 +410,7 @@ class CrossoverReport:
     boundary: bool
 
 
-def classify_regime(base: BaseSpec,
-                    precision_ceiling: Optional[int] = None) -> Tuple[str, bool]:
+def classify_regime(base: BaseSpec) -> Tuple[str, bool]:
     """Classify b against the golden ratio and the crossover constant.
 
     Returns (regime, boundary).  Bases exactly on a threshold carry
@@ -443,12 +420,12 @@ def classify_regime(base: BaseSpec,
     """
     # tau and alpha are the only roots above 1 of their minimal polynomials,
     # which are negative below them: the signs at b place b against each
-    golden = certified_poly_sign(TAU_POLYNOMIAL, base, precision_ceiling)
+    golden = certified_poly_sign(TAU_POLYNOMIAL, base)
     if golden < 0:
         return REGIME_BELOW, False
     if golden == 0:
         return REGIME_BETWEEN, True
-    crossover = certified_poly_sign(ALPHA_POLYNOMIAL, base, precision_ceiling)
+    crossover = certified_poly_sign(ALPHA_POLYNOMIAL, base)
     return (REGIME_ABOVE if crossover >= 0 else REGIME_BETWEEN), crossover == 0
 
 
@@ -456,7 +433,7 @@ def crossover_values(base: BaseSpec, tol,
                      precision_ceiling: Optional[int] = None) -> CrossoverReport:
     """Closed forms l_{0,0} = prod (1 - b^-t)^-1 and
     l_{1,1} = (b^2 - b + 1) / (b (b-1)^2) * l_{0,0}, each to radius <= tol."""
-    regime, boundary = classify_regime(base, precision_ceiling)
+    regime, boundary = classify_regime(base)
     l00 = limit_entry(0, 0, base, tol, precision_ceiling).value
     l11 = limit_entry(1, 1, base, tol, precision_ceiling).value
     return CrossoverReport(base=base, l00=l00, l11=l11, regime=regime, boundary=boundary)

@@ -13,22 +13,24 @@ Two numeric carriers are used throughout the package:
   ``from_interval`` and printing.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
-a rational, a finite decimal, or one of the named algebraic constants), exact
-bisection root isolation, and small exact polynomial/decimal-string helpers.
+a rational, a finite decimal, or one of the named algebraic constants),
+:class:`ZTheta` (integer arithmetic in Z[theta] at those constants), exact
+signs of integer polynomials at a base, exact bisection root isolation, and
+small exact polynomial/decimal-string helpers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import (BracketError, DomainError, ParseError,
-                     UndecidableComparisonError)
+from .errors import BracketError, DomainError, ParseError
 
 ExactRational = Fraction
 
@@ -496,29 +498,45 @@ def poly_eval_ball(coeffs: Sequence[Union[int, Fraction]], x: RigorousReal) -> R
     return acc
 
 
-def poly_remainder(dividend: Sequence[Union[int, Fraction]],
-                   divisor: Sequence[Union[int, Fraction]]) -> List[Fraction]:
-    """Remainder of polynomial division over the rationals (ascending
-    coefficients).  Used to decide comparisons at algebraic bases exactly."""
-    den = [Fraction(c) for c in divisor]
-    while den and den[-1] == 0:
-        den.pop()
-    if not den:
-        raise DomainError("division by the zero polynomial")
-    rem = [Fraction(c) for c in dividend]
-    dd = len(den) - 1
-    lead = den[-1]
-    while len(rem) - 1 >= dd and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dd:
-            break
-        shift = len(rem) - 1 - dd
-        factor = rem[-1] / lead
-        for k in range(dd + 1):
-            rem[shift + k] -= factor * den[k]
-        rem.pop()
-    return rem
+def reduce_monic(coeffs: Iterable[int], modulus: Sequence[int]) -> Tuple[int, ...]:
+    """Remainder of an integer polynomial modulo a monic one of degree d
+    (ascending coefficients), padded to d coefficients: each theta^k with
+    k >= d is replaced by -(m_0 + ... + m_(d-1) theta^(d-1)) theta^(k-d)."""
+    d = len(modulus) - 1
+    out = list(coeffs)
+    out += [0] * (d - len(out))
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out.pop()
+        for k in range(d):
+            out[top - d + k] -= c * modulus[k]
+    return tuple(out)
+
+
+class ZTheta:
+    """An element of Z[theta] as its integer coefficients (ascending), already
+    reduced (reduce_monic) modulo the minimal polynomial of theta, which is
+    monic."""
+
+    __slots__ = ("coefficients", "modulus")
+
+    def __init__(self, coefficients: Iterable[int], modulus: Sequence[int]):
+        self.coefficients = tuple(coefficients)
+        self.modulus = modulus
+
+    def __add__(self, other: "ZTheta") -> "ZTheta":
+        return ZTheta(map(operator.add, self.coefficients, other.coefficients), self.modulus)
+
+    def __sub__(self, other: "ZTheta") -> "ZTheta":
+        return ZTheta(map(operator.sub, self.coefficients, other.coefficients), self.modulus)
+
+    def __mul__(self, other: Union[int, "ZTheta"]) -> "ZTheta":
+        if isinstance(other, int):
+            return ZTheta((c * other for c in self.coefficients), self.modulus)
+        product = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for s, a in enumerate(self.coefficients):
+            for t, b in enumerate(other.coefficients):
+                product[s + t] += a * b
+        return ZTheta(reduce_monic(product, self.modulus), self.modulus)
 
 
 # ---------------------------------------------------------------------------
@@ -644,17 +662,19 @@ def _constant_enclosure(name: str, precision_bits: int) -> RigorousReal:
     return bisect_root(_CONSTANT_POLYS[name], lo, hi, tol, precision_bits=precision_bits)
 
 
-def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec",
-                        precision_ceiling: Optional[int] = None) -> int:
+def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec") -> int:
     """Exact sign (-1, 0 or +1) of a polynomial at the base.
 
     A rational base evaluates exactly and must be > 1.  At tau and alpha the
-    polynomial is reduced by the minimal polynomial (one of lower degree is
-    its own remainder): a zero remainder is an exact zero, and a nonzero one
-    cannot vanish at the base.  Its enclosure is evaluated at 64 bits, then at
-    doubling precision up to the ceiling, until the sign resolves; this raises
-    only if the ceiling is hit first.  A ceiling below 64 bits bounds only the
-    escalation: the first evaluation is still at 64 bits, and none follows.
+    coefficients are cleared of denominators by their lcm (which is positive)
+    and reduced modulo the monic minimal polynomial to x in Z[theta]; a zero x
+    is an exact zero, and the sign of a nonzero x is decided in integers.  At
+    tau, 2x = s + b sqrt(5) with s = 2a + b for x = a + b tau: s and b share
+    the sign when they agree, and otherwise the larger of s^2 and 5b^2 sets
+    it.  At alpha, the only real root of a cubic of discriminant -23, the norm
+    N(x) = x(alpha) |x(sigma)|^2 over a complex root sigma has the sign of
+    x(alpha); it is the determinant of multiplication by x on 1, alpha,
+    alpha^2 (Cohen, A Course in Computational Algebraic Number Theory, ch. 4).
     """
     value = spec.exact_value()
     if value is not None:
@@ -662,22 +682,22 @@ def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec"
             raise DomainError(f"base must be > 1, got {value}")
         at = poly_eval(coeffs, value)
         return (at > 0) - (at < 0)
-    precision_ceiling = resolve_precision_ceiling(precision_ceiling)
     modulus = spec.minimal_polynomial()
-    remainder = coeffs if len(coeffs) < len(modulus) else poly_remainder(coeffs, modulus)
-    if not any(remainder):
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    x = reduce_monic([c.numerator * (scale // c.denominator) for c in coeffs], modulus)
+    if not any(x):
         return 0
-    precision = 64
-    while True:
-        value = poly_eval_ball(remainder, spec.evaluate(precision))
-        sign = value.sign()
-        if sign is not None:
-            return sign
-        if precision >= precision_ceiling:
-            raise UndecidableComparisonError(
-                f"sign of a nonzero polynomial value at {spec.display()} is still "
-                f"ambiguous at the {precision_ceiling}-bit precision ceiling")
-        precision = min(2 * precision, precision_ceiling)
+    if spec.name == "tau":
+        a, b = x
+        s = 2 * a + b
+        sign_s, sign_b = (s > 0) - (s < 0), (b > 0) - (b < 0)
+        if sign_s * sign_b >= 0:
+            return sign_s or sign_b
+        return sign_s if s * s > 5 * b * b else sign_b
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
+    norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    return (norm > 0) - (norm < 0)
 
 
 def bisect_root(coeffs: Sequence[Union[int, Fraction]],
@@ -742,9 +762,10 @@ def bisect_root(coeffs: Sequence[Union[int, Fraction]],
 def _floor_log10(x: Fraction) -> int:
     """Exact floor(log10(x)) for positive rational x."""
     n, d = x.numerator, x.denominator
-    # initial guess from digit counts, then exact correction; x >= 10**g is
-    # compared over the integers as n * 10**max(0, -g) >= d * 10**max(0, g)
-    g = len(str(n)) - len(str(d))
+    # initial guess from bit lengths (log10(2) = 0.30103...), then exact
+    # correction; x >= 10**g is compared over the integers as
+    # n * 10**max(0, -g) >= d * 10**max(0, g)
+    g = (n.bit_length() - d.bit_length()) * 30103 // 100000
     while n * 10 ** max(0, -g - 1) >= d * 10 ** max(0, g + 1):
         g += 1
     while n * 10 ** max(0, -g) < d * 10 ** max(0, g):

@@ -7,11 +7,11 @@ form
 
 where pi_{j,n} = prod_{h != j} |b^j - b^h|.  ColumnForm holds every
 magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
-(tau, alpha): one master polynomial, one O(n) deflation per column (Traub
-1966; Bjorck & Pereyra 1970).  The exact backend turns it into Fractions; the
-extremal scans compare its ratios by exact signs.  The rigorous backend, which
-prints the enclosures of `inverse` at tau and alpha, works in the reciprocal
-formulation
+(tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial,
+one O(n) deflation per column (Traub 1966; Bjorck & Pereyra 1970).  The exact
+backend turns it into Fractions; the extremal scans compare its ratios by
+exact signs.  The rigorous backend, which prints the enclosures of `inverse`
+at tau and alpha, works in the reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ball_dot, fraction_to_sci, max_abs, poly_eval_ball)
+                     ZTheta, ball_dot, fraction_to_sci, max_abs, poly_eval_ball)
 from .symfunc import elementary_symmetric
 
 _GAUSSIAN_MAX_N = 64
@@ -181,38 +181,6 @@ def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
     return _inverse_entries_rigorous(gv, precision_bits)[i][j]
 
 
-class _ZTheta:
-    """An element of Z[theta] as its coefficients (ascending) reduced modulo
-    the minimal polynomial of theta, which is monic with constant term -1."""
-
-    __slots__ = ("coefficients", "modulus")
-
-    def __init__(self, coefficients: Sequence[int], modulus: Sequence[int]):
-        self.coefficients = tuple(coefficients)
-        self.modulus = modulus
-
-    def __add__(self, other: "_ZTheta") -> "_ZTheta":
-        return _ZTheta(map(operator.add, self.coefficients, other.coefficients), self.modulus)
-
-    def __sub__(self, other: "_ZTheta") -> "_ZTheta":
-        return _ZTheta(map(operator.sub, self.coefficients, other.coefficients), self.modulus)
-
-    def __mul__(self, other: Union[int, "_ZTheta"]) -> "_ZTheta":
-        if isinstance(other, int):
-            return _ZTheta((c * other for c in self.coefficients), self.modulus)
-        d = len(self.coefficients)
-        product = [0] * (2 * d - 1)
-        for s, a in enumerate(self.coefficients):
-            for t, b in enumerate(other.coefficients):
-                product[s + t] += a * b
-        # theta^d = -(m_0 + m_1 theta + ... + m_(d-1) theta^(d-1))
-        for top in range(2 * d - 2, d - 1, -1):
-            c = product.pop()
-            for k in range(d):
-                product[top - d + k] -= c * self.modulus[k]
-        return _ZTheta(product, self.modulus)
-
-
 class ColumnForm:
     """|c_{i,j,n}| = A_{i,j} / pi_j with A, pi > 0 in Z (b = p/q in lowest
     terms, nodes N_h = p^h q^(n-1-h) = q^(n-1) b^h) or in Z[theta] (nodes
@@ -241,18 +209,18 @@ class ColumnForm:
             self._divisors, self._divide = self.nodes, operator.floordiv
         else:
             modulus, q = gv.base.minimal_polynomial(), 1
-            one, theta = (_ZTheta([int(k == e) for k in range(len(modulus) - 1)], modulus)
+            one, theta = (ZTheta([int(k == e) for k in range(len(modulus) - 1)], modulus)
                           for e in (0, 1))
             self.nodes = _base_powers(theta, n, one)
             self.master = [one] + [one * 0] * n
             for h, node in enumerate(self.nodes):
                 for k in range(h + 1, 0, -1):
                     self.master[k] = self.master[k] + node * self.master[k - 1]
-            self._divisors = _base_powers(_ZTheta(modulus[1:], modulus), n, one)
+            self._divisors = _base_powers(ZTheta(modulus[1:], modulus), n, one)
             self._divide = operator.mul
         self.row_scales = _base_powers(q ** (n - 1), n)
 
-    def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, _ZTheta]]:
+    def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
         """([A_{i,j} for i in rows], pi_j)."""
         n, node, divisor = self.n, self.nodes[j], self._divisors[j]
         deflated = [0] * n
@@ -274,7 +242,7 @@ class ColumnForm:
             table.update(((i, j), (a, pi)) for i, a in enumerate(nums))
         return table
 
-    def value(self, num: Union[int, _ZTheta], pi: Union[int, _ZTheta],
+    def value(self, num: Union[int, ZTheta], pi: Union[int, ZTheta],
               precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
         """num / pi: a Fraction over Z, its ball image at the base over Z[theta]."""
         if isinstance(num, int):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,44 @@ class TestExitCodes:
         assert cli.main(["sigma", "--i", "0", "--j", "0", "--n", "2",
                          "--x", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+
+class TestLongNumbers:
+    """Output past the interpreter's 4300-digit limit on int to str conversion."""
+
+    @staticmethod
+    def main_at_the_default_limit(argv):
+        """cli.main(argv), checking that the limit is lifted for it only."""
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            code = cli.main(argv)
+            assert sys.get_int_max_str_digits() == 4300
+        finally:
+            sys.set_int_max_str_digits(previous)
+        return code
+
+    def test_limit_at_a_tiny_tolerance(self, capsys):
+        assert self.main_at_the_default_limit(["limit", "--base", "2", "--tol", "1e-4300"]) == 0
+        out, err = capsys.readouterr()
+        assert "max = 5.1941199291825954173\n" in out
+        assert err == ""
+
+    def test_inverse_with_long_exact_entries(self, capsys):
+        base = "1000000000007/1000000000000"
+        assert self.main_at_the_default_limit(["inverse", "--base", base, "--n", "24"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        gv = vandinv.GeometricVandermonde(BaseSpec.parse(base), 24)
+        (a,), pi = vandinv.ColumnForm(gv).magnitudes(0, [0])
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = vandinv.format_entry(Fraction(a, pi))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert len(expected) > 4300
+        assert out.split()[0] == expected
 
 
 class TestDeterminism:

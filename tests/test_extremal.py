@@ -162,10 +162,9 @@ class TestMaxEntry:
         assert report.precision_bits == 16
 
     def test_tie_at_the_ceiling(self, no_inverse):
-        # the 16-bit ceiling that left (0,0) and (1,1) tied under the ball
-        # kernel: the Z[alpha] sign decides it exactly
-        report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16,
-                           precision_ceiling=16)
+        # at 16 bits the ball kernel left (0,0) and (1,1) tied: the
+        # Z[alpha] sign decides it exactly, and prints at those 16 bits
+        report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16)
         assert report.argmax == ((0, 0),)
         assert report.to_json_dict()["tie"] is False
         assert report.max_value.contains(report.max_value.midpoint)
@@ -180,7 +179,7 @@ class TestMaxEntry:
             one, x = (1, 3) if gv.is_exact else ColumnForm(gv).nodes
             planted = {0: ([x * x], x), 1: ([one, x], one)}
             monkeypatch.setattr(ColumnForm, "magnitudes", lambda self, j, rows: planted[j])
-            report = max_entry(gv, 64, precision_ceiling=16)
+            report = max_entry(gv, 64)
             assert report.argmax == ((0, 0), (1, 1)), text
             assert report.to_json_dict()["tie"] is False
             if gv.is_exact:

@@ -7,8 +7,10 @@ bench workloads (seed 1, written out here so this test does not import
 100 digits, a 16-bit precision ceiling, a few exact-base maxima, and the
 limits paths that print pentagonal cutoffs and radii: ``limit`` in json and
 csv at tau, alpha and two rational bases, ``limit --tol 1e-10`` at the
-near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  A change
-that moves any printed byte fails here.
+near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  The sizes
+``max`` at n = 40, ``conjecture`` up to 30 and ``verify`` up to 12 at tau
+and alpha, and ``limit --tol 1e-10`` there, reach Z[theta] coefficients of
+hundreds of bits.  A change that moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
 
@@ -150,6 +152,13 @@ limit --base tau --tol 1e-40
 limit --base alpha --tol 1e-30
 limit --base 3/2 --tol 1e-30
 table
+max --base tau --n 40
+max --base alpha --n 40
+conjecture --base alpha --range 2:30
+verify --base tau --n-max 12
+verify --base alpha --n-max 12
+limit --base tau --tol 1e-10 --format json
+limit --base alpha --tol 1e-10 --format json
 """
 
 # ``table`` is in two lists; a command is pinned once

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
-                           RigorousReal, _dy_ceil_trim, _dy_round, _filled,
-                           _floor_log10, _frac_to_dyadic, _normalize,
+                           RigorousReal, ZTheta, _dy_ceil_trim, _dy_round,
+                           _filled, _floor_log10, _frac_to_dyadic, _normalize,
                            ball_dot, bisect_root, certified_poly_sign,
                            evaluate_base, fraction_to_decimal, fraction_to_sci,
-                           max_abs, poly_eval, poly_eval_ball,
+                           max_abs, poly_eval, poly_eval_ball, reduce_monic,
                            resolve_precision_ceiling)
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
@@ -63,7 +63,7 @@ def fraction_bisect(coeffs, lo, hi, tol, precision_bits=None):
 
 def fraction_floor_log10(x):
     """Oracle: the Fraction-power loop that _floor_log10's integer test replaced."""
-    g = len(str(x.numerator)) - len(str(x.denominator))
+    g = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
     while x >= Fraction(10) ** (g + 1):
         g += 1
     while x < Fraction(10) ** g:
@@ -485,9 +485,9 @@ class TestRootIsolation:
 
     def test_certified_poly_sign(self):
         tau, alpha = BaseSpec.parse("tau"), BaseSpec.parse("alpha")
-        assert certified_poly_sign(ALPHA_POLYNOMIAL, tau, 4096) == -1
-        assert certified_poly_sign(TAU_POLYNOMIAL, alpha, 4096) == 1
-        assert certified_poly_sign((-7, 0, 1), BaseSpec.parse("3"), 4096) == 1
+        assert certified_poly_sign(ALPHA_POLYNOMIAL, tau) == -1
+        assert certified_poly_sign(TAU_POLYNOMIAL, alpha) == 1
+        assert certified_poly_sign((-7, 0, 1), BaseSpec.parse("3")) == 1
 
     def test_certified_poly_sign_exact_zeros(self):
         # 9 b^2 - 16 vanishes at 4/3, whose non-dyadic ball straddles 0 at any
@@ -539,6 +539,150 @@ class TestRootIsolation:
         assert poly_eval((-1, -1, 1), Fraction(3, 2)) == Fraction(-1, 4)
 
 
+def poly_remainder(dividend, divisor):
+    """Oracle: remainder of polynomial division over the rationals, which the
+    sign at tau and alpha used before the integer reduction replaced it."""
+    den = [Fraction(c) for c in divisor]
+    while den and den[-1] == 0:
+        den.pop()
+    rem = [Fraction(c) for c in dividend]
+    dd = len(den) - 1
+    lead = den[-1]
+    while len(rem) - 1 >= dd and any(rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dd:
+            break
+        shift = len(rem) - 1 - dd
+        factor = rem[-1] / lead
+        for k in range(dd + 1):
+            rem[shift + k] -= factor * den[k]
+        rem.pop()
+    return rem
+
+
+def ball_sign(coeffs, spec, ceiling=1 << 14):
+    """Oracle: the sign from balls at doubling precision, the loop that the
+    integer tests at tau and alpha replaced.  Fails at the ceiling."""
+    modulus = spec.minimal_polynomial()
+    remainder = coeffs if len(coeffs) < len(modulus) else poly_remainder(coeffs, modulus)
+    if not any(remainder):
+        return 0
+    precision = 64
+    while True:
+        sign = poly_eval_ball(remainder, spec.evaluate(precision)).sign()
+        if sign is not None:
+            return sign
+        assert precision < ceiling, (coeffs, spec)
+        precision *= 2
+
+
+def old_ztheta_mul(x, y, modulus):
+    """Oracle: the Z[theta] product that vandinv's own class computed."""
+    d = len(x)
+    product = [0] * (2 * d - 1)
+    for s, a in enumerate(x):
+        for t, b in enumerate(y):
+            product[s + t] += a * b
+    for top in range(2 * d - 2, d - 1, -1):
+        c = product.pop()
+        for k in range(d):
+            product[top - d + k] -= c * modulus[k]
+    return tuple(product)
+
+
+def trimmed(coeffs):
+    out = list(coeffs)
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+CONSTANTS = {name: BaseSpec.parse(name) for name in ("tau", "alpha")}
+
+
+@st.composite
+def wide_polynomials(draw):
+    """Coefficients of 3 to 300 bits, now and then over a common denominator."""
+    bits = draw(st.integers(3, 300))
+    coeffs = draw(st.lists(st.integers(-(1 << bits), 1 << bits), min_size=1, max_size=7))
+    if draw(st.booleans()):
+        return coeffs
+    return [Fraction(c, draw(st.integers(1, 1 << bits))) for c in coeffs]
+
+
+class TestExactSigns:
+    @given(st.sampled_from(sorted(CONSTANTS)), wide_polynomials())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_ball_loop(self, name, coeffs):
+        assert certified_poly_sign(coeffs, CONSTANTS[name]) == ball_sign(coeffs, CONSTANTS[name])
+
+    def test_near_zero_at_tau(self):
+        # F_(k+1) - F_k tau = (-1/tau)^k: |value| = tau^-k, about 2^-200 at k = 289
+        tau, f, g = CONSTANTS["tau"], 0, 1          # F_k, F_(k+1)
+        for k in range(290):
+            for shift in (-1, 0, 1):
+                coeffs = (g + shift, -f)
+                sign = certified_poly_sign(coeffs, tau)
+                assert sign == ball_sign(coeffs, tau), (k, shift)
+                if shift == 0:
+                    assert sign == (-1) ** k
+            f, g = g, f + g
+
+    def test_near_zero_at_alpha(self):
+        # alpha^-k is a unit whose coefficients grow while its value shrinks
+        alpha = CONSTANTS["alpha"]
+        modulus = alpha.minimal_polynomial()
+        inverse = power = ZTheta(modulus[1:], modulus)
+        for k in range(1, 200):
+            x = power.coefficients
+            for shift, expected in ((0, 1), (1, 1), (-1, -1)):
+                coeffs = (x[0] + shift,) + x[1:]
+                assert certified_poly_sign(coeffs, alpha) == ball_sign(coeffs, alpha) \
+                    == expected, (k, shift)
+            power = power * inverse
+
+    @given(st.sampled_from(sorted(CONSTANTS)),
+           st.lists(st.integers(-(1 << 80), 1 << 80), max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_reduction_matches_poly_remainder(self, name, coeffs):
+        modulus = CONSTANTS[name].minimal_polynomial()
+        assert trimmed(reduce_monic(coeffs, modulus)) == trimmed(poly_remainder(coeffs, modulus))
+
+    @given(st.sampled_from(sorted(CONSTANTS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_product_matches_the_old_multiply(self, name, data):
+        modulus = CONSTANTS[name].minimal_polynomial()
+        element = st.lists(st.integers(-(1 << 200), 1 << 200),
+                           min_size=len(modulus) - 1, max_size=len(modulus) - 1)
+        x, y = data.draw(element), data.draw(element)
+        assert (ZTheta(x, modulus) * ZTheta(y, modulus)).coefficients \
+            == old_ztheta_mul(x, y, modulus)
+
+    @pytest.mark.parametrize("name,argmax,regime", [
+        ("tau", [2], ("between_tau_alpha", True)),
+        ("alpha", [0, 2], ("above_alpha", True)),
+    ])
+    def test_signs_build_no_ball(self, name, argmax, regime, monkeypatch):
+        from vangeo import scalar
+        from vangeo.extremal import n_zero, verify_argmax_box
+        from vangeo.limits import _argmax, classify_regime
+        from vangeo.vandinv import ColumnForm, GeometricVandermonde
+
+        def no_ball(*args):
+            raise AssertionError("a sign evaluated the base")
+
+        base = CONSTANTS[name]
+        monkeypatch.setattr(scalar, "evaluate_base", no_ball)
+        # printing the maximum is the one ball a report builds
+        monkeypatch.setattr(ColumnForm, "value", lambda self, num, pi, bits: None)
+        assert certified_poly_sign((-5, 0, 0, 1), base) == (-1 if name == "tau" else 1)
+        top = n_zero(base)
+        assert _argmax([(i, j) for j in range(top + 1) for i in range(j + 1)], base) == argmax
+        assert classify_regime(base) == regime
+        assert verify_argmax_box(GeometricVandermonde(base, 12)).passed
+
+
 @st.composite
 def printed_rationals(draw):
     """Signed rationals for the printers: magnitudes in [10^-60, 10^60],
@@ -584,7 +728,8 @@ class TestPrinting:
         assume(x > 0)
         assert _floor_log10(x) == fraction_floor_log10(x)
 
-    @pytest.mark.parametrize("k", [-45, -20, -3, -1, 0, 1, 2, 7, 30, 61])
+    @pytest.mark.parametrize("k", [-5000, -4301, -45, -20, -3, -1, 0, 1, 2, 7, 30, 61,
+                                   4301, 5000])
     def test_floor_log10_at_powers_of_ten(self, k):
         for x in (Fraction(10) ** k, Fraction(10) ** k + 1, Fraction(10) ** k - 1,
                   Fraction(10 ** abs(k) + 1, 10 ** abs(k)) * Fraction(10) ** k,
@@ -602,6 +747,15 @@ class TestPrinting:
     def test_integer_scaling_matches_fraction_powers(self, x, digits):
         assert fraction_to_decimal(x, digits) == fraction_power_decimal(x, digits)
         assert fraction_to_sci(x, digits) == fraction_power_sci(x, digits)
+
+    def test_past_the_int_to_str_digit_limit(self):
+        # more than the interpreter's 4300 digits in the denominator, then
+        # in the numerator: the printers convert no such integer to a string
+        x = Fraction(1, 3 * 10 ** 4400)
+        assert fraction_to_decimal(x, 5) == "0." + "0" * 4400 + "33333"
+        assert fraction_to_sci(x, 3) == "3.34e-4401"
+        assert fraction_to_decimal(1 / x, 5) == "3" + "0" * 4400
+        assert fraction_to_sci(1 / x, 3) == "3.00e+4400"
 
     def test_sci_never_understates(self):
         for num, den in [(1, 3), (2, 7), (355, 113), (1, 10 ** 40)]:
