@@ -213,9 +213,33 @@ def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tup
     return (1 if failed else 0), "\n".join(lines)
 
 
+def _sigma_rows(num: int, den: int, n_top: int) -> dict:
+    """rows[n][j][k] = den^((n-1)k) * sigma_{k,j,n}(num/den) for k < n <= n_top.
+
+    One elementary_symmetric sweep per (n, j) over the integer nodes
+    num^h den^(n-1-h), h != j, gives the scaled sigma for every k at once.
+    """
+    rows = {}
+    for n in range(1, n_top + 1):
+        nodes = [num ** h * den ** (n - 1 - h) for h in range(n)]
+        rows[n] = [symfunc.elementary_symmetric(nodes[:j] + nodes[j + 1:], n - 1, 1)
+                   for j in range(n)]
+    return rows
+
+
 def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
-    """Invariant suite for exact rational bases.  Yields (name, ok, witness)."""
+    """Invariant suite for exact rational bases.  Yields (name, ok, witness).
+
+    The magnitude, sigma j-monotonicity and complement checks read integer
+    sigma rows, one elementary_symmetric sweep per (n, j, x) with x = b or
+    1/b (_sigma_rows), and decide in integers.  The rows at b and at 1/b are
+    separate sweeps, so the two sides of the complement identity come from
+    independent computations.  The sigma top step keeps sigma_finite.
+    """
     b = base.exact_value()
+    p, q = b.numerator, b.denominator
+    rows_b = _sigma_rows(p, q, min(n_max, 12))
+    rows_inv = _sigma_rows(q, p, min(n_max, 10))
 
     def check_identity():
         for n in range(1, n_max + 1):
@@ -251,13 +275,16 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
         return True, ""
 
     def check_magnitude():
+        # |c| * pi = a/d * u/v against sigma_k(b) = rows_b[n][j][k] / q^((n-1)k)
         for n in range(1, min(n_max, 12) + 1):
             e = matrices[n].entries
             for j in range(n):
                 pi_j = vandinv.pi_product(j, n, b)
                 for i in range(n):
-                    sig = symfunc.sigma_finite(symfunc.SigmaQuery(n - 1 - i, j, n, b))
-                    if abs(e[i][j]) * pi_j != sig:
+                    k = n - 1 - i
+                    c = abs(e[i][j])
+                    if (c.numerator * pi_j.numerator * q ** ((n - 1) * k)
+                            != rows_b[n][j][k] * c.denominator * pi_j.denominator):
                         return False, f"|c|*pi != sigma at n={n}, ({i},{j})"
         return True, ""
 
@@ -279,11 +306,11 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
         return True, ""
 
     def check_sigma_monotone():
+        # a row's scale depends on (n, i) only, so scaled values compare as sigma
         for n in range(2, min(n_max, 10) + 1):
-            for x, increasing in ((b, False), (1 / b, True)):
+            for rows, increasing in ((rows_b, False), (rows_inv, True)):
                 for i in range(n):
-                    values = [symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, x))
-                              for j in range(n)]
+                    values = [rows[n][j][i] for j in range(n)]
                     for j in range(n - 1):
                         ok = values[j] <= values[j + 1] if increasing \
                             else values[j] >= values[j + 1]
@@ -292,10 +319,14 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
         return True, ""
 
     def check_complement():
+        # sigma_{n-1-i,j,n}(b) = b^t sigma_{i,j,n}(1/b), t = n(n-1)/2 - j, with
+        # the scales q^((n-1)(n-1-i)) and p^((n-1)i) cross-multiplied
         for n in range(1, min(n_max, 10) + 1):
             for i in range(n):
                 for j in range(n):
-                    lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
+                    t = n * (n - 1) // 2 - j
+                    lhs = rows_b[n][j][n - 1 - i] * q ** t * p ** ((n - 1) * i)
+                    rhs = rows_inv[n][j][i] * p ** t * q ** ((n - 1) * (n - 1 - i))
                     if lhs != rhs:
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
@@ -340,7 +371,13 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
 
 
 def _verify_rigorous(base: BaseSpec, n_max: int, matrices, boxes):
-    """Certified-enclosure suite for algebraic constant bases."""
+    """Certified-enclosure suite for algebraic constant bases.
+
+    The complement check takes sigma_{k,j,n}(b) for every k from one direct
+    ball sweep per (n, j) over the powers of b, and sigma_{i,j,n}(1/b) from
+    sigma_finite at 1/b.  The two sides are independent computations, and
+    b^t times the second must overlap the first.
+    """
     precision = DEFAULT_PRECISION_BITS
 
     def check_residual():
@@ -377,12 +414,19 @@ def _verify_rigorous(base: BaseSpec, n_max: int, matrices, boxes):
         return True, ""
 
     def check_complement():
+        # sigma_{n-1-i,j,n}(b) = b^t sigma_{i,j,n}(1/b), t = n(n-1)/2 - j
         b = base.evaluate(precision)
-        for n in range(1, min(n_max, 10) + 1):
+        inv_b = 1 / b
+        n_top = min(n_max, 10)
+        pows = vandinv._base_powers(b, n_top)
+        for n in range(1, n_top + 1):
+            rows = [symfunc.elementary_symmetric(pows[:j] + pows[j + 1:n], n - 1, pows[0])
+                    for j in range(n)]
+            scales = [b ** (n * (n - 1) // 2 - j) for j in range(n)]
             for i in range(n):
                 for j in range(n):
-                    lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
-                    if not lhs.overlaps(rhs):
+                    rhs = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, inv_b))
+                    if not rows[j][n - 1 - i].overlaps(scales[j] * rhs):
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 

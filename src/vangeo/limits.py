@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -285,7 +285,8 @@ class LimitValue:
     sigma_cutoff is i: sigma_{i,j,inf} is the exact deflation sum of i + 1
     terms, with nothing truncated.  product_cutoff is the number of pentagonal
     pairs summed for (q;q)_inf and tail_bound the bound on the remainder of
-    that series, which value.radius includes.
+    that series, which value.radius includes.  closed_form holds the
+    coefficient lists (N, D) the value was evaluated from.
     """
 
     i: int
@@ -294,6 +295,7 @@ class LimitValue:
     sigma_cutoff: int
     product_cutoff: int
     tail_bound: Fraction
+    closed_form: Tuple[Poly, Poly] = field(repr=False, compare=False)
 
     def to_json_dict(self, digits: int = 20) -> dict:
         return {"i": self.i, "j": self.j, "value": self.value.decimal(digits),
@@ -321,7 +323,8 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
             value = None if product is None else ratio * product
             if value is not None and value.radius <= tolf:
                 return LimitValue(i=i, j=j, value=value, sigma_cutoff=i,
-                                  product_cutoff=pairs, tail_bound=tail)
+                                  product_cutoff=pairs, tail_bound=tail,
+                                  closed_form=(num, den))
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(
                 f"cannot reach tolerance {tolf} for l_({i},{j}) at base "
@@ -361,13 +364,14 @@ class LimitReport:
         return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
 
 
-def _argmax(pairs: Sequence[IndexPair], base: BaseSpec) -> List[int]:
-    """Indices of the pairs whose limit is the largest, by exact comparison:
-    l_a > l_b exactly when N_a / D_a > N_b / D_b at the base.  N and D are
-    reduced at the base once per pair, and a zero difference is an exact tie."""
-    forms = [tuple(_reduce(f, base) for f in _closed_form(i, j)) for i, j in pairs]
+def _argmax(closed_forms: Sequence[Tuple[Poly, Poly]], base: BaseSpec) -> List[int]:
+    """Indices of the closed forms (N, D) whose limit is the largest, by exact
+    comparison: l_a > l_b exactly when N_a / D_a > N_b / D_b at the base.  N
+    and D are reduced at the base once per pair, and a zero difference is an
+    exact tie."""
+    forms = [tuple(_reduce(f, base) for f in pair) for pair in closed_forms]
     best = [0]
-    for k in range(1, len(pairs)):
+    for k in range(1, len(forms)):
         order = compare_ratios(forms[k], forms[best[0]], base)
         if order > 0:
             best = [k]
@@ -379,12 +383,13 @@ def _argmax(pairs: Sequence[IndexPair], base: BaseSpec) -> List[int]:
 def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> LimitReport:
     """Evaluate l_{i,j} over 0 <= i <= j <= n0 (symmetry covers i > j) and
     pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
-    when N_a D_b - N_b D_a > 0 at the base."""
+    when N_a D_b - N_b D_a > 0 at the base.  Each pair's N and D are built
+    once, by limit_entry, and the argmax reads them from its entries."""
     tolf = _to_tol(tol)
     box = n_zero(base)
     pairs = [(i, j) for j in range(box + 1) for i in range(j + 1)]
     entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling) for i, j in pairs]
-    best = _argmax(pairs, base)
+    best = _argmax([e.closed_form for e in entries], base)
     value = RigorousReal.hull([entries[k].value for k in best])
     argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
     regime, boundary = classify_regime(base)

@@ -204,6 +204,194 @@ class TestVerify:
                                                  max_report=box.max_report)
 
 
+SIGMA_CHECKS = ("magnitude formula |c|*pi = sigma (n <= 12)",
+                "sigma j-monotonicity (n <= 10)", "complement identity (n <= 10)")
+
+
+def old_exact_sigma_checks(base, n_max, matrices):
+    """The exact suite's sigma checks as they were, one sigma_finite sweep per
+    (i, j): the oracle of the shared rows.  Returns {name: (ok, witness)}."""
+    from vangeo import symfunc
+    b = base.exact_value()
+
+    def check_magnitude():
+        for n in range(1, min(n_max, 12) + 1):
+            e = matrices[n].entries
+            for j in range(n):
+                pi_j = vandinv.pi_product(j, n, b)
+                for i in range(n):
+                    sig = symfunc.sigma_finite(symfunc.SigmaQuery(n - 1 - i, j, n, b))
+                    if abs(e[i][j]) * pi_j != sig:
+                        return False, f"|c|*pi != sigma at n={n}, ({i},{j})"
+        return True, ""
+
+    def check_sigma_monotone():
+        for n in range(2, min(n_max, 10) + 1):
+            for x, increasing in ((b, False), (1 / b, True)):
+                for i in range(n):
+                    values = [symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, x))
+                              for j in range(n)]
+                    for j in range(n - 1):
+                        ok = values[j] <= values[j + 1] if increasing \
+                            else values[j] >= values[j + 1]
+                        if not ok:
+                            return False, f"sigma j-monotonicity at n={n}, i={i}, j={j}"
+        return True, ""
+
+    def check_complement():
+        for n in range(1, min(n_max, 10) + 1):
+            for i in range(n):
+                for j in range(n):
+                    lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
+                    if lhs != rhs:
+                        return False, f"complement identity at n={n}, ({i},{j})"
+        return True, ""
+
+    return dict(zip(SIGMA_CHECKS, (check_magnitude(), check_sigma_monotone(),
+                                   check_complement())))
+
+
+def old_rigorous_complement(base, n_max):
+    """The constant-base complement check as it was.  At b > 1, sigma_finite
+    takes both sides from the same sweep at 1/b, so it cannot fail."""
+    from vangeo import symfunc
+    b = base.evaluate(64)
+    for n in range(1, min(n_max, 10) + 1):
+        for i in range(n):
+            for j in range(n):
+                lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
+                if not lhs.overlaps(rhs):
+                    return False, f"complement identity at n={n}, ({i},{j})"
+    return True, ""
+
+
+def suite_results(base, n_max, matrices=None):
+    """{name: (ok, witness)} of the verify suite at the base."""
+    from vangeo import extremal
+    sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
+    if matrices is None:
+        matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
+    boxes = {n: extremal.verify_argmax_box(sizes[n]) for n in range(2, n_max + 1)}
+    suite = cli._verify_exact if base.is_exact else cli._verify_rigorous
+    return {name: (ok, witness) for name, ok, witness in suite(base, n_max, matrices, boxes)}
+
+
+def with_entry(inv, i, j, value):
+    entries = [list(row) for row in inv.entries]
+    entries[i][j] = value
+    return vandinv.InverseMatrix(n=inv.n, base=inv.base, backend=inv.backend,
+                                 provenance=inv.provenance,
+                                 entries=tuple(tuple(row) for row in entries))
+
+
+def drop_last_node(original):
+    def sweep(values, upto, one):
+        return original(list(values)[:-1] if len(values) >= 3 else values, upto, one)
+    return sweep
+
+
+def double_e2(original):
+    def sweep(values, upto, one):
+        e = original(values, upto, one)
+        if upto >= 2:
+            e[2] = e[2] * 2
+        return e
+    return sweep
+
+
+def corrupt_top_node(original):
+    def powers(x, n, skip):
+        pows = original(x, n, skip)
+        if pows:
+            pows[-1] = pows[-1] * 2
+        return pows
+    return powers
+
+
+class TestVerifySigmaRows:
+    """The shared sigma rows of verify against the per-(i, j) sigma_finite
+    loops they replaced: same pass/fail, same first witness."""
+
+    @pytest.mark.parametrize("text", ["2", "7/3", "3/2", "6/5"])
+    @pytest.mark.parametrize("fault", [(3, 0, 2, 2), (5, 1, 1, 1), (6, 4, 2, -1),
+                                       (4, 3, 3, 0), (1, 0, 0, Fraction(1, 7))])
+    def test_injected_matrix_fault(self, text, fault):
+        # fault (n, i, j, factor): entry (i, j) of the size-n inverse times factor
+        base = BaseSpec.parse(text)
+        n, i, j, factor = fault
+        matrices = {m: vandinv.inverse_matrix(vandinv.GeometricVandermonde(base, m))
+                    for m in range(1, 7)}
+        matrices[n] = with_entry(matrices[n], i, j, matrices[n].entries[i][j] * factor)
+        new = suite_results(base, 6, matrices)
+        old = old_exact_sigma_checks(base, 6, matrices)
+        assert {name: new[name] for name in SIGMA_CHECKS} == old
+        failed = abs(factor) != 1
+        assert new[SIGMA_CHECKS[0]][0] is not failed
+
+    @pytest.mark.parametrize("text", ["2", "7/3", "6/5"])
+    @pytest.mark.parametrize("corrupt", [drop_last_node, double_e2])
+    def test_corrupted_sweep(self, text, corrupt, monkeypatch):
+        from vangeo import symfunc
+        base = BaseSpec.parse(text)
+        matrices = {m: vandinv.inverse_matrix(vandinv.GeometricVandermonde(base, m))
+                    for m in range(1, 8)}
+        monkeypatch.setattr(symfunc, "elementary_symmetric",
+                            corrupt(symfunc.elementary_symmetric))
+        new = suite_results(base, 7, matrices)
+        old = old_exact_sigma_checks(base, 7, matrices)
+        assert {name: new[name] for name in SIGMA_CHECKS} == old
+        assert not all(ok for ok, _ in old.values())
+
+    @pytest.mark.parametrize("text", ["tau", "alpha"])
+    def test_constant_complement_agrees_when_sound(self, text):
+        base = BaseSpec.parse(text)
+        name = "complement identity (enclosure overlap, n <= 10)"
+        assert suite_results(base, 7)[name] == old_rigorous_complement(base, 7) == (True, "")
+
+    @pytest.mark.parametrize("text", ["tau", "alpha"])
+    def test_constant_complement_catches_a_corrupted_node(self, text, monkeypatch):
+        from vangeo import symfunc
+        monkeypatch.setattr(symfunc, "_node_powers", corrupt_top_node(symfunc._node_powers))
+        # the old check read both sides from one sweep at 1/b and passed
+        assert old_rigorous_complement(BaseSpec.parse(text), 5) == (True, "")
+        code, output = cli.run(["verify", "--base", text, "--n-max", "5"])
+        assert code == 1
+        assert ("[FAIL] complement identity (enclosure overlap, n <= 10): "
+                "complement identity at n=2, (1,0)") in output
+
+    def test_one_sweep_per_node_set(self, monkeypatch):
+        # verify --base 7/3 --n-max 10 sweeps each (n, j, x), x in {b, 1/b},
+        # once; sigma_finite runs only for the sigma top step
+        from collections import Counter
+        from vangeo import symfunc
+        sweeps, queries, depth = [], [], []
+        sweep, sigma = symfunc.elementary_symmetric, symfunc.sigma_finite
+
+        def counted_sweep(values, upto, one):
+            if not depth:
+                sweeps.append(tuple(values))
+            return sweep(values, upto, one)
+
+        def counted_sigma(q):
+            queries.append((q.i, q.j, q.n))
+            depth.append(q)
+            try:
+                return sigma(q)
+            finally:
+                depth.pop()
+        monkeypatch.setattr(symfunc, "elementary_symmetric", counted_sweep)
+        monkeypatch.setattr(symfunc, "sigma_finite", counted_sigma)
+        code, _ = cli.run(["verify", "--base", "7/3", "--n-max", "10"])
+        assert code == 0
+        # from n = 3 on, no node list at b is a node list at 1/b
+        longer = [nodes for nodes in sweeps if len(nodes) >= 2]
+        assert len(set(longer)) == len(longer)
+        assert Counter(len(nodes) + 1 for nodes in sweeps) \
+            == {n: 2 * n for n in range(1, 11)}
+        assert sorted(queries) == sorted(q for n in range(2, 11)
+                                         for q in ((n - 1, 1, n), (n - 2, 1, n)))
+
+
 class TestConjecture:
     def test_json_well_formed(self):
         payload = json.loads(run_ok(

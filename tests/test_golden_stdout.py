@@ -10,7 +10,9 @@ csv at tau, alpha and two rational bases, ``limit --tol 1e-10`` at the
 near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  The sizes
 ``max`` at n = 40, ``conjecture`` up to 30 and ``verify`` up to 12 at tau
 and alpha, and ``limit --tol 1e-10`` there, reach Z[theta] coefficients of
-hundreds of bits.  A change that moves any printed byte fails here.
+hundreds of bits.  ``verify`` at the exact bases 2, 7/3, 3/2, 13/10 and
+6/5 up to n = 12 pins the rational suite's output as well.  A change that
+moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
 
@@ -159,6 +161,26 @@ verify --base tau --n-max 12
 verify --base alpha --n-max 12
 limit --base tau --tol 1e-10 --format json
 limit --base alpha --tol 1e-10 --format json
+verify --base 2 --n-max 4
+verify --base 2 --n-max 7
+verify --base 2 --n-max 10
+verify --base 2 --n-max 12
+verify --base 7/3 --n-max 4
+verify --base 7/3 --n-max 7
+verify --base 7/3 --n-max 10
+verify --base 7/3 --n-max 12
+verify --base 3/2 --n-max 4
+verify --base 3/2 --n-max 7
+verify --base 3/2 --n-max 10
+verify --base 3/2 --n-max 12
+verify --base 13/10 --n-max 4
+verify --base 13/10 --n-max 7
+verify --base 13/10 --n-max 10
+verify --base 13/10 --n-max 12
+verify --base 6/5 --n-max 4
+verify --base 6/5 --n-max 7
+verify --base 6/5 --n-max 10
+verify --base 6/5 --n-max 12
 """
 
 # ``table`` is in two lists; a command is pinned once

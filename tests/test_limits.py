@@ -451,14 +451,14 @@ class TestReducedArgmax:
     def test_rational_bases(self, b):
         base = BaseSpec.rational(b.numerator, b.denominator)
         pairs = box(base)
-        assert _argmax(pairs, base) == dense_argmax(pairs, base)
+        assert _argmax([_closed_form(i, j) for i, j in pairs], base) == dense_argmax(pairs, base)
 
     @pytest.mark.parametrize("text", [
         "tau", "alpha", "2.32471795724474602596090885447809734073440405690173"])
     def test_constants_and_just_below_alpha(self, text):
         base = BaseSpec.parse(text)
         pairs = box(base)
-        best = _argmax(pairs, base)
+        best = _argmax([_closed_form(i, j) for i, j in pairs], base)
         assert best == dense_argmax(pairs, base)
         if text == "alpha":
             assert [pairs[k] for k in best] == [(0, 0), (1, 1)]

@@ -666,7 +666,7 @@ class TestExactSigns:
     def test_signs_build_no_ball(self, name, argmax, regime, monkeypatch):
         from vangeo import scalar
         from vangeo.extremal import n_zero, verify_argmax_box
-        from vangeo.limits import _argmax, classify_regime
+        from vangeo.limits import _argmax, _closed_form, classify_regime
         from vangeo.vandinv import ColumnForm, GeometricVandermonde
 
         def no_ball(*args):
@@ -678,7 +678,8 @@ class TestExactSigns:
         monkeypatch.setattr(ColumnForm, "value", lambda self, num, pi, bits: None)
         assert certified_poly_sign((-5, 0, 0, 1), base) == (-1 if name == "tau" else 1)
         top = n_zero(base)
-        assert _argmax([(i, j) for j in range(top + 1) for i in range(j + 1)], base) == argmax
+        forms = [_closed_form(i, j) for j in range(top + 1) for i in range(j + 1)]
+        assert _argmax(forms, base) == argmax
         assert classify_regime(base) == regime
         assert verify_argmax_box(GeometricVandermonde(base, 12)).passed
 
