@@ -8,9 +8,11 @@ Two numeric carriers are used throughout the package:
   midpoint is a dyadic rational held as an integer mantissa and exponent.
   Every operation returns an enclosure guaranteed to contain the true value;
   rounding errors are folded into the radius explicitly.  Ball steps (add,
-  multiply, compare, intersect, abs, the fused ``ball_dot``) are integer
-  operations on dyadics; Fractions appear only in division,
-  ``from_interval`` and printing.
+  multiply, compare, intersect, abs) are integer operations on dyadics; the
+  symmetric-function sweep, the residual dot product (``ball_dot``) and
+  Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
+  multiply-add.  Fractions appear only in division, ``from_interval`` and
+  printing.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
@@ -312,8 +314,9 @@ class RigorousReal:
             if other is NotImplemented:
                 return NotImplemented
         prec = self._prec if self._prec >= other._prec else other._prec
-        return _filled(*_ball_add(self._m, self._e, self._r, self._f,
-                                  other._m, other._e, other._r, other._f, prec), prec)
+        m, e = _dy_add(self._m, self._e, other._m, other._e)
+        r, f = _dy_add(self._r, self._f, other._r, other._f)
+        return _filled(*_normalize(m, e, r, f, prec), prec)
 
     __radd__ = __add__
 
@@ -335,7 +338,14 @@ class RigorousReal:
             if other is NotImplemented:
                 return NotImplemented
         prec = self._prec if self._prec >= other._prec else other._prec
-        return _filled(*_ball_mul(self, other, prec), prec)
+        m, e = self._m * other._m, self._e + other._e
+        if self._r == 0 and other._r == 0:
+            return _filled(*_normalize(m, e, 0, 0, prec), prec)
+        # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry
+        rm, rf = _dy_add(abs(self._m) * other._r, self._e + other._f,
+                         abs(other._m) * self._r, other._e + self._f)
+        rm, rf = _dy_add(rm, rf, self._r * other._r, self._f + other._f)
+        return _filled(*_normalize(m, e, rm, rf, prec), prec)
 
     __rmul__ = __mul__
 
@@ -415,36 +425,71 @@ def _filled(m: int, e: int, r: int, f: int, prec: int) -> RigorousReal:
     return x
 
 
-def _ball_mul(x: RigorousReal, y: RigorousReal, prec: int) -> Tuple[int, int, int, int]:
-    """Normalised fields of x * y."""
-    m, e = x._m * y._m, x._e + y._e
-    if x._r == 0 and y._r == 0:
-        return _normalize(m, e, 0, 0, prec)
-    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry
-    rm, rf = _dy_add(abs(x._m) * y._r, x._e + y._f, abs(y._m) * x._r, y._e + x._f)
-    rm, rf = _dy_add(rm, rf, x._r * y._r, x._f + y._f)
-    return _normalize(m, e, rm, rf, prec)
+Fields = Tuple[int, int, int, int, int]
+
+# the raw (m, e, r, f, prec) fields of a ball
+_fields = operator.attrgetter("_m", "_e", "_r", "_f", "_prec")
 
 
-def _ball_add(m: int, e: int, r: int, f: int, m2: int, e2: int, r2: int, f2: int,
-              prec: int) -> Tuple[int, int, int, int]:
-    """Normalised fields of the sum of the balls (m, e, r, f) and (m2, e2, r2, f2)."""
-    m, e = _dy_add(m, e, m2, e2)
-    r, f = _dy_add(r, f, r2, f2)
-    return _normalize(m, e, r, f, prec)
+def _ball_mul_add(acc: Fields, x: Fields, y: Fields) -> Fields:
+    """Raw fields of acc + x*y, with the roundings of RigorousReal's ``*``
+    then ``+``: the product is normalised at p, the larger of x's and y's
+    precisions, then the sum at the larger of p and acc's.  The sum is
+    symmetric, so Horner's acc*x + c is this step with c as acc.  It is the
+    inner step of the ball sweep, the ball residual and Horner, so both
+    _normalize calls are inlined."""
+    m, e, r, f, prec = acc
+    xm, xe, xr, xf, p = x
+    ym, ye, yr, yf, yp = y
+    if yp > p:
+        p = yp
+    if p > prec:
+        prec = p
+    pm, pe = xm * ym, xe + ye
+    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__
+    rm, rf = _dy_add(abs(xm) * yr, xe + yf, abs(ym) * xr, ye + xf)
+    rm, rf = _dy_add(rm, rf, xr * yr, xf + yf)
+    # _normalize(pm, pe, rm, rf, p), inlined
+    bl = pm.bit_length()
+    if bl > p:
+        s = bl - p
+        q, rem = pm >> s, pm & ((1 << s) - 1)
+        if rem:
+            q += rem >> (s - 1)
+            rm, rf = _dy_add(rm, rf, 1, pe + s - 1) if rm else (1, pe + s - 1)
+        pm, pe = q, pe + s
+    if rm.bit_length() > _RAD_BITS:
+        rm, rf = _dy_ceil_trim(rm, rf, _RAD_BITS)
+    # a zero pm or rm keeps its exponent: the sum below drops it, and a zero sum is normalised
+    m, e = _dy_add(m, e, pm, pe)
+    r, f = _dy_add(r, f, rm, rf)
+    # _normalize(m, e, r, f, prec), inlined
+    bl = m.bit_length()
+    if bl > prec:
+        s = bl - prec
+        q, rem = m >> s, m & ((1 << s) - 1)
+        if rem:
+            q += rem >> (s - 1)
+            r, f = _dy_add(r, f, 1, e + s - 1) if r else (1, e + s - 1)
+        m, e = q, e + s
+    if m == 0:
+        e = 0
+    if r == 0:
+        f = 0
+    elif r.bit_length() > _RAD_BITS:
+        r, f = _dy_ceil_trim(r, f, _RAD_BITS)
+    return m, e, r, f, prec
 
 
-def ball_dot(start: RigorousReal, xs: Sequence[RigorousReal],
-             ys: Sequence[RigorousReal]) -> RigorousReal:
-    """start + x_0*y_0 + x_1*y_1 + ..., left to right: the same roundings as
-    the loop of ``*`` and ``+``, on raw fields, building only the final ball."""
-    m, e, r, f, prec = start._m, start._e, start._r, start._f, start._prec
+def ball_dot(start: RigorousReal, xs: Sequence[Fields], ys: Sequence[Fields]) -> RigorousReal:
+    """start + x_0*y_0 + x_1*y_1 + ..., left to right, over the raw fields
+    (_fields) of the balls x_k and y_k: the same roundings as the loop of
+    ``*`` and ``+``, building only the final ball.  Callers that reuse a
+    vector across dot products convert it once."""
+    acc = _fields(start)
     for x, y in zip(xs, ys):
-        p = x._prec if x._prec >= y._prec else y._prec
-        if p > prec:
-            prec = p
-        m, e, r, f = _ball_add(m, e, r, f, *_ball_mul(x, y, p), prec)
-    return _filled(m, e, r, f, prec)
+        acc = _ball_mul_add(acc, x, y)
+    return _filled(*acc)
 
 
 def max_abs(values: Iterable[RigorousReal], prec: int) -> RigorousReal:
@@ -492,10 +537,15 @@ def poly_eval(coeffs: Sequence[Union[int, Fraction]], x: Fraction) -> Fraction:
 
 
 def poly_eval_ball(coeffs: Sequence[Union[int, Fraction]], x: RigorousReal) -> RigorousReal:
-    acc = RigorousReal.exact(0, x.precision_bits)
+    """Horner's acc*x + c on raw fields, with c as the fused step's addend:
+    the balls of the loop over RigorousReal.exact(c) and ``*``, ``+``."""
+    prec, x = x._prec, _fields(x)
+    acc = (0, 0, 0, 0, prec)
     for c in reversed(coeffs):
-        acc = acc * x + RigorousReal.exact(c, x.precision_bits)
-    return acc
+        c = (*_normalize(c, 0, 0, 0, prec), prec) if type(c) is int \
+            else _fields(RigorousReal.exact(c, prec))
+        acc = _ball_mul_add(c, acc, x)
+    return _filled(*acc)
 
 
 def reduce_monic(coeffs: Iterable[int], modulus: Sequence[int]) -> Tuple[int, ...]:
@@ -515,7 +565,8 @@ def reduce_monic(coeffs: Iterable[int], modulus: Sequence[int]) -> Tuple[int, ..
 class ZTheta:
     """An element of Z[theta] as its integer coefficients (ascending), already
     reduced (reduce_monic) modulo the minimal polynomial of theta, which is
-    monic."""
+    monic.  Theta is tau or alpha, of degree 2 or 3; a product is
+    straight-line code that reduces top-down as reduce_monic does."""
 
     __slots__ = ("coefficients", "modulus")
 
@@ -524,19 +575,35 @@ class ZTheta:
         self.modulus = modulus
 
     def __add__(self, other: "ZTheta") -> "ZTheta":
-        return ZTheta(map(operator.add, self.coefficients, other.coefficients), self.modulus)
+        return _ztheta([a + b for a, b in zip(self.coefficients, other.coefficients)],
+                       self.modulus)
 
     def __sub__(self, other: "ZTheta") -> "ZTheta":
-        return ZTheta(map(operator.sub, self.coefficients, other.coefficients), self.modulus)
+        return _ztheta([a - b for a, b in zip(self.coefficients, other.coefficients)],
+                       self.modulus)
 
     def __mul__(self, other: Union[int, "ZTheta"]) -> "ZTheta":
+        modulus = self.modulus
         if isinstance(other, int):
-            return ZTheta((c * other for c in self.coefficients), self.modulus)
-        product = [0] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for s, a in enumerate(self.coefficients):
-            for t, b in enumerate(other.coefficients):
-                product[s + t] += a * b
-        return ZTheta(reduce_monic(product, self.modulus), self.modulus)
+            return _ztheta([c * other for c in self.coefficients], modulus)
+        x, y = self.coefficients, other.coefficients
+        if len(modulus) == 3:
+            (a0, a1), (b0, b1), (m0, m1, _) = x, y, modulus
+            top = a1 * b1
+            return _ztheta((a0 * b0 - top * m0, a0 * b1 + a1 * b0 - top * m1), modulus)
+        (a0, a1, a2), (b0, b1, b2), (m0, m1, m2, _) = x, y, modulus
+        top = a2 * b2
+        next_top = a1 * b2 + a2 * b1 - top * m2
+        return _ztheta((a0 * b0 - next_top * m0,
+                        a0 * b1 + a1 * b0 - top * m0 - next_top * m1,
+                        a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
+
+
+def _ztheta(coefficients: Sequence[int], modulus: Sequence[int]) -> ZTheta:
+    """A ZTheta with these coefficients, as a tuple, past __init__."""
+    z = object.__new__(ZTheta)
+    z.coefficients, z.modulus = tuple(coefficients), modulus
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple, Union
 
 from .errors import DomainError, SizeError
-from .scalar import Numeric, RigorousReal
+from .scalar import Numeric, RigorousReal, _ball_mul_add, _fields, _filled
 
 _BRUTEFORCE_MAX_N = 20
 _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
@@ -57,12 +57,19 @@ def elementary_symmetric(values: Sequence, upto: int, one) -> List:
     """e_0..e_upto of the given sequence via the standard recurrence.
 
     Generic over the coefficient ring: ``one`` must be the ring's unit.
+    When ``one`` and every value are RigorousReal, the same recurrence runs
+    on raw ball fields, one fused multiply-add per step, with the roundings
+    of the generic loop.
     """
     zero = one * 0
+    if isinstance(one, RigorousReal) and all(isinstance(x, RigorousReal) for x in values):
+        e = [_fields(one)] + [_fields(zero)] * upto
+        for folded, x in enumerate(map(_fields, values), 1):
+            for k in range(min(folded, upto), 0, -1):
+                e[k] = _ball_mul_add(e[k], x, e[k - 1])
+        return [_filled(*t) for t in e]
     e = [one] + [zero] * upto
-    folded = 0
-    for x in values:
-        folded += 1
+    for folded, x in enumerate(values, 1):
         for k in range(min(folded, upto), 0, -1):
             e[k] = e[k] + x * e[k - 1]
     return e

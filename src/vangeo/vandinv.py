@@ -34,7 +34,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, ball_dot, fraction_to_sci, max_abs, poly_eval_ball)
+                     ZTheta, _fields, ball_dot, fraction_to_sci, max_abs,
+                     poly_eval_ball)
 from .symfunc import elementary_symmetric
 
 _GAUSSIAN_MAX_N = 64
@@ -360,8 +361,8 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         return worst
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)
-    v = vandermonde_matrix(gv, prec)
+    rows = [list(map(_fields, row)) for row in vandermonde_matrix(gv, prec)]
+    columns = [list(map(_fields, column)) for column in zip(*inv.entries)]
     starts = (RigorousReal.exact(0, prec), RigorousReal.exact(-1, prec))
-    columns = list(zip(*inv.entries))
     return max_abs((ball_dot(starts[i == j], row, column)
-                    for i, row in enumerate(v) for j, column in enumerate(columns)), prec)
+                    for i, row in enumerate(rows) for j, column in enumerate(columns)), prec)

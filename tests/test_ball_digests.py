@@ -1,0 +1,60 @@
+"""Pinned raw fields of the ball paths at tau and alpha.
+
+Golden stdout prints three digits of each radius, so a one-ulp drift in a
+midpoint or a radius would pass it.  These digests hash the raw
+(m, e, r, f, prec) fields of every ball that the inverse kernel, the ball
+residual and the ball Horner produce on a fixed grid; any change in their
+roundings changes a digest.
+"""
+
+import hashlib
+
+import pytest
+
+from vangeo.limits import _closed_form
+from vangeo.scalar import BaseSpec, poly_eval_ball
+from vangeo.vandinv import GeometricVandermonde, inverse_matrix, residual_norm
+
+
+def fields(x):
+    return x._m, x._e, x._r, x._f, x._prec
+
+
+def digest(balls):
+    return hashlib.sha256(repr([fields(x) for x in balls]).encode()).hexdigest()[:16]
+
+
+INVERSE_DIGESTS = {
+    ("tau", 64): "0ec46fe2261f7e86",
+    ("tau", 256): "4b735174ab7535d9",
+    ("alpha", 64): "bad43cc76ca3b059",
+    ("alpha", 256): "571fb5653d4db11e",
+}
+
+HORNER_DIGESTS = {
+    ("1.03", 64): "b6ea0a437c3fc591",
+    ("1.03", 256): "d5c94f4aae2133cb",
+    ("tau", 64): "8f2b9ae49590390f",
+    ("tau", 256): "08e33ae7e8a9a82d",
+}
+
+
+@pytest.mark.parametrize("name,bits", sorted(INVERSE_DIGESTS))
+def test_inverse_and_residual_fields(name, bits):
+    balls = []
+    for n in (1, 2, 5, 13, 21):
+        gv = GeometricVandermonde(BaseSpec.parse(name), n)
+        inv = inverse_matrix(gv, bits)
+        balls += [x for row in inv.entries for x in row]
+        balls.append(residual_norm(gv, inv))
+    assert digest(balls) == INVERSE_DIGESTS[name, bits]
+
+
+@pytest.mark.parametrize("name,bits", sorted(HORNER_DIGESTS))
+def test_horner_fields(name, bits):
+    b = BaseSpec.parse(name).evaluate(bits)
+    balls = []
+    for i, j in ((0, 0), (1, 3), (4, 2), (7, 9), (12, 15)):
+        num, den = _closed_form(i, j)
+        balls += [poly_eval_ball(num, b), poly_eval_ball(den, b)]
+    assert digest(balls) == HORNER_DIGESTS[name, bits]

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
-                           RigorousReal, ZTheta, _dy_ceil_trim, _dy_round,
-                           _filled, _floor_log10, _frac_to_dyadic, _normalize,
-                           ball_dot, bisect_root, certified_poly_sign,
-                           evaluate_base, fraction_to_decimal, fraction_to_sci,
+                           RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
+                           _dy_round, _filled, _floor_log10, _frac_to_dyadic,
+                           _normalize, ball_dot, bisect_root,
+                           certified_poly_sign, evaluate_base,
+                           fraction_to_decimal, fraction_to_sci,
                            max_abs, poly_eval, poly_eval_ball, reduce_monic,
                            resolve_precision_ceiling)
+from vangeo.symfunc import elementary_symmetric
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
 _S = math.isqrt(5 << 1200)
@@ -266,6 +268,22 @@ def old_dot(start, xs, ys):
     return acc
 
 
+def old_sweep(values, upto, one):
+    """The generic e_k <- e_k + x e_(k-1) loop over RigorousReal objects."""
+    e = [one] + [one * 0] * upto
+    for folded, x in enumerate(values, 1):
+        for k in range(min(folded, upto), 0, -1):
+            e[k] = e[k] + x * e[k - 1]
+    return e
+
+
+def old_horner(coeffs, x):
+    acc = RigorousReal.exact(0, x.precision_bits)
+    for c in reversed(coeffs):
+        acc = acc * x + RigorousReal.exact(c, x.precision_bits)
+    return acc
+
+
 def ends(x):
     m, e, r, f, _ = x
     return Fraction(m) * Fraction(2) ** e - r * Fraction(2) ** f, \
@@ -331,6 +349,24 @@ def balls(draw, near=None):
 
 
 @st.composite
+def sweeps(draw):
+    """Up to 12 nodes, some exact, at mixed precisions; upto below or at the
+    node count; the unit at a precision of its own."""
+    exact_balls = st.tuples(mantissas, exponents, precisions).map(
+        lambda t: (*old_normalize(t[0], t[1], 0, 0, t[2]), t[2]))
+    nodes = draw(st.lists(st.one_of(balls(), exact_balls), max_size=12))
+    upto = draw(st.one_of(st.just(len(nodes)), st.integers(0, len(nodes))))
+    return nodes, upto, draw(precisions)
+
+
+# integers wider than a small precision, and non-dyadic fractions, whose
+# enclosures carry a radius
+coefficients = st.one_of(
+    st.integers(-2 ** 1200, 2 ** 1200), st.integers(-70, 70),
+    st.fractions(max_denominator=10 ** 40).filter(lambda c: c.denominator & (c.denominator - 1)))
+
+
+@st.composite
 def overlapping_pairs(draw):
     near = (draw(st.integers(-2 ** 80, 2 ** 80)), draw(exponents))
     return draw(balls(near)), draw(balls(near))
@@ -370,9 +406,28 @@ class TestDyadicOracles:
     @settings(max_examples=150, deadline=None)
     def test_ball_dot(self, start, pairs):
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
-        got = ball_dot(raw_ball(start), [raw_ball(x) for x in xs],
-                       [raw_ball(y) for y in ys])
+        got = ball_dot(raw_ball(start), xs, ys)
         assert fields(got) == old_dot(start, xs, ys)
+
+    @given(acc=balls(), x=balls(), y=balls())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_add(self, acc, x, y):
+        assert _ball_mul_add(acc, x, y) == old_add(acc, old_mul(x, y))
+
+    @given(sweep=sweeps())
+    @settings(max_examples=150, deadline=None)
+    def test_ball_sweep(self, sweep):
+        nodes, upto, prec = sweep
+        one = RigorousReal.exact(1, prec)
+        got = elementary_symmetric([raw_ball(x) for x in nodes], upto, one)
+        assert [fields(t) for t in got] \
+            == [fields(t) for t in old_sweep([raw_ball(x) for x in nodes], upto, one)]
+
+    @given(coeffs=st.lists(coefficients, max_size=12), x=balls())
+    @settings(max_examples=150, deadline=None)
+    def test_poly_eval_ball(self, coeffs, x):
+        assert fields(poly_eval_ball(coeffs, raw_ball(x))) \
+            == fields(old_horner(coeffs, raw_ball(x)))
 
     @given(pair=st.one_of(overlapping_pairs(), st.tuples(balls(), balls())))
     @settings(max_examples=300, deadline=None)

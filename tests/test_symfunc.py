@@ -119,6 +119,14 @@ class TestElementarySymmetric:
         e = elementary_symmetric(values, len(values), 1)
         assert e == coeffs[:len(values) + 1]
 
+    def test_ball_unit_with_int_and_fraction_values(self):
+        # the generic recurrence coerces a non-ball value through RigorousReal.__rmul__
+        values = [2, Fraction(1, 3), RigorousReal.exact(5, 64)]
+        e = elementary_symmetric(values, 3, RigorousReal.exact(1, 64))
+        assert all(isinstance(t, RigorousReal) for t in e)
+        for t, exact in zip(e, [1, Fraction(22, 3), Fraction(37, 3), Fraction(10, 3)]):
+            assert t.contains(exact)
+
 
 class TestStructure:
     def test_j_monotonicity_both_directions(self):
