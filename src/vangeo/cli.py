@@ -11,6 +11,11 @@ Subcommands expose every library operation:
 * ``verify``      run the full invariant/verification suite up to an n bound
 * ``conjecture``  diagonal-argmax scan (report only, never a failure)
 
+``verify`` runs one suite whose checks are each written once; each base kind
+(p/q, or the constants tau and alpha) has its own ordered list of checks,
+and the checks it shares with the other kind differ only in the comparison
+they use: exact signs over Fractions, certified signs over balls.
+
 Exit status: 0 all checks pass, 1 a verification check failed, 2 usage or
 domain error.  Output is deterministic: identical flags give identical bytes.
 """
@@ -19,7 +24,9 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -28,8 +35,8 @@ from typing import List, Optional, Tuple
 
 from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
-from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     fraction_to_decimal, fraction_to_sci, resolve_precision_ceiling)
+from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
+                     certified_poly_sign, fraction_to_sci, resolve_precision_ceiling)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -65,16 +72,6 @@ def _parse_range(text: str) -> Tuple[int, int]:
     except ValueError:
         raise ParseError(f"range bounds must be integers, got {text!r}") from None
     return lo, hi
-
-
-def _decimal(value: Numeric, digits: int) -> str:
-    if isinstance(value, RigorousReal):
-        return value.decimal(digits)
-    return fraction_to_decimal(Fraction(value), digits)
-
-
-def _pairs(argmax) -> str:
-    return " ".join(f"({i},{j})" for i, j in argmax)
 
 
 # ---------------------------------------------------------------------------
@@ -123,10 +120,10 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     if fmt.kind == "csv":
         pairs = ";".join(f"{i}:{j}" for i, j in report.argmax)
         return 0, (f"{base.display()},{n},{report.n_zero},"
-                   f"{_decimal(report.max_value, fmt.digits)},{pairs},"
+                   f"{extremal.format_decimal(report.max_value, fmt.digits)},{pairs},"
                    f"{str(report.diagonal_argmax).lower()},false")
-    lines = [f"max = {_decimal(report.max_value, fmt.digits)}",
-             f"argmax = {_pairs(report.argmax)}",
+    lines = [f"max = {extremal.format_decimal(report.max_value, fmt.digits)}",
+             f"argmax = {extremal.format_pairs(report.argmax)}",
              f"n0 = {report.n_zero}",
              f"diagonal = {str(report.diagonal_argmax).lower()}"]
     return 0, "\n".join(lines)
@@ -149,7 +146,7 @@ def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
                      f"cutoffs sigma {e.sigma_cutoff}, product {e.product_cutoff})")
     lines.append(f"n0 = {report.n_zero}")
     lines.append(f"max = {report.value.decimal(fmt.digits)}")
-    lines.append(f"argmax = {_pairs(report.argmax)}")
+    lines.append(f"argmax = {extremal.format_pairs(report.argmax)}")
     lines.append(f"regime = {report.regime}" + (" (boundary)" if report.boundary else ""))
     return 0, "\n".join(lines)
 
@@ -213,45 +210,102 @@ def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tup
     return (1 if failed else 0), "\n".join(lines)
 
 
-def _sigma_rows(num: int, den: int, n_top: int) -> dict:
-    """rows[n][j][k] = den^((n-1)k) * sigma_{k,j,n}(num/den) for k < n <= n_top.
+def _sigma_rows(node_lists, one) -> dict:
+    """rows[n][j][k] = e_k of the n nodes without node j, for each list of n
+    nodes: one elementary_symmetric sweep per (n, j) gives every k at once.
 
-    One elementary_symmetric sweep per (n, j) over the integer nodes
-    num^h den^(n-1-h), h != j, gives the scaled sigma for every k at once.
+    The integer nodes p^h q^(n-1-h) of b = p/q give q^((n-1)k) sigma_{k,j,n}(b);
+    the powers b^h give sigma_{k,j,n}(b) itself.
     """
-    rows = {}
-    for n in range(1, n_top + 1):
-        nodes = [num ** h * den ** (n - 1 - h) for h in range(n)]
-        rows[n] = [symfunc.elementary_symmetric(nodes[:j] + nodes[j + 1:], n - 1, 1)
-                   for j in range(n)]
-    return rows
+    return {len(nodes): [symfunc.elementary_symmetric(nodes[:j] + nodes[j + 1:],
+                                                      len(nodes) - 1, one)
+                         for j in range(len(nodes))]
+            for nodes in node_lists}
 
 
-def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
-    """Invariant suite for exact rational bases.  Yields (name, ok, witness).
+def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
+    """The invariant suite for one base.  Yields (name, ok, witness).
 
-    The magnitude, sigma j-monotonicity and complement checks read integer
-    sigma rows, one elementary_symmetric sweep per (n, j, x) with x = b or
-    1/b (_sigma_rows), and decide in integers.  The rows at b and at 1/b are
-    separate sweeps, so the two sides of the complement identity come from
-    independent computations.  The sigma top step keeps sigma_finite.
+    Each check is written once.  A base kind picks the comparisons its
+    numbers allow (exact integer and Fraction signs at p/q, certified ball
+    signs at tau and alpha) and one ordered tuple of (name, check): the
+    checks it runs, in the order it prints them.  sizes, matrices and boxes
+    hold the matrix, its inverse and its box report for each n.
+
+    At p/q the magnitude, sigma j-monotonicity and complement checks read
+    integer sigma rows at b and at 1/b, separate sweeps, so the two sides of
+    the complement identity come from independent computations.  At tau and
+    alpha the complement check sets one ball sweep at b against sigma_finite
+    at 1/b, again two independent computations, and b^t times the second
+    must overlap the first.
     """
-    b = base.exact_value()
-    p, q = b.numerator, b.denominator
-    rows_b = _sigma_rows(p, q, min(n_max, 12))
-    rows_inv = _sigma_rows(q, p, min(n_max, 10))
+    n_max = len(sizes)
+    n0 = extremal.n_zero(base)
+    if base.is_exact:
+        b = base.exact_value()
+        p, q = b.numerator, b.denominator
+        rows_b = _sigma_rows(([p ** h * q ** (n - 1 - h) for h in range(n)]
+                              for n in range(1, min(n_max, 12) + 1)), 1)
+        rows_inv = _sigma_rows(([q ** h * p ** (n - 1 - h) for h in range(n)]
+                                for n in range(1, min(n_max, 10) + 1)), 1)
 
-    def check_identity():
+        def sign(x):
+            return (x > 0) - (x < 0)
+        le, residual_witness = operator.le, "V*C != I"
+    else:
+        b = base.evaluate(DEFAULT_PRECISION_BITS)
+        powers = list(itertools.accumulate([b] * (min(n_max, 10) - 1), operator.mul,
+                                           initial=b ** 0))
+        rows_b = _sigma_rows((powers[:n] for n in range(1, len(powers) + 1)), powers[0])
+        sign, le = RigorousReal.sign, RigorousReal.certainly_le
+        residual_witness = "residual enclosure excludes 0"
+
+    def check_residual():
+        # a ball contains 0 exactly when its sign is 0 or undecided
         for n in range(1, n_max + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            if vandinv.residual_norm(gv, matrices[n]) != 0:
-                return False, f"V*C != I at n={n}"
+            if sign(vandinv.residual_norm(sizes[n], matrices[n])) not in (0, None):
+                return False, f"{residual_witness} at n={n}"
         return True, ""
+
+    def check_signs():
+        for n in range(1, n_max + 1):
+            e = matrices[n].entries
+            for i in range(n):
+                for j in range(n):
+                    if sign(e[i][j]) != (-1 if (i + j) % 2 else 1):
+                        return False, f"sign of entry ({i},{j}) at n={n}"
+        return True, ""
+
+    def check_pi_monotone():
+        for n in range(2, n_max + 1):
+            for j in range(n0, n - 1):
+                if not le(vandinv.pi_product(j, n, b), vandinv.pi_product(j + 1, n, b)):
+                    return False, f"pi monotonicity at n={n}, j={j}"
+        return True, ""
+
+    def check_box():
+        for n, report in boxes.items():
+            if not report.passed:
+                return False, f"argmax box at n={n}: witnesses {report.witnesses}"
+        return True, ""
+
+    def check_diagonal():
+        for n in range(2, n_max + 1):
+            report = extremal.verify_leading_diagonal_max(sizes[n],
+                                                          max_report=boxes[n].max_report)
+            if not report.passed:
+                return False, f"leading-diagonal max at n={n}"
+        return True, ""
+
+    def diagonal(name):
+        # b >= golden ratio  <=>  b^2 - b - 1 >= 0   (b > 1)
+        if certified_poly_sign(TAU_POLYNOMIAL, base) >= 0:
+            return name, check_diagonal
+        return "leading-diagonal max", lambda: (None, "skipped: base below the golden ratio")
 
     def check_oracle():
         for n in range(1, min(n_max, 12) + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            if vandinv.gaussian_inverse(gv).entries != matrices[n].entries:
+            if vandinv.gaussian_inverse(sizes[n]).entries != matrices[n].entries:
                 return False, f"closed form != elimination oracle at n={n}"
         return True, ""
 
@@ -262,16 +316,6 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
                 for j in range(i + 1, n):
                     if e[i][j] != e[j][i]:
                         return False, f"entry ({i},{j}) != ({j},{i}) at n={n}"
-        return True, ""
-
-    def check_signs():
-        for n in range(1, n_max + 1):
-            e = matrices[n].entries
-            for i in range(n):
-                for j in range(n):
-                    expected = -1 if (i + j) % 2 else 1
-                    if (e[i][j] > 0) - (e[i][j] < 0) != expected:
-                        return False, f"sign of entry ({i},{j}) at n={n}"
         return True, ""
 
     def check_magnitude():
@@ -295,14 +339,6 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
                 rhs = (b ** (n + j - 1) - b ** (n - 2)) / (b ** (n - 1) - b ** j)
                 if lhs != rhs:
                     return False, f"pi ratio identity at n={n}, j={j}"
-        return True, ""
-
-    def check_pi_monotone():
-        n0 = extremal.n_zero(b)
-        for n in range(2, n_max + 1):
-            for j in range(n0, n - 1):
-                if vandinv.pi_product(j, n, b) > vandinv.pi_product(j + 1, n, b):
-                    return False, f"pi monotonicity at n={n}, j={j}"
         return True, ""
 
     def check_sigma_monotone():
@@ -331,10 +367,15 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 
-    def check_box():
-        for n, report in boxes.items():
-            if not report.passed:
-                return False, f"argmax box at n={n}: witnesses {report.witnesses}"
+    def check_complement_overlap():
+        inv_b = 1 / b
+        for n, rows in rows_b.items():
+            scales = [b ** (n * (n - 1) // 2 - j) for j in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    rhs = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, inv_b))
+                    if not rows[j][n - 1 - i].overlaps(scales[j] * rhs):
+                        return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 
     def check_sigma_step():
@@ -345,123 +386,42 @@ def _verify_exact(base: BaseSpec, n_max: int, matrices, boxes):
                 return False, f"sigma step at n={n}"
         return True, ""
 
-    yield "inversion identity V*C = I", *check_identity()
-    yield "elimination-oracle equality (n <= 12)", *check_oracle()
-    yield "symmetry", *check_symmetry()
-    yield "checkerboard signs", *check_signs()
-    yield "magnitude formula |c|*pi = sigma (n <= 12)", *check_magnitude()
-    yield "pi ratio identity", *check_pi_ratio()
-    yield "pi monotonicity above n0", *check_pi_monotone()
-    yield "sigma j-monotonicity (n <= 10)", *check_sigma_monotone()
-    yield "complement identity (n <= 10)", *check_complement()
-    yield "argmax box localization", *check_box()
-    yield "sigma top step (dropping the largest exponent)", *check_sigma_step()
-    if b * b >= b + 1:
-        def check_diag():
-            for n in range(2, n_max + 1):
-                gv = vandinv.GeometricVandermonde(base, n)
-                report = extremal.verify_leading_diagonal_max(
-                    gv, max_report=boxes[n].max_report)
-                if not report.passed:
-                    return False, f"leading-diagonal max at n={n}"
-            return True, ""
-        yield "leading-diagonal max (base >= golden ratio)", *check_diag()
+    if base.is_exact:
+        checks = (("inversion identity V*C = I", check_residual),
+                  ("elimination-oracle equality (n <= 12)", check_oracle),
+                  ("symmetry", check_symmetry),
+                  ("checkerboard signs", check_signs),
+                  ("magnitude formula |c|*pi = sigma (n <= 12)", check_magnitude),
+                  ("pi ratio identity", check_pi_ratio),
+                  ("pi monotonicity above n0", check_pi_monotone),
+                  ("sigma j-monotonicity (n <= 10)", check_sigma_monotone),
+                  ("complement identity (n <= 10)", check_complement),
+                  ("argmax box localization", check_box),
+                  ("sigma top step (dropping the largest exponent)", check_sigma_step),
+                  diagonal("leading-diagonal max (base >= golden ratio)"))
     else:
-        yield "leading-diagonal max", None, "skipped: base below the golden ratio"
-
-
-def _verify_rigorous(base: BaseSpec, n_max: int, matrices, boxes):
-    """Certified-enclosure suite for algebraic constant bases.
-
-    The complement check takes sigma_{k,j,n}(b) for every k from one direct
-    ball sweep per (n, j) over the powers of b, and sigma_{i,j,n}(1/b) from
-    sigma_finite at 1/b.  The two sides are independent computations, and
-    b^t times the second must overlap the first.
-    """
-    precision = DEFAULT_PRECISION_BITS
-
-    def check_residual():
-        for n in range(1, n_max + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            residual = vandinv.residual_norm(gv, matrices[n])
-            if not residual.contains(0):
-                return False, f"residual enclosure excludes 0 at n={n}"
-        return True, ""
-
-    def check_signs():
-        for n in range(1, n_max + 1):
-            e = matrices[n].entries
-            for i in range(n):
-                for j in range(n):
-                    expected = -1 if (i + j) % 2 else 1
-                    if e[i][j].sign() != expected:
-                        return False, f"sign of entry ({i},{j}) at n={n}"
-        return True, ""
-
-    def check_box():
-        for n, report in boxes.items():
-            if not report.passed:
-                return False, f"argmax box at n={n}: witnesses {report.witnesses}"
-        return True, ""
-
-    def check_diag():
-        for n in range(2, n_max + 1):
-            gv = vandinv.GeometricVandermonde(base, n)
-            report = extremal.verify_leading_diagonal_max(gv, precision,
-                                                          max_report=boxes[n].max_report)
-            if not report.passed:
-                return False, f"leading-diagonal max at n={n}"
-        return True, ""
-
-    def check_complement():
-        # sigma_{n-1-i,j,n}(b) = b^t sigma_{i,j,n}(1/b), t = n(n-1)/2 - j
-        b = base.evaluate(precision)
-        inv_b = 1 / b
-        n_top = min(n_max, 10)
-        pows = vandinv._base_powers(b, n_top)
-        for n in range(1, n_top + 1):
-            rows = [symfunc.elementary_symmetric(pows[:j] + pows[j + 1:n], n - 1, pows[0])
-                    for j in range(n)]
-            scales = [b ** (n * (n - 1) // 2 - j) for j in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    rhs = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, inv_b))
-                    if not rows[j][n - 1 - i].overlaps(scales[j] * rhs):
-                        return False, f"complement identity at n={n}, ({i},{j})"
-        return True, ""
-
-    def check_pi_monotone():
-        b = base.evaluate(precision)
-        n0 = extremal.n_zero(base)
-        for n in range(2, n_max + 1):
-            for j in range(n0, n - 1):
-                lhs = vandinv.pi_product(j, n, b)
-                rhs = vandinv.pi_product(j + 1, n, b)
-                if not lhs.certainly_le(rhs):
-                    return False, f"pi monotonicity at n={n}, j={j}"
-        return True, ""
-
-    yield "residual enclosure contains 0", *check_residual()
-    yield "checkerboard signs (certified)", *check_signs()
-    yield "argmax box localization (certified)", *check_box()
-    yield "leading-diagonal max (certified)", *check_diag()
-    yield "complement identity (enclosure overlap, n <= 10)", *check_complement()
-    yield "pi monotonicity above n0 (certified)", *check_pi_monotone()
+        checks = (("residual enclosure contains 0", check_residual),
+                  ("checkerboard signs (certified)", check_signs),
+                  ("argmax box localization (certified)", check_box),
+                  diagonal("leading-diagonal max (certified)"),
+                  ("complement identity (enclosure overlap, n <= 10)",
+                   check_complement_overlap),
+                  ("pi monotonicity above n0 (certified)", check_pi_monotone))
+    for name, check in checks:
+        yield name, *check()
 
 
 def cmd_verify(base: BaseSpec, n_max: int) -> Tuple[int, str]:
     if n_max < 2:
         raise DomainError(f"need n_max >= 2, got {n_max}")
-    # each inverse and each box report (with its max_entry) is computed once
-    # and shared by the suite and the diagonal-argmax scan line
+    # each matrix object (with its column form), inverse and box report (with
+    # its max_entry) is built once and shared by the suite and the scan line
     sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
     matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
     boxes = {n: extremal.verify_argmax_box(sizes[n]) for n in range(2, n_max + 1)}
-    verify_suite = _verify_exact if base.is_exact else _verify_rigorous
-    suite = verify_suite(base, n_max, matrices, boxes)
     lines = [f"verification suite for base {base.display()}, n up to {n_max}"]
     failures = 0
-    for name, ok, witness in suite:
+    for name, ok, witness in _verify_suite(base, sizes, matrices, boxes):
         if ok is None:
             lines.append(f"  [skip] {name}: {witness}")
         elif ok:
@@ -484,7 +444,7 @@ def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
     if fmt.kind == "json":
         return 0, scan.to_json(fmt.digits)
     if fmt.kind == "csv":
-        rows = [f"{r.n},{r.n_zero},{_decimal(r.max_value, fmt.digits)},"
+        rows = [f"{r.n},{r.n_zero},{extremal.format_decimal(r.max_value, fmt.digits)},"
                 + ";".join(f"{i}:{j}" for i, j in r.argmax)
                 + f",{str(r.diagonal).lower()}" for r in scan.records]
         return 0, "\n".join(rows)

@@ -34,10 +34,16 @@ IndexPair = Tuple[int, int]
 _N_ZERO_MAX_BITS = 1 << 22     # n0 * log2(p): the size of the powers confirming n0 of p/q
 
 
-def _decimal(value: Numeric, digits: int) -> str:
+def format_decimal(value: Numeric, digits: int) -> str:
+    """A maximum as printed: digits significant decimals of a Fraction or a ball."""
     if isinstance(value, RigorousReal):
         return value.decimal(digits)
     return fraction_to_decimal(Fraction(value), digits)
+
+
+def format_pairs(pairs) -> str:
+    """Index pairs as printed: "(0,0) (1,1)"."""
+    return " ".join(f"({i},{j})" for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,7 @@ class MaxReport:
             "base": self.base.display(),
             "n": self.n,
             "n_zero": self.n_zero,
-            "max": _decimal(self.max_value, digits),
+            "max": format_decimal(self.max_value, digits),
             "argmax": [list(p) for p in self.argmax],
             "within_n_zero_box": self.within_n_zero_box,
             "diagonal_argmax": self.diagonal_argmax,
@@ -279,7 +285,7 @@ class ConjectureScan:
     non_diagonal: Tuple[int, ...]
 
     def to_json_array(self, digits: int = 20) -> list:
-        return [{"n": r.n, "n_zero": r.n_zero, "max": _decimal(r.max_value, digits),
+        return [{"n": r.n, "n_zero": r.n_zero, "max": format_decimal(r.max_value, digits),
                  "argmax": [list(p) for p in r.argmax], "diagonal": r.diagonal}
                 for r in self.records]
 
@@ -290,10 +296,9 @@ class ConjectureScan:
         lines = [f"base {self.base.display()}: diagonal-argmax scan, "
                  f"n from {self.n_min} to {self.n_max}"]
         for r in self.records:
-            pairs = " ".join(f"({i},{j})" for i, j in r.argmax)
             flag = "diagonal" if r.diagonal else "NON-DIAGONAL"
-            lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={_decimal(r.max_value, digits)}"
-                         f"  argmax {pairs}  {flag}")
+            lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={format_decimal(r.max_value, digits)}"
+                         f"  argmax {format_pairs(r.argmax)}  {flag}")
         lines.append(f"summary: {len(self.non_diagonal)} of {len(self.records)} sizes "
                      f"lack a diagonal argmax"
                      + (f" (n = {', '.join(map(str, self.non_diagonal))})"

@@ -256,7 +256,7 @@ def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ..
     n = gv.n
     grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
     # the inverse is symmetric: fill i <= j and mirror; c_{i,j,n} = (-1)^(i+j) A_{i,j} / pi_j
-    for (i, j), (a, pi) in ColumnForm(gv).upper_triangle.items():
+    for (i, j), (a, pi) in gv.column_form.upper_triangle.items():
         grid[i][j] = grid[j][i] = Fraction(-a if (i + j) % 2 else a, pi)
     return tuple(tuple(row) for row in grid)
 

@@ -178,6 +178,22 @@ class TestVerify:
         assert sorted(sizes) == [1, 2, 3, 4, 5]
         assert "[info] diagonal-argmax scan: 0 of 4 sizes non-diagonal" in output
 
+    @pytest.mark.parametrize("base,first", [("7/3", 1), ("3/2", 1), ("tau", 2), ("alpha", 2)])
+    def test_one_column_form_per_size(self, base, first, monkeypatch):
+        # the exact inverse, the box check and the diagonal check read the
+        # matrix object's cached column form; the ball inverse builds none,
+        # so at tau and alpha only the box checks (n >= 2) build one
+        sizes = []
+        original = vandinv.ColumnForm.__init__
+
+        def counted(form, gv):
+            sizes.append(gv.n)
+            original(form, gv)
+        monkeypatch.setattr(vandinv.ColumnForm, "__init__", counted)
+        code, _ = cli.run(["verify", "--base", base, "--n-max", "7"])
+        assert code == 0
+        assert sorted(sizes) == list(range(first, 8))
+
     @pytest.mark.parametrize("base", ["7/3", "tau", "alpha", "3/2"])
     def test_one_max_entry_per_size(self, base, monkeypatch):
         # the leading-diagonal check reads the box check's max report
@@ -272,8 +288,8 @@ def suite_results(base, n_max, matrices=None):
     if matrices is None:
         matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
     boxes = {n: extremal.verify_argmax_box(sizes[n]) for n in range(2, n_max + 1)}
-    suite = cli._verify_exact if base.is_exact else cli._verify_rigorous
-    return {name: (ok, witness) for name, ok, witness in suite(base, n_max, matrices, boxes)}
+    return {name: (ok, witness)
+            for name, ok, witness in cli._verify_suite(base, sizes, matrices, boxes)}
 
 
 def with_entry(inv, i, j, value):
@@ -390,6 +406,112 @@ class TestVerifySigmaRows:
             == {n: 2 * n for n in range(1, 11)}
         assert sorted(queries) == sorted(q for n in range(2, 11)
                                          for q in ((n - 1, 1, n), (n - 2, 1, n)))
+
+
+def scale_entry(n, i, j, factor):
+    """Fault: entry (i, j) of the size-n inverse times factor."""
+    def plant(monkeypatch):
+        original = vandinv.inverse_matrix
+
+        def faulty(gv, *args, **kwargs):
+            inv = original(gv, *args, **kwargs)
+            return with_entry(inv, i, j, inv.entries[i][j] * factor) if gv.n == n else inv
+        monkeypatch.setattr(vandinv, "inverse_matrix", faulty)
+    return plant
+
+
+def scale_pi(n, j, factor):
+    """Fault: pi_{j,n} times factor."""
+    def plant(monkeypatch):
+        original = vandinv.pi_product
+
+        def faulty(jj, nn, b):
+            value = original(jj, nn, b)
+            return value * factor if (jj, nn) == (j, n) else value
+        monkeypatch.setattr(vandinv, "pi_product", faulty)
+    return plant
+
+
+def scale_magnitude(n, i, j, factor):
+    """Fault: A_{i,j} of the size-n column form times factor."""
+    def plant(monkeypatch):
+        original = vandinv.ColumnForm.magnitudes
+
+        def faulty(form, jj, rows):
+            nums, pi = original(form, jj, rows)
+            rows = list(rows)
+            if (form.n, jj) == (n, j) and i in rows:
+                nums = list(nums)
+                nums[rows.index(i)] *= factor
+            return nums, pi
+        monkeypatch.setattr(vandinv.ColumnForm, "magnitudes", faulty)
+    return plant
+
+
+VERIFY_FAULTS = {
+    "flip": scale_entry(4, 1, 2, -1),
+    "double": scale_entry(3, 0, 0, 2),
+    "pi": scale_pi(5, 2, 1000),
+    "box": scale_magnitude(5, 3, 3, 1000),
+    "diagonal": scale_magnitude(4, 0, 1, 1000),
+}
+
+_IDENTITY = "inversion identity V*C = I: V*C != I at n={}"
+_ORACLE = "elimination-oracle equality (n <= 12): closed form != elimination oracle at n={}"
+_MAGNITUDE = "magnitude formula |c|*pi = sigma (n <= 12): |c|*pi != sigma at n={}, ({},{})"
+_RESIDUAL = "residual enclosure contains 0: residual enclosure excludes 0 at n={}"
+_SYMMETRY = "symmetry: entry (1,2) != (2,1) at n=4"
+_SIGNS = "checkerboard signs{}: sign of entry (1,2) at n=4"
+_PI = "pi monotonicity above n0{}: pi monotonicity at n=5, j=2"
+_BOX = "argmax box localization{}: argmax box at n=5: witnesses ((3, 3),)"
+_DIAGONAL = "leading-diagonal max{}: leading-diagonal max at n={}"
+_GOLDEN = " (base >= golden ratio)"
+_CERTIFIED = " (certified)"
+
+VERIFY_FAULT_LINES = [
+    ("7/3", "flip", (_IDENTITY.format(4), _ORACLE.format(4), _SYMMETRY, _SIGNS.format(""))),
+    ("3/2", "flip", (_IDENTITY.format(4), _ORACLE.format(4), _SYMMETRY, _SIGNS.format(""))),
+    ("tau", "flip", (_RESIDUAL.format(4), _SIGNS.format(_CERTIFIED))),
+    ("alpha", "flip", (_RESIDUAL.format(4), _SIGNS.format(_CERTIFIED))),
+    ("7/3", "double", (_IDENTITY.format(3), _ORACLE.format(3), _MAGNITUDE.format(3, 0, 0))),
+    ("3/2", "double", (_IDENTITY.format(3), _ORACLE.format(3), _MAGNITUDE.format(3, 0, 0))),
+    ("tau", "double", (_RESIDUAL.format(3),)),
+    ("alpha", "double", (_RESIDUAL.format(3),)),
+    ("7/3", "pi", (_MAGNITUDE.format(5, 0, 2), "pi ratio identity: pi ratio identity at n=5, j=1",
+                   _PI.format(""))),
+    ("3/2", "pi", (_MAGNITUDE.format(5, 0, 2), "pi ratio identity: pi ratio identity at n=5, j=1",
+                   _PI.format(""))),
+    ("tau", "pi", (_PI.format(_CERTIFIED),)),
+    ("alpha", "pi", (_PI.format(_CERTIFIED),)),
+    # at p/q the planted magnitude is also in the exact inverse
+    ("7/3", "box", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 3),
+                    _BOX.format(""), _DIAGONAL.format(_GOLDEN, 5))),
+    ("3/2", "box", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 3),
+                    _BOX.format(""))),
+    ("tau", "box", (_BOX.format(_CERTIFIED), _DIAGONAL.format(_CERTIFIED, 5))),
+    ("alpha", "box", (_BOX.format(_CERTIFIED), _DIAGONAL.format(_CERTIFIED, 5))),
+    ("7/3", "diagonal", (_IDENTITY.format(4), _ORACLE.format(4), _MAGNITUDE.format(4, 1, 0),
+                         _DIAGONAL.format(_GOLDEN, 4))),
+    ("3/2", "diagonal", (_IDENTITY.format(4), _ORACLE.format(4), _MAGNITUDE.format(4, 1, 0))),
+    ("tau", "diagonal", (_DIAGONAL.format(_CERTIFIED, 4),)),
+    ("alpha", "diagonal", (_DIAGONAL.format(_CERTIFIED, 4),)),
+]
+
+
+class TestVerifyFaults:
+    """Every [FAIL] line of verify under a planted fault: name, witness and
+    order at each kind of base."""
+
+    @pytest.mark.parametrize("text,fault,expected", VERIFY_FAULT_LINES,
+                             ids=[f"{t}-{f}" for t, f, _ in VERIFY_FAULT_LINES])
+    def test_fail_lines(self, text, fault, expected, monkeypatch):
+        VERIFY_FAULTS[fault](monkeypatch)
+        code, output = cli.run(["verify", "--base", text, "--n-max", "5"])
+        assert code == 1
+        lines = tuple(line[len("  [FAIL] "):] for line in output.splitlines()
+                      if line.startswith("  [FAIL] "))
+        assert lines == expected
+        assert output.endswith(f"result: {len(expected)} check(s) FAILED")
 
 
 class TestConjecture:

@@ -11,7 +11,9 @@ near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  The sizes
 ``max`` at n = 40, ``conjecture`` up to 30 and ``verify`` up to 12 at tau
 and alpha, and ``limit --tol 1e-10`` there, reach Z[theta] coefficients of
 hundreds of bits.  ``verify`` at the exact bases 2, 7/3, 3/2, 13/10 and
-6/5 up to n = 12 pins the rational suite's output as well.  A change that
+6/5 up to n = 12 pins the rational suite's output as well, and ``verify
+--n-max 13`` at 3/2, 7/3, tau and alpha runs past the caps of the sigma
+checks (n <= 10) and of the oracle and magnitude checks (n <= 12).  A change that
 moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
@@ -181,6 +183,10 @@ verify --base 6/5 --n-max 4
 verify --base 6/5 --n-max 7
 verify --base 6/5 --n-max 10
 verify --base 6/5 --n-max 12
+verify --base 3/2 --n-max 13
+verify --base 7/3 --n-max 13
+verify --base tau --n-max 13
+verify --base alpha --n-max 13
 """
 
 # ``table`` is in two lists; a command is pinned once
