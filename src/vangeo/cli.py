@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import operator
 import os
@@ -36,7 +35,7 @@ from typing import List, Optional, Tuple
 from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
-                     certified_poly_sign, fraction_to_sci, resolve_precision_ceiling)
+                     certified_poly_sign, fraction_to_sci, powers, resolve_precision_ceiling)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -254,9 +253,8 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         le, residual_witness = operator.le, "V*C != I"
     else:
         b = base.evaluate(DEFAULT_PRECISION_BITS)
-        powers = list(itertools.accumulate([b] * (min(n_max, 10) - 1), operator.mul,
-                                           initial=b ** 0))
-        rows_b = _sigma_rows((powers[:n] for n in range(1, len(powers) + 1)), powers[0])
+        pows = powers(b, min(n_max, 10))
+        rows_b = _sigma_rows((pows[:n] for n in range(1, len(pows) + 1)), pows[0])
         sign, le = RigorousReal.sign, RigorousReal.certainly_le
         residual_witness = "residual enclosure excludes 0"
 

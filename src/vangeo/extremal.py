@@ -10,9 +10,10 @@ here on concrete instances, and every decision is an exact sign in
 integers; no comparison builds a ball.  Thresholds on the base come from
 certified_poly_sign.  Entries are compared on the column form
 |c_{i,j,n}| = A_{i,j} / pi_j: |c_a| - |c_b| has the sign of A_a pi_b - A_b pi_a,
-an integer, or at tau and alpha a Z[theta] element whose sign
-certified_poly_sign decides by an integer norm test (a zero element is an
-exact tie).  Balls appear only in the printed maximum at tau and alpha.
+an integer, or at tau and alpha a Z[theta] element that signs itself
+(ZTheta.sign; a zero element is an exact tie).  maximal_ratios is the one
+argmax over such ratios, for the finite maximum here and for the limit
+maximum in limits.  Balls appear only in the printed maximum at tau and alpha.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Optional, Tuple, Union
 
 from .errors import DomainError, SizeError, UndecidableComparisonError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, ZTheta, certified_poly_sign, fraction_to_decimal)
+                     RigorousReal, certified_poly_sign, exact_sign, fraction_to_decimal)
 # inverse_matrix is not called here; bench/tracing.py expects this module to bind it
 from .vandinv import GeometricVandermonde, inverse_matrix  # noqa: F401
 
@@ -110,15 +111,25 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def compare_ratios(a: tuple, b: tuple, base: BaseSpec) -> int:
+def compare_ratios(a: tuple, b: tuple) -> int:
     """Exact sign of A_a / pi_a - A_b / pi_b for positive denominators, i.e.
     of A_a pi_b - A_b pi_a: rationals at a rational base, Z[theta] elements
     at tau and alpha."""
     (num_a, pi_a), (num_b, pi_b) = a, b
-    difference = num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a
-    if isinstance(difference, ZTheta):
-        return certified_poly_sign(difference.coefficients, base)
-    return (difference > 0) - (difference < 0)
+    return exact_sign(num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a)
+
+
+def maximal_ratios(items) -> Tuple[tuple, list]:
+    """The largest of the ratios in (key, (A, pi)) items, by exact comparison,
+    and the keys of every item that attains it, ties included, in order."""
+    best, top = None, []
+    for key, ratio in items:
+        order = 1 if best is None else compare_ratios(ratio, best)
+        if order > 0:
+            best, top = ratio, [key]
+        elif order == 0:
+            top.append(key)
+    return best, top
 
 
 # ---------------------------------------------------------------------------
@@ -165,13 +176,7 @@ def max_entry(gv: GeometricVandermonde,
     rational base and, at tau and alpha, the ball image of its exact ratio at
     precision_bits, which only its printing uses."""
     n0 = n_zero(gv.base)
-    best, top = None, []
-    for pair, magnitude in gv.column_form.upper_triangle.items():
-        order = 1 if best is None else compare_ratios(magnitude, best, gv.base)
-        if order > 0:
-            best, top = magnitude, [pair]
-        elif order == 0:
-            top.append(pair)
+    best, top = maximal_ratios(gv.column_form.upper_triangle.items())
     argmax = tuple(sorted({pair for i, j in top for pair in ((i, j), (j, i))}))
     return MaxReport(
         base=gv.base, n=gv.n, n_zero=n0,
@@ -209,7 +214,7 @@ def verify_argmax_box(gv: GeometricVandermonde,
     report = max_entry(gv, precision_bits)
     n, n0, table = gv.n, report.n_zero, gv.column_form.upper_triangle
     above = {pair for pair, magnitude in table.items() if min(pair) >= n0
-             and compare_ratios(magnitude, table[n0, n0], gv.base) > 0}
+             and compare_ratios(magnitude, table[n0, n0]) > 0}
     witnesses = tuple((i, j) for i in range(n0, n) for j in range(n0, n)
                       if (min(i, j), max(i, j)) in above)
     return BoxCheckReport(base=gv.base, n=n, n_zero=n0,
@@ -250,7 +255,7 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest
     # admissible exponent never loses mass iff |c_{0,1}| <= |c_{1,1}|
     table = gv.column_form.upper_triangle
-    sigma_ok = compare_ratios(table[0, 1], table[1, 1], gv.base) <= 0
+    sigma_ok = compare_ratios(table[0, 1], table[1, 1]) <= 0
     return DiagonalCheckReport(base=gv.base, n=gv.n, passed=diagonal_ok and sigma_ok,
                                max_on_leading_diagonal=diagonal_ok,
                                sigma_step_holds=sigma_ok, max_report=report)

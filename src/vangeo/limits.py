@@ -24,14 +24,14 @@ whose pairs alternate in sign and shrink, so the remainder after k pairs is
 below the next pair, 2 q^{(k+1)(3k+2)/2}.  Each enclosure of b has one such
 series, summed once and extended on demand; every entry at that enclosure
 reads its own cutoff from it.  Since 1/(q;q)_inf > 0, l_a > l_b exactly when
-N_a / D_a > N_b / D_b at b.  N and D are reduced once per pair modulo the
-minimal polynomial of b over Q (q x - p at p/q, which leaves the value at
-p/q; x^2 - x - 1 or x^3 - 3x^2 + 2x - 1 at tau and alpha, which leaves a
-Z[theta] element), so the argmax of lim M_b(n) over the [0, n0]^2 box
-(computed over i <= j by symmetry) is decided by the exact ratio comparison
-of the finite maximum, extremal.compare_ratios, and the regime of b by the
-signs of integer polynomials at b.  Precision escalates only in limit_entry,
-which the precision ceiling bounds.
+N_a / D_a > N_b / D_b at b.  N and D are taken once per pair by
+scalar.at_base, which reduces them modulo the minimal polynomial of b over Q
+(q x - p at p/q, which leaves the value at p/q; x^2 - x - 1 or
+x^3 - 3x^2 + 2x - 1 at tau and alpha, which leaves a Z[theta] element), so
+the argmax of lim M_b(n) over the [0, n0]^2 box (computed over i <= j by
+symmetry) is the ratio argmax of the finite maximum, extremal.maximal_ratios,
+and the regime of b is decided by the signs of integer polynomials at b.
+Precision escalates only in limit_entry, which the precision ceiling bounds.
 
 The truncated series sigma_infinite with finite_j_product is kept as an
 independent oracle, and base2_product_identity evaluates
@@ -48,10 +48,10 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UndecidableComparisonError
-from .extremal import compare_ratios, n_zero
+from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, ZTheta, certified_poly_sign, fraction_to_sci,
-                     poly_eval_ball, reduce_monic, resolve_precision_ceiling)
+                     RigorousReal, at_base, certified_poly_sign, fraction_to_sci,
+                     poly_eval_ball, resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
 Poly = List[int]
@@ -263,21 +263,6 @@ def _closed_form(i: int, j: int) -> Tuple[Poly, Poly]:
     return num, den
 
 
-def _reduce(coeffs: Sequence[int], base: BaseSpec) -> Numeric:
-    """The integer polynomial at the base, exactly: at p/q its value, from
-    one Horner pass over the integers sum c_k p^k q^(d-k); at tau and alpha
-    its remainder modulo the monic minimal polynomial, in Z[theta]."""
-    value = base.exact_value()
-    if value is None:
-        modulus = base.minimal_polynomial()
-        return ZTheta(reduce_monic(coeffs, modulus), modulus)
-    p, q = value.numerator, value.denominator
-    acc, scale = 0, 1
-    for c in reversed(coeffs):
-        acc, scale = acc * p + c * scale, scale * q
-    return Fraction(acc * q, scale)
-
-
 @dataclass(frozen=True)
 class LimitValue:
     """One entry limit l_{i,j} = N_{i,j}(b) / (D_{i,j}(b) * (q;q)_inf).
@@ -367,17 +352,10 @@ class LimitReport:
 def _argmax(closed_forms: Sequence[Tuple[Poly, Poly]], base: BaseSpec) -> List[int]:
     """Indices of the closed forms (N, D) whose limit is the largest, by exact
     comparison: l_a > l_b exactly when N_a / D_a > N_b / D_b at the base.  N
-    and D are reduced at the base once per pair, and a zero difference is an
+    and D are taken at_base once per pair, and a zero difference is an
     exact tie."""
-    forms = [tuple(_reduce(f, base) for f in pair) for pair in closed_forms]
-    best = [0]
-    for k in range(1, len(forms)):
-        order = compare_ratios(forms[k], forms[best[0]], base)
-        if order > 0:
-            best = [k]
-        elif order == 0:
-            best.append(k)
-    return best
+    forms = ((at_base(num, base), at_base(den, base)) for num, den in closed_forms)
+    return maximal_ratios(enumerate(forms))[1]
 
 
 def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> LimitReport:

@@ -16,9 +16,12 @@ Two numeric carriers are used throughout the package:
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
-:class:`ZTheta` (integer arithmetic in Z[theta] at those constants), exact
-signs of integer polynomials at a base, exact bisection root isolation, and
-small exact polynomial/decimal-string helpers.
+and the exact layer at the base: :class:`ZTheta` (integer arithmetic in
+Z[theta] at those constants, whose elements sign themselves by integer
+tests), ``at_base`` (an integer polynomial's exact value at the base, a
+Fraction or a ZTheta), ``exact_sign`` of either, and ``certified_poly_sign``
+on top of them.  It also holds ``powers``, exact bisection root isolation,
+and small exact polynomial/decimal-string helpers.
 """
 
 from __future__ import annotations
@@ -528,6 +531,15 @@ Numeric = Union[int, Fraction, RigorousReal]
 # ---------------------------------------------------------------------------
 
 
+def powers(x, n: int, one=None) -> List:
+    """x^0, ..., x^(n-1) for n >= 1, each power the previous one times x;
+    x^0 is one when given (a ZTheta has no ``**``), else x ** 0."""
+    out = [x ** 0 if one is None else one]
+    for _ in range(1, n):
+        out.append(out[-1] * x)
+    return out
+
+
 def poly_eval(coeffs: Sequence[Union[int, Fraction]], x: Fraction) -> Fraction:
     """Horner evaluation of a polynomial given by ascending coefficients."""
     acc = Fraction(0)
@@ -597,6 +609,31 @@ class ZTheta:
         return _ztheta((a0 * b0 - next_top * m0,
                         a0 * b1 + a1 * b0 - top * m0 - next_top * m1,
                         a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
+
+    def sign(self) -> int:
+        """Exact sign (-1, 0 or +1) of the element's value at theta, in
+        integers; a zero element is an exact zero.  At tau, 2x = s + b sqrt(5)
+        with s = 2a + b for x = a + b tau: s and b share the sign when they
+        agree, and otherwise the larger of s^2 and 5b^2 sets it.  At alpha,
+        the only real root of a cubic of discriminant -23, the norm
+        N(x) = x(alpha) |x(sigma)|^2 over a complex root sigma has the sign
+        of x(alpha); it is the determinant of multiplication by x on 1,
+        alpha, alpha^2 (Cohen, A Course in Computational Algebraic Number
+        Theory, ch. 4)."""
+        x, modulus = self.coefficients, self.modulus
+        if not any(x):
+            return 0
+        if len(modulus) == 3:
+            a, b = x
+            s = 2 * a + b
+            sign_s, sign_b = (s > 0) - (s < 0), (b > 0) - (b < 0)
+            if sign_s * sign_b >= 0:
+                return sign_s or sign_b
+            return sign_s if s * s > 5 * b * b else sign_b
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+            x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
+        norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        return (norm > 0) - (norm < 0)
 
 
 def _ztheta(coefficients: Sequence[int], modulus: Sequence[int]) -> ZTheta:
@@ -729,42 +766,38 @@ def _constant_enclosure(name: str, precision_bits: int) -> RigorousReal:
     return bisect_root(_CONSTANT_POLYS[name], lo, hi, tol, precision_bits=precision_bits)
 
 
-def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: "BaseSpec") -> int:
-    """Exact sign (-1, 0 or +1) of a polynomial at the base.
-
-    A rational base evaluates exactly and must be > 1.  At tau and alpha the
-    coefficients are cleared of denominators by their lcm (which is positive)
-    and reduced modulo the monic minimal polynomial to x in Z[theta]; a zero x
-    is an exact zero, and the sign of a nonzero x is decided in integers.  At
-    tau, 2x = s + b sqrt(5) with s = 2a + b for x = a + b tau: s and b share
-    the sign when they agree, and otherwise the larger of s^2 and 5b^2 sets
-    it.  At alpha, the only real root of a cubic of discriminant -23, the norm
-    N(x) = x(alpha) |x(sigma)|^2 over a complex root sigma has the sign of
-    x(alpha); it is the determinant of multiplication by x on 1, alpha,
-    alpha^2 (Cohen, A Course in Computational Algebraic Number Theory, ch. 4).
-    """
+def at_base(coeffs: Sequence[int], spec: BaseSpec) -> Union[Fraction, ZTheta]:
+    """An integer polynomial's exact value at the base: at p/q a Fraction,
+    from one Horner pass over the integers sum c_k p^k q^(d-k); at tau and
+    alpha its remainder modulo the monic minimal polynomial, in Z[theta]."""
     value = spec.exact_value()
-    if value is not None:
-        if value <= 1:
-            raise DomainError(f"base must be > 1, got {value}")
-        at = poly_eval(coeffs, value)
-        return (at > 0) - (at < 0)
-    modulus = spec.minimal_polynomial()
+    if value is None:
+        modulus = spec.minimal_polynomial()
+        return ZTheta(reduce_monic(coeffs, modulus), modulus)
+    p, q = value.numerator, value.denominator
+    acc, scale = 0, 1
+    for c in reversed(coeffs):
+        acc, scale = acc * p + c * scale, scale * q
+    return Fraction(acc * q, scale)
+
+
+def exact_sign(x: Union[int, Fraction, ZTheta]) -> int:
+    """Sign (-1, 0 or +1) of a rational or of a Z[theta] element at theta."""
+    if isinstance(x, ZTheta):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
+def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: BaseSpec) -> int:
+    """Exact sign (-1, 0 or +1) of a polynomial at the base, which must be
+    > 1: the coefficients are cleared of denominators by their lcm (which is
+    positive), and the sign of the integer polynomial's value at_base is
+    taken in integers (ZTheta.sign at tau and alpha)."""
+    value = spec.exact_value()
+    if value is not None and value <= 1:
+        raise DomainError(f"base must be > 1, got {value}")
     scale = math.lcm(*(c.denominator for c in coeffs))
-    x = reduce_monic([c.numerator * (scale // c.denominator) for c in coeffs], modulus)
-    if not any(x):
-        return 0
-    if spec.name == "tau":
-        a, b = x
-        s = 2 * a + b
-        sign_s, sign_b = (s > 0) - (s < 0), (b > 0) - (b < 0)
-        if sign_s * sign_b >= 0:
-            return sign_s or sign_b
-        return sign_s if s * s > 5 * b * b else sign_b
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
-        x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
-    norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
-    return (norm > 0) - (norm < 0)
+    return exact_sign(at_base([c.numerator * (scale // c.denominator) for c in coeffs], spec))
 
 
 def bisect_root(coeffs: Sequence[Union[int, Fraction]],

@@ -17,10 +17,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .errors import DomainError, SizeError
-from .scalar import Numeric, RigorousReal, _ball_mul_add, _fields, _filled
+from .scalar import Numeric, RigorousReal, _ball_mul_add, _fields, _filled, powers
 
 _BRUTEFORCE_MAX_N = 20
 _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
@@ -76,21 +76,8 @@ def elementary_symmetric(values: Sequence, upto: int, one) -> List:
 
 
 def _node_powers(x: Numeric, n: int, skip: int) -> List:
-    pows = []
-    p = x ** 0
-    for h in range(n):
-        if h != skip:
-            pows.append(p)
-        p = p * x
-    return pows
-
-
-def _one_like(x: Numeric):
-    if isinstance(x, RigorousReal):
-        return RigorousReal.exact(1, x.precision_bits)
-    if isinstance(x, Fraction):
-        return Fraction(1)
-    return 1
+    pows = powers(x, n)
+    return pows[:skip] + pows[skip + 1:]
 
 
 def sigma_finite(q: SigmaQuery) -> Numeric:
@@ -107,8 +94,8 @@ def sigma_finite(q: SigmaQuery) -> Numeric:
         inv = sigma_finite(SigmaQuery(q.n - 1 - q.i, q.j, q.n, 1 / x))
         return inv * x ** (q.n * (q.n - 1) // 2 - q.j)
     if q.i == 0:
-        return _one_like(x)
-    e = elementary_symmetric(_node_powers(x, q.n, q.j), q.i, _one_like(x))
+        return x ** 0
+    e = elementary_symmetric(_node_powers(x, q.n, q.j), q.i, x ** 0)
     return e[q.i]
 
 
@@ -125,11 +112,11 @@ def sigma_bruteforce(q: SigmaQuery) -> Numeric:
                         f"got C({q.n - 1},{q.i}) = {count}")
     x = q.x
     exponents = [h for h in range(q.n) if h != q.j]
-    total = _one_like(x) * 0
+    total = x ** 0 * 0
     for combo in itertools.combinations(exponents, q.i):
         total = total + x ** sum(combo)
     if q.i == 0:
-        total = _one_like(x)
+        total = x ** 0
     return total
 
 

@@ -34,8 +34,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, _fields, ball_dot, fraction_to_sci, max_abs,
-                     poly_eval_ball)
+                     ZTheta, _fields, at_base, ball_dot, fraction_to_sci, max_abs,
+                     poly_eval_ball, powers)
 from .symfunc import elementary_symmetric
 
 _GAUSSIAN_MAX_N = 64
@@ -122,13 +122,6 @@ def _exact_base(gv: GeometricVandermonde) -> Union[int, Fraction]:
     return value.numerator if value.denominator == 1 else value
 
 
-def _base_powers(b, n: int, one=None) -> List:
-    pows = [b ** 0 if one is None else one]
-    for _ in range(1, n):
-        pows.append(pows[-1] * b)
-    return pows
-
-
 def vandermonde_matrix(gv: GeometricVandermonde,
                        precision_bits: int = DEFAULT_PRECISION_BITS) -> List[List[Numeric]]:
     """The forward matrix V[i][j] = b^(i*j), exact when the base is."""
@@ -136,7 +129,7 @@ def vandermonde_matrix(gv: GeometricVandermonde,
         b = _exact_base(gv)
     else:
         b = gv.base.evaluate(precision_bits)
-    pows = _base_powers(b, (gv.n - 1) * (gv.n - 1) + 1)
+    pows = powers(b, (gv.n - 1) * (gv.n - 1) + 1)
     return [[pows[i * j] for j in range(gv.n)] for i in range(gv.n)]
 
 
@@ -144,7 +137,7 @@ def pi_product(j: int, n: int, b: Numeric) -> Numeric:
     """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1)."""
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
-    pows = _base_powers(b, n)
+    pows = powers(b, n)
     prod = None
     for h in range(n):
         if h == j:
@@ -177,7 +170,7 @@ def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
     if not (0 <= i < gv.n and 0 <= j < gv.n):
         raise DomainError(f"index ({i},{j}) out of range for n={gv.n}")
     if gv.is_exact:
-        (a,), pi = ColumnForm(gv).magnitudes(j, [i])
+        (a,), pi = gv.column_form.magnitudes(j, [i])
         return Fraction(-a if (i + j) % 2 else a, pi)
     return _inverse_entries_rigorous(gv, precision_bits)[i][j]
 
@@ -210,16 +203,15 @@ class ColumnForm:
             self._divisors, self._divide = self.nodes, operator.floordiv
         else:
             modulus, q = gv.base.minimal_polynomial(), 1
-            one, theta = (ZTheta([int(k == e) for k in range(len(modulus) - 1)], modulus)
-                          for e in (0, 1))
-            self.nodes = _base_powers(theta, n, one)
+            one, theta, theta_inverse = (at_base(c, gv.base) for c in ((1,), (0, 1), modulus[1:]))
+            self.nodes = powers(theta, n, one)
             self.master = [one] + [one * 0] * n
             for h, node in enumerate(self.nodes):
                 for k in range(h + 1, 0, -1):
                     self.master[k] = self.master[k] + node * self.master[k - 1]
-            self._divisors = _base_powers(ZTheta(modulus[1:], modulus), n, one)
+            self._divisors = powers(theta_inverse, n, one)
             self._divide = operator.mul
-        self.row_scales = _base_powers(q ** (n - 1), n)
+        self.row_scales = powers(q ** (n - 1), n)
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
         """([A_{i,j} for i in rows], pi_j)."""
@@ -267,8 +259,8 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
     b = gv.base.evaluate(precision_bits)
     one = RigorousReal.exact(1, precision_bits)
     q = 1 / b
-    qpows = _base_powers(q, n)
-    bpows = _base_powers(b, n)
+    qpows = powers(q, n)
+    bpows = powers(b, n)
     # denominator factorization: prod_{h != j} |b^(j-h) - 1|
     #   = prod_{s=1}^{j} (b^s - 1) * prod_{t=1}^{n-1-j} (1 - b^-t)
     grow = [one]        # grow[j]  = prod_{s=1}^{j}   (b^s - 1)
@@ -342,8 +334,8 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         # is an integer dot product over a known denominator, with no gcd
         # unless the entry is non-zero.
         b = _exact_base(gv)
-        p_pows = _base_powers(b.numerator, (n - 1) * (n - 1) + 1)
-        q_pows = _base_powers(b.denominator, (n - 1) * (n - 1) + 1)
+        p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
+        q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
         rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)]
                 for i in range(n)]
         worst = Fraction(0)

@@ -1,28 +1,42 @@
 """The traced benchmark (bench/tracing.py) wraps a function in every module
-that binds it and fails when an expected binding is gone.  This checks those
-bindings against the package directly, so a refactor that drops one fails
-here and not only in a traced benchmark run."""
+that binds it and fails when an expected binding is gone, and a traced run
+(bench/run.py) fails when a span its workload must reach (REACHED) is never
+called.  This checks both against the package directly, so a refactor that
+drops a binding or moves a call site fails here and not only in a traced
+benchmark run."""
 
 import ast
 import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
+RUN = BENCH / "run.py"
 
 
-def _expected_bindings():
-    """EXPECTED_BINDINGS, read from the source without importing bench."""
-    tree = ast.parse(TRACING.read_text())
+def _constant(path, name):
+    """A module-level constant, read from the source without importing it."""
+    tree = ast.parse(path.read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "EXPECTED_BINDINGS" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError(f"EXPECTED_BINDINGS not found in {TRACING}")
+    raise AssertionError(f"{name} not found in {path}")
 
 
-BINDINGS = sorted(_expected_bindings().items())
+def _bench_module(name):
+    """bench/<name>.py as a module, leaving sys.path as it is."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BINDINGS = sorted(_constant(TRACING, "EXPECTED_BINDINGS").items())
+REACHED = _constant(RUN, "REACHED")
 
 
 def test_bindings_are_listed():
@@ -36,3 +50,18 @@ def test_each_module_binds_the_defining_object(name, modules):
     for module in modules:
         bound = vars(importlib.import_module(f"vangeo.{module}")).get(attr)
         assert bound is original, f"vangeo.{module} does not bind {name}"
+
+
+@pytest.mark.parametrize("workload", sorted(REACHED))
+def test_seed_one_pass_reaches_every_span(workload):
+    from vangeo import cli
+    commands = _bench_module("workloads").generate(workload, 1)
+    tracer = _bench_module("tracing").Tracer()
+    tracer.install()
+    try:
+        for command in commands:
+            cli.run(command["argv"])
+    finally:
+        tracer.uninstall()
+    called = {name for name, count in tracer.calls.items() if count}
+    assert sorted(set(REACHED[workload]) - called) == []

@@ -13,8 +13,10 @@ and alpha, and ``limit --tol 1e-10`` there, reach Z[theta] coefficients of
 hundreds of bits.  ``verify`` at the exact bases 2, 7/3, 3/2, 13/10 and
 6/5 up to n = 12 pins the rational suite's output as well, and ``verify
 --n-max 13`` at 3/2, 7/3, tau and alpha runs past the caps of the sigma
-checks (n <= 10) and of the oracle and magnitude checks (n <= 12).  A change that
-moves any printed byte fails here.
+checks (n <= 10) and of the oracle and magnitude checks (n <= 12).  Exact
+``inverse`` at p/q in all three formats, and ``sigma`` at two rationals, a
+decimal and alpha, pin the paths that no other command prints.  A change
+that moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
 
@@ -189,9 +191,21 @@ verify --base tau --n-max 13
 verify --base alpha --n-max 13
 """
 
+# the exact p/q paths of ``inverse`` (text, json, csv) and ``sigma`` at
+# rational, decimal and constant points, which the lists above do not reach
+EXACT_PATHS = """\
+inverse --base 7/3 --n 12
+inverse --base 13/11 --n 20 --format json
+inverse --base 3/2 --n 9 --format csv
+sigma --i 3 --j 2 --n 9 --x 7/3
+sigma --i 2 --j 0 --n 7 --x 2/5
+sigma --i 2 --j 1 --n 6 --x alpha --digits 40
+sigma --i 4 --j 1 --n 8 --x 1.3 --format json
+"""
+
 # ``table`` is in two lists; a command is pinned once
 COMMANDS = [line.split() for line in dict.fromkeys(
-    (FINITE_BALL_SEED_1 + EXTRA + LIMITS_SEED_1 + LIMITS_FORMATS).splitlines())]
+    (FINITE_BALL_SEED_1 + EXTRA + LIMITS_SEED_1 + LIMITS_FORMATS + EXACT_PATHS).splitlines())]
 
 
 def digest(argv):

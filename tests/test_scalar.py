@@ -632,6 +632,14 @@ def ball_sign(coeffs, spec, ceiling=1 << 14):
         precision *= 2
 
 
+def reduced(coeffs, spec):
+    """The Z[theta] element of the coefficients, cleared of denominators by
+    their lcm and reduced modulo the minimal polynomial."""
+    modulus = spec.minimal_polynomial()
+    scale = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return ZTheta(reduce_monic([int(c * scale) for c in coeffs], modulus), modulus)
+
+
 def old_ztheta_mul(x, y, modulus):
     """Oracle: the Z[theta] product that vandinv's own class computed."""
     d = len(x)
@@ -670,7 +678,9 @@ class TestExactSigns:
     @given(st.sampled_from(sorted(CONSTANTS)), wide_polynomials())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_ball_loop(self, name, coeffs):
-        assert certified_poly_sign(coeffs, CONSTANTS[name]) == ball_sign(coeffs, CONSTANTS[name])
+        sign = ball_sign(coeffs, CONSTANTS[name])
+        assert certified_poly_sign(coeffs, CONSTANTS[name]) == sign
+        assert reduced(coeffs, CONSTANTS[name]).sign() == sign
 
     def test_near_zero_at_tau(self):
         # F_(k+1) - F_k tau = (-1/tau)^k: |value| = tau^-k, about 2^-200 at k = 289
@@ -680,6 +690,7 @@ class TestExactSigns:
                 coeffs = (g + shift, -f)
                 sign = certified_poly_sign(coeffs, tau)
                 assert sign == ball_sign(coeffs, tau), (k, shift)
+                assert reduced(coeffs, tau).sign() == sign, (k, shift)
                 if shift == 0:
                     assert sign == (-1) ** k
             f, g = g, f + g
@@ -694,7 +705,7 @@ class TestExactSigns:
             for shift, expected in ((0, 1), (1, 1), (-1, -1)):
                 coeffs = (x[0] + shift,) + x[1:]
                 assert certified_poly_sign(coeffs, alpha) == ball_sign(coeffs, alpha) \
-                    == expected, (k, shift)
+                    == reduced(coeffs, alpha).sign() == expected, (k, shift)
             power = power * inverse
 
     @given(st.sampled_from(sorted(CONSTANTS)),

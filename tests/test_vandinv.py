@@ -265,3 +265,17 @@ class TestColumnForm:
                 nums, pi = form.magnitudes(j, range(n))
                 for i, a in enumerate(nums):
                     assert form.value(a, pi).overlaps(abs(entries[i][j])), (name, n, i, j)
+
+    def test_inverse_entry_reads_the_cached_form(self, monkeypatch):
+        # every entry read one at a time shares the matrix object's column form
+        built = []
+        original = ColumnForm.__init__
+
+        def counted(form, gv):
+            built.append(gv.n)
+            original(form, gv)
+        monkeypatch.setattr(ColumnForm, "__init__", counted)
+        gv = GeometricVandermonde(BaseSpec.parse("7/3"), 12)
+        entries = [[inverse_entry(i, j, gv) for j in range(12)] for i in range(12)]
+        assert built == [12]
+        assert entries == [list(row) for row in inverse_matrix(gv).entries]
