@@ -22,17 +22,14 @@ from .errors import (BracketError, DimensionError, DomainError, ParseError,
 from .extremal import (BoxCheckReport, ConjectureScan, DiagonalCheckReport,
                        MaxReport, ScanRecord, conjecture_scan, max_entry,
                        n_zero, verify_argmax_box, verify_leading_diagonal_max)
-from .limits import (CrossoverReport, LimitReport, LimitValue,
-                     base2_product_identity, classify_regime, crossover_values,
-                     finite_j_product, inverse_q_product, limit_entry,
-                     limit_max, sigma_infinite)
+from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
+                     limit_max)
 from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
                      DEFAULT_PRECISION_CEILING, TAU_POLYNOMIAL, BaseSpec,
-                     ExactRational, RigorousReal, bisect_root, evaluate_base,
+                     RigorousReal, bisect_root, evaluate_base,
                      fraction_to_decimal, fraction_to_sci,
                      resolve_precision_ceiling)
-from .symfunc import (SigmaQuery, elementary_symmetric, sigma_bruteforce,
-                      sigma_complement_pair, sigma_finite)
+from .symfunc import SigmaQuery, elementary_symmetric, sigma_finite
 from .vandinv import (GeometricVandermonde, InverseMatrix, format_entry,
                       gaussian_inverse, inverse_entry, inverse_matrix,
                       pi_product, residual_norm, vandermonde_matrix)
@@ -41,19 +38,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "BracketError",
-    "ConjectureScan", "CrossoverReport", "DEFAULT_PRECISION_BITS",
-    "DEFAULT_PRECISION_CEILING", "DiagonalCheckReport", "DimensionError",
-    "DomainError", "ExactRational", "GeometricVandermonde", "InverseMatrix",
-    "LimitReport", "LimitValue", "MaxReport", "ParseError", "RigorousReal",
-    "ScanRecord", "SigmaQuery", "SizeError", "TAU_POLYNOMIAL",
-    "UndecidableComparisonError", "UnsupportedBackendError", "VangeoError",
-    "base2_product_identity", "bisect_root", "classify_regime",
-    "conjecture_scan", "crossover_values", "elementary_symmetric",
-    "evaluate_base", "finite_j_product", "format_entry",
-    "fraction_to_decimal", "fraction_to_sci", "gaussian_inverse",
-    "inverse_entry", "inverse_matrix", "inverse_q_product", "limit_entry",
+    "ConjectureScan", "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
+    "DiagonalCheckReport", "DimensionError", "DomainError",
+    "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",
+    "MaxReport", "ParseError", "RigorousReal", "ScanRecord", "SigmaQuery",
+    "SizeError", "TAU_POLYNOMIAL", "UndecidableComparisonError",
+    "UnsupportedBackendError", "VangeoError", "bisect_root",
+    "classify_regime", "conjecture_scan", "elementary_symmetric",
+    "evaluate_base", "format_entry", "fraction_to_decimal", "fraction_to_sci",
+    "gaussian_inverse", "inverse_entry", "inverse_matrix", "limit_entry",
     "limit_max", "max_entry", "n_zero", "pi_product", "residual_norm",
-    "resolve_precision_ceiling", "sigma_bruteforce", "sigma_complement_pair",
-    "sigma_finite", "sigma_infinite", "vandermonde_matrix",
+    "resolve_precision_ceiling", "sigma_finite", "vandermonde_matrix",
     "verify_argmax_box", "verify_leading_diagonal_max", "__version__",
 ]

@@ -23,7 +23,7 @@ class BracketError(VangeoError, ValueError):
 
 
 class SizeError(VangeoError, ValueError):
-    """An enumeration guard was exceeded (oracle-only code paths)."""
+    """A size guard was exceeded: the work asked for is refused up front."""
 
 
 class UnsupportedBackendError(VangeoError, ValueError):

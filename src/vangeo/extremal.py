@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .errors import DomainError, SizeError, UndecidableComparisonError
+from .errors import DomainError, SizeError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
                      RigorousReal, certified_poly_sign, exact_sign, fraction_to_decimal)
 # inverse_matrix is not called here; bench/tracing.py expects this module to bind it
@@ -52,14 +52,12 @@ def format_pairs(pairs) -> str:
 # ---------------------------------------------------------------------------
 
 
-def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal]) -> int:
+def n_zero(b: Union[int, Fraction, BaseSpec]) -> int:
     """Least positive integer m with b^m >= 1 + 1/b.
 
     Rational bases estimate m by logarithms and confirm it with exact integer
     powers, refusing (SizeError) a base too close to 1 to confirm.  At tau
     and alpha the threshold is the exact sign of x^{m+1} - x - 1 at the base.
-    Plain enclosures are compared directly and raise if their width cannot
-    decide the threshold.
     """
     if isinstance(b, BaseSpec):
         value = b.exact_value()
@@ -70,22 +68,6 @@ def n_zero(b: Union[int, Fraction, BaseSpec, RigorousReal]) -> int:
         while certified_poly_sign([-1, -1] + [0] * (m - 1) + [1], b) < 0:
             m += 1
         return m
-    if isinstance(b, RigorousReal):
-        if not b.certainly_gt(RigorousReal.exact(1, b.precision_bits)):
-            raise DomainError("base must be certifiably > 1")
-        threshold = 1 + 1 / b
-        power = b
-        m = 1
-        while True:
-            if power.certainly_ge(threshold):
-                return m
-            if power.certainly_lt(threshold):
-                m += 1
-                power = power * b
-                continue
-            raise UndecidableComparisonError(
-                f"enclosure of b^{m} straddles 1 + 1/b; re-evaluate the base at "
-                f"higher precision or pass a BaseSpec")
     bf = Fraction(b)
     if bf <= 1:
         raise DomainError(f"base must be > 1, got {bf}")

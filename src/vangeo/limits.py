@@ -33,24 +33,25 @@ symmetry) is the ratio argmax of the finite maximum, extremal.maximal_ratios,
 and the regime of b is decided by the signs of integer polynomials at b.
 Precision escalates only in limit_entry, which the precision ceiling bounds.
 
-The truncated series sigma_infinite with finite_j_product is kept as an
-independent oracle, and base2_product_identity evaluates
-3 * prod_{i>=2} (1 + 1/(2^i - 1)), which equals l_{1,1} at b = 2.
+1/(q;q)_inf itself is l_{0,0} = limit_entry(0, 0, ...), and the crossover of
+l_{0,0} and l_{1,1} is classify_regime with limit_entry at (0,0) and (1,1).
+The independent oracles (the truncated series sigma_{i,j,inf} times
+prod_{s<=j} (b^s - 1)^{-1}, and 3 * prod_{i>=2} (1 + 1/(2^i - 1)), which
+equals l_{1,1} at b = 2) live in tests/oracles.py.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
-from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, at_base, certified_poly_sign, fraction_to_sci,
+from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
+                     at_base, certified_poly_sign, fraction_to_sci,
                      poly_eval_ball, resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
@@ -71,62 +72,6 @@ def _to_tol(tol) -> Fraction:
 def _prec_for_tol(tol: Fraction) -> int:
     bits = tol.denominator.bit_length() - tol.numerator.bit_length()
     return max(64, bits + 64)
-
-
-# ---------------------------------------------------------------------------
-# sigma_{i,j,inf}: the truncated-series oracle
-# ---------------------------------------------------------------------------
-
-
-def sigma_infinite(i: int, j: int, q: Numeric, tol) -> RigorousReal:
-    """Enclosure of sigma_{i,j,inf}(q) for 0 < q < 1, truncation tail <= tol.
-
-    The series is truncated at h <= H, with H doubled until the tail bound
-    e_i(full) - e_i(trunc) <= sum_{m=1}^{i} e_{i-m}(trunc) T^m / m!, with
-    T = q^{H+1}/(1-q), meets tol: the dropped elements have e_m <= T^m/m!.
-    """
-    tol = _to_tol(tol)
-    if i < 0 or j < 0:
-        raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
-    rigorous = isinstance(q, RigorousReal)
-    if rigorous:
-        if not (q.lower > 0 and q.upper < 1):
-            raise DomainError("q must be certifiably inside (0, 1)")
-        q_up = q.upper
-        one = RigorousReal.exact(1, q.precision_bits)
-    else:
-        q = Fraction(q)
-        if not 0 < q < 1:
-            raise DomainError(f"q must lie in (0, 1), got {q}")
-        q_up = q
-        one = Fraction(1)
-    prec = _prec_for_tol(tol)
-    if i == 0:
-        return RigorousReal.exact(1, prec)
-    e = [one] + [one * 0] * i
-    qh = one                      # q^h for the next h to fold
-    h = 0
-    folded = 0
-    cutoff = max(16, 2 * i + j + 4)
-    while True:
-        while h <= cutoff:
-            if h != j:
-                folded += 1
-                for k in range(min(folded, i), 0, -1):
-                    e[k] = e[k] + qh * e[k - 1]
-            qh = qh * q
-            h += 1
-        # qh now holds q^(cutoff+1); bound the dropped elements
-        big_t = (q_up ** (cutoff + 1)) / (1 - q_up)
-        e_up = [(v.upper if rigorous else v) for v in e]
-        tail = sum((e_up[i - m] * big_t ** m / math.factorial(m)
-                    for m in range(1, i + 1)), Fraction(0))
-        if tail <= tol:
-            break
-        cutoff *= 2
-    if rigorous:
-        return RigorousReal.from_interval(e[i].lower, e[i].upper + tail, prec)
-    return RigorousReal.from_interval(e[i], e[i] + tail, prec)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +130,7 @@ def _pentagonal_series(m: int, e: int, r: int, f: int, precision: int) -> _Penta
 
 
 def _inverse_q_product(b: RigorousReal, tol: Fraction):
-    """Core evaluator at the precision of b: returns (enclosure, number of
+    """1/(q;q)_inf at the precision of b: returns (enclosure, number of
     pentagonal pairs summed, bound on the remainder of the series).
 
     Pairs are summed until the next one is small enough for the enclosure of
@@ -202,40 +147,6 @@ def _inverse_q_product(b: RigorousReal, tol: Fraction):
         if settled or (floor > 0 and 4 * tail <= tol * floor * floor):
             return series.inverse(k), k - 1, tail
         k += 1
-
-
-def inverse_q_product(b: Numeric, tol) -> RigorousReal:
-    """Enclosure of prod_{t >= 1} (1 - b^-t)^-1 for b > 1.  Its radius is at
-    most tol for an exact b; an enclosure b is used at its own precision."""
-    tolf = _to_tol(tol)
-    if not isinstance(b, RigorousReal):
-        b = Fraction(b)
-        # l_{0,0} is the product itself
-        return limit_entry(0, 0, BaseSpec.rational(b.numerator, b.denominator), tolf).value
-    value, _, _ = _inverse_q_product(b, tolf)
-    if value is None:
-        raise UndecidableComparisonError(
-            f"{b.precision_bits} bits cannot separate (q;q)_inf from 0")
-    return value
-
-
-def finite_j_product(j: int, b: Numeric) -> Numeric:
-    """prod_{s=1}^{j} (b^s - 1)^-1; the empty product (j = 0) is 1."""
-    if j < 0:
-        raise DomainError(f"need j >= 0, got {j}")
-    if isinstance(b, RigorousReal):
-        one = RigorousReal.exact(1, b.precision_bits)
-    else:
-        b = Fraction(b)
-        if b <= 1:
-            raise DomainError(f"base must be > 1, got {b}")
-        one = Fraction(1)
-    result = one
-    power = one
-    for _ in range(j):
-        power = power * b
-        result = result / (power - one)
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -376,21 +287,8 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
 
 
 # ---------------------------------------------------------------------------
-# closed forms and the crossover
+# the regime of the base
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CrossoverReport:
-    """The two closed-form limits and where the base sits relative to the
-    crossover: l_{0,0} wins above alpha, l_{1,1} wins between the golden
-    ratio and alpha.  boundary marks a base exactly on tau or alpha."""
-
-    base: BaseSpec
-    l00: RigorousReal
-    l11: RigorousReal
-    regime: str
-    boundary: bool
 
 
 def classify_regime(base: BaseSpec) -> Tuple[str, bool]:
@@ -410,35 +308,3 @@ def classify_regime(base: BaseSpec) -> Tuple[str, bool]:
         return REGIME_BETWEEN, True
     crossover = certified_poly_sign(ALPHA_POLYNOMIAL, base)
     return (REGIME_ABOVE if crossover >= 0 else REGIME_BETWEEN), crossover == 0
-
-
-def crossover_values(base: BaseSpec, tol,
-                     precision_ceiling: Optional[int] = None) -> CrossoverReport:
-    """Closed forms l_{0,0} = prod (1 - b^-t)^-1 and
-    l_{1,1} = (b^2 - b + 1) / (b (b-1)^2) * l_{0,0}, each to radius <= tol."""
-    regime, boundary = classify_regime(base)
-    l00 = limit_entry(0, 0, base, tol, precision_ceiling).value
-    l11 = limit_entry(1, 1, base, tol, precision_ceiling).value
-    return CrossoverReport(base=base, l00=l00, l11=l11, regime=regime, boundary=boundary)
-
-
-def base2_product_identity(tol) -> RigorousReal:
-    """3 * prod_{i>=2} (1 + 1/(2^i - 1)), which equals l_{1,1} at base 2.
-
-    The log tail past i = I is below sum_{i>I} 2^(1-i) = 2^(1-I), so the full
-    product sits in [P_I, P_I * (1 + 2^(2-I))].
-    """
-    tolf = _to_tol(tol)
-    prec = _prec_for_tol(tolf)
-    partial = Fraction(3)
-    i = 1
-    cutoff = 8
-    while True:
-        while i < cutoff:
-            i += 1
-            partial *= 1 + Fraction(1, (1 << i) - 1)
-        tail = partial * Fraction(1, 1 << (cutoff - 2))
-        if tail <= tolf:
-            break
-        cutoff *= 2
-    return RigorousReal.from_interval(partial, partial + tail, prec)

@@ -2,8 +2,7 @@
 
 Two numeric carriers are used throughout the package:
 
-* ``ExactRational`` (an alias of :class:`fractions.Fraction`) for bit-exact
-  work with rational bases, and
+* :class:`fractions.Fraction` for bit-exact work with rational bases, and
 * :class:`RigorousReal`, a self-validating ball ``midpoint +/- radius`` whose
   midpoint is a dyadic rational held as an integer mantissa and exponent.
   Every operation returns an enclosure guaranteed to contain the true value;
@@ -36,8 +35,6 @@ from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import BracketError, DomainError, ParseError
-
-ExactRational = Fraction
 
 # Radius mantissas are trimmed (rounding up) to this many bits; the radius is
 # a bound, not a value, so 32 bits of resolution is plenty.
@@ -254,9 +251,6 @@ class RigorousReal:
 
     def certainly_gt(self, other: "RigorousReal") -> bool:
         return _coerce(other, self._prec).certainly_lt(self)
-
-    def certainly_ge(self, other: "RigorousReal") -> bool:
-        return _coerce(other, self._prec).certainly_le(self)
 
     def overlaps(self, other: "RigorousReal") -> bool:
         other = _coerce(other, self._prec)

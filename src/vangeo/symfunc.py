@@ -3,27 +3,22 @@ geometric node powers {x^h : 0 <= h < n, h != j}.
 
 The workhorse is the elementary-symmetric recurrence e_k <- e_k + x^h * e_{k-1}
 (one sweep over h, descending k), which costs O(n*i) ring operations and never
-enumerates subsets.  A brute-force enumerator is provided purely as a testing
-oracle, together with the complement identity
+enumerates subsets.  The complement identity
 
     sigma_{n-1-i,j,n}(b) / b^{n(n-1)/2 - j} = sigma_{i,j,n}(1/b)
 
-which the rigorous backend also uses to keep magnitudes below 1 when x > 1.
+keeps magnitudes below 1 in the rigorous backend when x > 1.  The brute-force
+enumerator and the two sides of that identity are test oracles, in
+tests/oracles.py.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
-from .errors import DomainError, SizeError
+from .errors import DomainError
 from .scalar import Numeric, RigorousReal, _ball_mul_add, _fields, _filled, powers
-
-_BRUTEFORCE_MAX_N = 20
-_BRUTEFORCE_MAX_SUBSETS = 10 ** 6
 
 
 def _is_positive(x: Numeric) -> bool:
@@ -97,40 +92,3 @@ def sigma_finite(q: SigmaQuery) -> Numeric:
         return x ** 0
     e = elementary_symmetric(_node_powers(x, q.n, q.j), q.i, x ** 0)
     return e[q.i]
-
-
-def sigma_bruteforce(q: SigmaQuery) -> Numeric:
-    """Independent oracle: explicit enumeration of all i-subsets.
-
-    Guarded to n <= 20 and at most 10^6 subsets; exists only for testing.
-    """
-    if q.n > _BRUTEFORCE_MAX_N:
-        raise SizeError(f"brute-force oracle limited to n <= {_BRUTEFORCE_MAX_N}, got n={q.n}")
-    count = math.comb(q.n - 1, q.i)
-    if count > _BRUTEFORCE_MAX_SUBSETS:
-        raise SizeError(f"brute-force oracle limited to {_BRUTEFORCE_MAX_SUBSETS} subsets, "
-                        f"got C({q.n - 1},{q.i}) = {count}")
-    x = q.x
-    exponents = [h for h in range(q.n) if h != q.j]
-    total = x ** 0 * 0
-    for combo in itertools.combinations(exponents, q.i):
-        total = total + x ** sum(combo)
-    if q.i == 0:
-        total = x ** 0
-    return total
-
-
-def sigma_complement_pair(i: int, j: int, n: int, b: Numeric) -> Tuple[Numeric, Numeric]:
-    """The two sides of the complement identity, returned unreduced:
-
-        (sigma_{n-1-i,j,n}(b) / b^{n(n-1)/2 - j},  sigma_{i,j,n}(1/b))
-
-    They agree exactly in rational mode and within summed radii in rigorous
-    mode; subset complementation inside {0,...,n-1}\\{j} is the bijection.
-    """
-    if isinstance(b, int):
-        b = Fraction(b)
-    lhs_sigma = sigma_finite(SigmaQuery(n - 1 - i, j, n, b))
-    lhs = lhs_sigma / b ** (n * (n - 1) // 2 - j)
-    rhs = sigma_finite(SigmaQuery(i, j, n, 1 / b))
-    return lhs, rhs

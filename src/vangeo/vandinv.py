@@ -166,11 +166,13 @@ def inverse_matrix(gv: GeometricVandermonde,
 
 def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
                   precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
-    """Single signed entry c_{i,j,n}; prefer inverse_matrix for whole tables."""
+    """Single signed entry c_{i,j,n}.  An exact base reads the upper triangle
+    of the matrix's column form, mirrored by symmetry, so every entry after
+    the first is a lookup; prefer inverse_matrix for whole ball tables."""
     if not (0 <= i < gv.n and 0 <= j < gv.n):
         raise DomainError(f"index ({i},{j}) out of range for n={gv.n}")
     if gv.is_exact:
-        (a,), pi = gv.column_form.magnitudes(j, [i])
+        a, pi = gv.column_form.upper_triangle[min(i, j), max(i, j)]
         return Fraction(-a if (i + j) % 2 else a, pi)
     return _inverse_entries_rigorous(gv, precision_bits)[i][j]
 

@@ -1,0 +1,171 @@
+"""Independent oracles for the power sums and the entry limits.
+
+No library code calls these; the tests compare the library against them.
+The module name does not match ``test_*.py``, so pytest does not collect it,
+and the test modules import it as ``oracles``.
+
+* ``sigma_bruteforce`` enumerates every i-subset of the node exponents.
+* ``sigma_complement_pair`` returns both sides of the complement identity
+
+      sigma_{n-1-i,j,n}(b) / b^{n(n-1)/2 - j} = sigma_{i,j,n}(1/b).
+
+* ``sigma_infinite`` with ``finite_j_product`` is the truncated series for
+  the entry limits, l_{i,j} = sigma_{i,j,inf}(1/b) * prod_{s<=j} (b^s - 1)^-1
+  / (q;q)_inf, which the closed form N / (D (q;q)_inf) replaced.
+* ``base2_product_identity`` evaluates 3 * prod_{i>=2} (1 + 1/(2^i - 1)),
+  which equals l_{1,1} at b = 2.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from fractions import Fraction
+from typing import Tuple
+
+from vangeo.errors import DomainError, SizeError
+from vangeo.limits import _prec_for_tol, _to_tol
+from vangeo.scalar import Numeric, RigorousReal
+from vangeo.symfunc import SigmaQuery, sigma_finite
+
+_BRUTEFORCE_MAX_N = 20
+_BRUTEFORCE_MAX_SUBSETS = 10 ** 6
+
+
+# ---------------------------------------------------------------------------
+# power sums
+# ---------------------------------------------------------------------------
+
+
+def sigma_bruteforce(q: SigmaQuery) -> Numeric:
+    """Independent oracle: explicit enumeration of all i-subsets.
+
+    Guarded to n <= 20 and at most 10^6 subsets; exists only for testing.
+    """
+    if q.n > _BRUTEFORCE_MAX_N:
+        raise SizeError(f"brute-force oracle limited to n <= {_BRUTEFORCE_MAX_N}, got n={q.n}")
+    count = math.comb(q.n - 1, q.i)
+    if count > _BRUTEFORCE_MAX_SUBSETS:
+        raise SizeError(f"brute-force oracle limited to {_BRUTEFORCE_MAX_SUBSETS} subsets, "
+                        f"got C({q.n - 1},{q.i}) = {count}")
+    x = q.x
+    exponents = [h for h in range(q.n) if h != q.j]
+    total = x ** 0 * 0
+    for combo in itertools.combinations(exponents, q.i):
+        total = total + x ** sum(combo)
+    if q.i == 0:
+        total = x ** 0
+    return total
+
+
+def sigma_complement_pair(i: int, j: int, n: int, b: Numeric) -> Tuple[Numeric, Numeric]:
+    """The two sides of the complement identity, returned unreduced:
+
+        (sigma_{n-1-i,j,n}(b) / b^{n(n-1)/2 - j},  sigma_{i,j,n}(1/b))
+
+    They agree exactly in rational mode and within summed radii in rigorous
+    mode; subset complementation inside {0,...,n-1}\\{j} is the bijection.
+    """
+    if isinstance(b, int):
+        b = Fraction(b)
+    lhs_sigma = sigma_finite(SigmaQuery(n - 1 - i, j, n, b))
+    lhs = lhs_sigma / b ** (n * (n - 1) // 2 - j)
+    rhs = sigma_finite(SigmaQuery(i, j, n, 1 / b))
+    return lhs, rhs
+
+
+# ---------------------------------------------------------------------------
+# entry limits: the truncated series and the product at base 2
+# ---------------------------------------------------------------------------
+
+
+def sigma_infinite(i: int, j: int, q: Numeric, tol) -> RigorousReal:
+    """Enclosure of sigma_{i,j,inf}(q) for 0 < q < 1, truncation tail <= tol.
+
+    The series is truncated at h <= H, with H doubled until the tail bound
+    e_i(full) - e_i(trunc) <= sum_{m=1}^{i} e_{i-m}(trunc) T^m / m!, with
+    T = q^{H+1}/(1-q), meets tol: the dropped elements have e_m <= T^m/m!.
+    """
+    tol = _to_tol(tol)
+    if i < 0 or j < 0:
+        raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
+    rigorous = isinstance(q, RigorousReal)
+    if rigorous:
+        if not (q.lower > 0 and q.upper < 1):
+            raise DomainError("q must be certifiably inside (0, 1)")
+        q_up = q.upper
+        one = RigorousReal.exact(1, q.precision_bits)
+    else:
+        q = Fraction(q)
+        if not 0 < q < 1:
+            raise DomainError(f"q must lie in (0, 1), got {q}")
+        q_up = q
+        one = Fraction(1)
+    prec = _prec_for_tol(tol)
+    if i == 0:
+        return RigorousReal.exact(1, prec)
+    e = [one] + [one * 0] * i
+    qh = one                      # q^h for the next h to fold
+    h = 0
+    folded = 0
+    cutoff = max(16, 2 * i + j + 4)
+    while True:
+        while h <= cutoff:
+            if h != j:
+                folded += 1
+                for k in range(min(folded, i), 0, -1):
+                    e[k] = e[k] + qh * e[k - 1]
+            qh = qh * q
+            h += 1
+        # qh now holds q^(cutoff+1); bound the dropped elements
+        big_t = (q_up ** (cutoff + 1)) / (1 - q_up)
+        e_up = [(v.upper if rigorous else v) for v in e]
+        tail = sum((e_up[i - m] * big_t ** m / math.factorial(m)
+                    for m in range(1, i + 1)), Fraction(0))
+        if tail <= tol:
+            break
+        cutoff *= 2
+    if rigorous:
+        return RigorousReal.from_interval(e[i].lower, e[i].upper + tail, prec)
+    return RigorousReal.from_interval(e[i], e[i] + tail, prec)
+
+
+def finite_j_product(j: int, b: Numeric) -> Numeric:
+    """prod_{s=1}^{j} (b^s - 1)^-1; the empty product (j = 0) is 1."""
+    if j < 0:
+        raise DomainError(f"need j >= 0, got {j}")
+    if isinstance(b, RigorousReal):
+        one = RigorousReal.exact(1, b.precision_bits)
+    else:
+        b = Fraction(b)
+        if b <= 1:
+            raise DomainError(f"base must be > 1, got {b}")
+        one = Fraction(1)
+    result = one
+    power = one
+    for _ in range(j):
+        power = power * b
+        result = result / (power - one)
+    return result
+
+
+def base2_product_identity(tol) -> RigorousReal:
+    """3 * prod_{i>=2} (1 + 1/(2^i - 1)), which equals l_{1,1} at base 2.
+
+    The log tail past i = I is below sum_{i>I} 2^(1-i) = 2^(1-I), so the full
+    product sits in [P_I, P_I * (1 + 2^(2-I))].
+    """
+    tolf = _to_tol(tol)
+    prec = _prec_for_tol(tolf)
+    partial = Fraction(3)
+    i = 1
+    cutoff = 8
+    while True:
+        while i < cutoff:
+            i += 1
+            partial *= 1 + Fraction(1, (1 << i) - 1)
+        tail = partial * Fraction(1, 1 << (cutoff - 2))
+        if tail <= tolf:
+            break
+        cutoff *= 2
+    return RigorousReal.from_interval(partial, partial + tail, prec)

@@ -10,12 +10,13 @@ import math
 import time
 from fractions import Fraction
 
+from oracles import base2_product_identity, sigma_bruteforce
 from vangeo import cli
 from vangeo.extremal import (conjecture_scan, max_entry, verify_argmax_box,
                              verify_leading_diagonal_max)
-from vangeo.limits import base2_product_identity, crossover_values, limit_entry
+from vangeo.limits import classify_regime, limit_entry
 from vangeo.scalar import ALPHA_POLYNOMIAL, BaseSpec, bisect_root
-from vangeo.symfunc import SigmaQuery, sigma_bruteforce, sigma_finite
+from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (GeometricVandermonde, gaussian_inverse, pi_product,
                             residual_norm)
 
@@ -193,14 +194,17 @@ def test_criterion_08_structural_identities(capsys, cached_inverse):
 def test_criterion_09_crossover_constant(capsys):
     alpha = bisect_root(ALPHA_POLYNOMIAL, 2, 3, Fraction(1, 10 ** 12))
     nine_decimals = round(alpha.midpoint, 9)
-    values = crossover_values(BaseSpec.parse("alpha"), Fraction(1, 10 ** 16))
+    base, tol = BaseSpec.parse("alpha"), Fraction(1, 10 ** 16)
+    l00 = limit_entry(0, 0, base, tol).value
+    l11 = limit_entry(1, 1, base, tol).value
     ok = (nine_decimals == Fraction("2.324717957")
-          and values.l00.overlaps(values.l11)
-          and values.l00.radius <= Fraction(1, 10 ** 15)
-          and values.l11.radius <= Fraction(1, 10 ** 15))
+          and classify_regime(base) == ("above_alpha", True)
+          and l00.overlaps(l11)
+          and l00.radius <= Fraction(1, 10 ** 15)
+          and l11.radius <= Fraction(1, 10 ** 15))
     report(capsys, 9, ok,
            "alpha = 2.324717957 to 9 decimals; l00 and l11 enclosures overlap at 1e-15")
-    assert ok, (nine_decimals, values.l00, values.l11)
+    assert ok, (nine_decimals, l00, l11)
 
 
 def test_criterion_10_convergence_spot_check(capsys):

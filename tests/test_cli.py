@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from vangeo import cli, vandinv
 from vangeo.scalar import BaseSpec
 
@@ -258,7 +259,7 @@ def old_exact_sigma_checks(base, n_max, matrices):
         for n in range(1, min(n_max, 10) + 1):
             for i in range(n):
                 for j in range(n):
-                    lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
+                    lhs, rhs = oracles.sigma_complement_pair(i, j, n, b)
                     if lhs != rhs:
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
@@ -270,12 +271,11 @@ def old_exact_sigma_checks(base, n_max, matrices):
 def old_rigorous_complement(base, n_max):
     """The constant-base complement check as it was.  At b > 1, sigma_finite
     takes both sides from the same sweep at 1/b, so it cannot fail."""
-    from vangeo import symfunc
     b = base.evaluate(64)
     for n in range(1, min(n_max, 10) + 1):
         for i in range(n):
             for j in range(n):
-                lhs, rhs = symfunc.sigma_complement_pair(i, j, n, b)
+                lhs, rhs = oracles.sigma_complement_pair(i, j, n, b)
                 if not lhs.overlaps(rhs):
                     return False, f"complement identity at n={n}, ({i},{j})"
     return True, ""

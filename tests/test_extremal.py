@@ -8,10 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vangeo.errors import DomainError, SizeError, UndecidableComparisonError
+from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import (conjecture_scan, max_entry, n_zero,
                              verify_argmax_box, verify_leading_diagonal_max)
-from vangeo.scalar import BaseSpec, RigorousReal, evaluate_base
+from vangeo.scalar import BaseSpec
 from vangeo.symfunc import SigmaQuery, sigma_finite
 import vangeo.extremal as extremal
 import vangeo.vandinv as vandinv
@@ -69,15 +69,6 @@ class TestNZero:
             b = Fraction(num, den)
             by_log = math.ceil(math.log(1 + 1 / float(b), float(b)))
             assert n_zero(b) == max(1, by_log), b
-
-    def test_rigorous_ball_input(self):
-        ball = RigorousReal.exact(Fraction(8, 5), 128)
-        assert n_zero(ball) == 2
-
-    def test_straddling_ball_is_undecidable_not_wrong(self):
-        tau_ball = evaluate_base(BaseSpec.parse("tau"), 64)
-        with pytest.raises(UndecidableComparisonError):
-            n_zero(tau_ball)
 
     def test_requires_base_above_one(self):
         with pytest.raises(DomainError):

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import base2_product_identity, finite_j_product, sigma_infinite
 from vangeo.errors import DomainError
 from vangeo.extremal import n_zero
 from vangeo.limits import (_argmax, _closed_form, _inverse_q_product,
-                           _pentagonal_series, base2_product_identity,
-                           classify_regime, crossover_values, finite_j_product,
-                           inverse_q_product, limit_entry, limit_max,
-                           sigma_infinite)
+                           _pentagonal_series, classify_regime, limit_entry,
+                           limit_max)
 from vangeo.scalar import (BaseSpec, RigorousReal, certified_poly_sign,
                            evaluate_base)
 from vangeo.symfunc import SigmaQuery, sigma_finite
@@ -27,6 +26,16 @@ def assert_matches_printed(ball, literal: str):
     frac_digits = len(literal.split(".")[1])
     half_ulp = Fraction(1, 2 * 10 ** frac_digits)
     assert abs(ball.midpoint - Fraction(literal)) <= half_ulp + ball.radius
+
+
+def q_product(b: Fraction, tol):
+    """1/(q;q)_inf at a rational base, which is l_{0,0}."""
+    return limit_entry(0, 0, BaseSpec.rational(b.numerator, b.denominator), tol).value
+
+
+def diagonal_limits(base, tol):
+    """(l_{0,0}, l_{1,1}), the two closed forms of the crossover."""
+    return tuple(limit_entry(k, k, base, tol).value for k in (0, 1))
 
 
 class TestSigmaInfinite:
@@ -63,7 +72,7 @@ class TestSigmaInfinite:
 
 class TestInverseQProduct:
     def test_base_two_against_partial_product_oracle(self):
-        ball = inverse_q_product(Fraction(2), TOL15)
+        ball = q_product(Fraction(2), TOL15)
         partial = Fraction(1)
         for t in range(1, 201):
             partial /= 1 - Fraction(1, 2 ** t)
@@ -73,23 +82,23 @@ class TestInverseQProduct:
         assert_matches_printed(ball, "3.462746619455064")
 
     def test_base_three_is_the_table_row(self):
-        ball = inverse_q_product(Fraction(3), Fraction(1, 10 ** 27))
+        ball = q_product(Fraction(3), Fraction(1, 10 ** 27))
         assert_matches_printed(ball, "1.785312341998534190367486")
 
     def test_huge_base_leading_order(self):
         # 1 + q + 2q^2 + 3q^3 + ... at q = 10^-6
-        ball = inverse_q_product(Fraction(10 ** 6), Fraction(1, 10 ** 10))
+        ball = q_product(Fraction(10 ** 6), Fraction(1, 10 ** 10))
         assert abs(ball.midpoint - (1 + Fraction(1, 10 ** 6))) \
             <= Fraction(3, 10 ** 12) + ball.radius
         assert_matches_printed(ball, "1.000001000002000003")
 
     def test_tolerance_honored(self):
-        ball = inverse_q_product(Fraction(6, 5), TOL15)
+        ball = q_product(Fraction(6, 5), TOL15)
         assert ball.radius <= TOL15
 
     def test_base_at_most_one_rejected(self):
         with pytest.raises(DomainError):
-            inverse_q_product(Fraction(1), TOL15)
+            q_product(Fraction(1), TOL15)
 
 
 class TestFiniteJProduct:
@@ -114,7 +123,7 @@ class TestLimitEntry:
 
     def test_l00_base2_equals_q_product(self):
         lv = limit_entry(0, 0, BaseSpec.parse("2"), TOL20)
-        qp = inverse_q_product(Fraction(2), TOL20)
+        qp, _, _ = loop_inverse_q_product(evaluate_base(BaseSpec.parse("2"), 256), TOL20)
         assert lv.value.overlaps(qp)
 
     def test_symmetry_spot_check(self):
@@ -197,17 +206,18 @@ class TestLimitMax:
 
 class TestClosedFormOracle:
     """The closed form N/(D (q;q)_inf) against the truncated series
-    sigma_infinite * finite_j_product * inverse_q_product."""
+    sigma_infinite * finite_j_product times the restarted pentagonal loop."""
 
     TOL30 = Fraction(1, 10 ** 30)
 
     @pytest.mark.parametrize("text", ["2", "3/2", "6/5", "13/10", "7/3", "tau"])
     def test_matches_truncated_series(self, text):
         spec = BaseSpec.parse(text)
+        ball = evaluate_base(spec, 256)
         b = spec.exact_value()
         if b is None:
-            b = evaluate_base(spec, 256)
-        product = inverse_q_product(b, self.TOL30)
+            b = ball
+        product, _, _ = loop_inverse_q_product(ball, self.TOL30)
         for i in range(4):
             for j in range(4):
                 oracle = sigma_infinite(i, j, 1 / b, self.TOL30) \
@@ -232,23 +242,26 @@ class TestRegimesAndCrossover:
         assert classify_regime(BaseSpec.parse(text)) == (regime, boundary)
 
     def test_crossover_base3(self):
-        report = crossover_values(BaseSpec.parse("3"), TOL20)
-        assert report.regime == "above_alpha"
-        assert report.l00.certainly_gt(report.l11)
-        assert_matches_printed(report.l00, "1.785312341998534190367486")
+        base = BaseSpec.parse("3")
+        l00, l11 = diagonal_limits(base, TOL20)
+        assert classify_regime(base)[0] == "above_alpha"
+        assert l00.certainly_gt(l11)
+        assert_matches_printed(l00, "1.785312341998534190367486")
 
     def test_crossover_base2(self):
-        report = crossover_values(BaseSpec.parse("2"), TOL20)
-        assert report.regime == "between_tau_alpha"
-        assert report.l11.certainly_gt(report.l00)
-        assert_matches_printed(report.l11, "5.194119929182595417")
+        base = BaseSpec.parse("2")
+        l00, l11 = diagonal_limits(base, TOL20)
+        assert classify_regime(base)[0] == "between_tau_alpha"
+        assert l11.certainly_gt(l00)
+        assert_matches_printed(l11, "5.194119929182595417")
 
     def test_crossover_at_alpha(self):
-        report = crossover_values(BaseSpec.parse("alpha"), Fraction(1, 10 ** 16))
-        assert report.boundary
-        assert report.l00.overlaps(report.l11)
-        assert_matches_printed(report.l00, "2.4862447382651613433")
-        assert_matches_printed(report.l11, "2.4862447382651613433")
+        base = BaseSpec.parse("alpha")
+        l00, l11 = diagonal_limits(base, Fraction(1, 10 ** 16))
+        assert classify_regime(base)[1]
+        assert l00.overlaps(l11)
+        assert_matches_printed(l00, "2.4862447382651613433")
+        assert_matches_printed(l11, "2.4862447382651613433")
 
     def test_prefactor_contains_one_at_alpha(self):
         b = evaluate_base(BaseSpec.parse("alpha"), 256)
@@ -259,9 +272,8 @@ class TestRegimesAndCrossover:
     def test_limit_max_agrees_with_crossover_forms(self):
         for text in ["5/3", "2", "7/3", "3", "4", "tau", "alpha"]:
             base = BaseSpec.parse(text)
-            report = crossover_values(base, TOL15)
-            bigger = report.l00 if report.l00.midpoint >= report.l11.midpoint \
-                else report.l11
+            l00, l11 = diagonal_limits(base, TOL15)
+            bigger = l00 if l00.midpoint >= l11.midpoint else l11
             assert limit_max(base, TOL15).value.overlaps(bigger), text
 
 

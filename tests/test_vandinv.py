@@ -279,3 +279,19 @@ class TestColumnForm:
         entries = [[inverse_entry(i, j, gv) for j in range(12)] for i in range(12)]
         assert built == [12]
         assert entries == [list(row) for row in inverse_matrix(gv).entries]
+
+    def test_inverse_entry_deflates_each_column_once(self, monkeypatch):
+        # 144 entries read one at a time cost one deflation per column, not per entry
+        spec = BaseSpec.parse("7/3")
+        expected = [list(row) for row in inverse_matrix(GeometricVandermonde(spec, 12)).entries]
+        calls = []
+        original = ColumnForm.magnitudes
+
+        def counted(form, j, rows):
+            calls.append(j)
+            return original(form, j, rows)
+        monkeypatch.setattr(ColumnForm, "magnitudes", counted)
+        gv = GeometricVandermonde(spec, 12)
+        entries = [[inverse_entry(i, j, gv) for j in range(12)] for i in range(12)]
+        assert entries == expected
+        assert len(calls) == 12
