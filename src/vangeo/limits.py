@@ -51,11 +51,13 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
-                     at_base, certified_poly_sign, fraction_to_sci,
-                     poly_eval_ball, resolve_precision_ceiling)
+                     _dy_add, _dy_cmp, _dy_fraction, _from_dyadic_ends, at_base,
+                     certified_poly_sign, fraction_to_sci, poly_eval_ball,
+                     resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
 Poly = List[int]
+Dyadic = Tuple[int, int]        # (m, e), the value m * 2**e
 
 REGIME_ABOVE = "above_alpha"
 REGIME_BETWEEN = "between_tau_alpha"
@@ -84,11 +86,13 @@ class _PentagonalSeries:
     summed once and extended on demand.
 
     Step k >= 1 keeps what the stopping test of _inverse_q_product reads at
-    cutoff k - 1: the remainder bound tail_k (the upper end of the pair
-    q^a + q^(a+k), a = k(3k-1)/2, which bounds all later pairs), the lower end
-    of the sum after k - 1 pairs minus tail_k, and whether tail_k is below
-    that sum's rounding error.  The enclosure of 1/(q;q)_inf is kept for each
-    cutoff that a caller stopped at.
+    cutoff k - 1, with tail_k and floor_k as dyadics (m, e), m * 2**e, so
+    that the test runs on integers: the remainder bound tail_k (the upper
+    end of the pair q^a + q^(a+k), a = k(3k-1)/2, which bounds all later
+    pairs), floor_k (the lower end of the sum after k - 1 pairs minus
+    tail_k), and whether tail_k is at most that sum's radius, its rounding
+    error.  The enclosure of 1/(q;q)_inf is kept for each cutoff that a
+    caller stopped at.
     """
 
     def __init__(self, b: RigorousReal):
@@ -96,17 +100,18 @@ class _PentagonalSeries:
             raise DomainError("base must be certifiably > 1")
         self.q = 1 / b
         self.totals = [RigorousReal.exact(1, b.precision_bits)]   # sum after k pairs
-        self.steps: List[Tuple[Fraction, Fraction, bool]] = []
+        self.steps: List[Tuple[Dyadic, Dyadic, bool]] = []
         self.inverses = {}
 
-    def step(self, k: int) -> Tuple[Fraction, Fraction, bool]:
+    def step(self, k: int) -> Tuple[Dyadic, Dyadic, bool]:
         """(tail_k, floor_k, settled_k), summing pairs up to k as needed."""
         while len(self.steps) < k:
             m = len(self.steps) + 1
             a = m * (3 * m - 1) // 2
             pair = self.q ** a + self.q ** (a + m)
-            tail, total = pair.upper, self.totals[-1]
-            self.steps.append((tail, total.lower - tail, tail <= total.radius))
+            tail, total = pair._end(1), self.totals[-1]
+            floor = _dy_add(*total._end(-1), -tail[0], tail[1])
+            self.steps.append((tail, floor, _dy_cmp(*tail, total._r, total._f) <= 0))
             self.totals.append(total - pair if m % 2 else total + pair)
         return self.steps[k - 1]
 
@@ -116,8 +121,8 @@ class _PentagonalSeries:
         if k not in self.inverses:
             tail, floor, _ = self.steps[k - 1]
             total = self.totals[k - 1]
-            self.inverses[k] = None if floor <= 0 else 1 / RigorousReal.from_interval(
-                floor, total.upper + tail, total.precision_bits)
+            self.inverses[k] = None if floor[0] <= 0 else 1 / _from_dyadic_ends(
+                floor, _dy_add(*total._end(1), *tail), total.precision_bits)
         return self.inverses[k]
 
 
@@ -140,12 +145,15 @@ def _inverse_q_product(b: RigorousReal, tol: Fraction):
     The series itself is shared by every call at the same enclosure.
     """
     series = _pentagonal_series(b._m, b._e, b._r, b._f, b.precision_bits)
+    tol_num, tol_den = tol.numerator, tol.denominator
     k = 1
     while True:
-        tail, floor, settled = series.step(k)
-        # 1/x near (q;q)_inf has about the radius of x over (q;q)_inf^2
-        if settled or (floor > 0 and 4 * tail <= tol * floor * floor):
-            return series.inverse(k), k - 1, tail
+        (tail, tail_e), (floor, floor_e), settled = series.step(k)
+        # 1/x near (q;q)_inf has about the radius of x over (q;q)_inf^2:
+        # 4 tail <= tol floor^2, in integers
+        if settled or (floor > 0 and _dy_cmp(4 * tol_den * tail, tail_e,
+                                             tol_num * floor * floor, 2 * floor_e) <= 0):
+            return series.inverse(k), k - 1, _dy_fraction(tail, tail_e)
         k += 1
 
 

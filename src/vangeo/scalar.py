@@ -10,8 +10,10 @@ Two numeric carriers are used throughout the package:
   multiply, compare, intersect, abs) are integer operations on dyadics; the
   symmetric-function sweep, the residual dot product (``ball_dot``) and
   Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
-  multiply-add.  Fractions appear only in division, ``from_interval`` and
-  printing.
+  multiply-add.  Division rounds its two outer end quotients from the
+  integer mantissas.  Of the ball operations only ``exact``,
+  ``from_interval`` and ``hull`` build Fractions, besides the accessors that
+  printing reads.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
@@ -101,38 +103,39 @@ def _dy_ceil_trim(m: int, e: int, bits: int) -> Tuple[int, int]:
     return -((-m) >> s), e + s
 
 
-def _frac_to_dyadic(x: Fraction, prec: int, mode: str) -> Tuple[int, int]:
-    """Convert a Fraction to a dyadic with a prec-bit mantissa.
+def _dy_fraction(m: int, e: int) -> Fraction:
+    """The dyadic m*2**e as a Fraction."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
-    mode 'floor' rounds toward -inf, 'ceil' toward +inf; the result brackets
-    x on the requested side.
-    """
-    n, d = x.numerator, x.denominator
+
+def _dy_quotient(n: int, d: int, e: int, prec: int, mode: str) -> Tuple[int, int]:
+    """n/d * 2**e (d > 0) rounded to a prec-bit dyadic mantissa toward -inf
+    (mode 'floor') or +inf ('ceil').  The width follows n/d in lowest terms,
+    as a Fraction holds it: one gcd reduces it, and a power of two shared
+    with 2**e would drop from both bit lengths alike."""
     if n == 0:
         return 0, 0
+    if d != 1:
+        g = math.gcd(n, d)
+        n, d = n // g, d // g
     # scale so the quotient carries prec significant bits
-    shift = prec - (n.bit_length() - d.bit_length()) + 1
-    if shift < 0:
-        shift = 0
-    q, r = divmod(n << shift, d)
-    if mode == "ceil" and r:
+    shift = max(0, prec - (n.bit_length() - d.bit_length() + e) + 1)
+    s = e + shift
+    # floor(n / (d 2**-s)) is floor(floor(n / 2**-s) / d)
+    q, r = divmod(n << s, d) if s >= 0 else divmod(n >> -s, d)
+    if mode == "ceil" and (r or s < 0 and n & ((1 << -s) - 1)):
         q += 1
     return q, -shift
+
+
+def _frac_to_dyadic(x: Fraction, prec: int, mode: str) -> Tuple[int, int]:
+    """x rounded to a prec-bit dyadic mantissa on the side of mode."""
+    return _dy_quotient(x.numerator, x.denominator, 0, prec, mode)
 
 
 def _dy_round(m: int, e: int, prec: int, mode: str) -> Tuple[int, int]:
-    """_frac_to_dyadic of the dyadic m*2**e, without a Fraction: reduced,
-    m*2**e is n/2**k with bits(n) - bits(2**k) = bits(m) + e - 1."""
-    if m == 0:
-        return 0, 0
-    shift = max(0, prec - m.bit_length() - e + 2)
-    s = -e - shift
-    if s <= 0:
-        return m << -s, -shift
-    q = m >> s
-    if mode == "ceil" and m & ((1 << s) - 1):
-        q += 1
-    return q, -shift
+    """_frac_to_dyadic of the dyadic m*2**e, without a Fraction."""
+    return _dy_quotient(m, 1, e, prec, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +207,11 @@ class RigorousReal:
 
     @property
     def midpoint(self) -> Fraction:
-        m, e = self._m, self._e
-        return Fraction(m) * (1 << e) if e >= 0 else Fraction(m, 1 << -e)
+        return _dy_fraction(self._m, self._e)
 
     @property
     def radius(self) -> Fraction:
-        r, f = self._r, self._f
-        return Fraction(r) * (1 << f) if f >= 0 else Fraction(r, 1 << -f)
+        return _dy_fraction(self._r, self._f)
 
     @property
     def precision_bits(self) -> int:
@@ -351,13 +352,20 @@ class RigorousReal:
         if other is NotImplemented:
             return NotImplemented
         prec = max(self._prec, other._prec)
-        if other.sign() in (0, None):
+        sign = other.sign()
+        if sign in (0, None):
             raise DomainError("division by an enclosure containing zero")
-        # off the hot path: exact endpoint quotients, then outward rounding
-        a_lo, a_hi = self.lower, self.upper
-        b_lo, b_hi = other.lower, other.upper
-        quots = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
-        return RigorousReal.from_interval(min(quots), max(quots), prec)
+        # the end quotients a/d in integers; a/d = (-a)/(-d) makes d > 0
+        (al, el), (ah, eh) = self._end(-1), self._end(1)
+        (dl, fl), (dh, fh) = other._end(-1), other._end(1)
+        if sign < 0:
+            al, el, ah, eh, dl, fl, dh, fh = -ah, eh, -al, el, -dh, fh, -dl, fl
+        # over 0 < d_lo <= d_hi, a/d falls as d grows when a >= 0 and rises when a < 0
+        lo_d, lo_f = (dh, fh) if al >= 0 else (dl, fl)
+        hi_d, hi_f = (dl, fl) if ah >= 0 else (dh, fh)
+        return RigorousReal._from_dyadic_interval(
+            _dy_quotient(al, lo_d, el - lo_f, prec + 4, "floor"),
+            _dy_quotient(ah, hi_d, eh - hi_f, prec + 4, "ceil"), prec)
 
     def __rtruediv__(self, other) -> "RigorousReal":
         other = _coerce(other, self._prec)

@@ -108,10 +108,7 @@ def format_entry(value: Numeric, digits: int = 20) -> str:
     if isinstance(value, RigorousReal):
         rad = "0" if value.is_exact else fraction_to_sci(value.radius, 3)
         return f"{value.decimal(digits)}±{rad}"
-    v = Fraction(value)
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    return str(value)       # an int's digits, or a Fraction's p or p/q
 
 
 def _exact_base(gv: GeometricVandermonde) -> Union[int, Fraction]:

@@ -14,6 +14,8 @@ and the test modules import it as ``oracles``.
   / (q;q)_inf, which the closed form N / (D (q;q)_inf) replaced.
 * ``base2_product_identity`` evaluates 3 * prod_{i>=2} (1 + 1/(2^i - 1)),
   which equals l_{1,1} at b = 2.
+* ``fraction_quotient`` is ball division by exact Fraction end quotients,
+  the body of ``RigorousReal.__truediv__`` before it divided in integers.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Tuple
 
 from vangeo.errors import DomainError, SizeError
 from vangeo.limits import _prec_for_tol, _to_tol
-from vangeo.scalar import Numeric, RigorousReal
+from vangeo.scalar import Numeric, RigorousReal, _coerce
 from vangeo.symfunc import SigmaQuery, sigma_finite
 
 _BRUTEFORCE_MAX_N = 20
@@ -169,3 +171,24 @@ def base2_product_identity(tol) -> RigorousReal:
             break
         cutoff *= 2
     return RigorousReal.from_interval(partial, partial + tail, prec)
+
+
+# ---------------------------------------------------------------------------
+# ball division
+# ---------------------------------------------------------------------------
+
+
+def fraction_quotient(self: RigorousReal, other) -> RigorousReal:
+    """self / other from the four end quotients as Fractions, the smallest
+    and the largest rounded outward by from_interval."""
+    other = _coerce(other, self._prec)
+    if other is NotImplemented:
+        return NotImplemented
+    prec = max(self._prec, other._prec)
+    if other.sign() in (0, None):
+        raise DomainError("division by an enclosure containing zero")
+    # off the hot path: exact endpoint quotients, then outward rounding
+    a_lo, a_hi = self.lower, self.upper
+    b_lo, b_hi = other.lower, other.upper
+    quots = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
+    return RigorousReal.from_interval(min(quots), max(quots), prec)

@@ -3,15 +3,15 @@
 Golden stdout prints three digits of each radius, so a one-ulp drift in a
 midpoint or a radius would pass it.  These digests hash the raw
 (m, e, r, f, prec) fields of every ball that the inverse kernel, the ball
-residual and the ball Horner produce on a fixed grid; any change in their
-roundings changes a digest.
+residual, the ball Horner and limit_entry produce on a fixed grid; any change
+in their roundings changes a digest.
 """
 
 import hashlib
 
 import pytest
 
-from vangeo.limits import _closed_form
+from vangeo.limits import _closed_form, limit_entry
 from vangeo.scalar import BaseSpec, poly_eval_ball
 from vangeo.vandinv import GeometricVandermonde, inverse_matrix, residual_norm
 
@@ -22,6 +22,9 @@ def fields(x):
 
 def digest(balls):
     return hashlib.sha256(repr([fields(x) for x in balls]).encode()).hexdigest()[:16]
+
+
+GRID = ((0, 0), (1, 3), (4, 2), (7, 9), (12, 15))
 
 
 INVERSE_DIGESTS = {
@@ -36,6 +39,22 @@ HORNER_DIGESTS = {
     ("1.03", 256): "d5c94f4aae2133cb",
     ("tau", 64): "8f2b9ae49590390f",
     ("tau", 256): "08e33ae7e8a9a82d",
+}
+
+# the ball inverse alone: each column divides by grow * decay
+DIVISION_DIGESTS = {
+    ("tau", 128): "1bb8ed4f212b1a1d",
+    ("tau", 1024): "d2be4d489ba8d4d9",
+    ("alpha", 128): "13930d0b1d953aea",
+    ("alpha", 1024): "58db535dc66d8f8d",
+}
+
+# limit_entry: the value's fields, the pentagonal pairs summed and the tail bound
+LIMIT_DIGESTS = {
+    ("1.03", "1e-10"): "a7ec6fe8568ad52d",
+    ("7/3", "1e-40"): "c67134bc9f88470d",
+    ("tau", "1e-34"): "14e74e76565e4f88",
+    ("alpha", "1e-30"): "1dea0becf803b9cc",
 }
 
 
@@ -54,7 +73,20 @@ def test_inverse_and_residual_fields(name, bits):
 def test_horner_fields(name, bits):
     b = BaseSpec.parse(name).evaluate(bits)
     balls = []
-    for i, j in ((0, 0), (1, 3), (4, 2), (7, 9), (12, 15)):
+    for i, j in GRID:
         num, den = _closed_form(i, j)
         balls += [poly_eval_ball(num, b), poly_eval_ball(den, b)]
     assert digest(balls) == HORNER_DIGESTS[name, bits]
+
+
+@pytest.mark.parametrize("name,bits", sorted(DIVISION_DIGESTS))
+def test_ball_inverse_fields(name, bits):
+    inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse(name), 13), bits)
+    assert digest([x for row in inv.entries for x in row]) == DIVISION_DIGESTS[name, bits]
+
+
+@pytest.mark.parametrize("name,tol", sorted(LIMIT_DIGESTS))
+def test_limit_entry_fields(name, tol):
+    values = [limit_entry(i, j, BaseSpec.parse(name), tol) for i, j in GRID]
+    got = [(fields(v.value), v.product_cutoff, v.tail_bound) for v in values]
+    assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == LIMIT_DIGESTS[name, tol]

@@ -1,6 +1,7 @@
 """Arithmetic substrate: enclosures, base parsing, root isolation, printing."""
 
 import math
+import operator
 import os
 from fractions import Fraction
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import fraction_quotient
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
                            RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
-                           _dy_round, _filled, _floor_log10, _frac_to_dyadic,
+                           _dy_quotient, _dy_round, _filled, _floor_log10,
+                           _frac_to_dyadic,
                            _normalize, ball_dot, bisect_root,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
@@ -212,6 +215,21 @@ class TestRigorousReal:
 # ---------------------------------------------------------------------------
 
 
+def old_frac_to_dyadic(x, prec, mode):
+    """A Fraction rounded to a prec-bit dyadic mantissa on the side of mode,
+    from its reduced numerator and denominator."""
+    n, d = x.numerator, x.denominator
+    if n == 0:
+        return 0, 0
+    shift = prec - (n.bit_length() - d.bit_length()) + 1
+    if shift < 0:
+        shift = 0
+    q, r = divmod(n << shift, d)
+    if mode == "ceil" and r:
+        q += 1
+    return q, -shift
+
+
 def old_dy_add(m1, e1, m2, e2):
     if m1 == 0:
         return m2, e2
@@ -291,8 +309,8 @@ def ends(x):
 
 
 def old_from_interval(lo, hi, prec):
-    (ml, el) = _frac_to_dyadic(Fraction(lo), prec + 4, "floor")
-    (mh, eh) = _frac_to_dyadic(Fraction(hi), prec + 4, "ceil")
+    (ml, el) = old_frac_to_dyadic(Fraction(lo), prec + 4, "floor")
+    (mh, eh) = old_frac_to_dyadic(Fraction(hi), prec + 4, "ceil")
     e = min(el, eh) - 1
     a, b = ml << (el - e), mh << (eh - e)
     return (*old_normalize(a + b, e - 1, b - a, e - 1, prec), prec)
@@ -348,12 +366,14 @@ def balls(draw, near=None):
     return (*old_normalize(m, e, r, f, prec), prec)
 
 
+exact_balls = st.tuples(mantissas, exponents, precisions).map(
+    lambda t: (*old_normalize(t[0], t[1], 0, 0, t[2]), t[2]))
+
+
 @st.composite
 def sweeps(draw):
     """Up to 12 nodes, some exact, at mixed precisions; upto below or at the
     node count; the unit at a precision of its own."""
-    exact_balls = st.tuples(mantissas, exponents, precisions).map(
-        lambda t: (*old_normalize(t[0], t[1], 0, 0, t[2]), t[2]))
     nodes = draw(st.lists(st.one_of(balls(), exact_balls), max_size=12))
     upto = draw(st.one_of(st.just(len(nodes)), st.integers(0, len(nodes))))
     return nodes, upto, draw(precisions)
@@ -364,6 +384,27 @@ def sweeps(draw):
 coefficients = st.one_of(
     st.integers(-2 ** 1200, 2 ** 1200), st.integers(-70, 70),
     st.fractions(max_denominator=10 ** 40).filter(lambda c: c.denominator & (c.denominator - 1)))
+
+
+def scaled(t, k):
+    """The raw fields of the ball t times 2**k."""
+    m, e, r, f, prec = t
+    return m, e + k if m else 0, r, f + k if r else 0, prec
+
+
+# divisors: any ball, an exact one, and one that contains 0
+divisors = st.one_of(balls(), exact_balls, exponents.flatmap(lambda e: balls((0, e))))
+
+# non-zero ints and Fractions, dyadic or not, as the other operand
+numbers = st.one_of(st.integers(-2 ** 80, 2 ** 80), coefficients).filter(bool)
+
+
+def quotient(divide, x, y):
+    """The raw fields of divide(x, y), or DomainError when y contains 0."""
+    try:
+        return fields(divide(x, y))
+    except DomainError:
+        return DomainError
 
 
 @st.composite
@@ -387,8 +428,56 @@ class TestDyadicOracles:
     @example(m=-130, e=-10, prec=4, mode="ceil")
     @settings(max_examples=300, deadline=None)
     def test_dy_round(self, m, e, prec, mode):
-        assert _dy_round(m, e, prec, mode) == _frac_to_dyadic(Fraction(m) * Fraction(2) ** e,
-                                                              prec, mode)
+        assert _dy_round(m, e, prec, mode) \
+            == old_frac_to_dyadic(Fraction(m) * Fraction(2) ** e, prec, mode)
+
+    @given(n=mantissas, d=st.integers(1, 2 ** 1200), e=exponents, prec=precisions,
+           mode=st.sampled_from(["floor", "ceil"]))
+    @example(n=3 << 40, d=3 << 7, e=-20, prec=4, mode="ceil")   # gcd 3 * 2**7
+    @example(n=-6, d=9, e=5000, prec=8, mode="floor")
+    @example(n=5 << 20, d=1 << 30, e=-5000, prec=8, mode="ceil")
+    @settings(max_examples=300, deadline=None)
+    def test_dy_quotient(self, n, d, e, prec, mode):
+        assert _dy_quotient(n, d, e, prec, mode) \
+            == old_frac_to_dyadic(Fraction(n, d) * Fraction(2) ** e, prec, mode)
+        assert _frac_to_dyadic(Fraction(n, d), prec, mode) \
+            == old_frac_to_dyadic(Fraction(n, d), prec, mode)
+
+    @given(x=st.one_of(balls(), exact_balls), y=divisors,
+           gap=st.sampled_from([0, 5000, -5000]))
+    @example(x=(5, 0, 0, 0, 8), y=(3, 0, 0, 0, 8), gap=0)
+    @example(x=(-7, -3, 1, -3, 16), y=(-3, 2, 1, 0, 8), gap=5000)
+    @example(x=(7, 0, 9, 0, 16), y=(-3, 0, 1, 0, 64), gap=-5000)
+    @example(x=(1, 0, 0, 0, 64), y=(1, 0, 1, 0, 64), gap=0)    # [0, 2] holds 0
+    @settings(max_examples=300, deadline=None)
+    def test_quotient(self, x, y, gap):
+        """Ball by ball, and 1 / ball, field for field with the Fraction
+        end quotients; a divisor that holds 0 raises DomainError."""
+        a, b = raw_ball(x), raw_ball(scaled(y, gap))
+        assert quotient(operator.truediv, a, b) == quotient(fraction_quotient, a, b)
+        one = RigorousReal.exact(1, b.precision_bits)
+        assert quotient(lambda _, v: 1 / v, a, b) == quotient(fraction_quotient, one, b)
+
+    @given(x=divisors, k=numbers)
+    @settings(max_examples=300, deadline=None)
+    def test_quotient_with_numbers(self, x, k):
+        a = raw_ball(x)
+        assert quotient(operator.truediv, a, k) == quotient(fraction_quotient, a, k)
+        exact_k = RigorousReal.exact(k, a.precision_bits)
+        assert quotient(lambda u, v: v / u, a, k) == quotient(fraction_quotient, exact_k, a)
+
+    @pytest.mark.parametrize("x,y", [((5, 0, 1, -4, 64), (3, 0, 0, 0, 64)),
+                                     ((-5, 0, 1, -4, 64), (3, -9, 1, -12, 256)),
+                                     ((5, 0, 9, 0, 64), (-3, 0, 1, -4, 128))])
+    def test_quotient_builds_no_fraction(self, x, y, monkeypatch):
+        from vangeo import scalar
+
+        def no_fraction(*args):
+            raise AssertionError("ball division built a Fraction")
+
+        expected = fields(fraction_quotient(raw_ball(x), raw_ball(y)))
+        monkeypatch.setattr(scalar, "Fraction", no_fraction)
+        assert fields(raw_ball(x) / raw_ball(y)) == expected
 
     @given(x=balls(), y=balls(), k=st.integers(-10 ** 30, 10 ** 30))
     @settings(max_examples=300, deadline=None)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from vangeo.errors import DomainError, UnsupportedBackendError
+from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
@@ -178,6 +178,17 @@ class TestExactInvariants:
                        for i in range(n) for j in range(n))
         assert expected != 0
         assert residual_norm(gv, wrong) == expected
+
+
+@pytest.mark.parametrize("text,other", [("7/3", "2"), ("tau", "alpha")])
+def test_residual_rejects_a_mismatched_inverse(text, other):
+    """An exact and a ball inverse of size 5: a matrix of another size or
+    another base raises DimensionError; its own matrix does not."""
+    inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse(text), 5), 64)
+    for n, base in ((4, text), (6, text), (5, other)):
+        with pytest.raises(DimensionError):
+            residual_norm(GeometricVandermonde(BaseSpec.parse(base), n), inv)
+    residual_norm(GeometricVandermonde(BaseSpec.parse(text), 5), inv)
 
 
 class TestRigorousBackend:
