@@ -51,8 +51,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
-                     _dy_add, _dy_cmp, _dy_fraction, _from_dyadic_ends, at_base,
-                     certified_poly_sign, fraction_to_sci, poly_eval_ball,
+                     _dy_add, _dy_cmp, _dy_fraction, _from_dyadic_ends, _power,
+                     at_base, certified_poly_sign, fraction_to_sci, poly_eval_ball,
                      resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
@@ -91,14 +91,17 @@ class _PentagonalSeries:
     end of the pair q^a + q^(a+k), a = k(3k-1)/2, which bounds all later
     pairs), floor_k (the lower end of the sum after k - 1 pairs minus
     tail_k), and whether tail_k is at most that sum's radius, its rounding
-    error.  The enclosure of 1/(q;q)_inf is kept for each cutoff that a
-    caller stopped at.
+    error.  The powers of q come from one chain of squares q, q^2, q^4, ...
+    (scalar._power), grown as the exponents need it, so each power costs
+    popcount(a) - 1 multiplications and gives the bits of q ** a.  The
+    enclosure of 1/(q;q)_inf is kept for each cutoff that a caller stopped
+    at.
     """
 
     def __init__(self, b: RigorousReal):
         if not b.lower > 1:
             raise DomainError("base must be certifiably > 1")
-        self.q = 1 / b
+        self.squares = [1 / b]                                    # q, q^2, q^4, ...
         self.totals = [RigorousReal.exact(1, b.precision_bits)]   # sum after k pairs
         self.steps: List[Tuple[Dyadic, Dyadic, bool]] = []
         self.inverses = {}
@@ -108,7 +111,7 @@ class _PentagonalSeries:
         while len(self.steps) < k:
             m = len(self.steps) + 1
             a = m * (3 * m - 1) // 2
-            pair = self.q ** a + self.q ** (a + m)
+            pair = _power(self.squares, a) + _power(self.squares, a + m)
             tail, total = pair._end(1), self.totals[-1]
             floor = _dy_add(*total._end(-1), -tail[0], tail[1])
             self.steps.append((tail, floor, _dy_cmp(*tail, total._r, total._f) <= 0))
@@ -134,26 +137,28 @@ def _pentagonal_series(m: int, e: int, r: int, f: int, precision: int) -> _Penta
     return _PentagonalSeries(RigorousReal(m, e, r, f, precision))
 
 
-def _inverse_q_product(b: RigorousReal, tol: Fraction):
-    """1/(q;q)_inf at the precision of b: returns (enclosure, number of
-    pentagonal pairs summed, bound on the remainder of the series).
+def _inverse_q_product(b: RigorousReal, tol_num: int, tol_den: int):
+    """1/(q;q)_inf at the precision of b, to tol = tol_num / tol_den > 0:
+    returns (enclosure, number of pentagonal pairs summed, bound on the
+    remainder of the series as a dyadic (m, e)).
 
     Pairs are summed until the next one is small enough for the enclosure of
     1/(q;q)_inf to meet tol, or until it falls below the rounding error of
     the partial sum; in the second case the radius can exceed tol, and the
     enclosure is None when that precision cannot separate (q;q)_inf from 0.
-    The series itself is shared by every call at the same enclosure.
+    The stopping test is homogeneous in (tol_num, tol_den), so the pair need
+    not be in lowest terms.  The series itself is shared by every call at
+    the same enclosure.
     """
     series = _pentagonal_series(b._m, b._e, b._r, b._f, b.precision_bits)
-    tol_num, tol_den = tol.numerator, tol.denominator
     k = 1
     while True:
-        (tail, tail_e), (floor, floor_e), settled = series.step(k)
+        tail, (floor, floor_e), settled = series.step(k)
         # 1/x near (q;q)_inf has about the radius of x over (q;q)_inf^2:
         # 4 tail <= tol floor^2, in integers
-        if settled or (floor > 0 and _dy_cmp(4 * tol_den * tail, tail_e,
+        if settled or (floor > 0 and _dy_cmp(4 * tol_den * tail[0], tail[1],
                                              tol_num * floor * floor, 2 * floor_e) <= 0):
-            return series.inverse(k), k - 1, _dy_fraction(tail, tail_e)
+            return series.inverse(k), k - 1, tail
         k += 1
 
 
@@ -214,6 +219,7 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
     if i < 0 or j < 0:
         raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
     tolf = _to_tol(tol)
+    tol_num, tol_den = tolf.numerator, tolf.denominator
     num, den = _closed_form(i, j)
     ceiling = resolve_precision_ceiling(precision_ceiling)
     precision = _prec_for_tol(tolf)
@@ -223,11 +229,15 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
         # N(b) and D(b) are positive; balls that do not show it need more bits
         if num_b.sign() == den_b.sign() == 1:
             ratio = num_b / den_b
-            product, pairs, tail = _inverse_q_product(b, tolf / (2 * ratio.upper))
+            # tol / (2 ratio.upper) as an unreduced integer pair
+            up, up_e = ratio._end(1)
+            product, pairs, tail = _inverse_q_product(
+                b, tol_num << max(0, -up_e), 2 * tol_den * up << max(0, up_e))
             value = None if product is None else ratio * product
-            if value is not None and value.radius <= tolf:
+            # radius <= tol, in integers
+            if value is not None and _dy_cmp(value._r * tol_den, value._f, tol_num, 0) <= 0:
                 return LimitValue(i=i, j=j, value=value, sigma_cutoff=i,
-                                  product_cutoff=pairs, tail_bound=tail,
+                                  product_cutoff=pairs, tail_bound=_dy_fraction(*tail),
                                   closed_form=(num, den))
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(

@@ -11,9 +11,9 @@ Two numeric carriers are used throughout the package:
   symmetric-function sweep, the residual dot product (``ball_dot``) and
   Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
   multiply-add.  Division rounds its two outer end quotients from the
-  integer mantissas.  Of the ball operations only ``exact``,
-  ``from_interval`` and ``hull`` build Fractions, besides the accessors that
-  printing reads.
+  integer mantissas.  Of the ball operations only ``exact`` and
+  ``from_interval`` build Fractions, besides the accessors that printing
+  reads.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
@@ -286,12 +286,14 @@ class RigorousReal:
 
     @staticmethod
     def hull(values: Sequence["RigorousReal"]) -> "RigorousReal":
-        """Smallest ball containing every given enclosure."""
+        """Smallest ball containing every given enclosure: from_interval of
+        the least lower end and the greatest upper end, compared as dyadics."""
         if not values:
             raise DomainError("hull of an empty collection")
-        lo = min(v.lower for v in values)
-        hi = max(v.upper for v in values)
-        return RigorousReal.from_interval(lo, hi, max(v.precision_bits for v in values))
+        order = functools.cmp_to_key(lambda x, y: _dy_cmp(*x, *y))
+        lo = min((v._end(-1) for v in values), key=order)
+        hi = max((v._end(1) for v in values), key=order)
+        return _from_dyadic_ends(lo, hi, max(v._prec for v in values))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -374,20 +376,12 @@ class RigorousReal:
         return other / self
 
     def __pow__(self, exponent: int) -> "RigorousReal":
+        """Right-to-left binary powering, through _power over the chain [self]."""
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
             return RigorousReal.exact(1, self._prec) / (self ** (-exponent))
-        result = RigorousReal.exact(1, self._prec)
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power([self], exponent)
 
     # -- presentation --------------------------------------------------------
 
@@ -515,6 +509,24 @@ def _from_dyadic_ends(lo: Tuple[int, int], hi: Tuple[int, int], prec: int) -> Ri
     """from_interval of two dyadic ends, with no Fraction."""
     return RigorousReal._from_dyadic_interval(_dy_round(*lo, prec + 4, "floor"),
                                               _dy_round(*hi, prec + 4, "ceil"), prec)
+
+
+def _power(squares: List[RigorousReal], exponent: int) -> RigorousReal:
+    """x ** exponent (exponent >= 0) by right-to-left binary powering over the
+    chain squares = [x, x^2, x^4, ...], which it extends as needed: a caller
+    that keeps its chain pays popcount(exponent) - 1 products per power.  The
+    first factor is what 1 * x gives, x renormalised (a round-up can leave a
+    carry bit on a normalised mantissa)."""
+    prec = squares[0]._prec
+    result = None
+    for i in range(exponent.bit_length()):
+        if i == len(squares):
+            squares.append(squares[-1] * squares[-1])
+        if exponent >> i & 1:
+            y = squares[i]
+            result = _filled(*_normalize(y._m, y._e, y._r, y._f, prec), prec) \
+                if result is None else result * y
+    return RigorousReal.exact(1, prec) if result is None else result
 
 
 def _coerce(value, prec: int):

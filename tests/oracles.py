@@ -16,6 +16,12 @@ and the test modules import it as ``oracles``.
   which equals l_{1,1} at b = 2.
 * ``fraction_quotient`` is ball division by exact Fraction end quotients,
   the body of ``RigorousReal.__truediv__`` before it divided in integers.
+* ``fraction_hull`` is ``RigorousReal.hull`` by Fraction ends, as it was
+  before it compared dyadics.
+* ``loop_power`` is binary powering that squares afresh for every power, the
+  body of ``RigorousReal.__pow__`` before the chain of squares, and
+  ``pentagonal_prefix`` sums the pentagonal pairs with it, as
+  ``limits._PentagonalSeries.step`` did.
 """
 
 from __future__ import annotations
@@ -23,11 +29,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from vangeo.errors import DomainError, SizeError
 from vangeo.limits import _prec_for_tol, _to_tol
-from vangeo.scalar import Numeric, RigorousReal, _coerce
+from vangeo.scalar import Numeric, RigorousReal, _coerce, _dy_add, _dy_cmp
 from vangeo.symfunc import SigmaQuery, sigma_finite
 
 _BRUTEFORCE_MAX_N = 20
@@ -192,3 +198,48 @@ def fraction_quotient(self: RigorousReal, other) -> RigorousReal:
     b_lo, b_hi = other.lower, other.upper
     quots = (a_lo / b_lo, a_lo / b_hi, a_hi / b_lo, a_hi / b_hi)
     return RigorousReal.from_interval(min(quots), max(quots), prec)
+
+
+def fraction_hull(values: Sequence[RigorousReal]) -> RigorousReal:
+    """Smallest ball containing every given enclosure."""
+    if not values:
+        raise DomainError("hull of an empty collection")
+    lo = min(v.lower for v in values)
+    hi = max(v.upper for v in values)
+    return RigorousReal.from_interval(lo, hi, max(v.precision_bits for v in values))
+
+
+# ---------------------------------------------------------------------------
+# powers and the pentagonal series
+# ---------------------------------------------------------------------------
+
+
+def loop_power(x: RigorousReal, exponent: int) -> RigorousReal:
+    """x ** exponent (exponent >= 0): right-to-left binary powering from
+    exact 1, squaring x afresh."""
+    result = RigorousReal.exact(1, x.precision_bits)
+    base = x
+    k = exponent
+    while k:
+        if k & 1:
+            result = result * base
+        k >>= 1
+        if k:
+            base = base * base
+    return result
+
+
+def pentagonal_prefix(b: RigorousReal, count: int) -> Tuple[List, List[RigorousReal]]:
+    """The first count steps (tail_k, floor_k, settled_k) of the pentagonal
+    series at b and the partial sums after 0..count pairs, each pair built
+    from two fresh powers of q = 1/b."""
+    q = 1 / b
+    steps, totals = [], [RigorousReal.exact(1, b.precision_bits)]
+    for m in range(1, count + 1):
+        a = m * (3 * m - 1) // 2
+        pair = loop_power(q, a) + loop_power(q, a + m)
+        tail, total = pair._end(1), totals[-1]
+        floor = _dy_add(*total._end(-1), -tail[0], tail[1])
+        steps.append((tail, floor, _dy_cmp(*tail, total._r, total._f) <= 0))
+        totals.append(total - pair if m % 2 else total + pair)
+    return steps, totals

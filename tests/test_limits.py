@@ -1,5 +1,6 @@
 """Entry limits: infinite power sums, Euler-type products, regimes."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -7,13 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import base2_product_identity, finite_j_product, sigma_infinite
-from vangeo.errors import DomainError
+from oracles import (base2_product_identity, finite_j_product, pentagonal_prefix,
+                     sigma_infinite)
+from vangeo import limits
+from vangeo.errors import DomainError, UndecidableComparisonError
 from vangeo.extremal import n_zero
 from vangeo.limits import (_argmax, _closed_form, _inverse_q_product,
-                           _pentagonal_series, classify_regime, limit_entry,
-                           limit_max)
-from vangeo.scalar import (BaseSpec, RigorousReal, certified_poly_sign,
+                           _PentagonalSeries, _pentagonal_series, classify_regime,
+                           limit_entry, limit_max)
+from vangeo.scalar import (BaseSpec, RigorousReal, _dy_fraction, certified_poly_sign,
                            evaluate_base)
 from vangeo.symfunc import SigmaQuery, sigma_finite
 
@@ -152,6 +155,29 @@ class TestLimitEntry:
     def test_negative_indices_rejected(self):
         with pytest.raises(DomainError):
             limit_entry(-1, 0, BaseSpec.parse("2"), TOL15)
+
+    def test_escalation_and_ceiling(self):
+        """At 1.03 and 1e-10, l_(3,5) fails its tolerance at 97 and 194
+        bits: the ceilings 128 and 256 refuse it and name themselves, and
+        512 lets it return from its second doubling, at 388 bits.  The
+        digest pins the value's fields, cutoff and tail bound."""
+        base = BaseSpec.parse("1.03")
+        for ceiling in (128, 256):
+            with pytest.raises(UndecidableComparisonError, match=f"within the {ceiling}-bit"):
+                limit_entry(3, 5, base, "1e-10", ceiling)
+        lv = limit_entry(3, 5, base, "1e-10", 512)
+        assert lv.value.precision_bits == 388
+        got = [(fields(lv.value), lv.product_cutoff, lv.tail_bound)]
+        assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == "ad5c0cc2c9143976"
+
+    def test_radius_between_half_tol_and_tol_is_accepted(self):
+        """l_(2,4) at 1.1 meets 1e-10 at its first precision, 97 bits, with a
+        radius above tol / 2: a radius test off by one bit either way moves
+        this entry to another precision."""
+        tol = Fraction(1, 10 ** 10)
+        lv = limit_entry(2, 4, BaseSpec.parse("1.1"), tol)
+        assert lv.value.precision_bits == 97
+        assert tol / 2 < lv.value.radius <= tol
 
 
 class TestLimitMax:
@@ -388,6 +414,10 @@ def box(base):
     return [(i, j) for j in range(top + 1) for i in range(j + 1)]
 
 
+def fields(x):
+    return x._m, x._e, x._r, x._f, x._prec
+
+
 def outcome(result):
     value, pairs, tail = result
     return (None if value is None else (value.midpoint, value.radius)), pairs, tail
@@ -404,49 +434,101 @@ def enclosures(draw):
     return BaseSpec.rational(value.numerator, value.denominator).evaluate(precision)
 
 
+def inverse_q_product(b, tol, scale=1):
+    """_inverse_q_product at the Fraction tol, passed as the integer pair
+    (numerator, denominator) times scale, with its tail as a Fraction."""
+    value, pairs, tail = _inverse_q_product(b, tol.numerator * scale, tol.denominator * scale)
+    return value, pairs, _dy_fraction(*tail)
+
+
+# common factors for an unreduced tolerance pair: limit_entry passes one
+scales = st.one_of(st.just(1), st.builds(lambda k, odd: odd << k, st.integers(0, 300),
+                                         st.sampled_from((1, 3, 5 ** 40))))
+
+
 class TestPentagonalSeries:
-    @given(b=enclosures(), exponents=st.lists(st.integers(5, 120), min_size=1, max_size=5))
-    @example(b=BaseSpec.parse("2").evaluate(64), exponents=[5, 120, 5])
+    @given(b=enclosures(), exponents=st.lists(st.integers(5, 120), min_size=1, max_size=5),
+           scale=scales)
+    @example(b=BaseSpec.parse("2").evaluate(64), exponents=[5, 120, 5], scale=1)
+    @example(b=BaseSpec.parse("2").evaluate(64), exponents=[5, 120, 5], scale=3 << 40)
+    @example(b=BaseSpec.parse("tau").evaluate(256), exponents=[30, 60], scale=3 << 300)
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_restarted_loop(self, b, exponents):
+    def test_matches_the_restarted_loop(self, b, exponents, scale):
         """Tolerances in the drawn, rising and falling order, each from an
         empty cache: a cutoff below the series' length reuses its prefix,
-        one beyond it extends the series."""
+        one beyond it extends the series.  A tolerance pair scaled by a
+        common factor gives the same outcome as its lowest terms."""
         tols = [Fraction(1, 10 ** e) for e in exponents]
         for order in (tols, sorted(tols), sorted(tols, reverse=True)):
             _pentagonal_series.cache_clear()
             for tol in order:
-                assert outcome(_inverse_q_product(b, tol)) \
+                assert outcome(inverse_q_product(b, tol, scale)) \
                     == outcome(loop_inverse_q_product(b, tol))
 
     def test_precision_too_low_gives_none(self):
         b = BaseSpec.parse("1.01").evaluate(64)
-        _pentagonal_series.cache_clear()
-        for exponent in (5, 20, 10):
-            tol = Fraction(1, 10 ** exponent)
-            result = _inverse_q_product(b, tol)
-            assert result[0] is None and result[1] == 50
-            assert outcome(result) == outcome(loop_inverse_q_product(b, tol))
+        for scale in (1, 3, 3 << 64, 7 ** 30 << 5):
+            _pentagonal_series.cache_clear()
+            for exponent in (5, 20, 10):
+                tol = Fraction(1, 10 ** exponent)
+                result = inverse_q_product(b, tol, scale)
+                assert result[0] is None and result[1] == 50
+                assert outcome(result) == outcome(loop_inverse_q_product(b, tol))
+
+    @given(b=enclosures(), count=st.integers(1, 40))
+    @example(b=BaseSpec.parse("1.01").evaluate(64), count=60)
+    @settings(max_examples=40, deadline=None)
+    def test_steps_match_fresh_powers(self, b, count):
+        """Every step and partial sum, field for field, against pairs built
+        from two fresh powers of q each."""
+        series = _PentagonalSeries(b)
+        series.step(count)
+        steps, totals = pentagonal_prefix(b, count)
+        assert series.steps == steps
+        assert [fields(t) for t in series.totals] == [fields(t) for t in totals]
+
+    def test_base_straddling_one_is_refused(self):
+        b = RigorousReal.from_interval(Fraction(99, 100), Fraction(101, 100), 64)
+        with pytest.raises(DomainError):
+            _PentagonalSeries(b)
+        with pytest.raises(DomainError):
+            _inverse_q_product(b, 1, 10 ** 10)
 
     def test_each_pair_is_built_once(self, monkeypatch):
-        """One limit_max at 13/10: each (enclosure, k) pair is built once, so
-        the ** calls are twice the largest number of pairs walked per
-        enclosure.  Its ten entries each evaluate the base afresh, so this
-        also fails if the series is keyed on the enclosure object."""
-        calls = []
-        power = RigorousReal.__pow__
+        """One limit_max at 13/10: each (enclosure, k) pair is built once,
+        so there are two powers per pair walked on the largest cutoff, and
+        all of them read one chain of squares.  The ball products are the
+        chain's squarings plus popcount(a) - 1 per power a.  Its ten entries
+        each evaluate the base afresh, so this also fails if the series is
+        keyed on the enclosure object."""
+        calls, chains, products = [], [], [0]
+        inside = [False]
+        power, mul = limits._power, RigorousReal.__mul__
 
-        def counted(self, exponent):
-            calls.append(((self.midpoint, self.radius, self.precision_bits), exponent))
-            return power(self, exponent)
+        def counted_power(squares, exponent):
+            calls.append((fields(squares[0]), exponent))
+            chains.append(squares)
+            inside[0] = True
+            try:
+                return power(squares, exponent)
+            finally:
+                inside[0] = False
 
-        monkeypatch.setattr(RigorousReal, "__pow__", counted)
+        def counted_mul(self, other):
+            products[0] += inside[0]
+            return mul(self, other)
+
+        monkeypatch.setattr(limits, "_power", counted_power)
+        monkeypatch.setattr(RigorousReal, "__mul__", counted_mul)
         _pentagonal_series.cache_clear()
         report = limit_max(BaseSpec.parse("13/10"), Fraction(1, 10 ** 30))
         assert len(calls) == len(set(calls))
         assert _pentagonal_series.cache_info().currsize == 1     # one enclosure
         walked = max(e.product_cutoff for e in report.entries) + 1
         assert len(calls) == 2 * walked
+        assert all(chain is chains[0] for chain in chains)
+        assert products[0] == len(chains[0]) - 1 + sum(
+            bin(a).count("1") - 1 for _, a in calls)
         assert _pentagonal_series.cache_info().maxsize is not None
 
 

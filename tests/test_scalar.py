@@ -9,14 +9,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_quotient
+from oracles import fraction_hull, fraction_quotient, loop_power
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
                            RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
                            _dy_quotient, _dy_round, _filled, _floor_log10,
                            _frac_to_dyadic,
-                           _normalize, ball_dot, bisect_root,
+                           _normalize, _power, ball_dot, bisect_root,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
                            max_abs, poly_eval, poly_eval_ball, reduce_monic,
@@ -533,6 +533,44 @@ class TestDyadicOracles:
     @settings(max_examples=300, deadline=None)
     def test_abs(self, x):
         assert fields(abs(raw_ball(x))) == old_abs(x)
+
+    @given(values=st.one_of(st.lists(balls(), min_size=1, max_size=4),
+                            st.lists(exponents.flatmap(lambda e: balls((1, e))),
+                                     min_size=1, max_size=4)))
+    @example(values=[(3, 0, 1, 0, 16), (1, 0, 1, 0, 1000), (5, 0, 0, 0, 4)])
+    @example(values=[(1, 0, 2, 0, 64), (3, 0, 2, 0, 16)])           # a shared upper end
+    @settings(max_examples=300, deadline=None)
+    def test_hull(self, values):
+        """Field for field with the Fraction ends, at mixed precisions, over
+        unrelated balls and balls around one point."""
+        values = [raw_ball(x) for x in values]
+        assert fields(RigorousReal.hull(values)) == fields(fraction_hull(values))
+
+    def test_hull_builds_no_fraction(self, monkeypatch):
+        from vangeo import scalar
+
+        def no_fraction(*args):
+            raise AssertionError("hull built a Fraction")
+
+        values = [raw_ball(x) for x in ((5, -3, 1, -4, 64), (-9, 7, 3, 0, 16), (1, 0, 0, 0, 256))]
+        expected = fields(fraction_hull(values))
+        monkeypatch.setattr(scalar, "Fraction", no_fraction)
+        assert fields(RigorousReal.hull(values)) == expected
+
+    @given(x=st.one_of(balls(), exact_balls),
+           ks=st.lists(st.one_of(st.integers(0, 70), st.integers(0, 5000)), max_size=6))
+    @example(x=(1 << 64, 6, 1, 5, 64), ks=[1, 2, 3])      # a carried mantissa
+    @example(x=(1 << 8, 0, (1 << 32) - 1, -40, 8), ks=[1, 6])
+    @settings(max_examples=200, deadline=None)
+    def test_power(self, x, ks):
+        """``**`` and _power over one shared chain of squares, field for field
+        with binary powering that squares afresh for each power."""
+        a, chain = raw_ball(x), [raw_ball(x)]
+        for k in ks:
+            expected = fields(loop_power(a, k))
+            assert fields(a ** k) == expected
+            assert fields(_power(chain, k)) == expected
+        assert len(chain) == max([1] + [k.bit_length() for k in ks])
 
     @given(values=st.lists(balls(), min_size=1, max_size=6), prec=st.integers(4, 1100))
     @settings(max_examples=150, deadline=None)
