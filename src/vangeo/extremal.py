@@ -101,16 +101,39 @@ def compare_ratios(a: tuple, b: tuple) -> int:
     return exact_sign(num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a)
 
 
+def _run_maxima(items):
+    """For each run of consecutive (key, (A, pi)) items that share one pi
+    object, its first largest ratio and the keys that attain it, in order.
+    Within a run, compare_ratios compares the numerators alone."""
+    best = None
+    for key, ratio in items:
+        if best is not None and ratio[1] is best[1]:
+            order = compare_ratios(ratio, best)
+            if order > 0:
+                best, top = ratio, [key]
+            elif order == 0:
+                top.append(key)
+            continue
+        if best is not None:
+            yield best, top
+        best, top = ratio, [key]
+    if best is not None:
+        yield best, top
+
+
 def maximal_ratios(items) -> Tuple[tuple, list]:
     """The largest of the ratios in (key, (A, pi)) items, by exact comparison,
-    and the keys of every item that attains it, ties included, in order."""
+    and the keys of every item that attains it, ties included, in order; the
+    ratio returned is the first item that attains it.  Each run of items
+    sharing one pi (a column of the column form) is reduced first, so it costs
+    one cross-multiplication A_a pi_b - A_b pi_a per run, not per item."""
     best, top = None, []
-    for key, ratio in items:
+    for ratio, keys in _run_maxima(items):
         order = 1 if best is None else compare_ratios(ratio, best)
         if order > 0:
-            best, top = ratio, [key]
+            best, top = ratio, keys
         elif order == 0:
-            top.append(key)
+            top.extend(keys)
     return best, top
 
 

@@ -10,7 +10,8 @@ Two numeric carriers are used throughout the package:
   multiply, compare, intersect, abs) are integer operations on dyadics; the
   symmetric-function sweep, the residual dot product (``ball_dot``) and
   Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
-  multiply-add.  Division rounds its two outer end quotients from the
+  multiply-add, ``_ball_mul_add``, written as straight-line integer code
+  with no helper calls.  Division rounds its two outer end quotients from the
   integer mantissas.  Of the ball operations only ``exact`` and
   ``from_interval`` build Fractions, besides the accessors that printing
   reads.
@@ -147,9 +148,12 @@ class RigorousReal:
     """A ball enclosure ``midpoint +/- radius`` of a real number.
 
     The midpoint is the dyadic rational ``_m * 2**_e`` and the radius the
-    nonnegative dyadic ``_r * 2**_f``.  ``precision_bits`` caps the midpoint
-    mantissa width; every rounding step adds its error to the radius, so the
-    true value always lies in ``[lower, upper]``.  Instances are immutable.
+    nonnegative dyadic ``_r * 2**_f``.  Rounding keeps ``precision_bits``
+    bits of the midpoint mantissa and 32 of the radius mantissa, rounding the
+    midpoint to nearest and the radius up; a carry out of an all-ones mantissa
+    can leave one bit more (``RigorousReal(2**70 - 1, 0, 0, 0, 64)`` has
+    ``_m == 2**64``).  Every rounding step adds its error to the radius, so
+    the true value always lies in ``[lower, upper]``.  Instances are immutable.
     """
 
     __slots__ = ("_m", "_e", "_r", "_f", "_prec")
@@ -435,8 +439,10 @@ def _ball_mul_add(acc: Fields, x: Fields, y: Fields) -> Fields:
     then ``+``: the product is normalised at p, the larger of x's and y's
     precisions, then the sum at the larger of p and acc's.  The sum is
     symmetric, so Horner's acc*x + c is this step with c as acc.  It is the
-    inner step of the ball sweep, the ball residual and Horner, so both
-    _normalize calls are inlined."""
+    inner step of the ball sweep, the ball residual and Horner, so it is
+    straight-line code on locals: every _dy_add, _normalize, _dy_ceil_trim
+    and abs is written out, with _dy_add's rules (a zero operand leaves the
+    other as it is, else the smaller exponent wins)."""
     m, e, r, f, prec = acc
     xm, xe, xr, xf, p = x
     ym, ye, yr, yf, yp = y
@@ -445,38 +451,87 @@ def _ball_mul_add(acc: Fields, x: Fields, y: Fields) -> Fields:
     if p > prec:
         prec = p
     pm, pe = xm * ym, xe + ye
-    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__
-    rm, rf = _dy_add(abs(xm) * yr, xe + yf, abs(ym) * xr, ye + xf)
-    rm, rf = _dy_add(rm, rf, xr * yr, xf + yf)
-    # _normalize(pm, pe, rm, rf, p), inlined
+    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__: the sum of
+    # the non-zero terms at the least of their exponents.  A zero rm may carry
+    # any exponent, since nothing below reads the exponent of a zero radius.
+    if xr:
+        rm, rf = (ym if ym >= 0 else -ym) * xr, ye + xf
+        if yr:
+            t, g = xr * yr, xf + yf
+            if not rm:
+                rm, rf = t, g
+            elif rf <= g:
+                rm += t << (g - rf)
+            else:
+                rm, rf = (rm << (rf - g)) + t, g
+    else:
+        rm, rf = 0, 0
+    if yr and xm:
+        t, g = (xm if xm >= 0 else -xm) * yr, xe + yf
+        if not rm:
+            rm, rf = t, g
+        elif rf <= g:
+            rm += t << (g - rf)
+        else:
+            rm, rf = (rm << (rf - g)) + t, g
+    # the product normalised at p: round the midpoint to nearest, half an ulp into rm
     bl = pm.bit_length()
     if bl > p:
         s = bl - p
         q, rem = pm >> s, pm & ((1 << s) - 1)
         if rem:
             q += rem >> (s - 1)
-            rm, rf = _dy_add(rm, rf, 1, pe + s - 1) if rm else (1, pe + s - 1)
+            g = pe + s - 1
+            if not rm:
+                rm, rf = 1, g
+            elif rf <= g:
+                rm += 1 << (g - rf)
+            else:
+                rm, rf = (rm << (rf - g)) + 1, g
         pm, pe = q, pe + s
-    if rm.bit_length() > _RAD_BITS:
-        rm, rf = _dy_ceil_trim(rm, rf, _RAD_BITS)
-    # a zero pm or rm keeps its exponent: the sum below drops it, and a zero sum is normalised
-    m, e = _dy_add(m, e, pm, pe)
-    r, f = _dy_add(r, f, rm, rf)
-    # _normalize(m, e, r, f, prec), inlined
+    bl = rm.bit_length()
+    if bl > _RAD_BITS:
+        s = bl - _RAD_BITS
+        rm, rf = -((-rm) >> s), rf + s
+    # the sum: a zero pm or rm keeps its exponent, and a zero sum is normalised below
+    if not m:
+        m, e = pm, pe
+    elif pm:
+        if e <= pe:
+            m += pm << (pe - e)
+        else:
+            m, e = (m << (e - pe)) + pm, pe
+    if not r:
+        r, f = rm, rf
+    elif rm:
+        if f <= rf:
+            r += rm << (rf - f)
+        else:
+            r, f = (r << (f - rf)) + rm, rf
+    # the sum normalised at prec
     bl = m.bit_length()
     if bl > prec:
         s = bl - prec
         q, rem = m >> s, m & ((1 << s) - 1)
         if rem:
             q += rem >> (s - 1)
-            r, f = _dy_add(r, f, 1, e + s - 1) if r else (1, e + s - 1)
+            g = e + s - 1
+            if not r:
+                r, f = 1, g
+            elif f <= g:
+                r += 1 << (g - f)
+            else:
+                r, f = (r << (f - g)) + 1, g
         m, e = q, e + s
-    if m == 0:
+    if not m:
         e = 0
-    if r == 0:
+    if not r:
         f = 0
-    elif r.bit_length() > _RAD_BITS:
-        r, f = _dy_ceil_trim(r, f, _RAD_BITS)
+    else:
+        bl = r.bit_length()
+        if bl > _RAD_BITS:
+            s = bl - _RAD_BITS
+            r, f = -((-r) >> s), f + s
     return m, e, r, f, prec
 
 

@@ -87,10 +87,18 @@ class InverseMatrix:
         return self.entries[i][j]
 
     def entry_strings(self, digits: int = 20) -> List[List[str]]:
-        return [[format_entry(v, digits) for v in row] for row in self.entries]
+        """format_entry of every entry, row-major.  An entry below the
+        diagonal that is the same object as its mirror above it (as in every
+        closed-form inverse) reuses the mirror's string, so a symmetric
+        pair is formatted once."""
+        entries, cells = self.entries, []
+        for i, row in enumerate(entries):
+            cells.append([cells[j][i] if j < i and entries[j][i] is v else format_entry(v, digits)
+                          for j, v in enumerate(row)])
+        return cells
 
     def to_json_dict(self, digits: int = 20) -> dict:
-        flat = [format_entry(v, digits) for row in self.entries for v in row]
+        flat = [cell for row in self.entry_strings(digits) for cell in row]
         return {"n": self.n, "base": self.base.display(), "backend": self.backend,
                 "entries": flat}
 

@@ -22,6 +22,10 @@ and the test modules import it as ``oracles``.
   body of ``RigorousReal.__pow__`` before the chain of squares, and
   ``pentagonal_prefix`` sums the pentagonal pairs with it, as
   ``limits._PentagonalSeries.step`` did.
+* ``loop_maximal_ratios`` is the ratio argmax as one loop that compares
+  every item with the running best, the body of
+  ``extremal.maximal_ratios`` before it reduced each run of one shared pi
+  first.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from vangeo.errors import DomainError, SizeError
+from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
 from vangeo.scalar import Numeric, RigorousReal, _coerce, _dy_add, _dy_cmp
 from vangeo.symfunc import SigmaQuery, sigma_finite
@@ -243,3 +248,21 @@ def pentagonal_prefix(b: RigorousReal, count: int) -> Tuple[List, List[RigorousR
         steps.append((tail, floor, _dy_cmp(*tail, total._r, total._f) <= 0))
         totals.append(total - pair if m % 2 else total + pair)
     return steps, totals
+
+
+# ---------------------------------------------------------------------------
+# the ratio argmax
+# ---------------------------------------------------------------------------
+
+
+def loop_maximal_ratios(items) -> Tuple[tuple, list]:
+    """The largest of the ratios in (key, (A, pi)) items, by exact comparison,
+    and the keys of every item that attains it, ties included, in order."""
+    best, top = None, []
+    for key, ratio in items:
+        order = 1 if best is None else compare_ratios(ratio, best)
+        if order > 0:
+            best, top = ratio, [key]
+        elif order == 0:
+            top.append(key)
+    return best, top

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import loop_maximal_ratios
 from vangeo.errors import DomainError, SizeError
-from vangeo.extremal import (conjecture_scan, max_entry, n_zero,
+from vangeo.extremal import (conjecture_scan, max_entry, maximal_ratios, n_zero,
                              verify_argmax_box, verify_leading_diagonal_max)
-from vangeo.scalar import BaseSpec
+from vangeo.scalar import BaseSpec, at_base, powers
 from vangeo.symfunc import SigmaQuery, sigma_finite
 import vangeo.extremal as extremal
 import vangeo.vandinv as vandinv
@@ -197,6 +198,55 @@ class TestMaxEntry:
         assert payload["n_zero"] == 4
         assert payload["argmax"] == [[3, 3]]
         assert payload["within_n_zero_box"] is True
+
+
+@st.composite
+def ratio_runs(draw):
+    """(key, (A, pi)) items in runs that share one pi object, over Z (theta
+    = 2) or Z[theta] at tau and alpha.  A run's pi is c theta^k and its
+    numerators are a theta^(k+d), so the ratio a theta^d / c ties often,
+    inside a run and across runs."""
+    name = draw(st.sampled_from(["2", "tau", "alpha"]))
+    spec = BaseSpec.parse(name)
+    one, theta = (1, 2) if spec.is_exact else (at_base((1,), spec), at_base((0, 1), spec))
+    theta_powers = powers(theta, 4, one)
+    items = []
+    for run, (c, k) in enumerate(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
+                                                max_size=6))):
+        pi = theta_powers[k] * c
+        for a, d in draw(st.lists(st.tuples(st.integers(1, 4), st.integers(-1, 1)),
+                                  min_size=1, max_size=5)):
+            items.append(((run, len(items)), (theta_powers[k + d] * a, pi)))
+    return name, items
+
+
+class TestMaximalRatios:
+    @given(case=ratio_runs())
+    @example(case=("2", []))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_single_loop(self, case):
+        """The same first maximal item, by identity, and the same tied keys
+        in order as the loop that compares every item with the running best."""
+        name, items = case
+        best, top = maximal_ratios(iter(items))
+        expected_best, expected_top = loop_maximal_ratios(items)
+        assert best is expected_best, name
+        assert top == expected_top, name
+
+    @pytest.mark.parametrize("text", ["7/3", "tau"])
+    def test_one_cross_multiplication_per_column(self, text, monkeypatch):
+        calls = []
+        compare = extremal.compare_ratios
+
+        def counted(a, b):
+            calls.append(a[1] is not b[1])
+            return compare(a, b)
+
+        monkeypatch.setattr(extremal, "compare_ratios", counted)
+        n = 12
+        max_entry(GeometricVandermonde(BaseSpec.parse(text), n))
+        assert sum(calls) == n - 1
+        assert len(calls) == n * (n + 1) // 2 - 1
 
 
 class TestArgmaxBox:

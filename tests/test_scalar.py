@@ -492,6 +492,12 @@ class TestDyadicOracles:
         assert fields(k * a) == old_mul(x, exact_k)
 
     @given(start=balls(), pairs=st.lists(st.tuples(balls(), balls()), max_size=6))
+    @example(start=(0, 0, 0, 0, 64), pairs=[((5, 3, 1, -2, 64), (7, -4, 1, -9, 64))] * 3)
+    @example(start=(3, -40, 0, 0, 16), pairs=[((0, 0, 5, -3, 64), (7, 0, 1, -9, 64)),
+                                              ((5, 0, 1, -9, 16), (0, 0, 3, 4, 64))])
+    @example(start=(3, 200, 1, 170, 8), pairs=[((5, 0, 0, 0, 64), (7, 0, 0, 0, 64)),
+                                               ((-9, -8, 1, -20, 64), (11, 0, 0, 0, 8))])
+    @example(start=(1 << 64, 6, 1, 5, 64), pairs=[((1 << 64, 6, 1, 5, 64), (3, -1, 0, 0, 64))])
     @settings(max_examples=150, deadline=None)
     def test_ball_dot(self, start, pairs):
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
@@ -499,9 +505,23 @@ class TestDyadicOracles:
         assert fields(got) == old_dot(start, xs, ys)
 
     @given(acc=balls(), x=balls(), y=balls())
+    @example(acc=(0, 0, 0, 0, 64), x=(5, 3, 1, -2, 64), y=(7, -4, 1, -9, 64))    # exact zero acc
+    @example(acc=(3, 0, 1, 0, 64), x=(0, 0, 5, 3, 64), y=(7, 0, 1, -9, 64))     # zero in x
+    @example(acc=(3, 0, 1, 0, 64), x=(7, 0, 1, -9, 64), y=(0, 0, 5, 3, 64))     # zero in y
+    @example(acc=(3, 0, 1, 0, 64), x=(5, 0, 0, 0, 64), y=(7, 0, 0, 0, 64))      # both radii 0
+    @example(acc=(3, 100, 1, 90, 64), x=(5, 0, 1, -10, 64), y=(7, 0, 1, -12, 64))  # acc above
+    @example(acc=(3, -100, 1, -90, 64), x=(5, 0, 1, -10, 64), y=(7, 0, 1, -12, 64))
+    @example(acc=(3, 0, 1, -90, 8), x=(255, 0, 1, 10, 8), y=(255, 0, 1, 12, 8))   # rounded at p
+    @example(acc=(1 << 64, 6, 1, 5, 64), x=(1 << 64, 6, 1, 5, 64),              # carried mantissa
+             y=(1 << 64, 6, 1, 5, 64))
     @settings(max_examples=300, deadline=None)
     def test_mul_add(self, acc, x, y):
         assert _ball_mul_add(acc, x, y) == old_add(acc, old_mul(x, y))
+
+    def test_mul_add_is_straight_line(self):
+        """The fused step calls none of the helpers it writes out."""
+        names = set(_ball_mul_add.__code__.co_names)
+        assert not names & {"_dy_add", "_dy_ceil_trim", "_normalize", "abs"}
 
     @given(sweep=sweeps())
     @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import vangeo.vandinv as vandinv
 from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec
 from vangeo.symfunc import SigmaQuery, sigma_finite
@@ -250,6 +251,32 @@ class TestSerialization:
         ball = RigorousReal.exact(Fraction(1, 3), 128)
         text = format_entry(ball, 10)
         assert "±" in text and text.startswith("0.3333333333")
+
+
+    @pytest.mark.parametrize("text", ["7/3", "tau"])
+    def test_each_mirrored_pair_is_formatted_once(self, text, monkeypatch):
+        n, calls = 8, []
+        inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse(text), n))
+        expected = [[format_entry(v, 12) for v in row] for row in inv.entries]
+        monkeypatch.setattr(vandinv, "format_entry",
+                            lambda value, digits: calls.append(value) or format_entry(value, digits))
+        assert inv.entry_strings(12) == expected
+        assert len(calls) == n * (n + 1) // 2
+        assert json.loads(inv.to_json(12))["entries"] == [cell for row in expected for cell in row]
+
+    def test_unshared_entries_print_their_own_values(self, cached_inverse):
+        spec = BaseSpec.parse("7/3")
+        closed = cached_inverse(spec, 4)
+        rows = [list(row) for row in closed.entries]
+        rows[0][2] = Fraction(5, 7)                     # planted above, not below
+        planted = InverseMatrix(n=4, base=spec, backend="exact", provenance="closed_form",
+                                entries=tuple(tuple(row) for row in rows))
+        cells = planted.entry_strings()
+        assert cells[0][2] == "5/7" and cells[2][0] == format_entry(closed.entries[2][0])
+        # the oracle builds every entry on its own: equal values, equal strings
+        oracle = gaussian_inverse(GeometricVandermonde(spec, 4))
+        assert oracle.entries[0][1] is not oracle.entries[1][0]
+        assert oracle.entry_strings() == closed.entry_strings()
 
 
 class TestColumnForm:
