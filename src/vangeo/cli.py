@@ -12,9 +12,9 @@ Subcommands expose every library operation:
 * ``conjecture``  diagonal-argmax scan (report only, never a failure)
 
 ``verify`` runs one suite whose checks are each written once; each base kind
-(p/q, or the constants tau and alpha) has its own ordered list of checks,
-and the checks it shares with the other kind differ only in the comparison
-they use: exact signs over Fractions, certified signs over balls.
+(p/q, or the constants tau and alpha) has its own ordered list of checks.
+Identities are decided exactly, over Fractions or in Z[theta]; at tau and
+alpha only the residual and sign checks read the printed ball inverse.
 
 Exit status: 0 all checks pass, 1 a verification check failed, 2 usage or
 domain error.  Output is deterministic: identical flags give identical bytes.
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import operator
 import os
 import sys
 from dataclasses import dataclass
@@ -34,8 +33,9 @@ from typing import List, Optional, Tuple
 
 from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
-from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
-                     certified_poly_sign, fraction_to_sci, powers, resolve_precision_ceiling)
+from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, RigorousReal, at_base,
+                     certified_poly_sign, exact_sign, fraction_to_sci, powers,
+                     resolve_precision_ceiling)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -225,38 +225,37 @@ def _sigma_rows(node_lists, one) -> dict:
 def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     """The invariant suite for one base.  Yields (name, ok, witness).
 
-    Each check is written once.  A base kind picks the comparisons its
-    numbers allow (exact integer and Fraction signs at p/q, certified ball
-    signs at tau and alpha) and one ordered tuple of (name, check): the
-    checks it runs, in the order it prints them.  sizes, matrices and boxes
-    hold the matrix, its inverse and its box report for each n.
+    Each check is written once.  A base kind picks one ordered tuple of
+    (name, check): the checks it runs, in the order it prints them.  sizes,
+    matrices and boxes hold the matrix, its inverse and its box report for
+    each n.  b is a Fraction at p/q and theta in Z[theta] at tau and alpha,
+    so identities are decided by exact signs; only the residual and sign
+    checks at tau and alpha read balls, those of the printed ball inverse.
 
     At p/q the magnitude, sigma j-monotonicity and complement checks read
     integer sigma rows at b and at 1/b, separate sweeps, so the two sides of
     the complement identity come from independent computations.  At tau and
-    alpha the complement check sets one ball sweep at b against sigma_finite
-    at 1/b, again two independent computations, and b^t times the second
-    must overlap the first.
+    alpha the complement check sets a Z[theta] sweep at theta against
+    sigma_finite at theta^(-1), again independent, and the first minus
+    theta^t times the second must be an exact zero.
     """
     n_max = len(sizes)
     n0 = extremal.n_zero(base)
+    b = at_base((0, 1), base)
     if base.is_exact:
-        b = base.exact_value()
         p, q = b.numerator, b.denominator
         rows_b = _sigma_rows(([p ** h * q ** (n - 1 - h) for h in range(n)]
                               for n in range(1, min(n_max, 12) + 1)), 1)
         rows_inv = _sigma_rows(([q ** h * p ** (n - 1 - h) for h in range(n)]
                                 for n in range(1, min(n_max, 10) + 1)), 1)
-
-        def sign(x):
-            return (x > 0) - (x < 0)
-        le, residual_witness = operator.le, "V*C != I"
+        sign, residual_witness = exact_sign, "V*C != I"
     else:
-        b = base.evaluate(DEFAULT_PRECISION_BITS)
         pows = powers(b, min(n_max, 10))
         rows_b = _sigma_rows((pows[:n] for n in range(1, len(pows) + 1)), pows[0])
-        sign, le = RigorousReal.sign, RigorousReal.certainly_le
-        residual_witness = "residual enclosure excludes 0"
+        sign, residual_witness = RigorousReal.sign, "residual enclosure excludes 0"
+
+    def le(x, y):
+        return exact_sign(y - x) >= 0
 
     def check_residual():
         # a ball contains 0 exactly when its sign is 0 or undecided
@@ -365,14 +364,14 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 
-    def check_complement_overlap():
-        inv_b = 1 / b
+    def check_complement_theta():
+        inv_b = at_base(base.minimal_polynomial()[1:], base)
         for n, rows in rows_b.items():
             scales = [b ** (n * (n - 1) // 2 - j) for j in range(n)]
             for i in range(n):
                 for j in range(n):
                     rhs = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, inv_b))
-                    if not rows[j][n - 1 - i].overlaps(scales[j] * rhs):
+                    if exact_sign(rows[j][n - 1 - i] - scales[j] * rhs) != 0:
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 
@@ -403,7 +402,7 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
                   ("argmax box localization (certified)", check_box),
                   diagonal("leading-diagonal max (certified)"),
                   ("complement identity (enclosure overlap, n <= 10)",
-                   check_complement_overlap),
+                   check_complement_theta),
                   ("pi monotonicity above n0 (certified)", check_pi_monotone))
     for name, check in checks:
         yield name, *check()
@@ -482,9 +481,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--digits", type=int, default=20,
                            help="significant decimal digits to print (default 20)")
         p.add_argument("--precision-ceiling", type=int, default=None,
-                       help="precision ceiling in bits for limit and table (default: "
-                            "VANGEO_PRECISION_CEILING or 4096); accepted and "
-                            "without effect elsewhere")
+                       help="bits the precision doublings of limit and table may reach; "
+                            "the first round runs at the precision the tolerance sets "
+                            "(default: VANGEO_PRECISION_CEILING or 4096; no effect elsewhere)")
 
     p = sub.add_parser("inverse", help="full signed inverse matrix")
     common(p, n=True)

@@ -248,12 +248,6 @@ class RigorousReal:
         om, oe = _dy_add(other._m, other._e, -other._r, other._f)      # other.lower
         return _dy_cmp(dm, de, om, oe) < 0
 
-    def certainly_le(self, other: "RigorousReal") -> bool:
-        other = _coerce(other, self._prec)
-        dm, de = _dy_add(self._m, self._e, self._r, self._f)
-        om, oe = _dy_add(other._m, other._e, -other._r, other._f)
-        return _dy_cmp(dm, de, om, oe) <= 0
-
     def certainly_gt(self, other: "RigorousReal") -> bool:
         return _coerce(other, self._prec).certainly_lt(self)
 
@@ -600,10 +594,10 @@ Numeric = Union[int, Fraction, RigorousReal]
 # ---------------------------------------------------------------------------
 
 
-def powers(x, n: int, one=None) -> List:
-    """x^0, ..., x^(n-1) for n >= 1, each power the previous one times x;
-    x^0 is one when given (a ZTheta has no ``**``), else x ** 0."""
-    out = [x ** 0 if one is None else one]
+def powers(x, n: int) -> List:
+    """x^0, ..., x^(n-1) for n >= 1: x ** 0, then each power the previous
+    one times x."""
+    out = [x ** 0]
     for _ in range(1, n):
         out.append(out[-1] * x)
     return out
@@ -647,7 +641,8 @@ class ZTheta:
     """An element of Z[theta] as its integer coefficients (ascending), already
     reduced (reduce_monic) modulo the minimal polynomial of theta, which is
     monic.  Theta is tau or alpha, of degree 2 or 3; a product is
-    straight-line code that reduces top-down as reduce_monic does."""
+    straight-line code that reduces top-down as reduce_monic does.  ``**``
+    and ``abs`` let the ring-generic helpers run over Z[theta]."""
 
     __slots__ = ("coefficients", "modulus")
 
@@ -678,6 +673,18 @@ class ZTheta:
         return _ztheta((a0 * b0 - next_top * m0,
                         a0 * b1 + a1 * b0 - top * m0 - next_top * m1,
                         a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
+
+    def __pow__(self, exponent: int) -> "ZTheta":
+        """self ** exponent for an integer exponent >= 0; self ** 0 is the unit."""
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result = _ztheta(reduce_monic((1,), self.modulus), self.modulus)
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __abs__(self) -> "ZTheta":
+        return self * -1 if self.sign() < 0 else self
 
     def sign(self) -> int:
         """Exact sign (-1, 0 or +1) of the element's value at theta, in

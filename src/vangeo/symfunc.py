@@ -18,11 +18,11 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .errors import DomainError
-from .scalar import Numeric, RigorousReal, _ball_mul_add, _fields, _filled, powers
+from .scalar import Numeric, RigorousReal, ZTheta, _ball_mul_add, _fields, _filled, powers
 
 
 def _is_positive(x: Numeric) -> bool:
-    if isinstance(x, RigorousReal):
+    if isinstance(x, (RigorousReal, ZTheta)):
         return x.sign() == 1
     return x > 0
 
@@ -30,7 +30,7 @@ def _is_positive(x: Numeric) -> bool:
 @dataclass(frozen=True)
 class SigmaQuery:
     """One sigma evaluation request: subset size i, excluded exponent j,
-    dimension n, and the evaluation point x > 0."""
+    dimension n, and the point x > 0: an int, Fraction, RigorousReal or ZTheta."""
 
     i: int
     j: int
@@ -79,9 +79,9 @@ def sigma_finite(q: SigmaQuery) -> Numeric:
     """sigma_{i,j,n}(x) = sum of x^{h_1+...+h_i} over strictly increasing
     i-tuples from {0,...,n-1}\\{j}; equals 1 for i = 0.
 
-    Exact inputs sweep directly.  Rigorous inputs certifiably > 1 are routed
-    through the complement identity so every swept term stays below 1, which
-    keeps enclosure radii small.
+    Exact inputs (over Z, Q or Z[theta]) sweep directly.  Rigorous inputs
+    certifiably > 1 are routed through the complement identity so every
+    swept term stays below 1, which keeps enclosure radii small.
     """
     x = q.x
     if isinstance(x, RigorousReal) and x.certainly_gt(1):

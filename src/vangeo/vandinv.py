@@ -143,14 +143,10 @@ def pi_product(j: int, n: int, b: Numeric) -> Numeric:
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
     pows = powers(b, n)
-    prod = None
+    prod = pows[0]
     for h in range(n):
-        if h == j:
-            continue
-        factor = abs(pows[j] - pows[h])
-        prod = factor if prod is None else prod * factor
-    if prod is None:
-        return b ** 0
+        if h != j:
+            prod = prod * abs(pows[j] - pows[h])
     return prod
 
 
@@ -187,8 +183,8 @@ class ColumnForm:
     terms, nodes N_h = p^h q^(n-1-h) = q^(n-1) b^h) or in Z[theta] (nodes
     theta^h, q = 1).  E_k = e_k(N_0, ..., N_{n-1}) comes from the q-binomial
     theorem over Z, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
-    and from the direct product prod_h (1 + N_h t) over Z[theta], where that
-    division is not exact.  Deflating N_j out gives F_k = e_k(N_h : h != j)
+    and from elementary_symmetric over Z[theta], where that division is not
+    exact.  Deflating N_j out gives F_k = e_k(N_h : h != j)
     = q^((n-1)k) sigma_{k,j,n}(b), and pi_j = prod_{h != j} |N_j - N_h|, so
     A_{i,j} = F_{n-1-i} q^((n-1)i).  theta is a unit: theta^(-1) is the
     minimal polynomial without its constant term, so the deflation's division
@@ -210,13 +206,10 @@ class ColumnForm:
             self._divisors, self._divide = self.nodes, operator.floordiv
         else:
             modulus, q = gv.base.minimal_polynomial(), 1
-            one, theta, theta_inverse = (at_base(c, gv.base) for c in ((1,), (0, 1), modulus[1:]))
-            self.nodes = powers(theta, n, one)
-            self.master = [one] + [one * 0] * n
-            for h, node in enumerate(self.nodes):
-                for k in range(h + 1, 0, -1):
-                    self.master[k] = self.master[k] + node * self.master[k - 1]
-            self._divisors = powers(theta_inverse, n, one)
+            theta, theta_inverse = at_base((0, 1), gv.base), at_base(modulus[1:], gv.base)
+            self.nodes = powers(theta, n)
+            self.master = elementary_symmetric(self.nodes, n, theta ** 0)
+            self._divisors = powers(theta_inverse, n)
             self._divide = operator.mul
         self.row_scales = powers(q ** (n - 1), n)
 

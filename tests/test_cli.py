@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vangeo import cli, vandinv
-from vangeo.scalar import BaseSpec
+from vangeo.scalar import BaseSpec, ZTheta
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -406,6 +406,31 @@ class TestVerifySigmaRows:
             == {n: 2 * n for n in range(1, 11)}
         assert sorted(queries) == sorted(q for n in range(2, 11)
                                          for q in ((n - 1, 1, n), (n - 2, 1, n)))
+
+
+class TestVerifyInZTheta:
+    """At tau and alpha, verify decides its identities in Z[theta]."""
+
+    @pytest.mark.parametrize("text", ["tau", "alpha"])
+    def test_sigma_and_pi_get_no_ball(self, text, monkeypatch):
+        from vangeo import symfunc
+        points = {"sigma_finite": [], "pi_product": []}
+        sigma, pi = symfunc.sigma_finite, vandinv.pi_product
+
+        def recorded_sigma(q):
+            points["sigma_finite"].append(q.x)
+            return sigma(q)
+
+        def recorded_pi(j, n, b):
+            points["pi_product"].append(b)
+            return pi(j, n, b)
+        monkeypatch.setattr(symfunc, "sigma_finite", recorded_sigma)
+        monkeypatch.setattr(vandinv, "pi_product", recorded_pi)
+        code, _ = cli.run(["verify", "--base", text, "--n-max", "5"])
+        assert code == 0
+        assert points["sigma_finite"] and points["pi_product"]
+        for name, values in points.items():
+            assert all(isinstance(x, ZTheta) for x in values), name
 
 
 def scale_entry(n, i, j, factor):

@@ -208,8 +208,8 @@ def ratio_runs(draw):
     inside a run and across runs."""
     name = draw(st.sampled_from(["2", "tau", "alpha"]))
     spec = BaseSpec.parse(name)
-    one, theta = (1, 2) if spec.is_exact else (at_base((1,), spec), at_base((0, 1), spec))
-    theta_powers = powers(theta, 4, one)
+    theta = 2 if spec.is_exact else at_base((0, 1), spec)
+    theta_powers = powers(theta, 4)
     items = []
     for run, (c, k) in enumerate(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 2)),
                                                 max_size=6))):

@@ -16,10 +16,10 @@ from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
                            _dy_quotient, _dy_round, _filled, _floor_log10,
                            _frac_to_dyadic,
-                           _normalize, _power, ball_dot, bisect_root,
+                           _normalize, _power, at_base, ball_dot, bisect_root,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
-                           max_abs, poly_eval, poly_eval_ball, reduce_monic,
+                           max_abs, poly_eval, poly_eval_ball, powers, reduce_monic,
                            resolve_precision_ceiling)
 from vangeo.symfunc import elementary_symmetric
 
@@ -895,6 +895,59 @@ class TestExactSigns:
         assert _argmax(forms, base) == argmax
         assert classify_regime(base) == regime
         assert verify_argmax_box(GeometricVandermonde(base, 12)).passed
+
+
+@st.composite
+def theta_elements(draw):
+    """(name, x): a Z[theta] element at tau or alpha, with coefficients of up
+    to 200 bits, or theta^j - theta^h, a factor of pi_{j,n} before abs."""
+    name = draw(st.sampled_from(sorted(CONSTANTS)))
+    spec = CONSTANTS[name]
+    if draw(st.booleans()):
+        j, h = draw(st.integers(0, 40)), draw(st.integers(0, 40))
+        return name, at_base((0,) * j + (1,), spec) - at_base((0,) * h + (1,), spec)
+    modulus = spec.minimal_polynomial()
+    coeffs = draw(st.lists(st.integers(-(1 << 200), 1 << 200),
+                           min_size=len(modulus) - 1, max_size=len(modulus) - 1))
+    return name, ZTheta(coeffs, modulus)
+
+
+class TestZThetaRing:
+    """``**`` and ``abs`` of ZTheta, which the ring-generic helpers use."""
+
+    @given(st.sampled_from(sorted(CONSTANTS)), st.integers(0, 80))
+    @example("tau", 0)
+    @example("alpha", 0)
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_theta_matches_powers(self, name, k):
+        theta = at_base((0, 1), CONSTANTS[name])
+        assert (theta ** k).coefficients == powers(theta, k + 1)[-1].coefficients
+
+    @given(theta_elements(), st.integers(0, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_power_is_a_repeated_product(self, case, k):
+        name, x = case
+        unit = at_base((1,), CONSTANTS[name])
+        assert (x ** 0).coefficients == unit.coefficients
+        product = unit
+        for _ in range(k):
+            product = product * x
+        assert (x ** k).coefficients == product.coefficients
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_negative_exponents_are_refused(self, name):
+        with pytest.raises(TypeError):
+            at_base((0, 1), CONSTANTS[name]) ** -1
+
+    @given(theta_elements())
+    @example(("tau", ZTheta((0, 0), TAU_POLYNOMIAL)))
+    @example(("alpha", ZTheta((1, -3, 1), ALPHA_POLYNOMIAL)))    # 1 - 3 alpha + alpha^2 < 0
+    @settings(max_examples=200, deadline=None)
+    def test_abs(self, case):
+        _, x = case
+        y = abs(x)
+        assert y.coefficients in (x.coefficients, (x * -1).coefficients)
+        assert y.sign() == abs(x.sign()) >= 0
 
 
 @st.composite

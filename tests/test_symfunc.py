@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import sigma_bruteforce, sigma_complement_pair
 from vangeo.errors import DomainError, SizeError
-from vangeo.scalar import RigorousReal
+from vangeo.scalar import BaseSpec, RigorousReal, at_base, poly_eval_ball
 from vangeo.symfunc import SigmaQuery, elementary_symmetric, sigma_finite
 
 RATIONAL_GRID = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(1, 2),
@@ -180,3 +180,33 @@ class TestStructure:
                     exact = sigma_finite(SigmaQuery(i, j, n, x))
                     ball = sigma_finite(SigmaQuery(i, j, n, ball_x))
                     assert ball.contains(exact), (i, j, n)
+
+
+class TestOverZTheta:
+    """sigma_finite at theta and theta^(-1) in Z[theta], as verify's
+    complement check at tau and alpha evaluates it."""
+
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_matches_bruteforce_and_the_balls(self, name):
+        spec = BaseSpec.parse(name)
+        theta_ball = spec.evaluate(128)
+        points = ((at_base((0, 1), spec), theta_ball),
+                  (at_base(spec.minimal_polynomial()[1:], spec), 1 / theta_ball))
+        for x, x_ball in points:
+            for n in range(1, 9):
+                for j in range(n):
+                    for i in range(n):
+                        q = SigmaQuery(i, j, n, x)
+                        value = sigma_finite(q)
+                        assert value.coefficients == sigma_bruteforce(q).coefficients
+                        ball = sigma_finite(SigmaQuery(i, j, n, x_ball))
+                        assert poly_eval_ball(value.coefficients, theta_ball).overlaps(ball), \
+                            (name, i, j, n)
+
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_query_signs_the_point_exactly(self, name):
+        spec = BaseSpec.parse(name)
+        with pytest.raises(DomainError):
+            SigmaQuery(0, 0, 2, at_base((1, -1), spec))       # 1 - theta < 0
+        with pytest.raises(DomainError):
+            SigmaQuery(0, 0, 2, at_base((0,), spec))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import vangeo.vandinv as vandinv
 from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
-from vangeo.scalar import BaseSpec
+from vangeo.scalar import BaseSpec, at_base, poly_eval_ball
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
                             format_entry, gaussian_inverse, inverse_entry,
@@ -59,6 +59,29 @@ class TestPiProduct:
                         if h != j:
                             expected *= abs(pows[j] - pows[h])
                     assert pi_product(j, n, b) == expected
+
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_over_z_theta(self, name):
+        # at theta > 1 the factor |x^j - x^h| is x^max(j,h) - x^min(j,h), at
+        # theta^(-1) < 1 the other way round; no abs in the direct product
+        spec = BaseSpec.parse(name)
+        theta_ball = spec.evaluate(128)
+        points = ((at_base((0, 1), spec), theta_ball, True),
+                  (at_base(spec.minimal_polynomial()[1:], spec), 1 / theta_ball, False))
+        for x, x_ball, above_one in points:
+            for n in range(1, 9):
+                pows = [x ** k for k in range(n)]
+                for j in range(n):
+                    expected = x ** 0
+                    for h in range(n):
+                        if h != j:
+                            low, high = sorted((j, h))
+                            expected = expected * (pows[high] - pows[low] if above_one
+                                                   else pows[low] - pows[high])
+                    pi = pi_product(j, n, x)
+                    assert pi.coefficients == expected.coefficients, (name, n, j)
+                    assert poly_eval_ball(pi.coefficients, theta_ball).overlaps(
+                        pi_product(j, n, x_ball)), (name, n, j)
 
     def test_ratio_identity(self):
         for spec in GRID:
@@ -303,6 +326,21 @@ class TestColumnForm:
                 nums, pi = form.magnitudes(j, range(n))
                 for i, a in enumerate(nums):
                     assert form.value(a, pi).overlaps(abs(entries[i][j])), (name, n, i, j)
+
+    @pytest.mark.parametrize("name", ["tau", "alpha"])
+    def test_constant_form_matches_sigma_and_pi_in_z_theta(self, name):
+        # q = 1 at tau and alpha: A_{i,j} = sigma_{n-1-i,j,n}(theta), and pi_j
+        # is pi_product at theta, both taken in Z[theta], coefficient for coefficient
+        spec = BaseSpec.parse(name)
+        theta = at_base((0, 1), spec)
+        for n in range(1, 11):
+            form = ColumnForm(GeometricVandermonde(spec, n))
+            for j in range(n):
+                nums, pi = form.magnitudes(j, range(n))
+                assert pi.coefficients == pi_product(j, n, theta).coefficients, (name, n, j)
+                for i, a in enumerate(nums):
+                    sigma = sigma_finite(SigmaQuery(n - 1 - i, j, n, theta))
+                    assert a.coefficients == sigma.coefficients, (name, n, i, j)
 
     def test_inverse_entry_reads_the_cached_form(self, monkeypatch):
         # every entry read one at a time shares the matrix object's column form
