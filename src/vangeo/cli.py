@@ -237,7 +237,8 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     the complement identity come from independent computations.  At tau and
     alpha the complement check sets a Z[theta] sweep at theta against
     sigma_finite at theta^(-1), again independent, and the first minus
-    theta^t times the second must be an exact zero.
+    theta^t times the second must be an exact zero.  The pi checks read one
+    lazily filled table: vandinv.pi_product runs at most once per (j, n).
     """
     n_max = len(sizes)
     n0 = extremal.n_zero(base)
@@ -254,8 +255,7 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         rows_b = _sigma_rows((pows[:n] for n in range(1, len(pows) + 1)), pows[0])
         sign, residual_witness = RigorousReal.sign, "residual enclosure excludes 0"
 
-    def le(x, y):
-        return exact_sign(y - x) >= 0
+    pi = functools.cache(lambda j, n: vandinv.pi_product(j, n, b))
 
     def check_residual():
         # a ball contains 0 exactly when its sign is 0 or undecided
@@ -276,7 +276,7 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     def check_pi_monotone():
         for n in range(2, n_max + 1):
             for j in range(n0, n - 1):
-                if not le(vandinv.pi_product(j, n, b), vandinv.pi_product(j + 1, n, b)):
+                if exact_sign(pi(j + 1, n) - pi(j, n)) < 0:
                     return False, f"pi monotonicity at n={n}, j={j}"
         return True, ""
 
@@ -320,7 +320,7 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         for n in range(1, min(n_max, 12) + 1):
             e = matrices[n].entries
             for j in range(n):
-                pi_j = vandinv.pi_product(j, n, b)
+                pi_j = pi(j, n)
                 for i in range(n):
                     k = n - 1 - i
                     c = abs(e[i][j])
@@ -330,11 +330,13 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         return True, ""
 
     def check_pi_ratio():
+        # pi_{j+1}/pi_j = (b^(n+j-1) - b^(n-2)) / (b^(n-1) - b^j), scaled by q^(n+j-1)
         for n in range(2, n_max + 1):
             for j in range(n - 1):
-                lhs = vandinv.pi_product(j + 1, n, b) / vandinv.pi_product(j, n, b)
-                rhs = (b ** (n + j - 1) - b ** (n - 2)) / (b ** (n - 1) - b ** j)
-                if lhs != rhs:
+                low, high = pi(j, n), pi(j + 1, n)
+                num = p ** (n + j - 1) - p ** (n - 2) * q ** (j + 1)
+                den = p ** (n - 1) * q ** j - p ** j * q ** (n - 1)
+                if high.numerator * low.denominator * den != low.numerator * high.denominator * num:
                     return False, f"pi ratio identity at n={n}, j={j}"
         return True, ""
 

@@ -17,8 +17,8 @@ at tau and alpha, works in the reciprocal formulation
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
 
 whose factors all have moderate magnitude, so ball radii stay tight.  An
-independent exact Gaussian-elimination oracle and a residual check are
-included for differential testing.
+independent fraction-free (Bareiss) elimination oracle and a residual check
+are included for differential testing.
 """
 
 from __future__ import annotations
@@ -139,15 +139,16 @@ def vandermonde_matrix(gv: GeometricVandermonde,
 
 
 def pi_product(j: int, n: int, b: Numeric) -> Numeric:
-    """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1)."""
+    """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1); at a Fraction
+    b = p/q, the integer gaps of N_h = p^h q^(n-1-h) = q^(n-1) b^h over q^((n-1)^2)."""
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
+    if isinstance(b, Fraction):
+        nodes = [b.numerator ** h * b.denominator ** (n - 1 - h) for h in range(n)]
+        return Fraction(math.prod(abs(nodes[j] - x) for x in nodes[:j] + nodes[j + 1:]),
+                        b.denominator ** ((n - 1) ** 2))
     pows = powers(b, n)
-    prod = pows[0]
-    for h in range(n):
-        if h != j:
-            prod = prod * abs(pows[j] - pows[h])
-    return prod
+    return math.prod((abs(pows[j] - x) for x in pows[:j] + pows[j + 1:]), start=pows[0])
 
 
 def inverse_matrix(gv: GeometricVandermonde,
@@ -291,29 +292,26 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
 
 
 def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
-    """Independent oracle: exact Gauss-Jordan inversion with partial
-    pivoting.  Exact rational bases only, n <= 64."""
+    """Independent oracle: fraction-free (Bareiss) Gauss-Jordan on the integer
+    V' = diag(q^(i(n-1))) V at b = p/q.  Its leading minors are positive, so no
+    pivot is zero and each division by the previous pivot is exact; the identity
+    block ends as det(V') V'^(-1).  Exact rational bases only, n <= 64."""
     if not gv.is_exact:
         raise UnsupportedBackendError("gaussian_inverse requires an exact rational base")
     if gv.n > _GAUSSIAN_MAX_N:
         raise SizeError(f"gaussian_inverse limited to n <= {_GAUSSIAN_MAX_N}, got {gv.n}")
-    n = gv.n
-    v = vandermonde_matrix(gv)
-    work = [[Fraction(v[i][j]) for j in range(n)] +
-            [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    n, (p, q) = gv.n, gv.base.exact_value().as_integer_ratio()
+    scales = powers(q ** (n - 1), n)
+    work = [[p ** (i * k) * q ** (i * (n - 1 - k)) for k in range(n)] +
+            [int(k == i) for k in range(n)] for i in range(n)]
+    previous = 1
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
-        if work[pivot_row][col] == 0:
-            raise DomainError("matrix is singular")  # unreachable for b > 1
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [a - factor * p for a, p in zip(work[r], work[col])]
-    entries = tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))
+        pivot_row, pivot = work[col], work[col][col]
+        work = [row if r == col else [(pivot * a - row[col] * x) // previous
+                                      for a, x in zip(row, pivot_row)]
+                for r, row in enumerate(work)]
+        previous = pivot
+    entries = tuple(tuple(Fraction(w * s, pivot) for w, s in zip(row[n:], scales)) for row in work)
     return InverseMatrix(n=n, base=gv.base, backend="exact",
                          provenance="gaussian_oracle", entries=entries)
 

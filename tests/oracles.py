@@ -26,6 +26,9 @@ and the test modules import it as ``oracles``.
   every item with the running best, the body of
   ``extremal.maximal_ratios`` before it reduced each run of one shared pi
   first.
+* ``gauss_jordan_inverse`` is Gauss-Jordan inversion over Fractions with
+  partial pivoting, one gcd per element update, the body of
+  ``vandinv.gaussian_inverse`` before it became fraction-free.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
 from vangeo.scalar import Numeric, RigorousReal, _coerce, _dy_add, _dy_cmp
 from vangeo.symfunc import SigmaQuery, sigma_finite
+from vangeo.vandinv import GeometricVandermonde, vandermonde_matrix
 
 _BRUTEFORCE_MAX_N = 20
 _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
@@ -266,3 +270,30 @@ def loop_maximal_ratios(items) -> Tuple[tuple, list]:
         elif order == 0:
             top.append(key)
     return best, top
+
+
+# ---------------------------------------------------------------------------
+# the elimination oracle
+# ---------------------------------------------------------------------------
+
+
+def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The entries of V^(-1), row-major, by exact Gauss-Jordan inversion with
+    partial pivoting over Fractions."""
+    n = gv.n
+    v = vandermonde_matrix(gv)
+    work = [[Fraction(v[i][j]) for j in range(n)] +
+            [Fraction(1 if k == i else 0) for k in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col]))
+        if work[pivot_row][col] == 0:
+            raise DomainError("matrix is singular")  # unreachable for b > 1
+        if pivot_row != col:
+            work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [a - factor * p for a, p in zip(work[r], work[col])]
+    return tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))

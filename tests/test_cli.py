@@ -179,6 +179,21 @@ class TestVerify:
         assert sorted(sizes) == [1, 2, 3, 4, 5]
         assert "[info] diagonal-argmax scan: 0 of 4 sizes non-diagonal" in output
 
+    @pytest.mark.parametrize("base,n_max", [("7/3", 10), ("alpha", 6)])
+    def test_one_pi_per_size(self, base, n_max, monkeypatch):
+        # the magnitude, pi ratio and pi monotonicity checks share one pi table
+        from collections import Counter
+        calls = Counter()
+        original = vandinv.pi_product
+
+        def counted(j, n, b):
+            calls[j, n] += 1
+            return original(j, n, b)
+        monkeypatch.setattr(vandinv, "pi_product", counted)
+        code, _ = cli.run(["verify", "--base", base, "--n-max", str(n_max)])
+        assert code == 0
+        assert calls and max(calls.values()) == 1
+
     @pytest.mark.parametrize("base,first", [("7/3", 1), ("3/2", 1), ("tau", 2), ("alpha", 2)])
     def test_one_column_form_per_size(self, base, first, monkeypatch):
         # the exact inverse, the box check and the diagonal check read the

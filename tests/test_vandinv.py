@@ -7,9 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import vangeo.vandinv as vandinv
 from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
-from vangeo.scalar import BaseSpec, at_base, poly_eval_ball
+from vangeo.scalar import BaseSpec, _fields, at_base, poly_eval_ball
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
                             format_entry, gaussian_inverse, inverse_entry,
@@ -82,6 +83,31 @@ class TestPiProduct:
                     assert pi.coefficients == expected.coefficients, (name, n, j)
                     assert poly_eval_ball(pi.coefficients, theta_ball).overlaps(
                         pi_product(j, n, x_ball)), (name, n, j)
+
+    @pytest.mark.parametrize("point", ["3", "7/3", "3/7", "-5/3", "4/1", "tau", "ball"])
+    def test_equals_the_plain_product(self, point):
+        # the Fraction path multiplies integer node gaps; every other point,
+        # an int, a ZTheta or a ball, keeps the plain product and its type
+        tau = BaseSpec.parse("tau")
+        special = {"3": 3, "tau": at_base((0, 1), tau), "ball": tau.evaluate(128)}
+        b = special[point] if point in special else Fraction(point)
+        for n in range(1, 9):
+            pows = [b ** 0]
+            for _ in range(n - 1):
+                pows.append(pows[-1] * b)
+            for j in range(n):
+                expected = pows[0]
+                for h in range(n):
+                    if h != j:
+                        expected = expected * abs(pows[j] - pows[h])
+                pi = pi_product(j, n, b)
+                assert type(pi) is type(expected), (point, n, j)
+                if point == "tau":
+                    assert pi.coefficients == expected.coefficients, (n, j)
+                elif point == "ball":
+                    assert _fields(pi) == _fields(expected), (n, j)
+                else:
+                    assert pi == expected, (point, n, j)
 
     def test_ratio_identity(self):
         for spec in GRID:
@@ -213,6 +239,24 @@ def test_residual_rejects_a_mismatched_inverse(text, other):
         with pytest.raises(DimensionError):
             residual_norm(GeometricVandermonde(BaseSpec.parse(base), n), inv)
     residual_norm(GeometricVandermonde(BaseSpec.parse(text), 5), inv)
+
+
+class TestEliminationOracle:
+    """The fraction-free oracle against Gauss-Jordan over Fractions."""
+
+    def test_grid(self):
+        for spec in GRID:
+            for n in range(1, 13):
+                gv = GeometricVandermonde(spec, n)
+                assert gaussian_inverse(gv).entries == oracles.gauss_jordan_inverse(gv), (spec, n)
+
+    @given(st.integers(min_value=1, max_value=9),
+           st.fractions(min_value=1, max_value=4, max_denominator=30).filter(lambda b: b > 1))
+    @example(9, Fraction(31, 30))
+    @settings(max_examples=25, deadline=None)
+    def test_random_bases(self, n, b):
+        gv = GeometricVandermonde(BaseSpec.rational(b.numerator, b.denominator), n)
+        assert gaussian_inverse(gv).entries == oracles.gauss_jordan_inverse(gv)
 
 
 class TestRigorousBackend:
