@@ -139,14 +139,9 @@ def vandermonde_matrix(gv: GeometricVandermonde,
 
 
 def pi_product(j: int, n: int, b: Numeric) -> Numeric:
-    """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1); at a Fraction
-    b = p/q, the integer gaps of N_h = p^h q^(n-1-h) = q^(n-1) b^h over q^((n-1)^2)."""
+    """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1)."""
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
-    if isinstance(b, Fraction):
-        nodes = [b.numerator ** h * b.denominator ** (n - 1 - h) for h in range(n)]
-        return Fraction(math.prod(abs(nodes[j] - x) for x in nodes[:j] + nodes[j + 1:]),
-                        b.denominator ** ((n - 1) ** 2))
     pows = powers(b, n)
     return math.prod((abs(pows[j] - x) for x in pows[:j] + pows[j + 1:]), start=pows[0])
 

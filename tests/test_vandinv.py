@@ -86,8 +86,8 @@ class TestPiProduct:
 
     @pytest.mark.parametrize("point", ["3", "7/3", "3/7", "-5/3", "4/1", "tau", "ball"])
     def test_equals_the_plain_product(self, point):
-        # the Fraction path multiplies integer node gaps; every other point,
-        # an int, a ZTheta or a ball, keeps the plain product and its type
+        # an int, a Fraction above or below 1, a ZTheta and a ball each give
+        # the plain product, of the point's own type
         tau = BaseSpec.parse("tau")
         special = {"3": 3, "tau": at_base((0, 1), tau), "ball": tau.evaluate(128)}
         b = special[point] if point in special else Fraction(point)
