@@ -251,10 +251,6 @@ class RigorousReal:
     def certainly_gt(self, other: "RigorousReal") -> bool:
         return _coerce(other, self._prec).certainly_lt(self)
 
-    def overlaps(self, other: "RigorousReal") -> bool:
-        other = _coerce(other, self._prec)
-        return not (self.certainly_lt(other) or self.certainly_gt(other))
-
     def sign(self) -> Optional[int]:
         """Certified sign: -1, 0 (exact zero), +1, or None if ambiguous."""
         if self._r == 0:
@@ -323,12 +319,6 @@ class RigorousReal:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other) -> "RigorousReal":
-        other = _coerce(other, self._prec)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other) -> "RigorousReal":
         if not isinstance(other, RigorousReal):
@@ -675,12 +665,17 @@ class ZTheta:
                         a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
 
     def __pow__(self, exponent: int) -> "ZTheta":
-        """self ** exponent for an integer exponent >= 0; self ** 0 is the unit."""
+        """self ** exponent for an integer exponent >= 0, by binary powering;
+        self ** 0 is the unit."""
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result = _ztheta(reduce_monic((1,), self.modulus), self.modulus)
-        for _ in range(exponent):
-            result = result * self
+        result, square = _ztheta(reduce_monic((1,), self.modulus), self.modulus), self
+        while exponent:
+            if exponent & 1:
+                result = result * square
+            exponent >>= 1
+            if exponent:
+                square = square * square
         return result
 
     def __abs__(self) -> "ZTheta":
@@ -695,7 +690,8 @@ class ZTheta:
         N(x) = x(alpha) |x(sigma)|^2 over a complex root sigma has the sign
         of x(alpha); it is the determinant of multiplication by x on 1,
         alpha, alpha^2 (Cohen, A Course in Computational Algebraic Number
-        Theory, ch. 4)."""
+        Theory, ch. 4), whose rows x, alpha x and alpha^2 x are formed in
+        straight-line integer code from the monic modulus."""
         x, modulus = self.coefficients, self.modulus
         if not any(x):
             return 0
@@ -706,8 +702,10 @@ class ZTheta:
             if sign_s * sign_b >= 0:
                 return sign_s or sign_b
             return sign_s if s * s > 5 * b * b else sign_b
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
-            x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
+        (a0, a1, a2), (m0, m1, m2, _) = x, modulus
+        # theta x and theta^2 x, each reduced by theta^3 = -(m0 + m1 theta + m2 theta^2)
+        b0, b1, b2 = -m0 * a2, a0 - m1 * a2, a1 - m2 * a2
+        c0, c1, c2 = -m0 * b2, b0 - m1 * b2, b1 - m2 * b2
         norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
         return (norm > 0) - (norm < 0)
 

@@ -8,17 +8,19 @@ form
 where pi_{j,n} = prod_{h != j} |b^j - b^h|.  ColumnForm holds every
 magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
 (tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial,
-one O(n) deflation per column (Traub 1966; Bjorck & Pereyra 1970).  The exact
-backend turns it into Fractions; the extremal scans compare its ratios by
-exact signs.  The rigorous backend, which prints the enclosures of `inverse`
-at tau and alpha, works in the reciprocal formulation
+one O(n) deflation per column (Traub 1966; Bjorck & Pereyra 1970), and every
+pi_j in closed form from one table of gap products.  The exact backend turns
+it into Fractions; the extremal scans compare its ratios by exact signs.  The
+rigorous backend, which prints the enclosures of `inverse` at tau and alpha,
+works in the reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
 
-whose factors all have moderate magnitude, so ball radii stay tight.  An
-independent fraction-free (Bareiss) elimination oracle and a residual check
-are included for differential testing.
+whose factors all have moderate magnitude, so ball radii stay tight; its
+column sweeps share their prefixes of nodes.  An independent fraction-free
+(Bareiss) elimination oracle and a residual check are included for
+differential testing.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, _fields, at_base, ball_dot, fraction_to_sci, max_abs,
+                     ZTheta, _fields, _filled, at_base, ball_dot, fraction_to_sci, max_abs,
                      poly_eval_ball, powers)
-from .symfunc import elementary_symmetric
+from .symfunc import elementary_symmetric, fold_balls
 
 _GAUSSIAN_MAX_N = 64
 
@@ -150,7 +152,8 @@ def inverse_matrix(gv: GeometricVandermonde,
                    precision_bits: int = DEFAULT_PRECISION_BITS) -> InverseMatrix:
     """Closed-form inverse.  Exact bases take O(n^2) integer operations (one
     master polynomial, one deflation per column, upper triangle mirrored);
-    the rigorous backend runs one symmetric-function sweep per column."""
+    the rigorous backend finishes one symmetric-function sweep per column
+    from the state its prefix of nodes shares with the columns before it."""
     if gv.is_exact:
         entries = _inverse_entries_exact(gv)
         return InverseMatrix(n=gv.n, base=gv.base, backend="exact",
@@ -177,14 +180,19 @@ def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
 class ColumnForm:
     """|c_{i,j,n}| = A_{i,j} / pi_j with A, pi > 0 in Z (b = p/q in lowest
     terms, nodes N_h = p^h q^(n-1-h) = q^(n-1) b^h) or in Z[theta] (nodes
-    theta^h, q = 1).  E_k = e_k(N_0, ..., N_{n-1}) comes from the q-binomial
-    theorem over Z, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
+    theta^h, p = theta, q = 1).  E_k = e_k(N_0, ..., N_{n-1}) comes from the
+    q-binomial theorem over Z, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
     and from elementary_symmetric over Z[theta], where that division is not
     exact.  Deflating N_j out gives F_k = e_k(N_h : h != j)
-    = q^((n-1)k) sigma_{k,j,n}(b), and pi_j = prod_{h != j} |N_j - N_h|, so
-    A_{i,j} = F_{n-1-i} q^((n-1)i).  theta is a unit: theta^(-1) is the
-    minimal polynomial without its constant term, so the deflation's division
-    by theta^j is a multiplication by theta^(-j).
+    = q^((n-1)k) sigma_{k,j,n}(b), so A_{i,j} = F_{n-1-i} q^((n-1)i).  theta
+    is a unit: theta^(-1) is the minimal polynomial without its constant
+    term, so the deflation's division by theta^j is a multiplication by
+    theta^(-j).
+
+    pis holds every pi_j = prod_{h != j} |N_j - N_h| in closed form, from
+    O(n) ring products.  For h < j, N_j - N_h = p^h q^(n-1-j) (p^(j-h) - q^(j-h)),
+    so pi_j = p^(a_j) q^(a_(n-1-j)) D_j D_(n-1-j), with a_j = j(2n-3-j)/2 and
+    the gap products D_d = prod_{s=1}^{d} (p^s - q^s).
     """
 
     def __init__(self, gv: GeometricVandermonde):
@@ -193,34 +201,46 @@ class ColumnForm:
         if value is not None:
             p, q = value.numerator, value.denominator
             self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
+            gaps = [p ** s - q ** s for s in range(n + 1)]
             self.master = [1]
             for k in range(1, n + 1):
-                self.master.append(self.master[-1] * (p * q) ** (k - 1)
-                                   * (p ** (n - k + 1) - q ** (n - k + 1))
-                                   // (p ** k - q ** k))
+                self.master.append(self.master[-1] * (p * q) ** (k - 1) * gaps[n - k + 1]
+                                   // gaps[k])
+            monomials = [p ** (j * (2 * n - 3 - j) // 2) * q ** ((n - 1 - j) * (n - 2 + j) // 2)
+                         for j in range(n)]
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
+            self.row_scales = powers(q ** (n - 1), n) if q != 1 else None
         else:
-            modulus, q = gv.base.minimal_polynomial(), 1
+            modulus = gv.base.minimal_polynomial()
             theta, theta_inverse = at_base((0, 1), gv.base), at_base(modulus[1:], gv.base)
             self.nodes = powers(theta, n)
+            gaps = [node - self.nodes[0] for node in self.nodes]
             self.master = elementary_symmetric(self.nodes, n, theta ** 0)
+            # theta^(a_j) as a running product: a_(j+1) - a_j = n-2-j
+            monomials = [self.nodes[0]]
+            for j in range(n - 1):
+                monomials.append(monomials[-1] * self.nodes[n - 2 - j])
             self._divisors = powers(theta_inverse, n)
             self._divide = operator.mul
-        self.row_scales = powers(q ** (n - 1), n)
+            self.row_scales = None
+        products = [self.master[0]]         # products[d] = D_d
+        for gap in gaps[1:n]:
+            products.append(products[-1] * gap)
+        self.pis = [monomial * products[j] * products[n - 1 - j]
+                    for j, monomial in enumerate(monomials)]
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
-        """([A_{i,j} for i in rows], pi_j)."""
-        n, node, divisor = self.n, self.nodes[j], self._divisors[j]
+        """([A_{i,j} for i in rows], pi_j).  At q = 1 (no row_scales) every
+        row scale q^((n-1)i) is 1."""
+        n, divisor = self.n, self._divisors[j]
         deflated = [0] * n
         deflated[n - 1] = self._divide(self.master[n], divisor)
         for m in range(n - 1, n - 1 - max(rows), -1):
             deflated[m - 1] = self._divide(self.master[m] - deflated[m], divisor)
-        pi = self.master[0]
-        for h, other in enumerate(self.nodes):
-            if h != j:
-                pi = pi * (node - other if h < j else other - node)
-        return [deflated[n - 1 - i] * self.row_scales[i] for i in rows], pi
+        if self.row_scales is None:
+            return [deflated[n - 1 - i] for i in rows], self.pis[j]
+        return [deflated[n - 1 - i] * self.row_scales[i] for i in rows], self.pis[j]
 
     @functools.cached_property
     def upper_triangle(self) -> dict:
@@ -265,14 +285,19 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
     decay = [one]       # decay[k] = prod_{t=1}^{k}   (1 - q^t)
     for t in range(1, n):
         decay.append(decay[-1] * (one - qpows[t]))
+    # column j sweeps q^0..q^(j-1), then q^(j+1)..q^(n-1); prefix holds the
+    # state after the first j nodes, which every later column shares
+    nodes = [_fields(x) for x in qpows]
+    prefix = [_fields(one)] + [_fields(one * 0)] * (n - 1)
     columns: List[List[RigorousReal]] = []
     for j in range(n):
-        nodes = [qpows[h] for h in range(n) if h != j]
-        e = elementary_symmetric(nodes, n - 1, one)
+        if j:
+            fold_balls(prefix, nodes[j - 1:j], j - 1)
+        e = fold_balls(prefix.copy(), nodes[j + 1:], j)
         inv_denominator = one / (grow[j] * decay[n - 1 - j])
         col = []
         for i in range(n):
-            magnitude = e[i] * inv_denominator
+            magnitude = _filled(*e[i]) * inv_denominator
             col.append(-magnitude if (i + j) % 2 else magnitude)
         columns.append(col)
     grid = [[columns[j][i] for j in range(n)] for i in range(n)]

@@ -29,6 +29,11 @@ and the test modules import it as ``oracles``.
 * ``gauss_jordan_inverse`` is Gauss-Jordan inversion over Fractions with
   partial pivoting, one gcd per element update, the body of
   ``vandinv.gaussian_inverse`` before it became fraction-free.
+* ``overlaps`` tells whether two enclosures share a point, the body of the
+  former ``RigorousReal.overlaps``, which no library code called.
+* ``reduced_norm_sign`` is the sign of a Z[alpha] element's norm
+  determinant with its rows alpha x and alpha^2 x taken by ``reduce_monic``,
+  the body of ``ZTheta.sign`` at a cubic before it formed them straight-line.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from typing import List, Sequence, Tuple
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
-from vangeo.scalar import Numeric, RigorousReal, _coerce, _dy_add, _dy_cmp
+from vangeo.scalar import Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp, reduce_monic
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import GeometricVandermonde, vandermonde_matrix
 
@@ -218,6 +223,12 @@ def fraction_hull(values: Sequence[RigorousReal]) -> RigorousReal:
     return RigorousReal.from_interval(lo, hi, max(v.precision_bits for v in values))
 
 
+def overlaps(x: RigorousReal, other) -> bool:
+    """True unless one enclosure lies certainly below the other."""
+    other = _coerce(other, x.precision_bits)
+    return not (x.certainly_lt(other) or x.certainly_gt(other))
+
+
 # ---------------------------------------------------------------------------
 # powers and the pentagonal series
 # ---------------------------------------------------------------------------
@@ -297,3 +308,21 @@ def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...]
                 factor = work[r][col]
                 work[r] = [a - factor * p for a, p in zip(work[r], work[col])]
     return tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))
+
+
+# ---------------------------------------------------------------------------
+# the sign at alpha
+# ---------------------------------------------------------------------------
+
+
+def reduced_norm_sign(element: ZTheta) -> int:
+    """Sign (-1, 0 or +1) of the determinant of multiplication by x on 1,
+    theta, theta^2 (a cubic modulus), the rows theta x and theta^2 x reduced
+    by reduce_monic; for alpha it is the sign of x(alpha)."""
+    x, modulus = element.coefficients, element.modulus
+    if not any(x):
+        return 0
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (
+        x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
+    norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+    return (norm > 0) - (norm < 0)

@@ -10,7 +10,7 @@ import math
 import time
 from fractions import Fraction
 
-from oracles import base2_product_identity, sigma_bruteforce
+from oracles import base2_product_identity, overlaps, sigma_bruteforce
 from vangeo import cli
 from vangeo.extremal import (conjecture_scan, max_entry, verify_argmax_box,
                              verify_leading_diagonal_max)
@@ -199,7 +199,7 @@ def test_criterion_09_crossover_constant(capsys):
     l11 = limit_entry(1, 1, base, tol).value
     ok = (nine_decimals == Fraction("2.324717957")
           and classify_regime(base) == ("above_alpha", True)
-          and l00.overlaps(l11)
+          and overlaps(l00, l11)
           and l00.radius <= Fraction(1, 10 ** 15)
           and l11.radius <= Fraction(1, 10 ** 15))
     report(capsys, 9, ok,

@@ -291,7 +291,7 @@ def old_rigorous_complement(base, n_max):
         for i in range(n):
             for j in range(n):
                 lhs, rhs = oracles.sigma_complement_pair(i, j, n, b)
-                if not lhs.overlaps(rhs):
+                if not oracles.overlaps(lhs, rhs):
                     return False, f"complement identity at n={n}, ({i},{j})"
     return True, ""
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_hull, fraction_quotient, loop_power
+from oracles import fraction_hull, fraction_quotient, loop_power, overlaps, reduced_norm_sign
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
@@ -164,8 +164,8 @@ class TestRigorousReal:
         a = RigorousReal.from_interval(0, 1, 64)
         b = RigorousReal.from_interval(2, 3, 64)
         assert a.certainly_lt(b) and b.certainly_gt(a)
-        assert not a.overlaps(b)
-        assert a.overlaps(RigorousReal.from_interval(Fraction(1, 2), 4, 64))
+        assert not overlaps(a, b)
+        assert overlaps(a, RigorousReal.from_interval(Fraction(1, 2), 4, 64))
 
     def test_sign(self):
         assert RigorousReal.from_interval(1, 2, 64).sign() == 1
@@ -821,6 +821,23 @@ def wide_polynomials(draw):
     return [Fraction(c, draw(st.integers(1, 1 << bits))) for c in coeffs]
 
 
+@st.composite
+def alpha_elements(draw):
+    """Z[alpha] elements: coefficients of up to 200 bits, or ones of small
+    norm: a unit alpha^k or alpha^(-k), or alpha^j - alpha^h."""
+    spec = CONSTANTS["alpha"]
+    modulus = spec.minimal_polynomial()
+    kind = draw(st.sampled_from(("wide", "power", "inverse power", "difference")))
+    if kind == "wide":
+        return ZTheta(draw(st.lists(st.integers(-(1 << 200), 1 << 200), min_size=3, max_size=3)),
+                      modulus)
+    if kind == "difference":
+        j, h = draw(st.integers(0, 60)), draw(st.integers(0, 60))
+        return at_base((0,) * j + (1,), spec) - at_base((0,) * h + (1,), spec)
+    unit = at_base((0, 1) if kind == "power" else modulus[1:], spec)
+    return unit ** draw(st.integers(0, 200))
+
+
 class TestExactSigns:
     @given(st.sampled_from(sorted(CONSTANTS)), wide_polynomials())
     @settings(max_examples=400, deadline=None)
@@ -854,6 +871,13 @@ class TestExactSigns:
                 assert certified_poly_sign(coeffs, alpha) == ball_sign(coeffs, alpha) \
                     == reduced(coeffs, alpha).sign() == expected, (k, shift)
             power = power * inverse
+
+    @given(alpha_elements())
+    @example(ZTheta((0, 0, 0), ALPHA_POLYNOMIAL))
+    @settings(max_examples=400, deadline=None)
+    def test_alpha_sign_matches_the_reduced_determinant(self, x):
+        assert x.sign() == reduced_norm_sign(x)
+        assert (x * -1).sign() == -reduced_norm_sign(x)
 
     @given(st.sampled_from(sorted(CONSTANTS)),
            st.lists(st.integers(-(1 << 80), 1 << 80), max_size=12))
@@ -923,16 +947,15 @@ class TestZThetaRing:
         theta = at_base((0, 1), CONSTANTS[name])
         assert (theta ** k).coefficients == powers(theta, k + 1)[-1].coefficients
 
-    @given(theta_elements(), st.integers(0, 9))
+    @given(theta_elements())
     @settings(max_examples=100, deadline=None)
-    def test_power_is_a_repeated_product(self, case, k):
+    def test_power_is_a_repeated_product(self, case):
+        # binary powering against one product per unit of the exponent
         name, x = case
-        unit = at_base((1,), CONSTANTS[name])
-        assert (x ** 0).coefficients == unit.coefficients
-        product = unit
-        for _ in range(k):
+        product = at_base((1,), CONSTANTS[name])
+        for k in range(65):
+            assert (x ** k).coefficients == product.coefficients, (name, k)
             product = product * x
-        assert (x ** k).coefficients == product.coefficients
 
     @pytest.mark.parametrize("name", sorted(CONSTANTS))
     def test_negative_exponents_are_refused(self, name):

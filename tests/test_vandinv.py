@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import vangeo.symfunc as symfunc
 import vangeo.vandinv as vandinv
 from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec, _fields, at_base, poly_eval_ball
@@ -81,8 +82,8 @@ class TestPiProduct:
                                                    else pows[low] - pows[high])
                     pi = pi_product(j, n, x)
                     assert pi.coefficients == expected.coefficients, (name, n, j)
-                    assert poly_eval_ball(pi.coefficients, theta_ball).overlaps(
-                        pi_product(j, n, x_ball)), (name, n, j)
+                    assert oracles.overlaps(poly_eval_ball(pi.coefficients, theta_ball),
+                                           pi_product(j, n, x_ball)), (name, n, j)
 
     @pytest.mark.parametrize("point", ["3", "7/3", "3/7", "-5/3", "4/1", "tau", "ball"])
     def test_equals_the_plain_product(self, point):
@@ -285,7 +286,21 @@ class TestRigorousBackend:
         e = inv.entries
         for i in range(7):
             for j in range(7):
-                assert e[i][j].overlaps(e[j][i])
+                assert oracles.overlaps(e[i][j], e[j][i])
+
+    def test_ball_sweeps_share_their_prefixes(self, monkeypatch):
+        # column j folds q^(j+1)..q^(n-1), f steps for the f-th node, into the
+        # state after q^0..q^(j-1), which grows by one node per column:
+        # sum_j sum_{f > j} f = (n-1)n(2n-1)/6 steps, plus n(n-1)/2 for the
+        # prefixes, against n * n(n-1)/2 for n independent sweeps
+        n, steps, original = 18, [], symfunc._ball_mul_add
+
+        def counted(*fields):
+            steps.append(None)
+            return original(*fields)
+        monkeypatch.setattr(symfunc, "_ball_mul_add", counted)
+        inverse_matrix(GeometricVandermonde(BaseSpec.parse("tau"), n))
+        assert len(steps) == (n - 1) * n * (2 * n - 1) // 6 + n * (n - 1) // 2 == 1938
 
     def test_signs_certified(self):
         inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse("tau"), 9), 256)
@@ -369,7 +384,7 @@ class TestColumnForm:
             for j in range(n):
                 nums, pi = form.magnitudes(j, range(n))
                 for i, a in enumerate(nums):
-                    assert form.value(a, pi).overlaps(abs(entries[i][j])), (name, n, i, j)
+                    assert oracles.overlaps(form.value(a, pi), abs(entries[i][j])), (name, n, i, j)
 
     @pytest.mark.parametrize("name", ["tau", "alpha"])
     def test_constant_form_matches_sigma_and_pi_in_z_theta(self, name):
@@ -385,6 +400,23 @@ class TestColumnForm:
                 for i, a in enumerate(nums):
                     sigma = sigma_finite(SigmaQuery(n - 1 - i, j, n, theta))
                     assert a.coefficients == sigma.coefficients, (name, n, i, j)
+
+    @pytest.mark.parametrize("spec", GRID + [BaseSpec.parse("tau"), BaseSpec.parse("alpha")],
+                             ids=BaseSpec.display)
+    def test_pi_table_equals_the_plain_product(self, spec):
+        # at p/q the nodes are q^(n-1) b^h, so the table holds q^((n-1)^2) times
+        # the plain product; at tau and alpha (q = 1) the same element of Z[theta]
+        value = spec.exact_value()
+        b = at_base((0, 1), spec) if value is None else value
+        for n in range(1, 31):
+            pis = ColumnForm(GeometricVandermonde(spec, n)).pis
+            assert len(pis) == n
+            for j, pi in enumerate(pis):
+                plain = pi_product(j, n, b)
+                if value is None:
+                    assert pi.coefficients == plain.coefficients, (n, j)
+                else:
+                    assert pi == plain * value.denominator ** ((n - 1) ** 2), (n, j)
 
     def test_inverse_entry_reads_the_cached_form(self, monkeypatch):
         # every entry read one at a time shares the matrix object's column form
