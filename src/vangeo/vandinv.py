@@ -210,7 +210,7 @@ class ColumnForm:
                          for j in range(n)]
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
-            self.row_scales = powers(q ** (n - 1), n) if q != 1 else None
+            self._row_scales = powers(q ** (n - 1), n) if q != 1 else None
         else:
             modulus = gv.base.minimal_polynomial()
             theta, theta_inverse = at_base((0, 1), gv.base), at_base(modulus[1:], gv.base)
@@ -223,7 +223,7 @@ class ColumnForm:
                 monomials.append(monomials[-1] * self.nodes[n - 2 - j])
             self._divisors = powers(theta_inverse, n)
             self._divide = operator.mul
-            self.row_scales = None
+            self._row_scales = None
         products = [self.master[0]]         # products[d] = D_d
         for gap in gaps[1:n]:
             products.append(products[-1] * gap)
@@ -231,16 +231,17 @@ class ColumnForm:
                     for j, monomial in enumerate(monomials)]
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
-        """([A_{i,j} for i in rows], pi_j).  At q = 1 (no row_scales) every
-        row scale q^((n-1)i) is 1."""
+        """([A_{i,j} for i in rows], pi_j).  At q = 1 (tau, alpha and integer
+        bases; _row_scales is None) every row scale q^((n-1)i) is 1, and the
+        products by 1, a measurable share of a ZTheta column, are skipped."""
         n, divisor = self.n, self._divisors[j]
         deflated = [0] * n
         deflated[n - 1] = self._divide(self.master[n], divisor)
         for m in range(n - 1, n - 1 - max(rows), -1):
             deflated[m - 1] = self._divide(self.master[m] - deflated[m], divisor)
-        if self.row_scales is None:
+        if self._row_scales is None:
             return [deflated[n - 1 - i] for i in rows], self.pis[j]
-        return [deflated[n - 1 - i] * self.row_scales[i] for i in rows], self.pis[j]
+        return [deflated[n - 1 - i] * self._row_scales[i] for i in rows], self.pis[j]
 
     @functools.cached_property
     def upper_triangle(self) -> dict:
