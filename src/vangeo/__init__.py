@@ -31,8 +31,8 @@ from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
                      resolve_precision_ceiling)
 from .symfunc import SigmaQuery, elementary_symmetric, sigma_finite
 from .vandinv import (GeometricVandermonde, InverseMatrix, format_entry,
-                      gaussian_inverse, inverse_entry, inverse_matrix,
-                      pi_product, residual_norm, vandermonde_matrix)
+                      gaussian_inverse, inverse_matrix, pi_product,
+                      residual_norm, vandermonde_matrix)
 
 __version__ = "0.1.0"
 
@@ -46,8 +46,8 @@ __all__ = [
     "UnsupportedBackendError", "VangeoError", "bisect_root",
     "classify_regime", "conjecture_scan", "elementary_symmetric",
     "evaluate_base", "format_entry", "fraction_to_decimal", "fraction_to_sci",
-    "gaussian_inverse", "inverse_entry", "inverse_matrix", "limit_entry",
-    "limit_max", "max_entry", "n_zero", "pi_product", "residual_norm",
+    "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",
+    "max_entry", "n_zero", "pi_product", "residual_norm",
     "resolve_precision_ceiling", "sigma_finite", "vandermonde_matrix",
     "verify_argmax_box", "verify_leading_diagonal_max", "__version__",
 ]

@@ -91,7 +91,8 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     lines = ["  ".join(cells[i][j].rjust(widths[j]) for j in range(n)) for i in range(n)]
     if inv.backend == "rigorous":
         residual = vandinv.residual_norm(gv, inv)
-        contains = "contains 0" if residual.contains(0) else "EXCLUDES 0"
+        # a ball contains 0 exactly when its sign is 0 or undecided
+        contains = "contains 0" if residual.sign() in (0, None) else "EXCLUDES 0"
         lines.append(f"residual: {contains}, upper bound {fraction_to_sci(residual.upper, 3)}")
     return 0, "\n".join(lines)
 

@@ -7,14 +7,16 @@ Two numeric carriers are used throughout the package:
   midpoint is a dyadic rational held as an integer mantissa and exponent.
   Every operation returns an enclosure guaranteed to contain the true value;
   rounding errors are folded into the radius explicitly.  Ball steps (add,
-  multiply, compare, intersect, abs) are integer operations on dyadics; the
+  multiply, sign, intersect, abs) are integer operations on dyadics; the
   symmetric-function sweep, the residual dot product (``ball_dot``) and
   Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
   multiply-add, ``_ball_mul_add``, written as straight-line integer code
   with no helper calls.  Division rounds its two outer end quotients from the
-  integer mantissas.  Of the ball operations only ``exact`` and
-  ``from_interval`` build Fractions, besides the accessors that printing
-  reads.
+  integer mantissas.  Every rounding into a ball goes through one helper,
+  ``_dy_quotient``.  Of the ball operations only ``from_interval`` (which
+  ``exact`` calls at a non-dyadic rational) takes Fractions in; the
+  accessors return Fractions for printing and for the few decisions made
+  on one end of a ball, such as ``x.lower > 1``.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
@@ -129,16 +131,6 @@ def _dy_quotient(n: int, d: int, e: int, prec: int, mode: str) -> Tuple[int, int
     return q, -shift
 
 
-def _frac_to_dyadic(x: Fraction, prec: int, mode: str) -> Tuple[int, int]:
-    """x rounded to a prec-bit dyadic mantissa on the side of mode."""
-    return _dy_quotient(x.numerator, x.denominator, 0, prec, mode)
-
-
-def _dy_round(m: int, e: int, prec: int, mode: str) -> Tuple[int, int]:
-    """_frac_to_dyadic of the dyadic m*2**e, without a Fraction."""
-    return _dy_quotient(m, 1, e, prec, mode)
-
-
 # ---------------------------------------------------------------------------
 # RigorousReal
 # ---------------------------------------------------------------------------
@@ -183,9 +175,7 @@ class RigorousReal:
         if d & (d - 1) == 0:
             # power-of-two denominator: exactly representable
             return RigorousReal(x.numerator, -(d.bit_length() - 1), 0, 0, precision_bits)
-        lo = _frac_to_dyadic(x, precision_bits + 4, "floor")
-        hi = _frac_to_dyadic(x, precision_bits + 4, "ceil")
-        return RigorousReal._from_dyadic_interval(lo, hi, precision_bits)
+        return RigorousReal.from_interval(x, x, precision_bits)
 
     @staticmethod
     def from_interval(lo: Union[int, Fraction], hi: Union[int, Fraction],
@@ -194,8 +184,8 @@ class RigorousReal:
         lof, hif = Fraction(lo), Fraction(hi)
         if lof > hif:
             raise DomainError("interval endpoints out of order")
-        dlo = _frac_to_dyadic(lof, precision_bits + 4, "floor")
-        dhi = _frac_to_dyadic(hif, precision_bits + 4, "ceil")
+        dlo = _dy_quotient(lof.numerator, lof.denominator, 0, precision_bits + 4, "floor")
+        dhi = _dy_quotient(hif.numerator, hif.denominator, 0, precision_bits + 4, "ceil")
         return RigorousReal._from_dyadic_interval(dlo, dhi, precision_bits)
 
     @staticmethod
@@ -233,23 +223,7 @@ class RigorousReal:
     def is_exact(self) -> bool:
         return self._r == 0
 
-    def contains(self, value: Union[int, Fraction, "RigorousReal"]) -> bool:
-        if isinstance(value, RigorousReal):
-            return self.lower <= value.lower and value.upper <= self.upper
-        x = Fraction(value)
-        return self.lower <= x <= self.upper
-
     # -- certified comparisons ---------------------------------------------
-
-    def certainly_lt(self, other: "RigorousReal") -> bool:
-        """True only when every point of self is < every point of other."""
-        other = _coerce(other, self._prec)
-        dm, de = _dy_add(self._m, self._e, self._r, self._f)           # self.upper
-        om, oe = _dy_add(other._m, other._e, -other._r, other._f)      # other.lower
-        return _dy_cmp(dm, de, om, oe) < 0
-
-    def certainly_gt(self, other: "RigorousReal") -> bool:
-        return _coerce(other, self._prec).certainly_lt(self)
 
     def sign(self) -> Optional[int]:
         """Certified sign: -1, 0 (exact zero), +1, or None if ambiguous."""
@@ -546,8 +520,8 @@ def max_abs(values: Iterable[RigorousReal], prec: int) -> RigorousReal:
 
 def _from_dyadic_ends(lo: Tuple[int, int], hi: Tuple[int, int], prec: int) -> RigorousReal:
     """from_interval of two dyadic ends, with no Fraction."""
-    return RigorousReal._from_dyadic_interval(_dy_round(*lo, prec + 4, "floor"),
-                                              _dy_round(*hi, prec + 4, "ceil"), prec)
+    return RigorousReal._from_dyadic_interval(_dy_quotient(lo[0], 1, lo[1], prec + 4, "floor"),
+                                              _dy_quotient(hi[0], 1, hi[1], prec + 4, "ceil"), prec)
 
 
 def _power(squares: List[RigorousReal], exponent: int) -> RigorousReal:
@@ -591,14 +565,6 @@ def powers(x, n: int) -> List:
     for _ in range(1, n):
         out.append(out[-1] * x)
     return out
-
-
-def poly_eval(coeffs: Sequence[Union[int, Fraction]], x: Fraction) -> Fraction:
-    """Horner evaluation of a polynomial given by ascending coefficients."""
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def poly_eval_ball(coeffs: Sequence[Union[int, Fraction]], x: RigorousReal) -> RigorousReal:
@@ -810,9 +776,6 @@ class BaseSpec:
             return str(self.numerator)
         return f"{self.numerator}/{self.denominator}"
 
-    def __str__(self) -> str:
-        return self.display()
-
 
 def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
     """Enclose the base described by ``spec`` with radius <= 2**(-precision_bits+2).
@@ -892,22 +855,22 @@ def bisect_root(coeffs: Sequence[Union[int, Fraction]],
         raise DomainError(f"tolerance must be positive, got {tol}")
     if lof >= hif:
         raise BracketError("bracket endpoints must satisfy lo < hi")
-    flo = poly_eval(coeffs, lof)
-    fhi = poly_eval(coeffs, hif)
+    width = hif - lof
+    # Q(y) = P(lo + width*y), ascending, so f(lo) = Q(0) and f(hi) = Q(1)
+    shifted: List[Fraction] = []
+    for c in reversed(coeffs):
+        shifted = [a * lof + b * width for a, b in zip(shifted + [0], [0] + shifted)]
+        shifted[0] += c
+    flo, fhi = (shifted[0], sum(shifted)) if shifted else (0, 0)
     if flo != 0 and fhi != 0 and (flo > 0) == (fhi > 0):
         raise BracketError(f"no sign change on [{lof}, {hif}]: f(lo)={flo}, f(hi)={fhi}")
     if precision_bits is None:
         # enough bits to keep representation rounding far below the bracket width
         width_bits = max(1, -(tolf.numerator.bit_length() - tolf.denominator.bit_length()))
         precision_bits = max(64, width_bits + 32)
-    width = hif - lof
     steps = (-(-width // tolf) - 1).bit_length()    # least s with width/2^s <= tol
-    # Q(y) = P(lo + width*y), ascending; c_i*2^(s*(d-i)) with the denominators
-    # cleared are the coefficients whose Horner value at k is 2^(s*d)*Q(k/2^s)
-    shifted: List[Fraction] = []
-    for c in reversed(coeffs):
-        shifted = [a * lof + b * width for a, b in zip(shifted + [0], [0] + shifted)]
-        shifted[0] += c
+    # c_i*2^(s*(d-i)) with the denominators cleared are the coefficients
+    # whose Horner value at k is 2^(s*d)*Q(k/2^s)
     scale = math.lcm(*(c.denominator for c in shifted))
     homogeneous = [c.numerator * (scale // c.denominator) << steps * (len(shifted) - 1 - i)
                    for i, c in enumerate(shifted)]

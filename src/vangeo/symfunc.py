@@ -90,12 +90,13 @@ def sigma_finite(q: SigmaQuery) -> Numeric:
     """sigma_{i,j,n}(x) = sum of x^{h_1+...+h_i} over strictly increasing
     i-tuples from {0,...,n-1}\\{j}; equals 1 for i = 0.
 
-    Exact inputs (over Z, Q or Z[theta]) sweep directly.  Rigorous inputs
-    certifiably > 1 are routed through the complement identity so every
-    swept term stays below 1, which keeps enclosure radii small.
+    Exact inputs (over Z, Q or Z[theta]) sweep directly.  A ball whose
+    lower end is above 1 is routed through the complement identity so every
+    swept term stays below 1, which keeps enclosure radii small; a ball that
+    reaches down to 1 or below sweeps directly.
     """
     x = q.x
-    if isinstance(x, RigorousReal) and x.certainly_gt(1):
+    if isinstance(x, RigorousReal) and x.lower > 1:
         # sigma_{i,j,n}(x) = sigma_{n-1-i,j,n}(1/x) * x^{n(n-1)/2 - j}
         inv = sigma_finite(SigmaQuery(q.n - 1 - q.i, q.j, q.n, 1 / x))
         return inv * x ** (q.n * (q.n - 1) // 2 - q.j)

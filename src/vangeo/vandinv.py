@@ -83,11 +83,6 @@ class InverseMatrix:
     entries: Tuple[Tuple[Numeric, ...], ...]
     precision_bits: Optional[int] = None
 
-    def entry(self, i: int, j: int) -> Numeric:
-        if not (0 <= i < self.n and 0 <= j < self.n):
-            raise DomainError(f"index ({i},{j}) out of range for n={self.n}")
-        return self.entries[i][j]
-
     def entry_strings(self, digits: int = 20) -> List[List[str]]:
         """format_entry of every entry, row-major.  An entry below the
         diagonal that is the same object as its mirror above it (as in every
@@ -162,19 +157,6 @@ def inverse_matrix(gv: GeometricVandermonde,
     return InverseMatrix(n=gv.n, base=gv.base, backend="rigorous",
                          provenance="closed_form", entries=entries,
                          precision_bits=precision_bits)
-
-
-def inverse_entry(i: int, j: int, gv: GeometricVandermonde,
-                  precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
-    """Single signed entry c_{i,j,n}.  An exact base reads the upper triangle
-    of the matrix's column form, mirrored by symmetry, so every entry after
-    the first is a lookup; prefer inverse_matrix for whole ball tables."""
-    if not (0 <= i < gv.n and 0 <= j < gv.n):
-        raise DomainError(f"index ({i},{j}) out of range for n={gv.n}")
-    if gv.is_exact:
-        a, pi = gv.column_form.upper_triangle[min(i, j), max(i, j)]
-        return Fraction(-a if (i + j) % 2 else a, pi)
-    return _inverse_entries_rigorous(gv, precision_bits)[i][j]
 
 
 class ColumnForm:

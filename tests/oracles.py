@@ -31,6 +31,12 @@ and the test modules import it as ``oracles``.
   ``vandinv.gaussian_inverse`` before it became fraction-free.
 * ``overlaps`` tells whether two enclosures share a point, the body of the
   former ``RigorousReal.overlaps``, which no library code called.
+  ``contains``, ``certainly_lt`` and ``certainly_gt`` are the bodies of the
+  former ``RigorousReal`` methods of those names: the library decides the
+  same questions by ``sign()`` and by ``lower``.
+* ``poly_eval`` is Horner's rule over Fractions, the former
+  ``scalar.poly_eval``, whose one caller (``bisect_root``'s endpoint signs)
+  now reads them off its Taylor shift.
 * ``reduced_norm_sign`` is the sign of a Z[alpha] element's norm
   determinant with its rows alpha x and alpha^2 x taken by ``reduce_monic``,
   the body of ``ZTheta.sign`` at a cubic before it formed them straight-line.
@@ -223,10 +229,32 @@ def fraction_hull(values: Sequence[RigorousReal]) -> RigorousReal:
     return RigorousReal.from_interval(lo, hi, max(v.precision_bits for v in values))
 
 
+def contains(x: RigorousReal, value) -> bool:
+    """Whether the enclosure x holds the number value, or every point of the
+    ball value."""
+    if isinstance(value, RigorousReal):
+        return x.lower <= value.lower and value.upper <= x.upper
+    v = Fraction(value)
+    return x.lower <= v <= x.upper
+
+
+def certainly_lt(x: RigorousReal, other) -> bool:
+    """True only when every point of x is < every point of other."""
+    other = _coerce(other, x.precision_bits)
+    dm, de = _dy_add(x._m, x._e, x._r, x._f)                       # x.upper
+    om, oe = _dy_add(other._m, other._e, -other._r, other._f)      # other.lower
+    return _dy_cmp(dm, de, om, oe) < 0
+
+
+def certainly_gt(x: RigorousReal, other) -> bool:
+    """True only when every point of x is > every point of other."""
+    return certainly_lt(_coerce(other, x.precision_bits), x)
+
+
 def overlaps(x: RigorousReal, other) -> bool:
     """True unless one enclosure lies certainly below the other."""
     other = _coerce(other, x.precision_bits)
-    return not (x.certainly_lt(other) or x.certainly_gt(other))
+    return not (certainly_lt(x, other) or certainly_gt(x, other))
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +354,16 @@ def reduced_norm_sign(element: ZTheta) -> int:
         x, reduce_monic((0,) + x, modulus), reduce_monic((0, 0) + x, modulus))
     norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
     return (norm > 0) - (norm < 0)
+
+
+# ---------------------------------------------------------------------------
+# exact polynomial values
+# ---------------------------------------------------------------------------
+
+
+def poly_eval(coeffs: Sequence, x: Fraction) -> Fraction:
+    """Horner evaluation of a polynomial given by ascending coefficients."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc

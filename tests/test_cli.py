@@ -39,6 +39,12 @@ class TestInverse:
         assert "±" in output
         assert "residual: contains 0" in output
 
+    def test_faulty_ball_inverse_excludes_0(self, monkeypatch):
+        # a doubled ball entry leaves V*C - I far from 0, beyond every radius
+        scale_entry(4, 0, 0, 2)(monkeypatch)
+        output = run_ok(["inverse", "--base", "tau", "--n", "4"])
+        assert output.splitlines()[-1].startswith("residual: EXCLUDES 0, upper bound ")
+
     def test_json_schema(self):
         payload = json.loads(run_ok(
             ["inverse", "--base", "2", "--n", "3", "--format", "json"]))
@@ -97,7 +103,7 @@ class TestMax:
         lines = run_ok(["max", "--base", "tau", "--n", "10", "--digits", "120"]).splitlines()
         assert lines[1] == "argmax = (1,1)"
         gv = vandinv.GeometricVandermonde(BaseSpec.parse("tau"), 10)
-        image = abs(vandinv.inverse_matrix(gv, 1024).entry(1, 1))
+        image = abs(vandinv.inverse_matrix(gv, 1024).entries[1][1])
         assert lines[0] == f"max = {image.decimal(120)}"
 
 

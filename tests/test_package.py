@@ -1,17 +1,21 @@
 """The package's surface: every README entry point is exported, the test
-oracles stay out of the library, and no library module keeps an unused
-import."""
+oracles stay out of the library, no library module keeps an unused import,
+and every library function is reached by some command."""
 
 import ast
+import contextlib
 import importlib
 import inspect
+import io
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
 import oracles
 import vangeo
+from vangeo import cli, limits, scalar
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -92,3 +96,78 @@ def test_no_unused_imports(path):
                 continue
             unused += [(node.lineno, name) for name in _bound_names(node) if name not in used]
     assert not unused, unused
+
+
+# Every subcommand and every format, at p/q, at a decimal, at tau and at
+# alpha; small sizes keep the whole list well under a second.
+REACH_COMMANDS = [
+    ["inverse", "--base", "7/3", "--n", "4"],
+    ["inverse", "--base", "1.5", "--n", "3", "--format", "csv"],
+    ["inverse", "--base", "tau", "--n", "3", "--format", "json"],
+    ["inverse", "--base", "alpha", "--n", "3"],
+    ["sigma", "--i", "1", "--j", "0", "--n", "3", "--x", "7/3"],
+    ["sigma", "--i", "1", "--j", "1", "--n", "3", "--x", "tau", "--format", "json"],
+    ["sigma", "--i", "2", "--j", "0", "--n", "4", "--x", "alpha", "--format", "csv"],
+    ["max", "--base", "7/3", "--n", "5"],
+    ["max", "--base", "tau", "--n", "5", "--format", "json"],
+    ["max", "--base", "alpha", "--n", "5", "--format", "csv"],
+    ["limit", "--base", "2", "--tol", "1e-6"],
+    ["limit", "--base", "tau", "--tol", "1e-6", "--format", "json"],
+    ["limit", "--base", "alpha", "--tol", "1e-6", "--format", "csv"],
+    ["table", "--format", "csv"],
+    ["verify", "--base", "7/3", "--n-max", "4"],
+    ["verify", "--base", "tau", "--n-max", "3"],
+    ["verify", "--base", "alpha", "--n-max", "3"],
+    ["conjecture", "--base", "7/3", "--range", "2:4"],
+    ["conjecture", "--base", "tau", "--range", "2:4", "--format", "json"],
+    ["conjecture", "--base", "1.3", "--range", "2:4", "--format", "csv"],
+]
+
+# functions no command needs, each with the reason it stays
+UNREACHED = {
+    "scalar.RigorousReal.__repr__": "debug output of a ball in a session or a failing test",
+}
+
+
+def _defined_functions(package: Path) -> dict:
+    """{(path, first line): qualified name} of every def in the package.  The
+    first line is the first decorator's, if any, as in the code object."""
+    defs = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    defs[str(path), first] = name
+                visit(child, path, name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.resolve(), path.stem + ".")
+    return defs
+
+
+def test_every_library_function_is_reached():
+    # the caches would let a body that an earlier test filled go unentered
+    for cached in (cli._build_parser, scalar._constant_enclosure, limits._pentagonal_series):
+        cached.cache_clear()
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+    sys.setprofile(profile)
+    try:
+        for argv in REACH_COMMANDS:
+            cli.run(argv)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["inverse", "--base", "2", "--n", "2"]) == 0
+    finally:
+        sys.setprofile(None)
+    entered = {(str(Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    defs = _defined_functions(Path(vangeo.__file__).resolve().parent)
+    unreached = sorted(name for key, name in defs.items() if key not in entered)
+    assert unreached == sorted(UNREACHED)

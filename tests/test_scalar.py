@@ -9,19 +9,20 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import fraction_hull, fraction_quotient, loop_power, overlaps, reduced_norm_sign
+from oracles import (certainly_gt, certainly_lt, contains, fraction_hull, fraction_quotient,
+                     loop_power, overlaps, poly_eval, reduced_norm_sign)
+from vangeo import cli, symfunc, vandinv
 from vangeo.errors import BracketError, DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
                            RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
-                           _dy_quotient, _dy_round, _filled, _floor_log10,
-                           _frac_to_dyadic,
-                           _normalize, _power, at_base, ball_dot, bisect_root,
+                           _dy_quotient, _filled, _floor_log10, _normalize,
+                           _power, at_base, ball_dot, bisect_root,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
-                           max_abs, poly_eval, poly_eval_ball, powers, reduce_monic,
+                           max_abs, poly_eval_ball, powers, reduce_monic,
                            resolve_precision_ceiling)
-from vangeo.symfunc import elementary_symmetric
+from vangeo.symfunc import SigmaQuery, elementary_symmetric
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
 _S = math.isqrt(5 << 1200)
@@ -163,7 +164,7 @@ class TestRigorousReal:
     def test_certain_comparisons(self):
         a = RigorousReal.from_interval(0, 1, 64)
         b = RigorousReal.from_interval(2, 3, 64)
-        assert a.certainly_lt(b) and b.certainly_gt(a)
+        assert certainly_lt(a, b) and certainly_gt(b, a)
         assert not overlaps(a, b)
         assert overlaps(a, RigorousReal.from_interval(Fraction(1, 2), 4, 64))
 
@@ -175,7 +176,7 @@ class TestRigorousReal:
 
     def test_pow_negative_exponent(self):
         x = RigorousReal.exact(2, 128)
-        assert (x ** -3).contains(Fraction(1, 8))
+        assert contains(x ** -3, Fraction(1, 8))
 
     def test_division_by_straddling_zero_raises(self):
         num = RigorousReal.exact(1, 64)
@@ -188,24 +189,24 @@ class TestRigorousReal:
     def test_ops_contain_exact_result(self, a, b):
         xa = RigorousReal.exact(a, 64)
         xb = RigorousReal.exact(b, 64)
-        assert (xa + xb).contains(a + b)
-        assert (xa - xb).contains(a - b)
-        assert (xa * xb).contains(a * b)
+        assert contains(xa + xb, a + b)
+        assert contains(xa - xb, a - b)
+        assert contains(xa * xb, a * b)
         if b != 0 and xb.sign() is not None and xb.sign() != 0:
-            assert (xa / xb).contains(Fraction(a, b))
+            assert contains(xa / xb, Fraction(a, b))
 
     @given(a=fractions_st, k=st.integers(min_value=0, max_value=12))
     @settings(max_examples=100, deadline=None)
     def test_pow_contains_exact_result(self, a, k):
         xa = RigorousReal.exact(a, 96)
-        assert (xa ** k).contains(a ** k)
+        assert contains(xa ** k, a ** k)
 
     @given(values=st.lists(fractions_st, min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_hull_contains_all(self, values):
         balls = [RigorousReal.exact(v, 64) for v in values]
         h = RigorousReal.hull(balls)
-        assert all(h.contains(v) for v in values)
+        assert all(contains(h, v) for v in values)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ class TestDyadicOracles:
     @example(m=-130, e=-10, prec=4, mode="ceil")
     @settings(max_examples=300, deadline=None)
     def test_dy_round(self, m, e, prec, mode):
-        assert _dy_round(m, e, prec, mode) \
+        assert _dy_quotient(m, 1, e, prec, mode) \
             == old_frac_to_dyadic(Fraction(m) * Fraction(2) ** e, prec, mode)
 
     @given(n=mantissas, d=st.integers(1, 2 ** 1200), e=exponents, prec=precisions,
@@ -440,8 +441,9 @@ class TestDyadicOracles:
     def test_dy_quotient(self, n, d, e, prec, mode):
         assert _dy_quotient(n, d, e, prec, mode) \
             == old_frac_to_dyadic(Fraction(n, d) * Fraction(2) ** e, prec, mode)
-        assert _frac_to_dyadic(Fraction(n, d), prec, mode) \
-            == old_frac_to_dyadic(Fraction(n, d), prec, mode)
+        x = Fraction(n, d)
+        assert _dy_quotient(x.numerator, x.denominator, 0, prec, mode) \
+            == old_frac_to_dyadic(x, prec, mode)
 
     @given(x=st.one_of(balls(), exact_balls), y=divisors,
            gap=st.sampled_from([0, 5000, -5000]))
@@ -601,6 +603,60 @@ class TestDyadicOracles:
         assert fields(max_abs([raw_ball(x) for x in values], prec)) == expected
 
 
+@st.composite
+def balls_about_one(draw):
+    """Balls whose lower end is 1 exactly, one unit of 2**e above or below
+    it, or anywhere near: the mantissas fit 200 bits and the radii 32, so
+    the ends are exact."""
+    e = draw(st.integers(-120, 0))
+    r = draw(st.one_of(st.just(0), st.integers(0, 2 ** 32 - 1)))
+    shift = draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-2 ** 40, 2 ** 40)))
+    return RigorousReal((1 << -e) + shift + r, e, r, e, 200)    # lower end 1 + shift*2**e
+
+
+class TestBallDecisions:
+    """The library decides "x > 1" and "contains 0" on a ball by its lower
+    end and by its sign; the oracles decide them as the former methods did."""
+
+    @given(x=st.one_of(balls_about_one(), balls().map(raw_ball)), n=st.integers(1, 4),
+           i=st.integers(0, 3), j=st.integers(0, 3))
+    @example(x=RigorousReal(5, -2, 1, -2, 64), n=3, i=1, j=2)      # [1, 3/2]
+    @example(x=RigorousReal(1, 0, 1, -1, 64), n=3, i=1, j=2)       # [1/2, 3/2]
+    @example(x=RigorousReal(9, -3, 1, -3, 64), n=3, i=1, j=2)      # [1, 5/4]
+    @example(x=RigorousReal(3, -1, 0, 0, 64), n=3, i=1, j=2)       # 3/2 exactly
+    @settings(max_examples=300, deadline=None)
+    def test_sigma_routing_is_certainly_gt_one(self, x, n, i, j):
+        assume(x.sign() == 1)
+        i, j = i % n, j % n
+        points = []
+        original = symfunc.sigma_finite
+
+        def recorded(q):
+            points.append(q.x)
+            return original(q)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(symfunc, "sigma_finite", recorded)
+            symfunc.sigma_finite(SigmaQuery(i, j, n, x))
+        # a query routed through the complement identity asks again at 1/x
+        assert len(points) == (2 if certainly_gt(x, 1) else 1)
+
+    @given(fields_=divisors)
+    @example(fields_=(0, 0, 0, 0, 64))
+    @example(fields_=(0, 0, 1, -70, 64))
+    @example(fields_=(1, -70, 1, -70, 64))                      # [0, 2**-69]
+    @example(fields_=(-1, -70, 1, -70, 64))                     # [-2**-69, 0]
+    @example(fields_=(1, -70, 0, 0, 64))
+    @settings(max_examples=200, deadline=None)
+    def test_residual_line_is_contains_0(self, fields_):
+        residual = raw_ball(fields_)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vandinv, "residual_norm", lambda gv, inv: residual)
+            code, output = cli.run(["inverse", "--base", "tau", "--n", "1"])
+        verdict = "contains 0" if contains(residual, 0) else "EXCLUDES 0"
+        assert code == 0
+        assert output.splitlines()[-1].startswith(f"residual: {verdict}, upper bound ")
+
+
 class TestBaseSpec:
     def test_parse_rational(self):
         assert BaseSpec.parse("7/5").exact_value() == Fraction(7, 5)
@@ -634,11 +690,11 @@ class TestBaseSpec:
 
     def test_tau_satisfies_its_polynomial(self):
         ball = evaluate_base(BaseSpec.parse("tau"), 256)
-        assert poly_eval_ball(TAU_POLYNOMIAL, ball).contains(0)
+        assert contains(poly_eval_ball(TAU_POLYNOMIAL, ball), 0)
 
     def test_alpha_satisfies_its_polynomial(self):
         ball = evaluate_base(BaseSpec.parse("alpha"), 256)
-        assert poly_eval_ball(ALPHA_POLYNOMIAL, ball).contains(0)
+        assert contains(poly_eval_ball(ALPHA_POLYNOMIAL, ball), 0)
 
     @pytest.mark.parametrize("bits", [64, 128, 256, 512])
     def test_tau_enclosure_always_contains_truth(self, bits):
@@ -734,6 +790,22 @@ class TestRootIsolation:
         # shift of 0 keeps it rational, a grid point when at is dyadic
         coeffs = list(coeffs)
         coeffs[0] += shift - poly_eval(coeffs, lo + at * width)
+        assert outcome(bisect_root, coeffs, lo, lo + width, tol) == \
+            outcome(fraction_bisect, coeffs, lo, lo + width, tol)
+
+    @given(st.lists(st.one_of(st.integers(-20, 20),
+                              st.fractions(min_value=-20, max_value=20, max_denominator=12)),
+                    max_size=5),
+           st.fractions(min_value=-10, max_value=10, max_denominator=9),
+           st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9),
+           st.fractions(min_value=Fraction(1, 10 ** 12), max_value=4, max_denominator=10 ** 12))
+    @example([], 0, 1, Fraction(1, 100))            # the zero polynomial: exactly 0 at lo
+    @example([3], 0, 1, Fraction(1, 100))           # a constant: no sign change
+    @example([-1, 0, 1], -1, 2, Fraction(1, 100))   # roots at both ends
+    @settings(max_examples=200, deadline=None)
+    def test_endpoint_values_match_fraction_bisection(self, coeffs, lo, width, tol):
+        # no planted root: many draws have no sign change, and the error
+        # names f(lo) and f(hi), which bisect_root reads off its Taylor shift
         assert outcome(bisect_root, coeffs, lo, lo + width, tol) == \
             outcome(fraction_bisect, coeffs, lo, lo + width, tol)
 

@@ -14,9 +14,8 @@ from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec, _fields, at_base, poly_eval_ball
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
-                            format_entry, gaussian_inverse, inverse_entry,
-                            inverse_matrix, pi_product, residual_norm,
-                            vandermonde_matrix)
+                            format_entry, gaussian_inverse, inverse_matrix,
+                            pi_product, residual_norm, vandermonde_matrix)
 
 GRID = [BaseSpec.parse(t) for t in ["2", "3", "3/2", "7/5", "13/10", "6/5"]]
 
@@ -129,24 +128,9 @@ class TestFrozenInverses:
         inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse("3/2"), 1))
         assert inv.entries == ((1,),)
 
-    def test_single_entries(self):
-        gv = GeometricVandermonde(BaseSpec.parse("2"), 2)
-        assert inverse_entry(0, 0, gv) == 2
-        assert inverse_entry(0, 1, gv) == -1
-        with pytest.raises(DomainError):
-            inverse_entry(2, 0, gv)
-
-    def test_entry_matches_oracle_case(self, cached_inverse):
+    def test_entry_matches_oracle_case(self):
         gv = GeometricVandermonde(BaseSpec.parse("2"), 3)
-        oracle = gaussian_inverse(gv)
-        assert inverse_entry(1, 1, gv) == oracle.entry(1, 1)
-        for spec in GRID:
-            for n in range(1, 9):
-                gv = GeometricVandermonde(spec, n)
-                inv = cached_inverse(spec, n)
-                for i in range(n):
-                    for j in range(n):
-                        assert inverse_entry(i, j, gv) == inv.entry(i, j), (spec, n, i, j)
+        assert inverse_matrix(gv).entries[1][1] == gaussian_inverse(gv).entries[1][1]
 
 
 class TestExactInvariants:
@@ -265,7 +249,7 @@ class TestRigorousBackend:
         gv = GeometricVandermonde(BaseSpec.parse("tau"), 6)
         inv = inverse_matrix(gv, 128)
         residual = residual_norm(gv, inv)
-        assert residual.contains(0)
+        assert oracles.contains(residual, 0)
         assert residual.upper < Fraction(1, 10 ** 20)
 
     def test_entries_enclose_exact_computation(self, cached_inverse):
@@ -278,7 +262,7 @@ class TestRigorousBackend:
         entries = _inverse_entries_rigorous(gv, 192)
         for i in range(8):
             for j in range(8):
-                assert entries[i][j].contains(exact[i][j]), (i, j)
+                assert oracles.contains(entries[i][j], exact[i][j]), (i, j)
         assert rig.backend == "exact"            # rational bases stay exact
 
     def test_symmetric_enclosures_overlap(self):
@@ -418,8 +402,8 @@ class TestColumnForm:
                 else:
                     assert pi == plain * value.denominator ** ((n - 1) ** 2), (n, j)
 
-    def test_inverse_entry_reads_the_cached_form(self, monkeypatch):
-        # every entry read one at a time shares the matrix object's column form
+    def test_inverse_matrix_reads_the_cached_form(self, monkeypatch):
+        # every exact inverse of one matrix object shares its column form
         built = []
         original = ColumnForm.__init__
 
@@ -428,12 +412,13 @@ class TestColumnForm:
             original(form, gv)
         monkeypatch.setattr(ColumnForm, "__init__", counted)
         gv = GeometricVandermonde(BaseSpec.parse("7/3"), 12)
-        entries = [[inverse_entry(i, j, gv) for j in range(12)] for i in range(12)]
+        first = inverse_matrix(gv).entries
+        assert inverse_matrix(gv).entries == first
         assert built == [12]
-        assert entries == [list(row) for row in inverse_matrix(gv).entries]
+        assert first == gaussian_inverse(gv).entries
 
-    def test_inverse_entry_deflates_each_column_once(self, monkeypatch):
-        # 144 entries read one at a time cost one deflation per column, not per entry
+    def test_inverse_matrix_deflates_each_column_once(self, monkeypatch):
+        # two exact inverses of one matrix object cost one deflation per column
         spec = BaseSpec.parse("7/3")
         expected = [list(row) for row in inverse_matrix(GeometricVandermonde(spec, 12)).entries]
         calls = []
@@ -444,6 +429,6 @@ class TestColumnForm:
             return original(form, j, rows)
         monkeypatch.setattr(ColumnForm, "magnitudes", counted)
         gv = GeometricVandermonde(spec, 12)
-        entries = [[inverse_entry(i, j, gv) for j in range(12)] for i in range(12)]
-        assert entries == expected
-        assert len(calls) == 12
+        entries = [[list(row) for row in inverse_matrix(gv).entries] for _ in range(2)]
+        assert entries == [expected, expected]
+        assert sorted(calls) == list(range(12))
