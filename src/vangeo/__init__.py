@@ -20,7 +20,7 @@ from .errors import (BracketError, DimensionError, DomainError, ParseError,
                      SizeError, UndecidableComparisonError,
                      UnsupportedBackendError, VangeoError)
 from .extremal import (BoxCheckReport, ConjectureScan, DiagonalCheckReport,
-                       MaxReport, ScanRecord, conjecture_scan, max_entry,
+                       MaxReport, conjecture_scan, max_entry,
                        n_zero, verify_argmax_box, verify_leading_diagonal_max)
 from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
                      limit_max)
@@ -30,9 +30,9 @@ from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
                      fraction_to_decimal, fraction_to_sci,
                      resolve_precision_ceiling)
 from .symfunc import SigmaQuery, elementary_symmetric, sigma_finite
-from .vandinv import (GeometricVandermonde, InverseMatrix, format_entry,
-                      gaussian_inverse, inverse_matrix, pi_product,
-                      residual_norm, vandermonde_matrix)
+from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
+                      inverse_matrix, pi_product, residual_norm,
+                      vandermonde_matrix)
 
 __version__ = "0.1.0"
 
@@ -41,11 +41,11 @@ __all__ = [
     "ConjectureScan", "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
     "DiagonalCheckReport", "DimensionError", "DomainError",
     "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",
-    "MaxReport", "ParseError", "RigorousReal", "ScanRecord", "SigmaQuery",
+    "MaxReport", "ParseError", "RigorousReal", "SigmaQuery",
     "SizeError", "TAU_POLYNOMIAL", "UndecidableComparisonError",
     "UnsupportedBackendError", "VangeoError", "bisect_root",
     "classify_regime", "conjecture_scan", "elementary_symmetric",
-    "evaluate_base", "format_entry", "fraction_to_decimal", "fraction_to_sci",
+    "evaluate_base", "fraction_to_decimal", "fraction_to_sci",
     "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",
     "max_entry", "n_zero", "pi_product", "residual_norm",
     "resolve_precision_ceiling", "sigma_finite", "vandermonde_matrix",

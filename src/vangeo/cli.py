@@ -16,6 +16,9 @@ Subcommands expose every library operation:
 Identities are decided exactly, over Fractions or in Z[theta]; at tau and
 alpha only the residual and sign checks read the printed ball inverse.
 
+This module formats every report; the library returns values.  A command's
+text, JSON and CSV are written here from the fields of the library's reports.
+
 Exit status: 0 all checks pass, 1 a verification check failed, 2 usage or
 domain error.  Output is deterministic: identical flags give identical bytes.
 """
@@ -33,9 +36,9 @@ from typing import List, Optional, Tuple
 
 from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
-from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, RigorousReal, at_base,
-                     certified_poly_sign, exact_sign, fraction_to_sci, powers,
-                     resolve_precision_ceiling)
+from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric, RigorousReal,
+                     at_base, certified_poly_sign, exact_sign, fraction_to_decimal,
+                     fraction_to_sci, powers, resolve_precision_ceiling)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -74,6 +77,55 @@ def _parse_range(text: str) -> Tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# formatting
+# ---------------------------------------------------------------------------
+
+
+def _json(payload) -> str:
+    return json.dumps(payload, separators=(", ", ": "))
+
+
+def _format_entry(value: Numeric, digits: int) -> str:
+    """Exact values render as fraction strings p or p/q; enclosures render
+    as midpoint±radius."""
+    if isinstance(value, RigorousReal):
+        rad = "0" if value.is_exact else fraction_to_sci(value.radius, 3)
+        return f"{value.decimal(digits)}±{rad}"
+    return str(value)       # an int's digits, or a Fraction's p or p/q
+
+
+def _format_decimal(value: Numeric, digits: int) -> str:
+    """A maximum as printed: digits significant decimals of a Fraction or a ball."""
+    if isinstance(value, RigorousReal):
+        return value.decimal(digits)
+    return fraction_to_decimal(Fraction(value), digits)
+
+
+def _format_pairs(pairs) -> str:
+    """Index pairs as printed: "(0,0) (1,1)"."""
+    return " ".join(f"({i},{j})" for i, j in pairs)
+
+
+def _max_csv(report: extremal.MaxReport, digits: int) -> str:
+    """The CSV fields max and conjecture share: n0, max, argmax, diagonal."""
+    pairs = ";".join(f"{i}:{j}" for i, j in report.argmax)
+    return (f"{report.n_zero},{_format_decimal(report.max_value, digits)},{pairs},"
+            f"{str(report.diagonal_argmax).lower()}")
+
+
+def _entry_strings(inv: vandinv.InverseMatrix, digits: int) -> List[List[str]]:
+    """_format_entry of every entry, row-major.  An entry below the diagonal
+    that is the same object as its mirror above it (as in every closed-form
+    inverse) reuses the mirror's string, so a symmetric pair is formatted
+    once."""
+    entries, cells = inv.entries, []
+    for i, row in enumerate(entries):
+        cells.append([cells[j][i] if j < i and entries[j][i] is v else _format_entry(v, digits)
+                      for j, v in enumerate(row)])
+    return cells
+
+
+# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
@@ -82,11 +134,12 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
     inv = vandinv.inverse_matrix(gv, precision)
+    cells = _entry_strings(inv, fmt.digits)
     if fmt.kind == "json":
-        return 0, inv.to_json(fmt.digits)
+        return 0, _json({"n": n, "base": base.display(), "backend": inv.backend,
+                         "entries": [cell for row in cells for cell in row]})
     if fmt.kind == "csv":
-        return 0, inv.to_csv(fmt.digits)
-    cells = inv.entry_strings(fmt.digits)
+        return 0, "\n".join(",".join(row) for row in cells)
     widths = [max(len(cells[i][j]) for i in range(n)) for j in range(n)]
     lines = ["  ".join(cells[i][j].rjust(widths[j]) for j in range(n)) for i in range(n)]
     if inv.backend == "rigorous":
@@ -102,10 +155,9 @@ def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tu
     if x is None:
         x = x_spec.evaluate(max(DEFAULT_PRECISION_BITS, 4 * fmt.digits))
     value = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, x))
-    rendered = vandinv.format_entry(value, fmt.digits)
+    rendered = _format_entry(value, fmt.digits)
     if fmt.kind == "json":
-        payload = {"i": i, "j": j, "n": n, "x": x_spec.display(), "value": rendered}
-        return 0, json.dumps(payload, separators=(", ", ": "))
+        return 0, _json({"i": i, "j": j, "n": n, "x": x_spec.display(), "value": rendered})
     if fmt.kind == "csv":
         return 0, f"{i},{j},{n},{x_spec.display()},{rendered}"
     return 0, rendered
@@ -116,14 +168,21 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
     report = extremal.max_entry(gv, precision)
     if fmt.kind == "json":
-        return 0, report.to_json(fmt.digits)
+        return 0, _json({
+            "base": base.display(),
+            "n": n,
+            "n_zero": report.n_zero,
+            "max": _format_decimal(report.max_value, fmt.digits),
+            "argmax": [list(p) for p in report.argmax],
+            "within_n_zero_box": report.within_n_zero_box,
+            "diagonal_argmax": report.diagonal_argmax,
+            "tie": False,           # comparisons are exact; kept for the output schema
+            "backend": report.backend,
+        })
     if fmt.kind == "csv":
-        pairs = ";".join(f"{i}:{j}" for i, j in report.argmax)
-        return 0, (f"{base.display()},{n},{report.n_zero},"
-                   f"{extremal.format_decimal(report.max_value, fmt.digits)},{pairs},"
-                   f"{str(report.diagonal_argmax).lower()},false")
-    lines = [f"max = {extremal.format_decimal(report.max_value, fmt.digits)}",
-             f"argmax = {extremal.format_pairs(report.argmax)}",
+        return 0, f"{base.display()},{n},{_max_csv(report, fmt.digits)},false"
+    lines = [f"max = {_format_decimal(report.max_value, fmt.digits)}",
+             f"argmax = {_format_pairs(report.argmax)}",
              f"n0 = {report.n_zero}",
              f"diagonal = {str(report.diagonal_argmax).lower()}"]
     return 0, "\n".join(lines)
@@ -132,21 +191,28 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
 def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
               precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
     report = limits.limit_max(base, tol, precision_ceiling)
+    entries = [(e, e.value.decimal(fmt.digits), fraction_to_sci(e.value.radius, 3))
+               for e in report.entries]
     if fmt.kind == "json":
-        return 0, report.to_json(fmt.digits)
+        return 0, _json({
+            "base": base.display(),
+            "n_zero": report.n_zero,
+            "entries": [{"i": e.i, "j": e.j, "value": value, "radius": radius,
+                         "sigma_cutoff": e.sigma_cutoff, "product_cutoff": e.product_cutoff}
+                        for e, value, radius in entries],
+            "max": report.value.decimal(fmt.digits),
+            "argmax": [list(p) for p in report.argmax],
+            "regime": report.regime,
+        })
     if fmt.kind == "csv":
-        rows = [f"{e.i},{e.j},{e.value.decimal(fmt.digits)},"
-                f"{fraction_to_sci(e.value.radius, 3)},{e.sigma_cutoff},{e.product_cutoff}"
-                for e in report.entries]
-        return 0, "\n".join(rows)
-    lines = []
-    for e in report.entries:
-        lines.append(f"l({e.i},{e.j}) = {e.value.decimal(fmt.digits)} "
-                     f"(radius {fraction_to_sci(e.value.radius, 3)}, "
-                     f"cutoffs sigma {e.sigma_cutoff}, product {e.product_cutoff})")
+        return 0, "\n".join(f"{e.i},{e.j},{value},{radius},{e.sigma_cutoff},{e.product_cutoff}"
+                            for e, value, radius in entries)
+    lines = [f"l({e.i},{e.j}) = {value} (radius {radius}, "
+             f"cutoffs sigma {e.sigma_cutoff}, product {e.product_cutoff})"
+             for e, value, radius in entries]
     lines.append(f"n0 = {report.n_zero}")
     lines.append(f"max = {report.value.decimal(fmt.digits)}")
-    lines.append(f"argmax = {extremal.format_pairs(report.argmax)}")
+    lines.append(f"argmax = {_format_pairs(report.argmax)}")
     lines.append(f"regime = {report.regime}" + (" (boundary)" if report.boundary else ""))
     return 0, "\n".join(lines)
 
@@ -194,7 +260,7 @@ def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tup
                      "status": status, "radius": radius})
     failed = any(r["status"] != "match" for r in rows)
     if fmt.kind == "json":
-        return (1 if failed else 0), json.dumps(rows, separators=(", ", ": "))
+        return (1 if failed else 0), _json(rows)
     if fmt.kind == "csv":
         lines = [f"{r['base']},{r['computed']},{r['expected']},{r['status']},{r['radius']}"
                  for r in rows]
@@ -442,13 +508,23 @@ def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
     precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
     scan = extremal.conjecture_scan(base, n_min, n_max, precision)
     if fmt.kind == "json":
-        return 0, scan.to_json(fmt.digits)
+        return 0, _json([{"n": r.n, "n_zero": r.n_zero,
+                          "max": _format_decimal(r.max_value, fmt.digits),
+                          "argmax": [list(p) for p in r.argmax], "diagonal": r.diagonal_argmax}
+                         for r in scan.records])
     if fmt.kind == "csv":
-        rows = [f"{r.n},{r.n_zero},{extremal.format_decimal(r.max_value, fmt.digits)},"
-                + ";".join(f"{i}:{j}" for i, j in r.argmax)
-                + f",{str(r.diagonal).lower()}" for r in scan.records]
-        return 0, "\n".join(rows)
-    return 0, scan.to_text(min(fmt.digits, 12))
+        return 0, "\n".join(f"{r.n},{_max_csv(r, fmt.digits)}" for r in scan.records)
+    digits = min(fmt.digits, 12)
+    lines = [f"base {base.display()}: diagonal-argmax scan, n from {n_min} to {n_max}"]
+    for r in scan.records:
+        flag = "diagonal" if r.diagonal_argmax else "NON-DIAGONAL"
+        lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={_format_decimal(r.max_value, digits)}"
+                     f"  argmax {_format_pairs(r.argmax)}  {flag}")
+    lines.append(f"summary: {len(scan.non_diagonal)} of {len(scan.records)} sizes "
+                 f"lack a diagonal argmax"
+                 + (f" (n = {', '.join(map(str, scan.non_diagonal))})"
+                    if scan.non_diagonal else ""))
+    return 0, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

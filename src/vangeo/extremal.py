@@ -13,12 +13,12 @@ certified_poly_sign.  Entries are compared on the column form
 an integer, or at tau and alpha a Z[theta] element that signs itself
 (ZTheta.sign; a zero element is an exact tie).  maximal_ratios is the one
 argmax over such ratios, for the finite maximum here and for the limit
-maximum in limits.  Balls appear only in the printed maximum at tau and alpha.
+maximum in limits.  Balls appear only in the value of the maximum at tau and
+alpha.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,25 +26,13 @@ from typing import Optional, Tuple, Union
 
 from .errors import DomainError, SizeError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric,
-                     RigorousReal, certified_poly_sign, exact_sign, fraction_to_decimal)
+                     certified_poly_sign, exact_sign)
 # inverse_matrix is not called here; bench/tracing.py expects this module to bind it
 from .vandinv import GeometricVandermonde, inverse_matrix  # noqa: F401
 
 IndexPair = Tuple[int, int]
 
 _N_ZERO_MAX_BITS = 1 << 22     # n0 * log2(p): the size of the powers confirming n0 of p/q
-
-
-def format_decimal(value: Numeric, digits: int) -> str:
-    """A maximum as printed: digits significant decimals of a Fraction or a ball."""
-    if isinstance(value, RigorousReal):
-        return value.decimal(digits)
-    return fraction_to_decimal(Fraction(value), digits)
-
-
-def format_pairs(pairs) -> str:
-    """Index pairs as printed: "(0,0) (1,1)"."""
-    return " ".join(f"({i},{j})" for i, j in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -156,22 +144,6 @@ class MaxReport:
     backend: str
     precision_bits: Optional[int] = None
 
-    def to_json_dict(self, digits: int = 20) -> dict:
-        return {
-            "base": self.base.display(),
-            "n": self.n,
-            "n_zero": self.n_zero,
-            "max": format_decimal(self.max_value, digits),
-            "argmax": [list(p) for p in self.argmax],
-            "within_n_zero_box": self.within_n_zero_box,
-            "diagonal_argmax": self.diagonal_argmax,
-            "tie": False,           # comparisons are exact; kept for the output schema
-            "backend": self.backend,
-        }
-
-    def to_json(self, digits: int = 20) -> str:
-        return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
-
 
 def max_entry(gv: GeometricVandermonde,
               precision_bits: int = DEFAULT_PRECISION_BITS) -> MaxReport:
@@ -179,7 +151,7 @@ def max_entry(gv: GeometricVandermonde,
     comparisons, and mirror the argmax (the inverse is symmetric), so every
     maximal entry is reported, ties included.  The maximum is a Fraction at a
     rational base and, at tau and alpha, the ball image of its exact ratio at
-    precision_bits, which only its printing uses."""
+    precision_bits; no comparison reads it."""
     n0 = n_zero(gv.base)
     best, top = maximal_ratios(gv.column_form.upper_triangle.items())
     argmax = tuple(sorted({pair for i, j in top for pair in ((i, j), (j, i))}))
@@ -206,7 +178,6 @@ class BoxCheckReport:
     n: int
     n_zero: int
     passed: bool
-    argmax_within_box: bool
     witnesses: Tuple[IndexPair, ...]       # entries exceeding (n0, n0)
     max_report: MaxReport
 
@@ -224,7 +195,6 @@ def verify_argmax_box(gv: GeometricVandermonde,
                       if (min(i, j), max(i, j)) in above)
     return BoxCheckReport(base=gv.base, n=n, n_zero=n0,
                           passed=not witnesses and report.within_n_zero_box,
-                          argmax_within_box=report.within_n_zero_box,
                           witnesses=witnesses, max_report=report)
 
 
@@ -237,7 +207,6 @@ class DiagonalCheckReport:
     base: BaseSpec
     n: int
     passed: bool
-    max_on_leading_diagonal: bool
     sigma_step_holds: bool
     max_report: MaxReport
 
@@ -262,7 +231,6 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     table = gv.column_form.upper_triangle
     sigma_ok = compare_ratios(table[0, 1], table[1, 1]) <= 0
     return DiagonalCheckReport(base=gv.base, n=gv.n, passed=diagonal_ok and sigma_ok,
-                               max_on_leading_diagonal=diagonal_ok,
                                sigma_step_holds=sigma_ok, max_report=report)
 
 
@@ -272,17 +240,9 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
 
 
 @dataclass(frozen=True)
-class ScanRecord:
-    n: int
-    n_zero: int
-    max_value: Numeric
-    argmax: Tuple[IndexPair, ...]
-    diagonal: bool
-
-
-@dataclass(frozen=True)
 class ConjectureScan:
-    """Per-n record of whether a diagonal entry attains the maximum.
+    """The MaxReport of every n in [n_min, n_max], and the sizes whose argmax
+    has no diagonal entry.
 
     Empirical output only: the eventual-diagonal-argmax statement is an open
     question, so the scan reports and never asserts.
@@ -291,29 +251,8 @@ class ConjectureScan:
     base: BaseSpec
     n_min: int
     n_max: int
-    records: Tuple[ScanRecord, ...]
+    records: Tuple[MaxReport, ...]
     non_diagonal: Tuple[int, ...]
-
-    def to_json_array(self, digits: int = 20) -> list:
-        return [{"n": r.n, "n_zero": r.n_zero, "max": format_decimal(r.max_value, digits),
-                 "argmax": [list(p) for p in r.argmax], "diagonal": r.diagonal}
-                for r in self.records]
-
-    def to_json(self, digits: int = 20) -> str:
-        return json.dumps(self.to_json_array(digits), separators=(", ", ": "))
-
-    def to_text(self, digits: int = 12) -> str:
-        lines = [f"base {self.base.display()}: diagonal-argmax scan, "
-                 f"n from {self.n_min} to {self.n_max}"]
-        for r in self.records:
-            flag = "diagonal" if r.diagonal else "NON-DIAGONAL"
-            lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={format_decimal(r.max_value, digits)}"
-                         f"  argmax {format_pairs(r.argmax)}  {flag}")
-        lines.append(f"summary: {len(self.non_diagonal)} of {len(self.records)} sizes "
-                     f"lack a diagonal argmax"
-                     + (f" (n = {', '.join(map(str, self.non_diagonal))})"
-                        if self.non_diagonal else ""))
-        return "\n".join(lines)
 
 
 def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
@@ -321,13 +260,7 @@ def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
     """Record the argmax structure for every n in [n_min, n_max]."""
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    records = []
-    non_diagonal = []
-    for n in range(n_min, n_max + 1):
-        report = max_entry(GeometricVandermonde(base, n), precision_bits)
-        records.append(ScanRecord(n=n, n_zero=report.n_zero, max_value=report.max_value,
-                                  argmax=report.argmax, diagonal=report.diagonal_argmax))
-        if not report.diagonal_argmax:
-            non_diagonal.append(n)
-    return ConjectureScan(base=base, n_min=n_min, n_max=n_max,
-                          records=tuple(records), non_diagonal=tuple(non_diagonal))
+    records = tuple(max_entry(GeometricVandermonde(base, n), precision_bits)
+                    for n in range(n_min, n_max + 1))
+    return ConjectureScan(base=base, n_min=n_min, n_max=n_max, records=records,
+                          non_diagonal=tuple(r.n for r in records if not r.diagonal_argmax))

@@ -43,7 +43,6 @@ equals l_{1,1} at b = 2) live in tests/oracles.py.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -52,7 +51,7 @@ from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
                      _dy_add, _dy_cmp, _dy_fraction, _from_dyadic_ends, _power,
-                     at_base, certified_poly_sign, fraction_to_sci, poly_eval_ball,
+                     at_base, certified_poly_sign, poly_eval_ball,
                      resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
@@ -206,11 +205,6 @@ class LimitValue:
     tail_bound: Fraction
     closed_form: Tuple[Poly, Poly] = field(repr=False, compare=False)
 
-    def to_json_dict(self, digits: int = 20) -> dict:
-        return {"i": self.i, "j": self.j, "value": self.value.decimal(digits),
-                "radius": fraction_to_sci(self.value.radius, 3),
-                "sigma_cutoff": self.sigma_cutoff, "product_cutoff": self.product_cutoff}
-
 
 def limit_entry(i: int, j: int, base: BaseSpec, tol,
                 precision_ceiling: Optional[int] = None) -> LimitValue:
@@ -263,19 +257,6 @@ class LimitReport:
     entries: Tuple[LimitValue, ...]
     regime: str
     boundary: bool
-
-    def to_json_dict(self, digits: int = 20) -> dict:
-        return {
-            "base": self.base.display(),
-            "n_zero": self.n_zero,
-            "entries": [e.to_json_dict(digits) for e in self.entries],
-            "max": self.value.decimal(digits),
-            "argmax": [list(p) for p in self.argmax],
-            "regime": self.regime,
-        }
-
-    def to_json(self, digits: int = 20) -> str:
-        return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
 
 
 def _argmax(closed_forms: Sequence[Tuple[Poly, Poly]], base: BaseSpec) -> List[int]:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from .errors import DomainError
-from .scalar import (Fields, Numeric, RigorousReal, ZTheta, _ball_mul_add, _fields, _filled,
-                     powers)
+from .scalar import Fields, Numeric, RigorousReal, ZTheta, _ball_mul_add, powers
 
 
 def _is_positive(x: Numeric) -> bool:
@@ -52,10 +51,11 @@ class SigmaQuery:
 def fold_balls(e: List[Fields], nodes: Iterable[Fields], folded: int) -> List[Fields]:
     """Fold ball nodes, given as raw fields (scalar._fields), one by one into
     e = e_0..e_upto, the raw fields of the elementary symmetric functions of
-    the ``folded`` nodes before them: the recurrence's steps, each one fused
-    multiply-add with the roundings of RigorousReal's ``*`` then ``+``.  A
-    caller that keeps e can fold more nodes into it, or into a copy, later.
-    Returns e, updated in place."""
+    the ``folded`` nodes before them: the steps of elementary_symmetric's
+    recurrence, each one fused multiply-add with the roundings of
+    RigorousReal's ``*`` then ``+``, so the fields are those of that loop over
+    balls.  The ball inverse keeps e to fold more nodes into it, or into a
+    copy, later.  Returns e, updated in place."""
     step, upto = _ball_mul_add, len(e) - 1
     for folded, x in enumerate(nodes, folded + 1):
         for k in range(min(folded, upto), 0, -1):
@@ -67,14 +67,8 @@ def elementary_symmetric(values: Sequence, upto: int, one) -> List:
     """e_0..e_upto of the given sequence via the standard recurrence.
 
     Generic over the coefficient ring: ``one`` must be the ring's unit.
-    When ``one`` and every value are RigorousReal, the same recurrence runs
-    on raw ball fields (fold_balls), with the roundings of the generic loop.
     """
-    zero = one * 0
-    if isinstance(one, RigorousReal) and all(isinstance(x, RigorousReal) for x in values):
-        e = fold_balls([_fields(one)] + [_fields(zero)] * upto, map(_fields, values), 0)
-        return [_filled(*t) for t in e]
-    e = [one] + [zero] * upto
+    e = [one] + [one * 0] * upto
     for folded, x in enumerate(values, 1):
         for k in range(min(folded, upto), 0, -1):
             e[k] = e[k] + x * e[k - 1]

@@ -11,7 +11,7 @@ magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
 one O(n) deflation per column (Traub 1966; Bjorck & Pereyra 1970), and every
 pi_j in closed form from one table of gap products.  The exact backend turns
 it into Fractions; the extremal scans compare its ratios by exact signs.  The
-rigorous backend, which prints the enclosures of `inverse` at tau and alpha,
+rigorous backend, which encloses the entries of `inverse` at tau and alpha,
 works in the reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
@@ -26,7 +26,6 @@ differential testing.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -36,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, _fields, _filled, at_base, ball_dot, fraction_to_sci, max_abs,
-                     poly_eval_ball, powers)
+                     ZTheta, _fields, _filled, at_base, ball_dot, max_abs, poly_eval_ball,
+                     powers)
 from .symfunc import elementary_symmetric, fold_balls
 
 _GAUSSIAN_MAX_N = 64
@@ -82,38 +81,6 @@ class InverseMatrix:
     provenance: str                 # "closed_form" | "gaussian_oracle"
     entries: Tuple[Tuple[Numeric, ...], ...]
     precision_bits: Optional[int] = None
-
-    def entry_strings(self, digits: int = 20) -> List[List[str]]:
-        """format_entry of every entry, row-major.  An entry below the
-        diagonal that is the same object as its mirror above it (as in every
-        closed-form inverse) reuses the mirror's string, so a symmetric
-        pair is formatted once."""
-        entries, cells = self.entries, []
-        for i, row in enumerate(entries):
-            cells.append([cells[j][i] if j < i and entries[j][i] is v else format_entry(v, digits)
-                          for j, v in enumerate(row)])
-        return cells
-
-    def to_json_dict(self, digits: int = 20) -> dict:
-        flat = [cell for row in self.entry_strings(digits) for cell in row]
-        return {"n": self.n, "base": self.base.display(), "backend": self.backend,
-                "entries": flat}
-
-    def to_json(self, digits: int = 20) -> str:
-        return json.dumps(self.to_json_dict(digits), separators=(", ", ": "))
-
-    def to_csv(self, digits: int = 20) -> str:
-        rows = self.entry_strings(digits)
-        return "\n".join(",".join(row) for row in rows)
-
-
-def format_entry(value: Numeric, digits: int = 20) -> str:
-    """Exact values render as fraction strings p or p/q; enclosures render
-    as midpoint±radius."""
-    if isinstance(value, RigorousReal):
-        rad = "0" if value.is_exact else fraction_to_sci(value.radius, 3)
-        return f"{value.decimal(digits)}±{rad}"
-    return str(value)       # an int's digits, or a Fraction's p or p/q
 
 
 def _exact_base(gv: GeometricVandermonde) -> Union[int, Fraction]:

@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from oracles import base2_product_identity, overlaps, sigma_bruteforce
 from vangeo import cli
-from vangeo.extremal import (conjecture_scan, max_entry, verify_argmax_box,
-                             verify_leading_diagonal_max)
+from vangeo.extremal import max_entry, verify_argmax_box, verify_leading_diagonal_max
 from vangeo.limits import classify_regime, limit_entry
 from vangeo.scalar import ALPHA_POLYNOMIAL, BaseSpec, bisect_root
 from vangeo.symfunc import SigmaQuery, sigma_finite
@@ -232,8 +231,12 @@ def test_criterion_10_convergence_spot_check(capsys):
 def test_criterion_11_conjecture_scan(capsys):
     problems = []
     for text in ["2", "3", "6/5"]:
-        scan = conjecture_scan(BaseSpec.parse(text), 2, 30)
-        payload = json.loads(scan.to_json())
+        code, output = cli.run(["conjecture", "--base", text, "--range", "2:30",
+                                "--format", "json"])
+        if code != 0:
+            problems.append((text, "exit status", code))
+            continue
+        payload = json.loads(output)
         if [record["n"] for record in payload] != list(range(2, 31)):
             problems.append((text, "n coverage"))
         for record in payload:

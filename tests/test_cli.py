@@ -637,7 +637,7 @@ class TestLongNumbers:
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
-            expected = vandinv.format_entry(Fraction(a, pi))
+            expected = str(Fraction(a, pi))
         finally:
             sys.set_int_max_str_digits(previous)
         assert len(expected) > 4300

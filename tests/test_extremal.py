@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import contains, loop_maximal_ratios, overlaps
+from vangeo import cli
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import (conjecture_scan, max_entry, maximal_ratios, n_zero,
                              verify_argmax_box, verify_leading_diagonal_max)
@@ -28,6 +29,13 @@ def no_inverse(monkeypatch):
                          (vandinv, "_inverse_entries_exact"),
                          (vandinv, "_inverse_entries_rigorous")):
         monkeypatch.setattr(module, name, refuse)
+
+
+def max_json(*argv):
+    """The payload of ``vangeo max ... --format json``."""
+    code, output = cli.run(["max", *argv, "--format", "json"])
+    assert code == 0, output
+    return json.loads(output)
 
 
 def _n_zero_by_powers(b: Fraction) -> int:
@@ -107,7 +115,7 @@ class TestMaxEntry:
         assert report.argmax == ((0, 0),)
         assert report.n_zero == 1
         assert report.within_n_zero_box and report.diagonal_argmax
-        assert report.to_json_dict()["tie"] is False
+        assert max_json("--base", "2", "--n", "2")["tie"] is False
 
     def test_frozen_three_halves(self):
         report = max_entry(GeometricVandermonde(BaseSpec.parse("3/2"), 2))
@@ -142,9 +150,13 @@ class TestMaxEntry:
     def test_rigorous_resolves_argmax(self):
         report = max_entry(GeometricVandermonde(BaseSpec.parse("tau"), 12), 256)
         assert report.backend == "rigorous"
-        assert report.to_json_dict()["tie"] is False
         assert report.argmax == ((1, 1),)
         assert report.max_value.radius < Fraction(1, 10 ** 40)
+        # --digits 64 sets the same 256 bits
+        payload = max_json("--base", "tau", "--n", "12", "--digits", "64")
+        assert payload["tie"] is False and payload["backend"] == "rigorous"
+        assert payload["argmax"] == [[1, 1]]
+        assert payload["max"] == report.max_value.decimal(64)
 
     def test_escalation_resolves_alpha(self, no_inverse):
         # at 16 bits the ball kernel's (0,0) and (1,1) enclosures overlap at
@@ -158,8 +170,9 @@ class TestMaxEntry:
         # Z[alpha] sign decides it exactly, and prints at those 16 bits
         report = max_entry(GeometricVandermonde(BaseSpec.parse("alpha"), 12), 16)
         assert report.argmax == ((0, 0),)
-        assert report.to_json_dict()["tie"] is False
         assert contains(report.max_value, report.max_value.midpoint)
+        payload = max_json("--base", "alpha", "--n", "12")
+        assert payload["argmax"] == [[0, 0]] and payload["tie"] is False
 
     def test_exact_tie_is_final(self, no_inverse, monkeypatch):
         # no rational base p/q <= 4 with q <= 12 has an exact tie between two
@@ -173,7 +186,8 @@ class TestMaxEntry:
             monkeypatch.setattr(ColumnForm, "magnitudes", lambda self, j, rows: planted[j])
             report = max_entry(gv, 64)
             assert report.argmax == ((0, 0), (1, 1)), text
-            assert report.to_json_dict()["tie"] is False
+            payload = max_json("--base", text, "--n", "2")
+            assert payload["argmax"] == [[0, 0], [1, 1]] and payload["tie"] is False, text
             if gv.is_exact:
                 assert report.max_value == 3 and report.precision_bits is None
             else:
@@ -192,9 +206,9 @@ class TestMaxEntry:
             assert report.max_value.decimal(20) == magnitudes[argmax[0]].decimal(20), (name, n)
 
     def test_max_report_json_schema(self):
-        spec = BaseSpec.parse("6/5")
-        report = max_entry(GeometricVandermonde(spec, 12))
-        payload = json.loads(report.to_json())
+        payload = max_json("--base", "6/5", "--n", "12")
+        assert set(payload) == {"base", "n", "n_zero", "max", "argmax", "within_n_zero_box",
+                                "diagonal_argmax", "tie", "backend"}
         assert payload["n_zero"] == 4
         assert payload["argmax"] == [[3, 3]]
         assert payload["within_n_zero_box"] is True
@@ -326,14 +340,15 @@ class TestConjectureScan:
     def test_scan_records_and_json(self):
         scan = conjecture_scan(BaseSpec.parse("2"), 2, 8)
         assert [r.n for r in scan.records] == list(range(2, 9))
-        payload = json.loads(scan.to_json())
-        assert len(payload) == 7
+        code, output = cli.run(["conjecture", "--base", "2", "--range", "2:8", "--format", "json"])
+        payload = json.loads(output)
+        assert code == 0 and len(payload) == 7
         assert set(payload[0]) == {"n", "n_zero", "max", "argmax", "diagonal"}
         assert all(r["diagonal"] for r in payload)
 
     def test_non_diagonal_collection_consistent(self):
         scan = conjecture_scan(BaseSpec.parse("13/10"), 2, 12)
-        from_records = [r.n for r in scan.records if not r.diagonal]
+        from_records = [r.n for r in scan.records if not r.diagonal_argmax]
         assert scan.non_diagonal == tuple(from_records)
 
     @given(st.sampled_from(["2", "3", "6/5", "13/10"]),
@@ -342,7 +357,4 @@ class TestConjectureScan:
     def test_scan_matches_max_entry(self, text, n):
         base = BaseSpec.parse(text)
         scan = conjecture_scan(base, n, n)
-        record = scan.records[0]
-        report = max_entry(GeometricVandermonde(base, n))
-        assert record.argmax == report.argmax
-        assert record.diagonal == report.diagonal_argmax
+        assert scan.records == (max_entry(GeometricVandermonde(base, n)),)

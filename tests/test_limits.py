@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import (base2_product_identity, certainly_gt, contains, finite_j_product, overlaps,
                      pentagonal_prefix, sigma_infinite)
-from vangeo import limits
+from vangeo import cli, limits
 from vangeo.errors import DomainError, UndecidableComparisonError
 from vangeo.extremal import n_zero
 from vangeo.limits import (_argmax, _closed_form, _inverse_q_product,
@@ -222,8 +222,9 @@ class TestLimitMax:
         assert report.regime == "above_alpha" and report.boundary
 
     def test_json_schema(self):
-        report = limit_max(BaseSpec.parse("3"), TOL15)
-        payload = json.loads(report.to_json())
+        code, output = cli.run(["limit", "--base", "3", "--tol", "1e-15", "--format", "json"])
+        assert code == 0
+        payload = json.loads(output)
         assert set(payload) == {"base", "n_zero", "entries", "max", "argmax", "regime"}
         entry = payload["entries"][0]
         assert set(entry) == {"i", "j", "value", "radius", "sigma_cutoff",

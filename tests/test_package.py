@@ -1,6 +1,7 @@
 """The package's surface: every README entry point is exported, the test
 oracles stay out of the library, no library module keeps an unused import,
-and every library function is reached by some command."""
+only cli formats output, and every library function is reached by some
+command."""
 
 import ast
 import contextlib
@@ -96,6 +97,27 @@ def test_no_unused_imports(path):
                 continue
             unused += [(node.lineno, name) for name in _bound_names(node) if name not in used]
     assert not unused, unused
+
+
+RENDERING_METHODS = {"to_json", "to_json_dict", "to_json_array", "to_text", "to_csv",
+                     "entry_strings"}
+
+
+LIBRARY = sorted(p for p in PACKAGE.glob("*.py") if p.name != "cli.py")
+
+
+@pytest.mark.parametrize("path", LIBRARY, ids=[p.name for p in LIBRARY])
+def test_only_cli_formats_output(path):
+    """cli writes every report's text, JSON and CSV; no other module imports
+    json or defines a rendering method."""
+    tree = ast.parse(path.read_text())
+    imported = [alias.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                for alias in n.names]
+    imported += [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.module]
+    assert not [m for m in imported if m.split(".")[0] == "json"], imported
+    defined = {n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    assert not defined & RENDERING_METHODS
 
 
 # Every subcommand and every format, at p/q, at a decimal, at tau and at

@@ -22,7 +22,7 @@ from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            fraction_to_decimal, fraction_to_sci,
                            max_abs, poly_eval_ball, powers, reduce_monic,
                            resolve_precision_ceiling)
-from vangeo.symfunc import SigmaQuery, elementary_symmetric
+from vangeo.symfunc import SigmaQuery
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
 _S = math.isqrt(5 << 1200)
@@ -528,11 +528,15 @@ class TestDyadicOracles:
     @given(sweep=sweeps())
     @settings(max_examples=150, deadline=None)
     def test_ball_sweep(self, sweep):
+        """fold_balls, the sweep of the ball inverse, against the generic loop,
+        in one fold and in two, the second going on from the first's state."""
         nodes, upto, prec = sweep
         one = RigorousReal.exact(1, prec)
-        got = elementary_symmetric([raw_ball(x) for x in nodes], upto, one)
-        assert [fields(t) for t in got] \
-            == [fields(t) for t in old_sweep([raw_ball(x) for x in nodes], upto, one)]
+        expected = [fields(t) for t in old_sweep([raw_ball(x) for x in nodes], upto, one)]
+        start, half = [fields(one)] + [fields(one * 0)] * upto, len(nodes) // 2
+        assert symfunc.fold_balls(start.copy(), nodes, 0) == expected
+        assert symfunc.fold_balls(symfunc.fold_balls(start, nodes[:half], 0),
+                                  nodes[half:], half) == expected
 
     @given(coeffs=st.lists(coefficients, max_size=12), x=balls())
     @settings(max_examples=150, deadline=None)

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 import vangeo.symfunc as symfunc
+from vangeo import cli
 import vangeo.vandinv as vandinv
 from vangeo.errors import DimensionError, DomainError, UnsupportedBackendError
 from vangeo.scalar import BaseSpec, _fields, at_base, poly_eval_ball
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
-                            format_entry, gaussian_inverse, inverse_matrix,
-                            pi_product, residual_norm, vandermonde_matrix)
+                            gaussian_inverse, inverse_matrix, pi_product,
+                            residual_norm, vandermonde_matrix)
 
 GRID = [BaseSpec.parse(t) for t in ["2", "3", "3/2", "7/5", "13/10", "6/5"]]
 
@@ -298,11 +299,18 @@ class TestRigorousBackend:
 
 
 class TestSerialization:
-    def test_csv_base_two(self, cached_inverse):
-        assert cached_inverse(BaseSpec.parse("2"), 2).to_csv() == "2,-1\n-1,1"
+    """The inverse as the CLI prints it (cli formats every report)."""
 
-    def test_json_schema(self, cached_inverse):
-        payload = json.loads(cached_inverse(BaseSpec.parse("3/2"), 3).to_json())
+    def test_csv_base_two(self, cached_inverse):
+        inv = cached_inverse(BaseSpec.parse("2"), 2)
+        code, output = cli.run(["inverse", "--base", "2", "--n", "2", "--format", "csv"])
+        assert code == 0 and output == "2,-1\n-1,1"
+        assert output == "\n".join(",".join(map(str, row)) for row in inv.entries)
+
+    def test_json_schema(self):
+        code, output = cli.run(["inverse", "--base", "3/2", "--n", "3", "--format", "json"])
+        payload = json.loads(output)
+        assert code == 0
         assert set(payload) == {"n", "base", "backend", "entries"}
         assert payload["n"] == 3
         assert payload["base"] == "3/2"
@@ -311,24 +319,25 @@ class TestSerialization:
         assert payload["entries"][0] == "27/5"
 
     def test_format_entry(self):
-        assert format_entry(Fraction(-3, 4)) == "-3/4"
-        assert format_entry(Fraction(2)) == "2"
+        assert cli._format_entry(Fraction(-3, 4), 20) == "-3/4"
+        assert cli._format_entry(Fraction(2), 20) == "2"
         from vangeo.scalar import RigorousReal
         ball = RigorousReal.exact(Fraction(1, 3), 128)
-        text = format_entry(ball, 10)
+        text = cli._format_entry(ball, 10)
         assert "±" in text and text.startswith("0.3333333333")
-
 
     @pytest.mark.parametrize("text", ["7/3", "tau"])
     def test_each_mirrored_pair_is_formatted_once(self, text, monkeypatch):
-        n, calls = 8, []
+        n, calls, original = 8, [], cli._format_entry
         inv = inverse_matrix(GeometricVandermonde(BaseSpec.parse(text), n))
-        expected = [[format_entry(v, 12) for v in row] for row in inv.entries]
-        monkeypatch.setattr(vandinv, "format_entry",
-                            lambda value, digits: calls.append(value) or format_entry(value, digits))
-        assert inv.entry_strings(12) == expected
+        expected = [[original(v, 12) for v in row] for row in inv.entries]
+        monkeypatch.setattr(cli, "_format_entry",
+                            lambda value, digits: calls.append(value) or original(value, digits))
+        assert cli._entry_strings(inv, 12) == expected
         assert len(calls) == n * (n + 1) // 2
-        assert json.loads(inv.to_json(12))["entries"] == [cell for row in expected for cell in row]
+        code, output = cli.run(["inverse", "--base", text, "--n", str(n), "--digits", "12",
+                                "--format", "json"])
+        assert json.loads(output)["entries"] == [cell for row in expected for cell in row]
 
     def test_unshared_entries_print_their_own_values(self, cached_inverse):
         spec = BaseSpec.parse("7/3")
@@ -337,12 +346,12 @@ class TestSerialization:
         rows[0][2] = Fraction(5, 7)                     # planted above, not below
         planted = InverseMatrix(n=4, base=spec, backend="exact", provenance="closed_form",
                                 entries=tuple(tuple(row) for row in rows))
-        cells = planted.entry_strings()
-        assert cells[0][2] == "5/7" and cells[2][0] == format_entry(closed.entries[2][0])
+        cells = cli._entry_strings(planted, 20)
+        assert cells[0][2] == "5/7" and cells[2][0] == cli._format_entry(closed.entries[2][0], 20)
         # the oracle builds every entry on its own: equal values, equal strings
         oracle = gaussian_inverse(GeometricVandermonde(spec, 4))
         assert oracle.entries[0][1] is not oracle.entries[1][0]
-        assert oracle.entry_strings() == closed.entry_strings()
+        assert cli._entry_strings(oracle, 20) == cli._entry_strings(closed, 20)
 
 
 class TestColumnForm:
