@@ -16,9 +16,9 @@ Quick start::
     ((Fraction(2, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(1, 1)))
 """
 
-from .errors import (BracketError, DimensionError, DomainError, ParseError,
-                     SizeError, UndecidableComparisonError,
-                     UnsupportedBackendError, VangeoError)
+from .errors import (DimensionError, DomainError, ParseError, SizeError,
+                     UndecidableComparisonError, UnsupportedBackendError,
+                     VangeoError)
 from .extremal import (BoxCheckReport, ConjectureScan, DiagonalCheckReport,
                        MaxReport, conjecture_scan, max_entry,
                        n_zero, verify_argmax_box, verify_leading_diagonal_max)
@@ -26,9 +26,8 @@ from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
                      limit_max)
 from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
                      DEFAULT_PRECISION_CEILING, TAU_POLYNOMIAL, BaseSpec,
-                     RigorousReal, bisect_root, evaluate_base,
-                     fraction_to_decimal, fraction_to_sci,
-                     resolve_precision_ceiling)
+                     RigorousReal, evaluate_base, fraction_to_decimal,
+                     fraction_to_sci, resolve_precision_ceiling)
 from .symfunc import SigmaQuery, elementary_symmetric, sigma_finite
 from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
                       inverse_matrix, pi_product, residual_norm,
@@ -37,15 +36,15 @@ from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "BracketError",
-    "ConjectureScan", "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
+    "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "ConjectureScan",
+    "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
     "DiagonalCheckReport", "DimensionError", "DomainError",
     "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",
     "MaxReport", "ParseError", "RigorousReal", "SigmaQuery",
     "SizeError", "TAU_POLYNOMIAL", "UndecidableComparisonError",
-    "UnsupportedBackendError", "VangeoError", "bisect_root",
-    "classify_regime", "conjecture_scan", "elementary_symmetric",
-    "evaluate_base", "fraction_to_decimal", "fraction_to_sci",
+    "UnsupportedBackendError", "VangeoError", "classify_regime",
+    "conjecture_scan", "elementary_symmetric", "evaluate_base",
+    "fraction_to_decimal", "fraction_to_sci",
     "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",
     "max_entry", "n_zero", "pi_product", "residual_norm",
     "resolve_precision_ceiling", "sigma_finite", "vandermonde_matrix",

@@ -18,10 +18,6 @@ class ParseError(VangeoError, ValueError):
     """A textual input (base, tolerance, range) could not be parsed."""
 
 
-class BracketError(VangeoError, ValueError):
-    """A root bracket does not exhibit a sign change."""
-
-
 class SizeError(VangeoError, ValueError):
     """A size guard was exceeded: the work asked for is refused up front."""
 

@@ -248,9 +248,6 @@ class ConjectureScan:
     question, so the scan reports and never asserts.
     """
 
-    base: BaseSpec
-    n_min: int
-    n_max: int
     records: Tuple[MaxReport, ...]
     non_diagonal: Tuple[int, ...]
 
@@ -262,5 +259,4 @@ def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
     records = tuple(max_entry(GeometricVandermonde(base, n), precision_bits)
                     for n in range(n_min, n_max + 1))
-    return ConjectureScan(base=base, n_min=n_min, n_max=n_max, records=records,
-                          non_diagonal=tuple(r.n for r in records if not r.diagonal_argmax))
+    return ConjectureScan(records, tuple(r.n for r in records if not r.diagonal_argmax))

@@ -24,8 +24,8 @@ and the exact layer at the base: :class:`ZTheta` (integer arithmetic in
 Z[theta] at those constants, whose elements sign themselves by integer
 tests), ``at_base`` (an integer polynomial's exact value at the base, a
 Fraction or a ZTheta), ``exact_sign`` of either, and ``certified_poly_sign``
-on top of them.  It also holds ``powers``, exact bisection root isolation,
-and small exact polynomial/decimal-string helpers.
+on top of them.  It also holds ``powers``, the integer bisection that
+encloses tau and alpha, and small exact polynomial/decimal-string helpers.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
-from .errors import BracketError, DomainError, ParseError
+from .errors import DomainError, ParseError
 
 # Radius mantissas are trimmed (rounding up) to this many bits; the radius is
 # a bound, not a value, so 32 bits of resolution is plenty.
@@ -692,9 +692,11 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+/\d+$")
 
 # tau is the positive root of x^2 - x - 1; alpha the unique real root of
 # x^3 - 3x^2 + 2x - 1 (it lies in [2, 3]).  Coefficients ascend by degree.
+# Both roots are irrational, and each polynomial is negative at the lower end
+# of its constant's bracket.
 TAU_POLYNOMIAL: Tuple[int, ...] = (-1, -1, 1)
 ALPHA_POLYNOMIAL: Tuple[int, ...] = (-1, 2, -3, 1)
-_CONSTANT_BRACKETS = {"tau": (Fraction(1), Fraction(2)), "alpha": (Fraction(2), Fraction(3))}
+_CONSTANT_BRACKETS = {"tau": (1, 2), "alpha": (2, 3)}
 _CONSTANT_POLYS = {"tau": TAU_POLYNOMIAL, "alpha": ALPHA_POLYNOMIAL}
 
 
@@ -781,7 +783,7 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
     """Enclose the base described by ``spec`` with radius <= 2**(-precision_bits+2).
 
     Rational and decimal specs evaluate exactly (radius 0 up to dyadic
-    representation rounding); constants are isolated by exact bisection on
+    representation rounding); constants are isolated by integer bisection on
     their minimal polynomials, once per (constant, precision) in a process.
     """
     if precision_bits < 16:
@@ -797,10 +799,23 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
 # bounded: `limit` derives its precision from --tol, so the keys are open-ended
 @functools.lru_cache(maxsize=64)
 def _constant_enclosure(name: str, precision_bits: int) -> RigorousReal:
-    """One bisection per (constant, precision), shared: RigorousReal is immutable."""
-    lo, hi = _CONSTANT_BRACKETS[name]
-    tol = Fraction(1, 1 << precision_bits)
-    return bisect_root(_CONSTANT_POLYS[name], lo, hi, tol, precision_bits=precision_bits)
+    """The constant in [a/2^s, (a+1)/2^s], s = precision_bits, by bisection
+    on the integers a of its bracket scaled by 2^s: the Horner value of
+    sum c_i a^i 2^(s(d-i)) is 2^(sd) P(a/2^s).  One bisection per
+    (constant, precision), shared: RigorousReal is immutable."""
+    poly, s = _CONSTANT_POLYS[name], precision_bits
+    scaled = [c << s * (len(poly) - 1 - i) for i, c in enumerate(poly)]
+    lo, hi = (end << s for end in _CONSTANT_BRACKETS[name])
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * mid + c
+        if acc < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RigorousReal.from_interval(Fraction(lo, 1 << s), Fraction(lo + 1, 1 << s), s)
 
 
 def at_base(coeffs: Sequence[int], spec: BaseSpec) -> Union[Fraction, ZTheta]:
@@ -835,60 +850,6 @@ def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: BaseSpec) 
         raise DomainError(f"base must be > 1, got {value}")
     scale = math.lcm(*(c.denominator for c in coeffs))
     return exact_sign(at_base([c.numerator * (scale // c.denominator) for c in coeffs], spec))
-
-
-def bisect_root(coeffs: Sequence[Union[int, Fraction]],
-                lo: Union[int, Fraction], hi: Union[int, Fraction],
-                tol: Union[int, Fraction, str, float],
-                precision_bits: Optional[int] = None) -> RigorousReal:
-    """Isolate a root of the polynomial by exact bisection.
-
-    Requires a sign change between lo and hi.  Returns an enclosure of width
-    <= tol whose endpoints bracket the sign change; if the bisection lands on
-    an exact rational root, the enclosure degenerates to that point.  The
-    bisection runs on the integer grid lo + (hi - lo)*k/2^s, with s the least
-    number of halvings that meets tol, and builds no Fraction in its loop.
-    """
-    lof, hif = Fraction(lo), Fraction(hi)
-    tolf = Fraction(tol)
-    if tolf <= 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    if lof >= hif:
-        raise BracketError("bracket endpoints must satisfy lo < hi")
-    width = hif - lof
-    # Q(y) = P(lo + width*y), ascending, so f(lo) = Q(0) and f(hi) = Q(1)
-    shifted: List[Fraction] = []
-    for c in reversed(coeffs):
-        shifted = [a * lof + b * width for a, b in zip(shifted + [0], [0] + shifted)]
-        shifted[0] += c
-    flo, fhi = (shifted[0], sum(shifted)) if shifted else (0, 0)
-    if flo != 0 and fhi != 0 and (flo > 0) == (fhi > 0):
-        raise BracketError(f"no sign change on [{lof}, {hif}]: f(lo)={flo}, f(hi)={fhi}")
-    if precision_bits is None:
-        # enough bits to keep representation rounding far below the bracket width
-        width_bits = max(1, -(tolf.numerator.bit_length() - tolf.denominator.bit_length()))
-        precision_bits = max(64, width_bits + 32)
-    steps = (-(-width // tolf) - 1).bit_length()    # least s with width/2^s <= tol
-    # c_i*2^(s*(d-i)) with the denominators cleared are the coefficients
-    # whose Horner value at k is 2^(s*d)*Q(k/2^s)
-    scale = math.lcm(*(c.denominator for c in shifted))
-    homogeneous = [c.numerator * (scale // c.denominator) << steps * (len(shifted) - 1 - i)
-                   for i, c in enumerate(shifted)]
-    grid = 1 << steps
-    k_lo, k_hi = (0, 0) if flo == 0 else (grid, grid) if fhi == 0 else (0, grid)
-    while k_hi - k_lo > 1:
-        mid = (k_lo + k_hi) // 2
-        acc = 0
-        for c in reversed(homogeneous):
-            acc = acc * mid + c
-        if acc == 0:
-            k_lo = k_hi = mid
-        elif (acc > 0) == (flo > 0):
-            k_lo = mid
-        else:
-            k_hi = mid
-    return RigorousReal.from_interval(lof + width * Fraction(k_lo, grid),
-                                      lof + width * Fraction(k_hi, grid), precision_bits)
 
 
 # ---------------------------------------------------------------------------

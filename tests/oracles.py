@@ -35,8 +35,8 @@ and the test modules import it as ``oracles``.
   former ``RigorousReal`` methods of those names: the library decides the
   same questions by ``sign()`` and by ``lower``.
 * ``poly_eval`` is Horner's rule over Fractions, the former
-  ``scalar.poly_eval``, whose one caller (``bisect_root``'s endpoint signs)
-  now reads them off its Taylor shift.
+  ``scalar.poly_eval``, with which the tests' Fraction bisection checks the
+  integer bisection that encloses tau and alpha.
 * ``reduced_norm_sign`` is the sign of a Z[alpha] element's norm
   determinant with its rows alpha x and alpha^2 x taken by ``reduce_monic``,
   the body of ``ZTheta.sign`` at a cubic before it formed them straight-line.

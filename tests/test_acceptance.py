@@ -14,7 +14,7 @@ from oracles import base2_product_identity, overlaps, sigma_bruteforce
 from vangeo import cli
 from vangeo.extremal import max_entry, verify_argmax_box, verify_leading_diagonal_max
 from vangeo.limits import classify_regime, limit_entry
-from vangeo.scalar import ALPHA_POLYNOMIAL, BaseSpec, bisect_root
+from vangeo.scalar import BaseSpec, evaluate_base
 from vangeo.symfunc import SigmaQuery, sigma_finite
 from vangeo.vandinv import (GeometricVandermonde, gaussian_inverse, pi_product,
                             residual_norm)
@@ -191,7 +191,7 @@ def test_criterion_08_structural_identities(capsys, cached_inverse):
 
 
 def test_criterion_09_crossover_constant(capsys):
-    alpha = bisect_root(ALPHA_POLYNOMIAL, 2, 3, Fraction(1, 10 ** 12))
+    alpha = evaluate_base(BaseSpec.parse("alpha"), 64)
     nine_decimals = round(alpha.midpoint, 9)
     base, tol = BaseSpec.parse("alpha"), Fraction(1, 10 ** 16)
     l00 = limit_entry(0, 0, base, tol).value

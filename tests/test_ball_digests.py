@@ -2,9 +2,9 @@
 
 Golden stdout prints three digits of each radius, so a one-ulp drift in a
 midpoint or a radius would pass it.  These digests hash the raw
-(m, e, r, f, prec) fields of every ball that the inverse kernel, the ball
-residual, the ball Horner and limit_entry produce on a fixed grid; any change
-in their roundings changes a digest.
+(m, e, r, f, prec) fields of every ball that the constants' enclosures, the
+inverse kernel, the ball residual, the ball Horner and limit_entry produce on
+a fixed grid; any change in their roundings changes a digest.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from vangeo.limits import _closed_form, limit_entry
-from vangeo.scalar import BaseSpec, poly_eval_ball
+from vangeo.scalar import BaseSpec, evaluate_base, poly_eval_ball
 from vangeo.vandinv import GeometricVandermonde, inverse_matrix, residual_norm
 
 
@@ -49,6 +49,30 @@ DIVISION_DIGESTS = {
     ("alpha", 1024): "58db535dc66d8f8d",
 }
 
+# evaluate_base at the constants: the integer bisection's final interval
+ENCLOSURE_DIGESTS = {
+    ("tau", 16): "dded566dde33fc49",
+    ("tau", 17): "d62d0ea09af19377",
+    ("tau", 63): "b2687a885feae784",
+    ("tau", 64): "af499a390ac24391",
+    ("tau", 65): "985aab7b65f03447",
+    ("tau", 177): "f4889448bdf9688c",
+    ("tau", 256): "6d206a9e58c65458",
+    ("tau", 354): "ab3e5407015e3d07",
+    ("tau", 1024): "c321d597036a2426",
+    ("tau", 4096): "0f5dee054f6a4828",
+    ("alpha", 16): "e1af0aa282d07537",
+    ("alpha", 17): "5381e9b74ecc71f7",
+    ("alpha", 63): "cf23564998fd4221",
+    ("alpha", 64): "b8b70bf59b17cac2",
+    ("alpha", 65): "1f5bc51a38c94e4d",
+    ("alpha", 177): "4f106b7e1f10c909",
+    ("alpha", 256): "ee25f5d432bc41a6",
+    ("alpha", 354): "1be4a10e5fe72c30",
+    ("alpha", 1024): "ecd02e4569beacc2",
+    ("alpha", 4096): "16e08987d6859095",
+}
+
 # limit_entry: the value's fields, the pentagonal pairs summed and the tail bound
 LIMIT_DIGESTS = {
     ("1.03", "1e-10"): "a7ec6fe8568ad52d",
@@ -67,6 +91,11 @@ def test_inverse_and_residual_fields(name, bits):
         balls += [x for row in inv.entries for x in row]
         balls.append(residual_norm(gv, inv))
     assert digest(balls) == INVERSE_DIGESTS[name, bits]
+
+
+@pytest.mark.parametrize("name,bits", sorted(ENCLOSURE_DIGESTS))
+def test_constant_enclosure_fields(name, bits):
+    assert digest([evaluate_base(BaseSpec.parse(name), bits)]) == ENCLOSURE_DIGESTS[name, bits]
 
 
 @pytest.mark.parametrize("name,bits", sorted(HORNER_DIGESTS))

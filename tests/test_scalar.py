@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 from oracles import (certainly_gt, certainly_lt, contains, fraction_hull, fraction_quotient,
                      loop_power, overlaps, poly_eval, reduced_norm_sign)
 from vangeo import cli, symfunc, vandinv
-from vangeo.errors import BracketError, DomainError, ParseError
+from vangeo.errors import DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
                            RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
                            _dy_quotient, _filled, _floor_log10, _normalize,
-                           _power, at_base, ball_dot, bisect_root,
+                           _power, at_base, ball_dot,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
                            max_abs, poly_eval_ball, powers, reduce_monic,
@@ -34,9 +34,13 @@ TAU_HI = (1 + SQRT5_HI) / 2
 fractions_st = st.fractions(min_value=-100, max_value=100, max_denominator=1000)
 
 
+class BracketError(ValueError):
+    """The oracle's bracket has no sign change."""
+
+
 def fraction_bisect(coeffs, lo, hi, tol, precision_bits=None):
     """Oracle: bisection with a Fraction evaluation per step, the loop that
-    bisect_root's integer grid replaced."""
+    the integer bisection of the constants replaced."""
     lof, hif = Fraction(lo), Fraction(hi)
     tolf = Fraction(tol)
     if tolf <= 0:
@@ -710,7 +714,6 @@ class TestBaseSpec:
                                                     ("alpha", ALPHA_POLYNOMIAL, 2, 3)])
     def test_constants_match_fraction_bisection(self, name, poly, lo, hi, bits):
         expected = outcome(fraction_bisect, poly, lo, hi, Fraction(1, 1 << bits), bits)
-        assert outcome(bisect_root, poly, lo, hi, Fraction(1, 1 << bits), bits) == expected
         assert outcome(evaluate_base, BaseSpec.parse(name), bits) == expected
 
     def test_constant_enclosure_is_shared(self):
@@ -725,23 +728,8 @@ class TestBaseSpec:
 
 
 class TestRootIsolation:
-    def test_sqrt2(self):
-        s = math.isqrt(2 << 400)
-        lo, hi = Fraction(s, 1 << 200), Fraction(s + 1, 1 << 200)
-        ball = bisect_root((-2, 0, 1), 1, 2, Fraction(1, 10 ** 30))
-        assert ball.lower <= hi and lo <= ball.upper
-        assert ball.radius <= Fraction(1, 10 ** 30)
-
-    def test_root_at_endpoint(self):
-        ball = bisect_root((-2, 1), 2, 3, Fraction(1, 10 ** 6))
-        assert ball.is_exact and ball.midpoint == 2
-
-    def test_no_sign_change_raises(self):
-        with pytest.raises(BracketError):
-            bisect_root((1, 0, 1), 0, 1, Fraction(1, 100))
-
     def test_alpha_to_nine_decimals(self):
-        ball = bisect_root(ALPHA_POLYNOMIAL, 2, 3, Fraction(1, 10 ** 12))
+        ball = evaluate_base(BaseSpec.parse("alpha"), 64)
         rounded = round(ball.midpoint, 9)
         assert rounded == Fraction("2.324717957")
 
@@ -768,50 +756,6 @@ class TestRootIsolation:
             certified_poly_sign((1,), BaseSpec.parse("1"))
         with pytest.raises(DomainError):
             classify_regime(BaseSpec.parse("1/2"))
-
-    @given(st.integers(min_value=2, max_value=50))
-    @settings(max_examples=30, deadline=None)
-    def test_square_roots_property(self, k):
-        if math.isqrt(k) ** 2 == k:
-            return
-        ball = bisect_root((-k, 0, 1), 0, k, Fraction(1, 10 ** 12))
-        assert ball.lower ** 2 <= k <= ball.upper ** 2
-
-    @given(st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=12),
-                    min_size=2, max_size=5),
-           st.fractions(min_value=-10, max_value=10, max_denominator=9),
-           st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9),
-           st.fractions(min_value=0, max_value=1, max_denominator=64),
-           st.fractions(min_value=-1, max_value=1, max_denominator=100),
-           st.fractions(min_value=Fraction(1, 10 ** 30), max_value=4,
-                        max_denominator=10 ** 30))
-    @example([-2, 1], 2, 1, 0, 0, Fraction(1, 10 ** 6))         # root at lo
-    @example([0, 0, 1], 0, 16, Fraction(1, 4), 0, Fraction(1, 10 ** 12))   # x^2 - 16
-    @example([0, 0, 1], 0, 9, Fraction(1, 3), 0, Fraction(1, 10 ** 12))    # x^2 - 9
-    @settings(max_examples=300, deadline=None)
-    def test_matches_fraction_bisection(self, coeffs, lo, width, at, shift, tol):
-        # the constant term plants a root at lo + at*width, moved by shift; a
-        # shift of 0 keeps it rational, a grid point when at is dyadic
-        coeffs = list(coeffs)
-        coeffs[0] += shift - poly_eval(coeffs, lo + at * width)
-        assert outcome(bisect_root, coeffs, lo, lo + width, tol) == \
-            outcome(fraction_bisect, coeffs, lo, lo + width, tol)
-
-    @given(st.lists(st.one_of(st.integers(-20, 20),
-                              st.fractions(min_value=-20, max_value=20, max_denominator=12)),
-                    max_size=5),
-           st.fractions(min_value=-10, max_value=10, max_denominator=9),
-           st.fractions(min_value=Fraction(1, 9), max_value=20, max_denominator=9),
-           st.fractions(min_value=Fraction(1, 10 ** 12), max_value=4, max_denominator=10 ** 12))
-    @example([], 0, 1, Fraction(1, 100))            # the zero polynomial: exactly 0 at lo
-    @example([3], 0, 1, Fraction(1, 100))           # a constant: no sign change
-    @example([-1, 0, 1], -1, 2, Fraction(1, 100))   # roots at both ends
-    @settings(max_examples=200, deadline=None)
-    def test_endpoint_values_match_fraction_bisection(self, coeffs, lo, width, tol):
-        # no planted root: many draws have no sign change, and the error
-        # names f(lo) and f(hi), which bisect_root reads off its Taylor shift
-        assert outcome(bisect_root, coeffs, lo, lo + width, tol) == \
-            outcome(fraction_bisect, coeffs, lo, lo + width, tol)
 
     def test_poly_eval(self):
         assert poly_eval((-1, -1, 1), Fraction(3, 2)) == Fraction(-1, 4)
