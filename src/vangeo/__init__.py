@@ -19,34 +19,32 @@ Quick start::
 from .errors import (DimensionError, DomainError, ParseError, SizeError,
                      UndecidableComparisonError, UnsupportedBackendError,
                      VangeoError)
-from .extremal import (BoxCheckReport, ConjectureScan, DiagonalCheckReport,
-                       MaxReport, conjecture_scan, max_entry,
-                       n_zero, verify_argmax_box, verify_leading_diagonal_max)
+from .extremal import (BoxCheckReport, ConjectureScan, MaxReport, conjecture_scan,
+                       max_entry, n_zero, verify_argmax_box, verify_leading_diagonal_max)
 from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
                      limit_max)
 from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
                      DEFAULT_PRECISION_CEILING, TAU_POLYNOMIAL, BaseSpec,
                      RigorousReal, evaluate_base, fraction_to_decimal,
                      fraction_to_sci, resolve_precision_ceiling)
-from .symfunc import SigmaQuery, elementary_symmetric, sigma_finite
+from .symfunc import elementary_symmetric, sigma_finite
 from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
-                      inverse_matrix, pi_product, residual_norm,
-                      vandermonde_matrix)
+                      inverse_matrix, pi_product, residual_norm)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "ConjectureScan",
     "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
-    "DiagonalCheckReport", "DimensionError", "DomainError",
+    "DimensionError", "DomainError",
     "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",
-    "MaxReport", "ParseError", "RigorousReal", "SigmaQuery",
+    "MaxReport", "ParseError", "RigorousReal",
     "SizeError", "TAU_POLYNOMIAL", "UndecidableComparisonError",
     "UnsupportedBackendError", "VangeoError", "classify_regime",
     "conjecture_scan", "elementary_symmetric", "evaluate_base",
     "fraction_to_decimal", "fraction_to_sci",
     "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",
     "max_entry", "n_zero", "pi_product", "residual_norm",
-    "resolve_precision_ceiling", "sigma_finite", "vandermonde_matrix",
+    "resolve_precision_ceiling", "sigma_finite",
     "verify_argmax_box", "verify_leading_diagonal_max", "__version__",
 ]

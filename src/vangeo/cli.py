@@ -37,8 +37,8 @@ from typing import List, Optional, Tuple
 from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric, RigorousReal,
-                     at_base, certified_poly_sign, exact_sign, fraction_to_decimal,
-                     fraction_to_sci, powers, resolve_precision_ceiling)
+                     at_base, certified_poly_sign, evaluate_base, exact_sign,
+                     fraction_to_decimal, fraction_to_sci, powers, resolve_precision_ceiling)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -53,6 +53,12 @@ class OutputFormat:
             raise ParseError(f"format must be one of {_FORMATS}, got {self.kind!r}")
         if not 1 <= self.digits <= 1000:
             raise DomainError(f"digits must be in [1, 1000], got {self.digits}")
+
+    @property
+    def precision_bits(self) -> int:
+        """The working precision of the balls a command prints: 4 bits per
+        printed digit, and never below the default."""
+        return max(DEFAULT_PRECISION_BITS, 4 * self.digits)
 
 
 def _parse_tol(text: str) -> Fraction:
@@ -132,8 +138,7 @@ def _entry_strings(inv: vandinv.InverseMatrix, digits: int) -> List[List[str]]:
 
 def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
-    precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
-    inv = vandinv.inverse_matrix(gv, precision)
+    inv = vandinv.inverse_matrix(gv, fmt.precision_bits)
     cells = _entry_strings(inv, fmt.digits)
     if fmt.kind == "json":
         return 0, _json({"n": n, "base": base.display(), "backend": inv.backend,
@@ -153,8 +158,8 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
 def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tuple[int, str]:
     x = x_spec.exact_value()
     if x is None:
-        x = x_spec.evaluate(max(DEFAULT_PRECISION_BITS, 4 * fmt.digits))
-    value = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, x))
+        x = evaluate_base(x_spec, fmt.precision_bits)
+    value = symfunc.sigma_finite(i, j, n, x)
     rendered = _format_entry(value, fmt.digits)
     if fmt.kind == "json":
         return 0, _json({"i": i, "j": j, "n": n, "x": x_spec.display(), "value": rendered})
@@ -165,8 +170,7 @@ def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tu
 
 def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     gv = vandinv.GeometricVandermonde(base, n)
-    precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
-    report = extremal.max_entry(gv, precision)
+    report = extremal.max_entry(gv, fmt.precision_bits)
     if fmt.kind == "json":
         return 0, _json({
             "base": base.display(),
@@ -355,9 +359,8 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
 
     def check_diagonal():
         for n in range(2, n_max + 1):
-            report = extremal.verify_leading_diagonal_max(sizes[n],
-                                                          max_report=boxes[n].max_report)
-            if not report.passed:
+            if not extremal.verify_leading_diagonal_max(sizes[n],
+                                                        max_report=boxes[n].max_report):
                 return False, f"leading-diagonal max at n={n}"
         return True, ""
 
@@ -439,15 +442,15 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
             scales = [b ** (n * (n - 1) // 2 - j) for j in range(n)]
             for i in range(n):
                 for j in range(n):
-                    rhs = symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, inv_b))
+                    rhs = symfunc.sigma_finite(i, j, n, inv_b)
                     if exact_sign(rows[j][n - 1 - i] - scales[j] * rhs) != 0:
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
 
     def check_sigma_step():
         for n in range(2, n_max + 1):
-            s_top = symfunc.sigma_finite(symfunc.SigmaQuery(n - 1, 1, n, b))
-            s_next = symfunc.sigma_finite(symfunc.SigmaQuery(n - 2, 1, n, b))
+            s_top = symfunc.sigma_finite(n - 1, 1, n, b)
+            s_next = symfunc.sigma_finite(n - 2, 1, n, b)
             if s_top > s_next:
                 return False, f"sigma step at n={n}"
         return True, ""
@@ -505,8 +508,7 @@ def cmd_verify(base: BaseSpec, n_max: int) -> Tuple[int, str]:
 
 def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
                    fmt: OutputFormat) -> Tuple[int, str]:
-    precision = max(DEFAULT_PRECISION_BITS, 4 * fmt.digits)
-    scan = extremal.conjecture_scan(base, n_min, n_max, precision)
+    scan = extremal.conjecture_scan(base, n_min, n_max, fmt.precision_bits)
     if fmt.kind == "json":
         return 0, _json([{"n": r.n, "n_zero": r.n_zero,
                           "max": _format_decimal(r.max_value, fmt.digits),

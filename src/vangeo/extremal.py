@@ -142,7 +142,6 @@ class MaxReport:
     within_n_zero_box: bool
     diagonal_argmax: bool
     backend: str
-    precision_bits: Optional[int] = None
 
 
 def max_entry(gv: GeometricVandermonde,
@@ -160,8 +159,7 @@ def max_entry(gv: GeometricVandermonde,
         max_value=gv.column_form.value(*best, precision_bits),
         argmax=argmax, within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
         diagonal_argmax=any(i == j for i, j in argmax),
-        backend="exact" if gv.is_exact else "rigorous",
-        precision_bits=None if gv.is_exact else precision_bits)
+        backend="exact" if gv.is_exact else "rigorous")
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +170,9 @@ def max_entry(gv: GeometricVandermonde,
 @dataclass(frozen=True)
 class BoxCheckReport:
     """Outcome of the argmax-box check: every entry with both indices >= n0
-    is dominated by the (n0, n0) entry, and the argmax lies in [0, n0]^2."""
+    is dominated by the (n0, n0) entry, and the argmax lies in [0, n0]^2.
+    Only a failing check prints its witnesses."""
 
-    base: BaseSpec
-    n: int
-    n_zero: int
     passed: bool
     witnesses: Tuple[IndexPair, ...]       # entries exceeding (n0, n0)
     max_report: MaxReport
@@ -193,28 +189,15 @@ def verify_argmax_box(gv: GeometricVandermonde,
              and compare_ratios(magnitude, table[n0, n0]) > 0}
     witnesses = tuple((i, j) for i in range(n0, n) for j in range(n0, n)
                       if (min(i, j), max(i, j)) in above)
-    return BoxCheckReport(base=gv.base, n=n, n_zero=n0,
-                          passed=not witnesses and report.within_n_zero_box,
+    return BoxCheckReport(passed=not witnesses and report.within_n_zero_box,
                           witnesses=witnesses, max_report=report)
-
-
-@dataclass(frozen=True)
-class DiagonalCheckReport:
-    """Outcome of the leading-diagonal check (bases at or above the golden
-    ratio): the maximum is attained at (0,0) or (1,1), and the supporting
-    step sigma_{n-1,1,n} <= sigma_{n-2,1,n} holds."""
-
-    base: BaseSpec
-    n: int
-    passed: bool
-    sigma_step_holds: bool
-    max_report: MaxReport
 
 
 def verify_leading_diagonal_max(gv: GeometricVandermonde,
                                 precision_bits: int = DEFAULT_PRECISION_BITS,
-                                max_report: Optional[MaxReport] = None) -> DiagonalCheckReport:
-    """Check that M_b(n) is attained at entry (0,0) or (1,1); requires
+                                max_report: Optional[MaxReport] = None) -> bool:
+    """Whether M_b(n) is attained at entry (0,0) or (1,1) and the supporting
+    step sigma_{n-1,1,n} <= sigma_{n-2,1,n} holds; requires
     b >= (1+sqrt(5))/2 and n >= 2.  A max_report already computed for the
     same (base, n), such as a box check's, is used instead of a new scan."""
     if gv.n < 2:
@@ -229,9 +212,7 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest
     # admissible exponent never loses mass iff |c_{0,1}| <= |c_{1,1}|
     table = gv.column_form.upper_triangle
-    sigma_ok = compare_ratios(table[0, 1], table[1, 1]) <= 0
-    return DiagonalCheckReport(base=gv.base, n=gv.n, passed=diagonal_ok and sigma_ok,
-                               sigma_step_holds=sigma_ok, max_report=report)
+    return diagonal_ok and compare_ratios(table[0, 1], table[1, 1]) <= 0
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
-                     _dy_add, _dy_cmp, _dy_fraction, _from_dyadic_ends, _power,
-                     at_base, certified_poly_sign, poly_eval_ball,
+                     _dy_add, _dy_cmp, _from_dyadic_ends, _power, at_base,
+                     certified_poly_sign, evaluate_base, poly_eval_ball,
                      resolve_precision_ceiling)
 
 IndexPair = Tuple[int, int]
@@ -138,8 +138,7 @@ def _pentagonal_series(m: int, e: int, r: int, f: int, precision: int) -> _Penta
 
 def _inverse_q_product(b: RigorousReal, tol_num: int, tol_den: int):
     """1/(q;q)_inf at the precision of b, to tol = tol_num / tol_den > 0:
-    returns (enclosure, number of pentagonal pairs summed, bound on the
-    remainder of the series as a dyadic (m, e)).
+    returns (enclosure, number of pentagonal pairs summed).
 
     Pairs are summed until the next one is small enough for the enclosure of
     1/(q;q)_inf to meet tol, or until it falls below the rounding error of
@@ -157,7 +156,7 @@ def _inverse_q_product(b: RigorousReal, tol_num: int, tol_den: int):
         # 4 tail <= tol floor^2, in integers
         if settled or (floor > 0 and _dy_cmp(4 * tol_den * tail[0], tail[1],
                                              tol_num * floor * floor, 2 * floor_e) <= 0):
-            return series.inverse(k), k - 1, tail
+            return series.inverse(k), k - 1
         k += 1
 
 
@@ -192,9 +191,9 @@ class LimitValue:
 
     sigma_cutoff is i: sigma_{i,j,inf} is the exact deflation sum of i + 1
     terms, with nothing truncated.  product_cutoff is the number of pentagonal
-    pairs summed for (q;q)_inf and tail_bound the bound on the remainder of
-    that series, which value.radius includes.  closed_form holds the
-    coefficient lists (N, D) the value was evaluated from.
+    pairs summed for (q;q)_inf; value.radius includes the bound on the
+    remainder of that series.  closed_form holds the coefficient lists (N, D)
+    the value was evaluated from.
     """
 
     i: int
@@ -202,7 +201,6 @@ class LimitValue:
     value: RigorousReal
     sigma_cutoff: int
     product_cutoff: int
-    tail_bound: Fraction
     closed_form: Tuple[Poly, Poly] = field(repr=False, compare=False)
 
 
@@ -218,21 +216,20 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
     ceiling = resolve_precision_ceiling(precision_ceiling)
     precision = _prec_for_tol(tolf)
     while True:
-        b = base.evaluate(precision)
+        b = evaluate_base(base, precision)
         num_b, den_b = poly_eval_ball(num, b), poly_eval_ball(den, b)
         # N(b) and D(b) are positive; balls that do not show it need more bits
         if num_b.sign() == den_b.sign() == 1:
             ratio = num_b / den_b
             # tol / (2 ratio.upper) as an unreduced integer pair
             up, up_e = ratio._end(1)
-            product, pairs, tail = _inverse_q_product(
+            product, pairs = _inverse_q_product(
                 b, tol_num << max(0, -up_e), 2 * tol_den * up << max(0, up_e))
             value = None if product is None else ratio * product
             # radius <= tol, in integers
             if value is not None and _dy_cmp(value._r * tol_den, value._f, tol_num, 0) <= 0:
                 return LimitValue(i=i, j=j, value=value, sigma_cutoff=i,
-                                  product_cutoff=pairs, tail_bound=_dy_fraction(*tail),
-                                  closed_form=(num, den))
+                                  product_cutoff=pairs, closed_form=(num, den))
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(
                 f"cannot reach tolerance {tolf} for l_({i},{j}) at base "
@@ -250,7 +247,6 @@ class LimitReport:
     """lim M_b(n): the maximal entry limit over the [0, n0]^2 box.  argmax
     lists every pair whose limit equals the maximum exactly."""
 
-    base: BaseSpec
     n_zero: int
     value: RigorousReal
     argmax: Tuple[IndexPair, ...]
@@ -281,7 +277,7 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
     value = RigorousReal.hull([entries[k].value for k in best])
     argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
     regime, boundary = classify_regime(base)
-    return LimitReport(base=base, n_zero=box, value=value, argmax=tuple(argmax),
+    return LimitReport(n_zero=box, value=value, argmax=tuple(argmax),
                        entries=tuple(entries), regime=regime, boundary=boundary)
 
 

@@ -567,15 +567,14 @@ def powers(x, n: int) -> List:
     return out
 
 
-def poly_eval_ball(coeffs: Sequence[Union[int, Fraction]], x: RigorousReal) -> RigorousReal:
-    """Horner's acc*x + c on raw fields, with c as the fused step's addend:
-    the balls of the loop over RigorousReal.exact(c) and ``*``, ``+``."""
+def poly_eval_ball(coeffs: Sequence[int], x: RigorousReal) -> RigorousReal:
+    """Horner's acc*x + c on raw fields, for integer coefficients c, with c
+    as the fused step's addend: the balls of the loop over
+    RigorousReal.exact(c) and ``*``, ``+``."""
     prec, x = x._prec, _fields(x)
     acc = (0, 0, 0, 0, prec)
     for c in reversed(coeffs):
-        c = (*_normalize(c, 0, 0, 0, prec), prec) if type(c) is int \
-            else _fields(RigorousReal.exact(c, prec))
-        acc = _ball_mul_add(c, acc, x)
+        acc = _ball_mul_add((*_normalize(c, 0, 0, 0, prec), prec), acc, x)
     return _filled(*acc)
 
 
@@ -598,7 +597,7 @@ class ZTheta:
     reduced (reduce_monic) modulo the minimal polynomial of theta, which is
     monic.  Theta is tau or alpha, of degree 2 or 3; a product is
     straight-line code that reduces top-down as reduce_monic does.  ``**``
-    and ``abs`` let the ring-generic helpers run over Z[theta]."""
+    lets the ring-generic helpers run over Z[theta]."""
 
     __slots__ = ("coefficients", "modulus")
 
@@ -643,9 +642,6 @@ class ZTheta:
             if exponent:
                 square = square * square
         return result
-
-    def __abs__(self) -> "ZTheta":
-        return self * -1 if self.sign() < 0 else self
 
     def sign(self) -> int:
         """Exact sign (-1, 0 or +1) of the element's value at theta, in
@@ -766,9 +762,6 @@ class BaseSpec:
             return _CONSTANT_POLYS[self.name]
         return None
 
-    def evaluate(self, precision_bits: int = DEFAULT_PRECISION_BITS) -> RigorousReal:
-        return evaluate_base(self, precision_bits)
-
     def display(self) -> str:
         if self.kind == "constant":
             return self.name
@@ -840,16 +833,14 @@ def exact_sign(x: Union[int, Fraction, ZTheta]) -> int:
     return (x > 0) - (x < 0)
 
 
-def certified_poly_sign(coeffs: Sequence[Union[int, Fraction]], spec: BaseSpec) -> int:
-    """Exact sign (-1, 0 or +1) of a polynomial at the base, which must be
-    > 1: the coefficients are cleared of denominators by their lcm (which is
-    positive), and the sign of the integer polynomial's value at_base is
-    taken in integers (ZTheta.sign at tau and alpha)."""
+def certified_poly_sign(coeffs: Sequence[int], spec: BaseSpec) -> int:
+    """Exact sign (-1, 0 or +1) of an integer polynomial at the base, which
+    must be > 1: the sign of its value at_base, taken in integers
+    (ZTheta.sign at tau and alpha)."""
     value = spec.exact_value()
     if value is not None and value <= 1:
         raise DomainError(f"base must be > 1, got {value}")
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    return exact_sign(at_base([c.numerator * (scale // c.denominator) for c in coeffs], spec))
+    return exact_sign(at_base(coeffs, spec))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ tests/oracles.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence
 
 from .errors import DomainError
@@ -25,27 +24,6 @@ def _is_positive(x: Numeric) -> bool:
     if isinstance(x, (RigorousReal, ZTheta)):
         return x.sign() == 1
     return x > 0
-
-
-@dataclass(frozen=True)
-class SigmaQuery:
-    """One sigma evaluation request: subset size i, excluded exponent j,
-    dimension n, and the point x > 0: an int, Fraction, RigorousReal or ZTheta."""
-
-    i: int
-    j: int
-    n: int
-    x: Numeric
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"n must be positive, got {self.n}")
-        if not 0 <= self.i < self.n:
-            raise DomainError(f"i must satisfy 0 <= i < n, got i={self.i}, n={self.n}")
-        if not 0 <= self.j < self.n:
-            raise DomainError(f"j must satisfy 0 <= j < n, got j={self.j}, n={self.n}")
-        if not _is_positive(self.x):
-            raise DomainError(f"x must be certifiably positive, got {self.x!r}")
 
 
 def fold_balls(e: List[Fields], nodes: Iterable[Fields], folded: int) -> List[Fields]:
@@ -80,21 +58,27 @@ def _node_powers(x: Numeric, n: int, skip: int) -> List:
     return pows[:skip] + pows[skip + 1:]
 
 
-def sigma_finite(q: SigmaQuery) -> Numeric:
+def sigma_finite(i: int, j: int, n: int, x: Numeric) -> Numeric:
     """sigma_{i,j,n}(x) = sum of x^{h_1+...+h_i} over strictly increasing
-    i-tuples from {0,...,n-1}\\{j}; equals 1 for i = 0.
+    i-tuples from {0,...,n-1}\\{j}; equals 1 for i = 0.  Needs 0 <= i, j < n
+    and a point x > 0: an int, Fraction, RigorousReal or ZTheta.
 
     Exact inputs (over Z, Q or Z[theta]) sweep directly.  A ball whose
     lower end is above 1 is routed through the complement identity so every
     swept term stays below 1, which keeps enclosure radii small; a ball that
     reaches down to 1 or below sweeps directly.
     """
-    x = q.x
+    if n < 1:
+        raise DomainError(f"n must be positive, got {n}")
+    if not 0 <= i < n:
+        raise DomainError(f"i must satisfy 0 <= i < n, got i={i}, n={n}")
+    if not 0 <= j < n:
+        raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
+    if not _is_positive(x):
+        raise DomainError(f"x must be certifiably positive, got {x}")
     if isinstance(x, RigorousReal) and x.lower > 1:
         # sigma_{i,j,n}(x) = sigma_{n-1-i,j,n}(1/x) * x^{n(n-1)/2 - j}
-        inv = sigma_finite(SigmaQuery(q.n - 1 - q.i, q.j, q.n, 1 / x))
-        return inv * x ** (q.n * (q.n - 1) // 2 - q.j)
-    if q.i == 0:
+        return sigma_finite(n - 1 - i, j, n, 1 / x) * x ** (n * (n - 1) // 2 - j)
+    if i == 0:
         return x ** 0
-    e = elementary_symmetric(_node_powers(x, q.n, q.j), q.i, x ** 0)
-    return e[q.i]
+    return elementary_symmetric(_node_powers(x, n, j), i, x ** 0)[i]

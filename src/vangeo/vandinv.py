@@ -35,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, _fields, _filled, at_base, ball_dot, max_abs, poly_eval_ball,
-                     powers)
+                     ZTheta, _fields, _filled, at_base, ball_dot, evaluate_base, max_abs,
+                     poly_eval_ball, powers)
 from .symfunc import elementary_symmetric, fold_balls
 
 _GAUSSIAN_MAX_N = 64
@@ -68,7 +68,7 @@ class GeometricVandermonde:
 
 @dataclass(frozen=True)
 class InverseMatrix:
-    """A computed inverse with its provenance.
+    """A computed inverse.
 
     entries is row-major; exact backend holds Fractions, rigorous backend
     holds RigorousReal enclosures.  Inverses of geometric Vandermonde
@@ -78,36 +78,18 @@ class InverseMatrix:
     n: int
     base: BaseSpec
     backend: str                    # "exact" | "rigorous"
-    provenance: str                 # "closed_form" | "gaussian_oracle"
     entries: Tuple[Tuple[Numeric, ...], ...]
     precision_bits: Optional[int] = None
 
 
-def _exact_base(gv: GeometricVandermonde) -> Union[int, Fraction]:
-    value = gv.base.exact_value()
-    if value is None:
-        raise UnsupportedBackendError(
-            f"operation requires an exact rational base, got {gv.base.display()}")
-    return value.numerator if value.denominator == 1 else value
-
-
-def vandermonde_matrix(gv: GeometricVandermonde,
-                       precision_bits: int = DEFAULT_PRECISION_BITS) -> List[List[Numeric]]:
-    """The forward matrix V[i][j] = b^(i*j), exact when the base is."""
-    if gv.is_exact:
-        b = _exact_base(gv)
-    else:
-        b = gv.base.evaluate(precision_bits)
-    pows = powers(b, (gv.n - 1) * (gv.n - 1) + 1)
-    return [[pows[i * j] for j in range(gv.n)] for i in range(gv.n)]
-
-
 def pi_product(j: int, n: int, b: Numeric) -> Numeric:
-    """pi_{j,n} = prod over h != j of |b^j - b^h| (> 0 for b > 1)."""
+    """pi_{j,n} = prod over h != j of |b^j - b^h| > 0, for b > 1, where the
+    factor is b^j - b^h for h < j and b^h - b^j for h > j: no sign is taken."""
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
     pows = powers(b, n)
-    return math.prod((abs(pows[j] - x) for x in pows[:j] + pows[j + 1:]), start=pows[0])
+    factors = [pows[j] - x for x in pows[:j]] + [x - pows[j] for x in pows[j + 1:]]
+    return math.prod(factors, start=pows[0])
 
 
 def inverse_matrix(gv: GeometricVandermonde,
@@ -117,12 +99,10 @@ def inverse_matrix(gv: GeometricVandermonde,
     the rigorous backend finishes one symmetric-function sweep per column
     from the state its prefix of nodes shares with the columns before it."""
     if gv.is_exact:
-        entries = _inverse_entries_exact(gv)
         return InverseMatrix(n=gv.n, base=gv.base, backend="exact",
-                             provenance="closed_form", entries=entries)
-    entries = _inverse_entries_rigorous(gv, precision_bits)
+                             entries=_inverse_entries_exact(gv))
     return InverseMatrix(n=gv.n, base=gv.base, backend="rigorous",
-                         provenance="closed_form", entries=entries,
+                         entries=_inverse_entries_rigorous(gv, precision_bits),
                          precision_bits=precision_bits)
 
 
@@ -206,7 +186,7 @@ class ColumnForm:
         """num / pi: a Fraction over Z, its ball image at the base over Z[theta]."""
         if isinstance(num, int):
             return Fraction(num, pi)
-        theta = self.base.evaluate(precision_bits)
+        theta = evaluate_base(self.base, precision_bits)
         return poly_eval_ball(num.coefficients, theta) / poly_eval_ball(pi.coefficients, theta)
 
 
@@ -222,7 +202,7 @@ def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ..
 def _inverse_entries_rigorous(gv: GeometricVandermonde,
                               precision_bits: int) -> Tuple[Tuple[RigorousReal, ...], ...]:
     n = gv.n
-    b = gv.base.evaluate(precision_bits)
+    b = evaluate_base(gv.base, precision_bits)
     one = RigorousReal.exact(1, precision_bits)
     q = 1 / b
     qpows = powers(q, n)
@@ -282,8 +262,7 @@ def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
                 for r, row in enumerate(work)]
         previous = pivot
     entries = tuple(tuple(Fraction(w * s, pivot) for w, s in zip(row[n:], scales)) for row in work)
-    return InverseMatrix(n=n, base=gv.base, backend="exact",
-                         provenance="gaussian_oracle", entries=entries)
+    return InverseMatrix(n=n, base=gv.base, backend="exact", entries=entries)
 
 
 def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
@@ -301,7 +280,7 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         # lcm of its denominators are integer, so every entry of V * inv - I
         # is an integer dot product over a known denominator, with no gcd
         # unless the entry is non-zero.
-        b = _exact_base(gv)
+        b = gv.base.exact_value()
         p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
         q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
         rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)]
@@ -321,7 +300,9 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         return worst
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)
-    rows = [list(map(_fields, row)) for row in vandermonde_matrix(gv, prec)]
+    # the forward matrix V[i][j] = b^(i*j) at the base's enclosure
+    pows = powers(evaluate_base(gv.base, prec), (n - 1) * (n - 1) + 1)
+    rows = [[_fields(pows[i * j]) for j in range(n)] for i in range(n)]
     columns = [list(map(_fields, column)) for column in zip(*inv.entries)]
     starts = (RigorousReal.exact(0, prec), RigorousReal.exact(-1, prec))
     return max_abs((ball_dot(starts[i == j], row, column)

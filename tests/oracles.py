@@ -28,7 +28,12 @@ and the test modules import it as ``oracles``.
   first.
 * ``gauss_jordan_inverse`` is Gauss-Jordan inversion over Fractions with
   partial pivoting, one gcd per element update, the body of
-  ``vandinv.gaussian_inverse`` before it became fraction-free.
+  ``vandinv.gaussian_inverse`` before it became fraction-free, on the exact
+  forward matrix ``vandermonde_matrix``, the former library function of
+  that name at a rational base.
+* ``norm_signed_pi_product`` is pi_{j,n} with every factor |b^j - b^h|
+  signed by its value (``ZTheta.sign``, a norm determinant at alpha), the
+  body of ``vandinv.pi_product`` before it ordered each factor by j - h.
 * ``overlaps`` tells whether two enclosures share a point, the body of the
   former ``RigorousReal.overlaps``, which no library code called.
   ``contains``, ``certainly_lt`` and ``certainly_gt`` are the bodies of the
@@ -52,9 +57,10 @@ from typing import List, Sequence, Tuple
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
-from vangeo.scalar import Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp, reduce_monic
-from vangeo.symfunc import SigmaQuery, sigma_finite
-from vangeo.vandinv import GeometricVandermonde, vandermonde_matrix
+from vangeo.scalar import (Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp, exact_sign,
+                           powers, reduce_monic)
+from vangeo.symfunc import sigma_finite
+from vangeo.vandinv import GeometricVandermonde
 
 _BRUTEFORCE_MAX_N = 20
 _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
@@ -65,23 +71,22 @@ _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
 # ---------------------------------------------------------------------------
 
 
-def sigma_bruteforce(q: SigmaQuery) -> Numeric:
+def sigma_bruteforce(i: int, j: int, n: int, x: Numeric) -> Numeric:
     """Independent oracle: explicit enumeration of all i-subsets.
 
     Guarded to n <= 20 and at most 10^6 subsets; exists only for testing.
     """
-    if q.n > _BRUTEFORCE_MAX_N:
-        raise SizeError(f"brute-force oracle limited to n <= {_BRUTEFORCE_MAX_N}, got n={q.n}")
-    count = math.comb(q.n - 1, q.i)
+    if n > _BRUTEFORCE_MAX_N:
+        raise SizeError(f"brute-force oracle limited to n <= {_BRUTEFORCE_MAX_N}, got n={n}")
+    count = math.comb(n - 1, i)
     if count > _BRUTEFORCE_MAX_SUBSETS:
         raise SizeError(f"brute-force oracle limited to {_BRUTEFORCE_MAX_SUBSETS} subsets, "
-                        f"got C({q.n - 1},{q.i}) = {count}")
-    x = q.x
-    exponents = [h for h in range(q.n) if h != q.j]
+                        f"got C({n - 1},{i}) = {count}")
+    exponents = [h for h in range(n) if h != j]
     total = x ** 0 * 0
-    for combo in itertools.combinations(exponents, q.i):
+    for combo in itertools.combinations(exponents, i):
         total = total + x ** sum(combo)
-    if q.i == 0:
+    if i == 0:
         total = x ** 0
     return total
 
@@ -96,9 +101,9 @@ def sigma_complement_pair(i: int, j: int, n: int, b: Numeric) -> Tuple[Numeric, 
     """
     if isinstance(b, int):
         b = Fraction(b)
-    lhs_sigma = sigma_finite(SigmaQuery(n - 1 - i, j, n, b))
+    lhs_sigma = sigma_finite(n - 1 - i, j, n, b)
     lhs = lhs_sigma / b ** (n * (n - 1) // 2 - j)
-    rhs = sigma_finite(SigmaQuery(i, j, n, 1 / b))
+    rhs = sigma_finite(i, j, n, 1 / b)
     return lhs, rhs
 
 
@@ -316,6 +321,12 @@ def loop_maximal_ratios(items) -> Tuple[tuple, list]:
 # ---------------------------------------------------------------------------
 
 
+def vandermonde_matrix(gv: GeometricVandermonde) -> List[List[Fraction]]:
+    """The forward matrix V[i][j] = b^(i*j) at a rational base, exactly."""
+    pows = powers(gv.base.exact_value(), (gv.n - 1) * (gv.n - 1) + 1)
+    return [[pows[i * j] for j in range(gv.n)] for i in range(gv.n)]
+
+
 def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
     """The entries of V^(-1), row-major, by exact Gauss-Jordan inversion with
     partial pivoting over Fractions."""
@@ -339,8 +350,18 @@ def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...]
 
 
 # ---------------------------------------------------------------------------
-# the sign at alpha
+# signs: pi products and the norm at alpha
 # ---------------------------------------------------------------------------
+
+
+def norm_signed_pi_product(j: int, n: int, b) -> Numeric:
+    """pi_{j,n} = prod over h != j of |b^j - b^h|, each factor signed by its
+    value at b: negated when exact_sign finds it negative."""
+    if not 0 <= j < n:
+        raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
+    pows = powers(b, n)
+    factors = (pows[j] - x for x in pows[:j] + pows[j + 1:])
+    return math.prod((f * -1 if exact_sign(f) < 0 else f for f in factors), start=pows[0])
 
 
 def reduced_norm_sign(element: ZTheta) -> int:

@@ -11,8 +11,8 @@ import hashlib
 
 import pytest
 
-from vangeo.limits import _closed_form, limit_entry
-from vangeo.scalar import BaseSpec, evaluate_base, poly_eval_ball
+from vangeo.limits import _closed_form, _pentagonal_series, limit_entry
+from vangeo.scalar import BaseSpec, _dy_fraction, evaluate_base, poly_eval_ball
 from vangeo.vandinv import GeometricVandermonde, inverse_matrix, residual_norm
 
 
@@ -100,7 +100,7 @@ def test_constant_enclosure_fields(name, bits):
 
 @pytest.mark.parametrize("name,bits", sorted(HORNER_DIGESTS))
 def test_horner_fields(name, bits):
-    b = BaseSpec.parse(name).evaluate(bits)
+    b = evaluate_base(BaseSpec.parse(name), bits)
     balls = []
     for i, j in GRID:
         num, den = _closed_form(i, j)
@@ -116,6 +116,13 @@ def test_ball_inverse_fields(name, bits):
 
 @pytest.mark.parametrize("name,tol", sorted(LIMIT_DIGESTS))
 def test_limit_entry_fields(name, tol):
-    values = [limit_entry(i, j, BaseSpec.parse(name), tol) for i, j in GRID]
-    got = [(fields(v.value), v.product_cutoff, v.tail_bound) for v in values]
+    base = BaseSpec.parse(name)
+    got = []
+    for i, j in GRID:
+        v = limit_entry(i, j, base, tol)
+        # the remainder bound of the series at v's cutoff, which v.value.radius includes
+        b = evaluate_base(base, v.value.precision_bits)
+        series = _pentagonal_series(b._m, b._e, b._r, b._f, b.precision_bits)
+        tail = _dy_fraction(*series.step(v.product_cutoff + 1)[0])
+        got.append((fields(v.value), v.product_cutoff, tail))
     assert hashlib.sha256(repr(got).encode()).hexdigest()[:16] == LIMIT_DIGESTS[name, tol]

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import oracles
 from vangeo import cli, vandinv
-from vangeo.scalar import BaseSpec, ZTheta
+from vangeo.scalar import BaseSpec, ZTheta, evaluate_base
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -258,7 +258,7 @@ def old_exact_sigma_checks(base, n_max, matrices):
             for j in range(n):
                 pi_j = vandinv.pi_product(j, n, b)
                 for i in range(n):
-                    sig = symfunc.sigma_finite(symfunc.SigmaQuery(n - 1 - i, j, n, b))
+                    sig = symfunc.sigma_finite(n - 1 - i, j, n, b)
                     if abs(e[i][j]) * pi_j != sig:
                         return False, f"|c|*pi != sigma at n={n}, ({i},{j})"
         return True, ""
@@ -267,7 +267,7 @@ def old_exact_sigma_checks(base, n_max, matrices):
         for n in range(2, min(n_max, 10) + 1):
             for x, increasing in ((b, False), (1 / b, True)):
                 for i in range(n):
-                    values = [symfunc.sigma_finite(symfunc.SigmaQuery(i, j, n, x))
+                    values = [symfunc.sigma_finite(i, j, n, x)
                               for j in range(n)]
                     for j in range(n - 1):
                         ok = values[j] <= values[j + 1] if increasing \
@@ -292,7 +292,7 @@ def old_exact_sigma_checks(base, n_max, matrices):
 def old_rigorous_complement(base, n_max):
     """The constant-base complement check as it was.  At b > 1, sigma_finite
     takes both sides from the same sweep at 1/b, so it cannot fail."""
-    b = base.evaluate(64)
+    b = evaluate_base(base, 64)
     for n in range(1, min(n_max, 10) + 1):
         for i in range(n):
             for j in range(n):
@@ -317,7 +317,6 @@ def with_entry(inv, i, j, value):
     entries = [list(row) for row in inv.entries]
     entries[i][j] = value
     return vandinv.InverseMatrix(n=inv.n, base=inv.base, backend=inv.backend,
-                                 provenance=inv.provenance,
                                  entries=tuple(tuple(row) for row in entries))
 
 
@@ -409,11 +408,11 @@ class TestVerifySigmaRows:
                 sweeps.append(tuple(values))
             return sweep(values, upto, one)
 
-        def counted_sigma(q):
-            queries.append((q.i, q.j, q.n))
-            depth.append(q)
+        def counted_sigma(i, j, n, x):
+            queries.append((i, j, n))
+            depth.append(x)
             try:
-                return sigma(q)
+                return sigma(i, j, n, x)
             finally:
                 depth.pop()
         monkeypatch.setattr(symfunc, "elementary_symmetric", counted_sweep)
@@ -438,9 +437,9 @@ class TestVerifyInZTheta:
         points = {"sigma_finite": [], "pi_product": []}
         sigma, pi = symfunc.sigma_finite, vandinv.pi_product
 
-        def recorded_sigma(q):
-            points["sigma_finite"].append(q.x)
-            return sigma(q)
+        def recorded_sigma(i, j, n, x):
+            points["sigma_finite"].append(x)
+            return sigma(i, j, n, x)
 
         def recorded_pi(j, n, b):
             points["pi_product"].append(b)
@@ -589,6 +588,12 @@ class TestExitCodes:
     def test_domain_errors_exit_two(self, argv, capsys):
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("x,shown", [("0", "0"), ("-1/2", "-1/2")])
+    def test_sigma_names_a_nonpositive_point_as_written(self, x, shown, capsys):
+        assert cli.main(["sigma", "--i", "1", "--j", "0", "--n", "3", f"--x={x}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: x must be certifiably positive, got {shown}\n"
 
     def test_usage_error_exits_two(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,11 @@
 """The package's surface: every README entry point is exported, the test
 oracles stay out of the library, no library module keeps an unused import,
-only cli formats output, and every library function is reached by some
-command."""
+only cli formats output, every library function is reached by some command,
+and every field of a library dataclass is read by some command."""
 
 import ast
 import contextlib
+import dataclasses
 import importlib
 import inspect
 import io
@@ -143,6 +144,7 @@ REACH_COMMANDS = [
     ["conjecture", "--base", "7/3", "--range", "2:4"],
     ["conjecture", "--base", "tau", "--range", "2:4", "--format", "json"],
     ["conjecture", "--base", "1.3", "--range", "2:4", "--format", "csv"],
+    ["conjecture", "--base", "1.3", "--range", "2:3"],        # prints a decimal base
 ]
 
 # functions no command needs, each with the reason it stays
@@ -193,3 +195,35 @@ def test_every_library_function_is_reached():
     defs = _defined_functions(Path(vangeo.__file__).resolve().parent)
     unreached = sorted(name for key, name in defs.items() if key not in entered)
     assert unreached == sorted(UNREACHED)
+
+
+# dataclass fields no command reads, each with the reason it stays
+UNREAD_FIELDS = {
+    "extremal.BoxCheckReport.witnesses": "verify prints it only when a box check fails",
+}
+
+# the methods a dataclass generates, and the __post_init__ that validates:
+# what they read is no use of a field
+_GENERATED = {"__init__", "__eq__", "__hash__", "__repr__", "__post_init__"}
+
+
+def test_every_dataclass_field_is_read(monkeypatch):
+    reads, fields = set(), set()
+    for path in MODULES:
+        module = importlib.import_module(f"vangeo.{path.stem}")
+        for name, cls in vars(module).items():
+            if not (inspect.isclass(cls) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__):
+                continue
+            names = {field.name for field in dataclasses.fields(cls)}
+            fields |= {f"{path.stem}.{name}.{field}" for field in names}
+
+            def getattribute(self, attr, names=names, owner=f"{path.stem}.{name}"):
+                if attr in names and sys._getframe(1).f_code.co_name not in _GENERATED:
+                    reads.add(f"{owner}.{attr}")
+                return object.__getattribute__(self, attr)
+            monkeypatch.setattr(cls, "__getattribute__", getattribute)
+    assert fields
+    for argv in REACH_COMMANDS:
+        cli.run(argv)
+    assert sorted(fields - reads) == sorted(UNREAD_FIELDS)

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import contains, overlaps, sigma_bruteforce, sigma_complement_pair
 from vangeo.errors import DomainError, SizeError
-from vangeo.scalar import BaseSpec, RigorousReal, at_base, poly_eval_ball
-from vangeo.symfunc import SigmaQuery, elementary_symmetric, sigma_finite
+from vangeo.scalar import BaseSpec, RigorousReal, at_base, evaluate_base, poly_eval_ball
+from vangeo.symfunc import elementary_symmetric, sigma_finite
 
 RATIONAL_GRID = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(1, 2),
                  Fraction(7, 5)]
@@ -38,40 +38,40 @@ class TestFrozenValues:
         (1, 1, 4, Fraction(1, 2), Fraction(1) + Fraction(1, 4) + Fraction(1, 8)),
     ])
     def test_values(self, i, j, n, x, expected):
-        assert sigma_finite(SigmaQuery(i, j, n, x)) == expected
+        assert sigma_finite(i, j, n, x) == expected
 
     def test_bruteforce_agrees_on_frozen_case(self):
-        q = SigmaQuery(2, 3, 5, 2)     # exponents {0,1,2,4}
+        q = (2, 3, 5, 2)     # exponents {0,1,2,4}
         # pairs: 0+1,0+2,0+4,1+2,1+4,2+4 -> 2+4+16+8+32+64 = 126
-        assert sigma_finite(q) == 126
-        assert sigma_bruteforce(q) == 126
+        assert sigma_finite(*q) == 126
+        assert sigma_bruteforce(*q) == 126
 
 
 class TestValidation:
     def test_bad_indices(self):
         with pytest.raises(DomainError):
-            SigmaQuery(-1, 0, 3, 2)
+            sigma_finite(-1, 0, 3, 2)
         with pytest.raises(DomainError):
-            SigmaQuery(0, 3, 3, 2)
+            sigma_finite(0, 3, 3, 2)
         with pytest.raises(DomainError):
-            SigmaQuery(3, 0, 3, 2)
+            sigma_finite(3, 0, 3, 2)
         with pytest.raises(DomainError):
-            SigmaQuery(0, 0, 0, 2)
+            sigma_finite(0, 0, 0, 2)
 
     def test_nonpositive_x(self):
         with pytest.raises(DomainError):
-            SigmaQuery(1, 0, 3, 0)
+            sigma_finite(1, 0, 3, 0)
         with pytest.raises(DomainError):
-            SigmaQuery(1, 0, 3, Fraction(-1, 2))
+            sigma_finite(1, 0, 3, Fraction(-1, 2))
 
     def test_ambiguous_sign_ball_rejected(self):
         straddle = RigorousReal.from_interval(-1, 1, 64)
         with pytest.raises(DomainError):
-            SigmaQuery(1, 0, 3, straddle)
+            sigma_finite(1, 0, 3, straddle)
 
     def test_bruteforce_size_guard(self):
         with pytest.raises(SizeError):
-            sigma_bruteforce(SigmaQuery(10, 0, 25, 2))
+            sigma_bruteforce(10, 0, 25, 2)
 
 
 class TestOracle:
@@ -80,14 +80,14 @@ class TestOracle:
             for n in range(1, 11):
                 for j in range(n):
                     for i in range(n):
-                        q = SigmaQuery(i, j, n, x)
-                        assert sigma_finite(q) == sigma_bruteforce(q), (i, j, n, x)
+                        q = (i, j, n, x)
+                        assert sigma_finite(*q) == sigma_bruteforce(*q), (i, j, n, x)
 
     def test_counting_specialization(self):
         for n in range(1, 13):
             for j in range(n):
                 for i in range(n):
-                    assert sigma_finite(SigmaQuery(i, j, n, 1)) == math.comb(n - 1, i)
+                    assert sigma_finite(i, j, n, 1) == math.comb(n - 1, i)
 
     @given(st.integers(min_value=1, max_value=9), st.data())
     @settings(max_examples=60, deadline=None)
@@ -96,8 +96,8 @@ class TestOracle:
         j = data.draw(st.integers(min_value=0, max_value=n - 1))
         x = data.draw(st.fractions(min_value=Fraction(1, 20), max_value=20,
                                    max_denominator=50))
-        q = SigmaQuery(i, j, n, x)
-        assert sigma_finite(q) == sigma_bruteforce(q)
+        q = (i, j, n, x)
+        assert sigma_finite(*q) == sigma_bruteforce(*q)
 
 
 class TestElementarySymmetric:
@@ -137,7 +137,7 @@ class TestStructure:
                               (Fraction(1, 2), False), (Fraction(5, 7), False)]:
             for n in range(2, 9):
                 for i in range(n):
-                    vals = [sigma_finite(SigmaQuery(i, j, n, x)) for j in range(n)]
+                    vals = [sigma_finite(i, j, n, x) for j in range(n)]
                     for j in range(n - 1):
                         if increasing:
                             assert vals[j] >= vals[j + 1], (x, n, i, j)
@@ -169,7 +169,7 @@ class TestStructure:
         for n in range(1, 8):
             for j in range(n):
                 for i in range(n):
-                    assert sigma_finite(SigmaQuery(i, j, n, Fraction(7, 5))) > 0
+                    assert sigma_finite(i, j, n, Fraction(7, 5)) > 0
 
     def test_ball_encloses_exact(self):
         x = Fraction(7, 5)
@@ -177,8 +177,8 @@ class TestStructure:
         for n in range(1, 9):
             for j in range(n):
                 for i in range(n):
-                    exact = sigma_finite(SigmaQuery(i, j, n, x))
-                    ball = sigma_finite(SigmaQuery(i, j, n, ball_x))
+                    exact = sigma_finite(i, j, n, x)
+                    ball = sigma_finite(i, j, n, ball_x)
                     assert contains(ball, exact), (i, j, n)
 
 
@@ -189,17 +189,17 @@ class TestOverZTheta:
     @pytest.mark.parametrize("name", ["tau", "alpha"])
     def test_matches_bruteforce_and_the_balls(self, name):
         spec = BaseSpec.parse(name)
-        theta_ball = spec.evaluate(128)
+        theta_ball = evaluate_base(spec, 128)
         points = ((at_base((0, 1), spec), theta_ball),
                   (at_base(spec.minimal_polynomial()[1:], spec), 1 / theta_ball))
         for x, x_ball in points:
             for n in range(1, 9):
                 for j in range(n):
                     for i in range(n):
-                        q = SigmaQuery(i, j, n, x)
-                        value = sigma_finite(q)
-                        assert value.coefficients == sigma_bruteforce(q).coefficients
-                        ball = sigma_finite(SigmaQuery(i, j, n, x_ball))
+                        q = (i, j, n, x)
+                        value = sigma_finite(*q)
+                        assert value.coefficients == sigma_bruteforce(*q).coefficients
+                        ball = sigma_finite(i, j, n, x_ball)
                         assert overlaps(poly_eval_ball(value.coefficients, theta_ball), ball), \
                             (name, i, j, n)
 
@@ -207,6 +207,6 @@ class TestOverZTheta:
     def test_query_signs_the_point_exactly(self, name):
         spec = BaseSpec.parse(name)
         with pytest.raises(DomainError):
-            SigmaQuery(0, 0, 2, at_base((1, -1), spec))       # 1 - theta < 0
+            sigma_finite(0, 0, 2, at_base((1, -1), spec))       # 1 - theta < 0
         with pytest.raises(DomainError):
-            SigmaQuery(0, 0, 2, at_base((0,), spec))
+            sigma_finite(0, 0, 2, at_base((0,), spec))
