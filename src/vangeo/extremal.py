@@ -82,11 +82,20 @@ def n_zero(b: Union[int, Fraction, BaseSpec]) -> int:
 
 
 def compare_ratios(a: tuple, b: tuple) -> int:
-    """Exact sign of A_a / pi_a - A_b / pi_b for positive denominators, i.e.
-    of A_a pi_b - A_b pi_a: rationals at a rational base, Z[theta] elements
-    at tau and alpha."""
+    """Exact sign of A_a / pi_a - A_b / pi_b for positive numerators and
+    denominators, i.e. of A_a pi_b - A_b pi_a: rationals at a rational base,
+    Z[theta] elements at tau and alpha.  Integers are first compared by bit
+    length: bitlen(x y) is bitlen x + bitlen y or one less, so when the two
+    products' sums differ by 2 or more, that decides the sign with no
+    product taken."""
     (num_a, pi_a), (num_b, pi_b) = a, b
-    return exact_sign(num_a - num_b if pi_a is pi_b else num_a * pi_b - num_b * pi_a)
+    if pi_a is pi_b:
+        return exact_sign(num_a - num_b)
+    if isinstance(num_a, int):
+        gap = num_a.bit_length() + pi_b.bit_length() - num_b.bit_length() - pi_a.bit_length()
+        if not -1 <= gap <= 1:
+            return 1 if gap > 0 else -1
+    return exact_sign(num_a * pi_b - num_b * pi_a)
 
 
 def _run_maxima(items):

@@ -21,10 +21,10 @@ Two numeric carriers are used throughout the package:
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
 and the exact layer at the base: :class:`ZTheta` (integer arithmetic in
-Z[theta] at those constants, whose elements sign themselves by integer
-tests), ``at_base`` (an integer polynomial's exact value at the base, a
-Fraction or a ZTheta), ``exact_sign`` of either, and ``certified_poly_sign``
-on top of them.  It also holds ``powers``, the integer bisection that
+Z[theta] at those constants, with exact division, whose elements sign
+themselves by integer tests), ``at_base`` (an integer polynomial's exact
+value at the base, a Fraction or a ZTheta), ``exact_sign`` of either, and
+``certified_poly_sign`` on top of them.  It also holds ``powers``, the integer bisection that
 encloses tau and alpha, and small exact polynomial/decimal-string helpers.
 """
 
@@ -597,7 +597,8 @@ class ZTheta:
     reduced (reduce_monic) modulo the minimal polynomial of theta, which is
     monic.  Theta is tau or alpha, of degree 2 or 3; a product is
     straight-line code that reduces top-down as reduce_monic does.  ``**``
-    lets the ring-generic helpers run over Z[theta]."""
+    lets the ring-generic helpers run over Z[theta]; ``//`` is the exact
+    quotient by a divisor."""
 
     __slots__ = ("coefficients", "modulus")
 
@@ -643,17 +644,53 @@ class ZTheta:
                 square = square * square
         return result
 
+    def __floordiv__(self, other: "ZTheta") -> "ZTheta":
+        """The quotient self / other for an other that divides self in
+        Z[theta]: self adj(other) / N(other), coefficient by coefficient,
+        with adj and N from _adjugate.  A remainder means other does not
+        divide self, which no caller allows, so it raises ArithmeticError."""
+        adjugate, norm = other._adjugate()
+        quotient = []
+        for c in (self * adjugate).coefficients:
+            q, r = divmod(c, norm)
+            if r:
+                raise ArithmeticError(f"{other!r} does not divide {self!r}")
+            quotient.append(q)
+        return _ztheta(quotient, self.modulus)
+
+    def __repr__(self) -> str:
+        return f"ZTheta({self.coefficients!r}, {self.modulus!r})"
+
+    def _adjugate(self) -> Tuple["ZTheta", int]:
+        """(adj(x), N(x)) with x adj(x) = N(x), an integer: N(x) is the
+        determinant of multiplication by x on 1, theta (, theta^2) (Cohen, A
+        Course in Computational Algebraic Number Theory, ch. 4), and adj(x)
+        the first column of that matrix's adjugate.  The matrix's columns x,
+        theta x (and theta^2 x) are formed in straight-line integer code
+        from the monic modulus."""
+        x, modulus = self.coefficients, self.modulus
+        if len(modulus) == 3:
+            (a0, a1), (m0, m1, _) = x, modulus
+            b0, b1 = -m0 * a1, a0 - m1 * a1
+            return _ztheta((b1, -a1), modulus), a0 * b1 - b0 * a1
+        (a0, a1, a2), (m0, m1, m2, _) = x, modulus
+        # theta x and theta^2 x, each reduced by theta^3 = -(m0 + m1 theta + m2 theta^2)
+        b0, b1, b2 = -m0 * a2, a0 - m1 * a2, a1 - m2 * a2
+        c0, c1, c2 = -m0 * b2, b0 - m1 * b2, b1 - m2 * b2
+        adjugate = (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1)
+        return (_ztheta(adjugate, modulus),
+                a0 * adjugate[0] + b0 * adjugate[1] + c0 * adjugate[2])
+
     def sign(self) -> int:
         """Exact sign (-1, 0 or +1) of the element's value at theta, in
         integers; a zero element is an exact zero.  At tau, 2x = s + b sqrt(5)
         with s = 2a + b for x = a + b tau: s and b share the sign when they
         agree, and otherwise the larger of s^2 and 5b^2 sets it.  At alpha,
-        the only real root of a cubic of discriminant -23, the norm
-        N(x) = x(alpha) |x(sigma)|^2 over a complex root sigma has the sign
-        of x(alpha); it is the determinant of multiplication by x on 1,
-        alpha, alpha^2 (Cohen, A Course in Computational Algebraic Number
-        Theory, ch. 4), whose rows x, alpha x and alpha^2 x are formed in
-        straight-line integer code from the monic modulus."""
+        the only real root of a cubic of discriminant -23, a filter bounds
+        2^64 x(alpha) = a0 2^64 + a1 alpha 2^64 + a2 alpha^2 2^64 by integer
+        products with the bounds of _alpha_bounds; only when those bounds
+        straddle 0 does the norm N(x) = x(alpha) |x(sigma)|^2 over a complex
+        root sigma, which has the sign of x(alpha), decide (_adjugate)."""
         x, modulus = self.coefficients, self.modulus
         if not any(x):
             return 0
@@ -664,11 +701,14 @@ class ZTheta:
             if sign_s * sign_b >= 0:
                 return sign_s or sign_b
             return sign_s if s * s > 5 * b * b else sign_b
-        (a0, a1, a2), (m0, m1, m2, _) = x, modulus
-        # theta x and theta^2 x, each reduced by theta^3 = -(m0 + m1 theta + m2 theta^2)
-        b0, b1, b2 = -m0 * a2, a0 - m1 * a2, a1 - m2 * a2
-        c0, c1, c2 = -m0 * b2, b0 - m1 * b2, b1 - m2 * b2
-        norm = a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
+        a0, a1, a2 = x
+        low1, high1, low2, high2 = _alpha_bounds()
+        scaled = a0 << _FILTER_BITS
+        if scaled + a1 * (low1 if a1 > 0 else high1) + a2 * (low2 if a2 > 0 else high2) > 0:
+            return 1
+        if scaled + a1 * (high1 if a1 > 0 else low1) + a2 * (high2 if a2 > 0 else low2) < 0:
+            return -1
+        norm = self._adjugate()[1]
         return (norm > 0) - (norm < 0)
 
 
@@ -809,6 +849,20 @@ def _constant_enclosure(name: str, precision_bits: int) -> RigorousReal:
         else:
             hi = mid
     return RigorousReal.from_interval(Fraction(lo, 1 << s), Fraction(lo + 1, 1 << s), s)
+
+
+_FILTER_BITS = 64
+
+
+@functools.cache
+def _alpha_bounds() -> Tuple[int, int, int, int]:
+    """Integers low_k <= alpha^k 2^64 <= high_k for k = 1, 2, the floors and
+    ceilings of the ends of alpha's cached 128-bit enclosure scaled by 2^64:
+    the bounds of ZTheta.sign's filter."""
+    ball = _constant_enclosure("alpha", 2 * _FILTER_BITS)
+    lower, upper, scale = ball.lower, ball.upper, 1 << _FILTER_BITS
+    return (math.floor(lower * scale), math.ceil(upper * scale),
+            math.floor(lower * lower * scale), math.ceil(upper * upper * scale))
 
 
 def at_base(coeffs: Sequence[int], spec: BaseSpec) -> Union[Fraction, ZTheta]:

@@ -7,12 +7,13 @@ form
 
 where pi_{j,n} = prod_{h != j} |b^j - b^h|.  ColumnForm holds every
 magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
-(tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial,
-one O(n) deflation per column (Traub 1966; Bjorck & Pereyra 1970), and every
-pi_j in closed form from one table of gap products.  The exact backend turns
-it into Fractions; the extremal scans compare its ratios by exact signs.  The
-rigorous backend, which encloses the entries of `inverse` at tau and alpha,
-works in the reciprocal formulation
+(tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial
+from the q-binomial theorem in O(n) ring operations, one O(n) deflation per
+column (Traub 1966; Bjorck & Pereyra 1970), and every pi_j in closed form
+from one table of gap products.  The exact backend turns it into Fractions;
+the extremal scans compare its ratios by exact signs.  The rigorous backend,
+which encloses the entries of `inverse` at tau and alpha, works in the
+reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -37,7 +38,10 @@ from .errors import (DimensionError, DomainError, SizeError,
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
                      ZTheta, _fields, _filled, at_base, ball_dot, evaluate_base, max_abs,
                      poly_eval_ball, powers)
-from .symfunc import elementary_symmetric, fold_balls
+from .symfunc import fold_balls
+# elementary_symmetric is not called here; bench/tracing.py's EXPECTED_BINDINGS
+# expects this module to bind it
+from .symfunc import elementary_symmetric  # noqa: F401
 
 _GAUSSIAN_MAX_N = 64
 
@@ -110,9 +114,9 @@ class ColumnForm:
     """|c_{i,j,n}| = A_{i,j} / pi_j with A, pi > 0 in Z (b = p/q in lowest
     terms, nodes N_h = p^h q^(n-1-h) = q^(n-1) b^h) or in Z[theta] (nodes
     theta^h, p = theta, q = 1).  E_k = e_k(N_0, ..., N_{n-1}) comes from the
-    q-binomial theorem over Z, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
-    and from elementary_symmetric over Z[theta], where that division is not
-    exact.  Deflating N_j out gives F_k = e_k(N_h : h != j)
+    q-binomial theorem, E_k = E_{k-1} (pq)^(k-1) (p^(n-k+1) - q^(n-k+1)) / (p^k - q^k),
+    in O(n) ring operations; the division is exact over Z and in Z[theta]
+    (ZTheta.__floordiv__).  Deflating N_j out gives F_k = e_k(N_h : h != j)
     = q^((n-1)k) sigma_{k,j,n}(b), so A_{i,j} = F_{n-1-i} q^((n-1)i).  theta
     is a unit: theta^(-1) is the minimal polynomial without its constant
     term, so the deflation's division by theta^j is a multiplication by
@@ -131,28 +135,31 @@ class ColumnForm:
             p, q = value.numerator, value.denominator
             self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
             gaps = [p ** s - q ** s for s in range(n + 1)]
-            self.master = [1]
-            for k in range(1, n + 1):
-                self.master.append(self.master[-1] * (p * q) ** (k - 1) * gaps[n - k + 1]
-                                   // gaps[k])
             monomials = [p ** (j * (2 * n - 3 - j) // 2) * q ** ((n - 1 - j) * (n - 2 + j) // 2)
                          for j in range(n)]
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
-            self._row_scales = powers(q ** (n - 1), n) if q != 1 else None
+            self._scale = q ** (n - 1)
         else:
             modulus = gv.base.minimal_polynomial()
-            theta, theta_inverse = at_base((0, 1), gv.base), at_base(modulus[1:], gv.base)
-            self.nodes = powers(theta, n)
-            gaps = [node - self.nodes[0] for node in self.nodes]
-            self.master = elementary_symmetric(self.nodes, n, theta ** 0)
+            p, q = at_base((0, 1), gv.base), 1
+            thetas = powers(p, n + 1)
+            self.nodes = thetas[:n]
+            gaps = [x - thetas[0] for x in thetas]
             # theta^(a_j) as a running product: a_(j+1) - a_j = n-2-j
             monomials = [self.nodes[0]]
             for j in range(n - 1):
                 monomials.append(monomials[-1] * self.nodes[n - 2 - j])
-            self._divisors = powers(theta_inverse, n)
+            self._divisors = powers(at_base(modulus[1:], gv.base), n)
             self._divide = operator.mul
-            self._row_scales = None
+            self._scale = 1
+        shifts = powers(p * q, n)           # (pq)^(k-1), from the unit on
+        self.master = [shifts[0]]
+        for k in range(1, n + 1):
+            self.master.append(self.master[-1] * shifts[k - 1] * gaps[n - k + 1] // gaps[k])
+        # E_m s^(n-m), s = q^(n-1): the deflation's terms with the row scales built in
+        self._terms = self.master if self._scale == 1 else [
+            e * s for e, s in zip(self.master, reversed(powers(self._scale, n + 1)))]
         products = [self.master[0]]         # products[d] = D_d
         for gap in gaps[1:n]:
             products.append(products[-1] * gap)
@@ -160,17 +167,20 @@ class ColumnForm:
                     for j, monomial in enumerate(monomials)]
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
-        """([A_{i,j} for i in rows], pi_j).  At q = 1 (tau, alpha and integer
-        bases; _row_scales is None) every row scale q^((n-1)i) is 1, and the
-        products by 1, a measurable share of a ZTheta column, are skipped."""
-        n, divisor = self.n, self._divisors[j]
+        """([A_{i,j} for i in rows], pi_j).  The deflation runs on the
+        row-scaled G_m = F_m s^(n-1-m), s = q^(n-1), so that it ends at
+        A_{i,j} = G_(n-1-i) with no product by a large q^((n-1)i):
+        G_(n-1) = E_n / N_j and G_(m-1) = (E_m s^(n-m) - G_m s) / N_j, each
+        division exact.  At q = 1 (tau, alpha and integer bases) s is 1, and
+        its products, a measurable share of a ZTheta column, are skipped."""
+        n, divisor, divide = self.n, self._divisors[j], self._divide
+        terms, scale = self._terms, self._scale
         deflated = [0] * n
-        deflated[n - 1] = self._divide(self.master[n], divisor)
+        deflated[n - 1] = divide(terms[n], divisor)
         for m in range(n - 1, n - 1 - max(rows), -1):
-            deflated[m - 1] = self._divide(self.master[m] - deflated[m], divisor)
-        if self._row_scales is None:
-            return [deflated[n - 1 - i] for i in rows], self.pis[j]
-        return [deflated[n - 1 - i] * self._row_scales[i] for i in rows], self.pis[j]
+            carried = deflated[m] if scale == 1 else deflated[m] * scale
+            deflated[m - 1] = divide(terms[m] - carried, divisor)
+        return [deflated[n - 1 - i] for i in rows], self.pis[j]
 
     @functools.cached_property
     def upper_triangle(self) -> dict:

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from oracles import contains, loop_maximal_ratios, overlaps
 from vangeo import cli
 from vangeo.errors import DomainError, SizeError
-from vangeo.extremal import (conjecture_scan, max_entry, maximal_ratios, n_zero,
-                             verify_argmax_box, verify_leading_diagonal_max)
+from vangeo.extremal import (compare_ratios, conjecture_scan, max_entry, maximal_ratios,
+                             n_zero, verify_argmax_box, verify_leading_diagonal_max)
 from vangeo.scalar import BaseSpec, at_base, evaluate_base, powers
 from vangeo.symfunc import sigma_finite
 import vangeo.extremal as extremal
@@ -232,6 +232,58 @@ def ratio_runs(draw):
                                   min_size=1, max_size=5)):
             items.append(((run, len(items)), (theta_powers[k + d] * a, pi)))
     return name, items
+
+
+class Unmultiplied(int):
+    """A positive integer that refuses to be multiplied."""
+
+    def __mul__(self, other):
+        raise AssertionError("multiplied")
+
+    __rmul__ = __mul__
+
+
+def unmultiplied(ratio):
+    return tuple(map(Unmultiplied, ratio))
+
+
+class TestCompareRatios:
+    # bitlen A_a + bitlen pi_b - bitlen A_b - bitlen pi_a; pi objects distinct
+    @pytest.mark.parametrize("a,b,sign", [
+        ((4, 3), (2, 4), 1),        # gap 2: 6 bits against 4
+        ((2, 4), (4, 3), -1),
+        ((255, 1), (1, 64), 1),     # gap 9
+    ])
+    def test_a_gap_of_two_decides_without_products(self, a, b, sign):
+        assert compare_ratios(unmultiplied(a), unmultiplied(b)) == sign
+        assert sign == (Fraction(*a) > Fraction(*b)) - (Fraction(*a) < Fraction(*b))
+
+    @pytest.mark.parametrize("a,b,sign", [
+        ((4, 3), (7, 4), -1),       # gap 1: 6 bits against 5, and the other way round
+        ((7, 4), (4, 3), 1),
+        ((7, 3), (4, 4), 1),
+        ((4, 3), (5, 3), -1),       # gap 0
+    ])
+    def test_a_gap_of_one_multiplies(self, a, b, sign):
+        assert compare_ratios(a, b) == sign
+        with pytest.raises(AssertionError, match="multiplied"):
+            compare_ratios(unmultiplied(a), unmultiplied(b))
+
+    @given(st.lists(st.integers(1, 1 << 80), min_size=4, max_size=4))
+    @example([4, 3, 7, 4])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fractions(self, values):
+        num_a, pi_a, num_b, pi_b = values
+        difference = Fraction(num_a, pi_a) - Fraction(num_b, pi_b)
+        assert compare_ratios((num_a, pi_a), (num_b, pi_b)) == (difference > 0) - (difference < 0)
+
+    @pytest.mark.parametrize("text", ["7/3", "tau", "alpha"])
+    def test_an_exact_tie(self, text):
+        spec = BaseSpec.parse(text)
+        theta = 7 if spec.is_exact else at_base((0, 1), spec)
+        num, pi = theta ** 30 * 5, theta ** 12 * 3
+        assert compare_ratios((num * theta, pi * theta), (num, pi)) == 0
+        assert compare_ratios((num * theta, pi * theta), (num * 2, pi)) == -1
 
 
 class TestMaximalRatios:

@@ -15,7 +15,7 @@ from vangeo import cli, symfunc, vandinv
 from vangeo.errors import DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
-                           RigorousReal, ZTheta, _ball_mul_add, _dy_ceil_trim,
+                           RigorousReal, ZTheta, _alpha_bounds, _ball_mul_add, _dy_ceil_trim,
                            _dy_quotient, _filled, _floor_log10, _normalize,
                            _power, at_base, ball_dot,
                            certified_poly_sign, evaluate_base,
@@ -832,6 +832,21 @@ def trimmed(coeffs):
 CONSTANTS = {name: BaseSpec.parse(name) for name in ("tau", "alpha")}
 
 
+def convergents(x: Fraction, limit: int):
+    """The continued-fraction convergents (N, D) of x with D < limit."""
+    num, previous_num, den, previous_den = 1, 0, 0, 1
+    while True:
+        a = math.floor(x)
+        num, previous_num = a * num + previous_num, num
+        den, previous_den = a * den + previous_den, den
+        if den >= limit:
+            return
+        yield num, den
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
 @st.composite
 def wide_polynomials(draw):
     """Integer coefficients of 3 to 300 bits."""
@@ -890,6 +905,53 @@ class TestExactSigns:
                     == reduced(coeffs, alpha).sign() == expected, (k, shift)
             power = power * inverse
 
+    def test_alpha_filter_at_its_bounds(self):
+        # x = D alpha^k - N for the convergents N/D of alpha^k (k = 1, 2):
+        # |2^64 x(alpha)| < 1/D, far below the D that a bound of alpha^k 2^64
+        # one unit off would shift the filter's sums by, once D > 2^32
+        low1, high1, low2, high2 = _alpha_bounds()      # floors and ceilings
+        assert high1 - low1 == high2 - low2 == 1
+        alpha = CONSTANTS["alpha"]
+        end = evaluate_base(alpha, 512).lower
+        for k in (1, 2):
+            pairs = list(convergents(end ** k, 1 << 100))
+            assert sum(den > 1 << 40 for _, den in pairs) > 10
+            for num, den in pairs:
+                coeffs = (-num,) + (0,) * (k - 1) + (den,)
+                x, sign = reduced(coeffs, alpha), ball_sign(coeffs, alpha)
+                assert x.sign() == sign and (x * -1).sign() == -sign, (k, num, den)
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_tiny_units_fall_back_to_the_norm(self, name, monkeypatch):
+        # theta^(-m) has a value near theta^(-m) and coefficients that grow with
+        # m, so at alpha the filter decides small m and the norm the rest
+        modulus = CONSTANTS[name].minimal_polynomial()
+        norms = []
+        adjugate = ZTheta._adjugate
+        monkeypatch.setattr(ZTheta, "_adjugate", lambda x: norms.append(x) or adjugate(x))
+        inverse = ZTheta(modulus[1:], modulus)
+        power, fallbacks = inverse ** 0, set()
+        for m in range(121):
+            before = len(norms)
+            assert power.sign() == 1 and (power * -1).sign() == -1, (name, m)
+            if len(norms) > before:
+                fallbacks.add(m)
+            power = power * inverse
+        if name == "alpha":
+            assert set(range(60, 121)) <= fallbacks and not fallbacks & set(range(20))
+        else:
+            assert not fallbacks
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_exact_zero(self, name):
+        # identities whose two sides are built by different products
+        modulus = CONSTANTS[name].minimal_polynomial()
+        theta, inverse = ZTheta((0, 1) + (0,) * (len(modulus) - 3), modulus), \
+            ZTheta(modulus[1:], modulus)
+        one = theta ** 0
+        assert ((theta ** 6 - one) - (theta ** 3 - one) * (theta ** 3 + one)).sign() == 0
+        assert (theta ** 50 * inverse ** 50 - one).sign() == 0
+
     @given(alpha_elements())
     @example(ZTheta((0, 0, 0), ALPHA_POLYNOMIAL))
     @settings(max_examples=400, deadline=None)
@@ -913,6 +975,30 @@ class TestExactSigns:
         x, y = data.draw(element), data.draw(element)
         assert (ZTheta(x, modulus) * ZTheta(y, modulus)).coefficients \
             == old_ztheta_mul(x, y, modulus)
+
+    @given(st.sampled_from(sorted(CONSTANTS)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_exact_quotient_of_a_product(self, name, data):
+        modulus = CONSTANTS[name].minimal_polynomial()
+        element = st.lists(st.integers(-(1 << 200), 1 << 200),
+                           min_size=len(modulus) - 1, max_size=len(modulus) - 1)
+        x, y = ZTheta(data.draw(element), modulus), ZTheta(data.draw(element), modulus)
+        assume(any(y.coefficients))
+        adjugate, norm = y._adjugate()
+        assert (y * adjugate).coefficients == (norm,) + (0,) * (len(modulus) - 2)
+        assert ((x * y) // y).coefficients == x.coefficients
+
+    @pytest.mark.parametrize("name", sorted(CONSTANTS))
+    def test_a_remainder_raises(self, name):
+        modulus = CONSTANTS[name].minimal_polynomial()
+        theta = ZTheta((0, 1) + (0,) * (len(modulus) - 3), modulus)
+        one = theta ** 0
+        with pytest.raises(ArithmeticError):
+            one // (one * 2)
+        with pytest.raises(ArithmeticError):
+            (theta ** 6 - one) // (theta ** 4 - one)
+        assert ((theta ** 6 - one) // (theta ** 3 - one)).coefficients \
+            == (theta ** 3 + one).coefficients
 
     @pytest.mark.parametrize("name,argmax,regime", [
         ("tau", [2], ("between_tau_alpha", True)),

@@ -1,7 +1,11 @@
 """Power sums sigma_{i,j,n}(x): recurrence vs. brute force, identities."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +15,8 @@ from oracles import contains, overlaps, sigma_bruteforce, sigma_complement_pair
 from vangeo.errors import DomainError, SizeError
 from vangeo.scalar import BaseSpec, RigorousReal, at_base, evaluate_base, poly_eval_ball
 from vangeo.symfunc import elementary_symmetric, sigma_finite
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 RATIONAL_GRID = [Fraction(2), Fraction(3), Fraction(3, 2), Fraction(1, 2),
                  Fraction(7, 5)]
@@ -210,3 +216,20 @@ class TestOverZTheta:
             sigma_finite(0, 0, 2, at_base((1, -1), spec))       # 1 - theta < 0
         with pytest.raises(DomainError):
             sigma_finite(0, 0, 2, at_base((0,), spec))
+
+    def test_rejected_point_is_named_by_its_coefficients(self):
+        # the message names the ZTheta by its value, not by an address that
+        # changes from run to run
+        script = ("from vangeo.scalar import BaseSpec, at_base\n"
+                  "from vangeo.symfunc import sigma_finite\n"
+                  "try:\n"
+                  "    sigma_finite(0, 0, 2, at_base((1, -1), BaseSpec.parse('tau')))\n"
+                  "except ValueError as exc:\n"
+                  "    print(type(exc).__name__, exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        runs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, timeout=60).stdout for _ in range(2)]
+        assert runs[0] == runs[1] == ("DomainError x must be certifiably positive, "
+                                      "got ZTheta((1, -1), (-1, -1, 1))\n")
+        assert "object at 0x" not in runs[0]

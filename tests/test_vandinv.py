@@ -378,6 +378,21 @@ class TestColumnForm:
                     signed = [Fraction(-a if (i + j) % 2 else a, pi) for i, a in enumerate(nums)]
                     assert signed == [oracle[i][j] for i in range(n)], (spec, n, j)
 
+    @pytest.mark.parametrize("spec", GRID + [BaseSpec.parse("tau"), BaseSpec.parse("alpha")],
+                             ids=BaseSpec.display)
+    def test_master_polynomial_equals_the_sweep(self, spec):
+        # the q-binomial recurrence, with its exact divisions, against e_k of
+        # the nodes by the O(n^2) elementary-symmetric sweep
+        for n in range(1, 41):
+            form = ColumnForm(GeometricVandermonde(spec, n))
+            one = 1 if spec.is_exact else form.nodes[0]
+            swept = symfunc.elementary_symmetric(form.nodes, n, one)
+            if spec.is_exact:
+                assert form.master == swept, n
+            else:
+                assert [e.coefficients for e in form.master] \
+                    == [e.coefficients for e in swept], n
+
     @pytest.mark.parametrize("name", ["tau", "alpha"])
     def test_constant_images_overlap_the_ball_kernel(self, name, cached_inverse):
         spec = BaseSpec.parse(name)
