@@ -7,16 +7,17 @@ Two numeric carriers are used throughout the package:
   midpoint is a dyadic rational held as an integer mantissa and exponent.
   Every operation returns an enclosure guaranteed to contain the true value;
   rounding errors are folded into the radius explicitly.  Ball steps (add,
-  multiply, sign, intersect, abs) are integer operations on dyadics; the
-  symmetric-function sweep, the residual dot product (``ball_dot``) and
-  Horner (``poly_eval_ball``) run on raw dyadic fields through one fused
-  multiply-add, ``_ball_mul_add``, written as straight-line integer code
-  with no helper calls.  Division rounds its two outer end quotients from the
-  integer mantissas.  Every rounding into a ball goes through one helper,
+  multiply, sign, intersect) are integer operations on dyadics.  The ball
+  loops run on split fields (``_split``: the raw fields and |m|) through one
+  straight-line fused dot, ``_ball_dot``: the residual's dot products whole,
+  the symmetric-function sweep and Horner (``poly_eval_ball``) one pair at a
+  time.  Division rounds its two outer end quotients from the integer
+  mantissas.  Every rounding into a ball goes through one helper,
   ``_dy_quotient``.  Of the ball operations only ``from_interval`` (which
   ``exact`` calls at a non-dyadic rational) takes Fractions in; the
-  accessors return Fractions for printing and for the few decisions made
-  on one end of a ball, such as ``x.lower > 1``.
+  accessors return Fractions for printing and for the few decisions made on
+  one end of a ball, such as ``x.lower > 1``.  The printers work on a
+  rational's integer numerator and denominator.
 
 The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
 a rational, a finite decimal, or one of the named algebraic constants),
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 import re
 from dataclasses import dataclass
@@ -97,13 +97,8 @@ def _dy_add(m1: int, e1: int, m2: int, e2: int) -> Tuple[int, int]:
     return (m1 << (e1 - e2)) + m2, e2
 
 
-def _dy_ceil_trim(m: int, e: int, bits: int) -> Tuple[int, int]:
-    """Round a nonnegative dyadic up so its mantissa fits in ``bits`` bits."""
-    bl = m.bit_length()
-    if bl <= bits:
-        return m, e
-    s = bl - bits
-    return -((-m) >> s), e + s
+# orders (m, e) dyadics by value, for min and max
+_by_value = functools.cmp_to_key(lambda x, y: _dy_cmp(*x, *y))
 
 
 def _dy_fraction(m: int, e: int) -> Fraction:
@@ -258,23 +253,14 @@ class RigorousReal:
         the least lower end and the greatest upper end, compared as dyadics."""
         if not values:
             raise DomainError("hull of an empty collection")
-        order = functools.cmp_to_key(lambda x, y: _dy_cmp(*x, *y))
-        lo = min((v._end(-1) for v in values), key=order)
-        hi = max((v._end(1) for v in values), key=order)
+        lo = min((v._end(-1) for v in values), key=_by_value)
+        hi = max((v._end(1) for v in values), key=_by_value)
         return _from_dyadic_ends(lo, hi, max(v._prec for v in values))
 
     # -- arithmetic ----------------------------------------------------------
 
     def __neg__(self) -> "RigorousReal":
         return _filled(-self._m, self._e, self._r, self._f, self._prec)
-
-    def __abs__(self) -> "RigorousReal":
-        s = self.sign()
-        if s is not None:
-            return self if s >= 0 else -self
-        # straddles zero: |x| lies in [0, max(|lower|, |upper|)] = [0, |m| + r]
-        return _from_dyadic_ends((0, 0), _dy_add(abs(self._m), self._e, self._r, self._f),
-                                 self._prec)
 
     def __add__(self, other) -> "RigorousReal":
         if not isinstance(other, RigorousReal):
@@ -375,7 +361,8 @@ def _normalize(m: int, e: int, r: int, f: int, prec: int) -> Tuple[int, int, int
     if r == 0:
         f = 0
     elif r.bit_length() > _RAD_BITS:
-        r, f = _dy_ceil_trim(r, f, _RAD_BITS)
+        s = r.bit_length() - _RAD_BITS
+        r, f = -((-r) >> s), f + s
     return m, e, r, f
 
 
@@ -386,135 +373,156 @@ def _filled(m: int, e: int, r: int, f: int, prec: int) -> RigorousReal:
     return x
 
 
-Fields = Tuple[int, int, int, int, int]
-
-# the raw (m, e, r, f, prec) fields of a ball
-_fields = operator.attrgetter("_m", "_e", "_r", "_f", "_prec")
+Split = Tuple[int, int, int, int, int, int]
 
 
-def _ball_mul_add(acc: Fields, x: Fields, y: Fields) -> Fields:
-    """Raw fields of acc + x*y, with the roundings of RigorousReal's ``*``
-    then ``+``: the product is normalised at p, the larger of x's and y's
-    precisions, then the sum at the larger of p and acc's.  The sum is
-    symmetric, so Horner's acc*x + c is this step with c as acc.  It is the
-    inner step of the ball sweep, the ball residual and Horner, so it is
-    straight-line code on locals: every _dy_add, _normalize, _dy_ceil_trim
-    and abs is written out, with _dy_add's rules (a zero operand leaves the
-    other as it is, else the smaller exponent wins)."""
-    m, e, r, f, prec = acc
-    xm, xe, xr, xf, p = x
-    ym, ye, yr, yf, yp = y
-    if yp > p:
-        p = yp
-    if p > prec:
-        prec = p
-    pm, pe = xm * ym, xe + ye
-    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__: the sum of
-    # the non-zero terms at the least of their exponents.  A zero rm may carry
-    # any exponent, since nothing below reads the exponent of a zero radius.
-    if xr:
-        rm, rf = (ym if ym >= 0 else -ym) * xr, ye + xf
-        if yr:
-            t, g = xr * yr, xf + yf
-            if not rm:
-                rm, rf = t, g
-            elif rf <= g:
-                rm += t << (g - rf)
-            else:
-                rm, rf = (rm << (rf - g)) + t, g
-    else:
-        rm, rf = 0, 0
-    if yr and xm:
-        t, g = (xm if xm >= 0 else -xm) * yr, xe + yf
-        if not rm:
-            rm, rf = t, g
-        elif rf <= g:
-            rm += t << (g - rf)
+def _split(x: RigorousReal) -> Split:
+    """A ball's raw fields (m, e, r, f, prec) and |m|, taken once per operand."""
+    m = x._m
+    return m, x._e, x._r, x._f, x._prec, (m if m >= 0 else -m)
+
+
+def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
+    """acc + x_0*y_0 + x_1*y_1 + ... over pairs of split operands (_split),
+    left to right, with the roundings of RigorousReal's ``*`` then ``+``:
+    each product normalised at p, the larger of its factors' precisions,
+    each sum at the larger of p and the running one.  An exact unit x gives
+    y as the product before that normalisation.  The residual runs whole
+    dots, the ball sweep and Horner (acc*x + c, a one-pair dot from c) one
+    pair at a time; so it is straight-line code on locals, with every dyadic
+    add, rounding and trim written out by _dy_add's rules (a zero operand
+    leaves the other as it is, else the smaller exponent wins)."""
+    m, e, r, f, prec, _ = acc
+    for (xm, xe, xr, xf, p, xa), (ym, ye, yr, yf, yp, ya) in pairs:
+        if yp > p:
+            p = yp
+        if p > prec:
+            prec = p
+        if not xr and xm == 1 and not xe:
+            pm, pe, rm, rf = ym, ye, yr, yf
         else:
-            rm, rf = (rm << (rf - g)) + t, g
-    # the product normalised at p: round the midpoint to nearest, half an ulp into rm
-    bl = pm.bit_length()
-    if bl > p:
-        s = bl - p
-        q, rem = pm >> s, pm & ((1 << s) - 1)
-        if rem:
-            q += rem >> (s - 1)
-            g = pe + s - 1
-            if not rm:
-                rm, rf = 1, g
-            elif rf <= g:
-                rm += 1 << (g - rf)
+            pm, pe = xm * ym, xe + ye
+            # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in _ball_mul.  A
+            # zero rm may carry any exponent: nothing reads that of a zero radius.
+            if xr:
+                rm, rf = ya * xr, ye + xf
+                if yr:
+                    t, g = xr * yr, xf + yf
+                    if not rm:
+                        rm, rf = t, g
+                    elif rf <= g:
+                        rm += t << (g - rf)
+                    else:
+                        rm, rf = (rm << (rf - g)) + t, g
             else:
-                rm, rf = (rm << (rf - g)) + 1, g
-        pm, pe = q, pe + s
-    bl = rm.bit_length()
-    if bl > _RAD_BITS:
-        s = bl - _RAD_BITS
-        rm, rf = -((-rm) >> s), rf + s
-    # the sum: a zero pm or rm keeps its exponent, and a zero sum is normalised below
-    if not m:
-        m, e = pm, pe
-    elif pm:
-        if e <= pe:
-            m += pm << (pe - e)
-        else:
-            m, e = (m << (e - pe)) + pm, pe
-    if not r:
-        r, f = rm, rf
-    elif rm:
-        if f <= rf:
-            r += rm << (rf - f)
-        else:
-            r, f = (r << (f - rf)) + rm, rf
-    # the sum normalised at prec
-    bl = m.bit_length()
-    if bl > prec:
-        s = bl - prec
-        q, rem = m >> s, m & ((1 << s) - 1)
-        if rem:
-            q += rem >> (s - 1)
-            g = e + s - 1
-            if not r:
-                r, f = 1, g
-            elif f <= g:
-                r += 1 << (g - f)
-            else:
-                r, f = (r << (f - g)) + 1, g
-        m, e = q, e + s
-    if not m:
-        e = 0
-    if not r:
-        f = 0
-    else:
-        bl = r.bit_length()
+                rm, rf = 0, 0
+            if yr and xm:
+                t, g = xa * yr, xe + yf
+                if not rm:
+                    rm, rf = t, g
+                elif rf <= g:
+                    rm += t << (g - rf)
+                else:
+                    rm, rf = (rm << (rf - g)) + t, g
+        # the product normalised at p: round the midpoint to nearest, half an ulp into rm
+        bl = pm.bit_length()
+        if bl > p:
+            s = bl - p
+            q, rem = pm >> s, pm & ((1 << s) - 1)
+            if rem:
+                q += rem >> (s - 1)
+                g = pe + s - 1
+                if not rm:
+                    rm, rf = 1, g
+                elif rf <= g:
+                    rm += 1 << (g - rf)
+                else:
+                    rm, rf = (rm << (rf - g)) + 1, g
+            pm, pe = q, pe + s
+        bl = rm.bit_length()
         if bl > _RAD_BITS:
             s = bl - _RAD_BITS
-            r, f = -((-r) >> s), f + s
-    return m, e, r, f, prec
+            rm, rf = -((-rm) >> s), rf + s
+        # the sum: a zero pm or rm keeps its exponent, and a zero sum is normalised below
+        if not m:
+            m, e = pm, pe
+        elif pm:
+            if e <= pe:
+                m += pm << (pe - e)
+            else:
+                m, e = (m << (e - pe)) + pm, pe
+        if not r:
+            r, f = rm, rf
+        elif rm:
+            if f <= rf:
+                r += rm << (rf - f)
+            else:
+                r, f = (r << (f - rf)) + rm, rf
+        # the sum normalised at prec
+        bl = m.bit_length()
+        if bl > prec:
+            s = bl - prec
+            q, rem = m >> s, m & ((1 << s) - 1)
+            if rem:
+                q += rem >> (s - 1)
+                g = e + s - 1
+                if not r:
+                    r, f = 1, g
+                elif f <= g:
+                    r += 1 << (g - f)
+                else:
+                    r, f = (r << (f - g)) + 1, g
+            m, e = q, e + s
+        if not m:
+            e = 0
+        if not r:
+            f = 0
+        else:
+            bl = r.bit_length()
+            if bl > _RAD_BITS:
+                s = bl - _RAD_BITS
+                r, f = -((-r) >> s), f + s
+    return m, e, r, f, prec, (m if m >= 0 else -m)
 
 
-def ball_dot(start: RigorousReal, xs: Sequence[Fields], ys: Sequence[Fields]) -> RigorousReal:
-    """start + x_0*y_0 + x_1*y_1 + ..., left to right, over the raw fields
-    (_fields) of the balls x_k and y_k: the same roundings as the loop of
-    ``*`` and ``+``, building only the final ball.  Callers that reuse a
-    vector across dot products convert it once."""
-    acc = _fields(start)
-    for x, y in zip(xs, ys):
-        acc = _ball_mul_add(acc, x, y)
-    return _filled(*acc)
+def _ball_mul(x: Split, y: Split) -> Split:
+    """x*y on split operands, with the fields of RigorousReal's ``*``."""
+    xm, xe, xr, xf, p, xa = x
+    ym, ye, yr, yf, yp, ya = y
+    if yp > p:
+        p = yp
+    r, f = _dy_add(xa * yr, xe + yf, ya * xr, ye + xf)
+    m, e, r, f = _normalize(xm * ym, xe + ye, *_dy_add(r, f, xr * yr, xf + yf), p)
+    return m, e, r, f, p, (m if m >= 0 else -m)
 
 
-def max_abs(values: Iterable[RigorousReal], prec: int) -> RigorousReal:
-    """Enclosure of max |x| over the values, at prec bits: from the largest
-    lower end to the largest upper end of the |x|, compared as dyadics."""
-    lo = hi = (0, 0)
-    for x in values:
-        mag = abs(x)
-        low, high = mag._end(-1), mag._end(1)
-        if _dy_cmp(*low, *lo) > 0:
-            lo = low
-        if _dy_cmp(*high, *hi) > 0:
-            hi = high
+def _max_abs(values: Iterable[Split], prec: int) -> RigorousReal:
+    """Enclosure of max |x| at prec bits over balls given split (_split):
+    from the largest lower to the largest upper end of the |x| that
+    RigorousReal's abs rounded, each at its own precision p.  A ball that
+    excludes 0 gives |x| its exact ends; one that holds 0 gives [0, h],
+    h = |m| 2^e + r 2^f, rounded, with an upper end in [h, h (1 + 2^-k)),
+    k = min(p, _RAD_BITS) - 2.  That end is not monotone in h (an exact
+    rounding drops the half ulp that an inexact one adds, and the radius
+    trim can carry it up a 32-bit step), so every such ball whose bound
+    passes the largest h is rounded: in practice one."""
+    lo = hi = top = (0, 0)
+    held = []       # (h, p, bound) of each ball that holds 0 and passed the top h so far
+    for m, e, r, f, p, a in values:
+        high = _dy_add(a, e, r, f)
+        if r and _dy_cmp(a, e, r, f) <= 0:
+            k = min(p, _RAD_BITS) - 2
+            bound = (high[0] << k) + high[0], high[1] - k
+            if _dy_cmp(*bound, *top) > 0:
+                held.append((high, p, bound))
+        else:
+            lo = max(lo, _dy_add(a, e, -r, f), key=_by_value)
+            hi = max(hi, high, key=_by_value)
+        if _dy_cmp(*high, *top) > 0:
+            top = high
+    for high, p, bound in held:
+        if _dy_cmp(*bound, *top) > 0:
+            hi = max(hi, _from_dyadic_ends((0, 0), high, p)._end(1), key=_by_value)
     return _from_dyadic_ends(lo, hi, prec)
 
 
@@ -568,14 +576,15 @@ def powers(x, n: int) -> List:
 
 
 def poly_eval_ball(coeffs: Sequence[int], x: RigorousReal) -> RigorousReal:
-    """Horner's acc*x + c on raw fields, for integer coefficients c, with c
-    as the fused step's addend: the balls of the loop over
+    """Horner's acc*x + c on split fields, for integer coefficients c, each
+    step a one-pair _ball_dot from c: the balls of the loop over
     RigorousReal.exact(c) and ``*``, ``+``."""
-    prec, x = x._prec, _fields(x)
-    acc = (0, 0, 0, 0, prec)
+    prec, x = x._prec, _split(x)
+    acc = (0, 0, 0, 0, prec, 0)
     for c in reversed(coeffs):
-        acc = _ball_mul_add((*_normalize(c, 0, 0, 0, prec), prec), acc, x)
-    return _filled(*acc)
+        m, e, r, f = _normalize(c, 0, 0, 0, prec)
+        acc = _ball_dot((m, e, r, f, prec, abs(m)), ((acc, x),))
+    return _filled(*acc[:5])
 
 
 def reduce_monic(coeffs: Iterable[int], modulus: Sequence[int]) -> Tuple[int, ...]:
@@ -902,26 +911,32 @@ def certified_poly_sign(coeffs: Sequence[int], spec: BaseSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _floor_log10(x: Fraction) -> int:
-    """Exact floor(log10(x)) for positive rational x."""
+def _rounded_digits(x: Fraction, digits: int, up: bool) -> Tuple[str, str, int]:
+    """(sign, mantissa, e10) of a non-zero rational: its first ``digits``
+    significant decimals, rounded half away from zero (away from zero when
+    ``up``), worth 0.mantissa * 10^(e10 + 1).  In integers: the bit lengths
+    put floor(log10 |x|) within one of its value (log10 2 = 0.30103...), and
+    the integer part of |x| 10^(digits - 1 - e10) has ``digits`` digits only
+    at that value."""
     n, d = x.numerator, x.denominator
-    # initial guess from bit lengths (log10(2) = 0.30103...), then exact
-    # correction; x >= 10**g is compared over the integers as
-    # n * 10**max(0, -g) >= d * 10**max(0, g)
-    g = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    while n * 10 ** max(0, -g - 1) >= d * 10 ** max(0, g + 1):
-        g += 1
-    while n * 10 ** max(0, -g) < d * 10 ** max(0, g):
-        g -= 1
-    return g
-
-
-def _scaled(x: Fraction, shift: int) -> Tuple[int, int]:
-    """x * 10**shift as an integer numerator and denominator, not reduced:
-    the quotient is the same, and the remainder scales with the denominator."""
-    if shift >= 0:
-        return x.numerator * 10 ** shift, x.denominator
-    return x.numerator, x.denominator * 10 ** -shift
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    low = 10 ** (digits - 1)
+    e10 = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    while True:
+        shift = digits - 1 - e10
+        num, den = (n * 10 ** shift, d) if shift >= 0 else (n, d * 10 ** -shift)
+        q, r = divmod(num, den)
+        if low <= q < 10 * low:
+            break
+        e10 += 1 if q >= low else -1
+    if (r if up else 2 * r >= den):
+        q += 1
+    mant = str(q)
+    if len(mant) > digits:
+        # rounding carried into a new leading digit
+        e10 += 1
+        mant = mant[:digits]
+    return sign, mant, e10
 
 
 def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
@@ -929,21 +944,9 @@ def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
     (round half away from zero), in plain positional notation."""
     if digits < 1 or digits > 1000:
         raise DomainError(f"digits must be in [1, 1000], got {digits}")
-    if x == 0:
+    if not x.numerator:
         return "0." + "0" * (digits - 1)
-    sign = "-" if x < 0 else ""
-    ax = -x if x < 0 else x
-    e10 = _floor_log10(ax)
-    # scale to an integer with exactly `digits` digits, round half away
-    num, den = _scaled(ax, digits - 1 - e10)
-    q, r = divmod(num, den)
-    if 2 * r >= den:
-        q += 1
-    mant = str(q)
-    if len(mant) > digits:
-        # rounding carried into a new leading digit
-        e10 += 1
-        mant = mant[:digits]
+    sign, mant, e10 = _rounded_digits(x, digits, False)
     point = e10 + 1
     if point <= 0:
         return f"{sign}0.{'0' * (-point)}{mant}"
@@ -955,18 +958,9 @@ def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
 def fraction_to_sci(x: Fraction, digits: int = 3) -> str:
     """Render an exact rational in scientific notation, rounding the
     mantissa up in magnitude (suitable for radii: never understates)."""
-    if x == 0:
+    if not x.numerator:
         return "0"
-    sign = "-" if x < 0 else ""
-    ax = -x if x < 0 else x
-    e10 = _floor_log10(ax)
-    q, r = divmod(*_scaled(ax, digits - 1 - e10))
-    if r:
-        q += 1
-    mant = str(q)
-    if len(mant) > digits:
-        e10 += 1
-        mant = mant[:digits]
+    sign, mant, e10 = _rounded_digits(x, digits, True)
     if digits == 1:
         return f"{sign}{mant}e{e10:+03d}"
     return f"{sign}{mant[0]}.{mant[1:]}e{e10:+03d}"

@@ -19,14 +19,15 @@ reciprocal formulation
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
 
 whose factors all have moderate magnitude, so ball radii stay tight; its
-column sweeps share their prefixes of nodes.  An independent fraction-free
-(Bareiss) elimination oracle and a residual check are included for
-differential testing.
+column sweeps share their prefixes of nodes, and it scales and signs each
+column on raw fields.  An independent fraction-free (Bareiss) elimination
+oracle and a residual check are included for differential testing.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -35,8 +36,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
-from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal,
-                     ZTheta, _fields, _filled, at_base, ball_dot, evaluate_base, max_abs,
+from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal, ZTheta,
+                     _ball_dot, _ball_mul, _filled, _max_abs, _split, at_base, evaluate_base,
                      poly_eval_ball, powers)
 from .symfunc import fold_balls
 # elementary_symmetric is not called here; bench/tracing.py's EXPECTED_BINDINGS
@@ -227,27 +228,26 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
         decay.append(decay[-1] * (one - qpows[t]))
     # column j sweeps q^0..q^(j-1), then q^(j+1)..q^(n-1); prefix holds the
     # state after the first j nodes, which every later column shares
-    nodes = [_fields(x) for x in qpows]
-    prefix = [_fields(one)] + [_fields(one * 0)] * (n - 1)
+    nodes = [_split(x) for x in qpows]
+    prefix = [_split(one)] + [_split(one * 0)] * (n - 1)
     columns: List[List[RigorousReal]] = []
     for j in range(n):
         if j:
             fold_balls(prefix, nodes[j - 1:j], j - 1)
         e = fold_balls(prefix.copy(), nodes[j + 1:], j)
-        inv_denominator = one / (grow[j] * decay[n - 1 - j])
+        # scale by 1/(grow*decay) and sign the checkerboard on fields, one ball per entry
+        scale = _split(one / (grow[j] * decay[n - 1 - j]))
         col = []
-        for i in range(n):
-            magnitude = _filled(*e[i]) * inv_denominator
-            col.append(-magnitude if (i + j) % 2 else magnitude)
+        for i, sigma in enumerate(e):
+            m, ex, r, f, p, _ = _ball_mul(sigma, scale)
+            col.append(_filled(-m if (i + j) % 2 else m, ex, r, f, p))
         columns.append(col)
-    grid = [[columns[j][i] for j in range(n)] for i in range(n)]
+    grid = [list(row) for row in zip(*columns)]
     # the true inverse is symmetric; intersecting the independently computed
     # (i,j) and (j,i) enclosures is sound and tightens both
     for i in range(n):
         for j in range(i + 1, n):
-            tight = grid[i][j].intersect(grid[j][i])
-            grid[i][j] = tight
-            grid[j][i] = tight
+            grid[i][j] = grid[j][i] = grid[i][j].intersect(grid[j][i])
     return tuple(tuple(row) for row in grid)
 
 
@@ -280,7 +280,9 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
     """Max-entry absolute value of V * inv - I.
 
     Exactly 0 in exact mode; in rigorous mode an enclosure whose lower bound
-    is 0 (the true residual) and whose upper bound certifies tightness.
+    is 0 (the true residual) and whose upper bound certifies tightness: one
+    fused dot per entry on split fields, with the bits of ``*`` and ``+``,
+    and one ball for their maximum of |x|.
     """
     if inv.n != gv.n or inv.base != gv.base:
         raise DimensionError("inverse does not match the given matrix")
@@ -310,10 +312,12 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         return worst
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)
-    # the forward matrix V[i][j] = b^(i*j) at the base's enclosure
-    pows = powers(evaluate_base(gv.base, prec), (n - 1) * (n - 1) + 1)
-    rows = [[_fields(pows[i * j]) for j in range(n)] for i in range(n)]
-    columns = [list(map(_fields, column)) for column in zip(*inv.entries)]
-    starts = (RigorousReal.exact(0, prec), RigorousReal.exact(-1, prec))
-    return max_abs((ball_dot(starts[i == j], row, column)
-                    for i, row in enumerate(rows) for j, column in enumerate(columns)), prec)
+    # the forward matrix V[i][j] = b^(i*j) at the base's enclosure, each power
+    # the previous one times b from b ** 0, as powers builds them
+    b = _split(evaluate_base(gv.base, prec))
+    pows = list(itertools.accumulate([b] * (n - 1) ** 2, _ball_mul, initial=(1, 0, 0, 0, b[4], 1)))
+    rows = [[pows[i * j] for j in range(n)] for i in range(n)]
+    columns = [list(map(_split, column)) for column in zip(*inv.entries)]
+    starts = ((0, 0, 0, 0, prec, 0), (-1, 0, 0, 0, prec, 1))
+    return _max_abs((_ball_dot(starts[i == j], zip(row, column))
+                     for i, row in enumerate(rows) for j, column in enumerate(columns)), prec)

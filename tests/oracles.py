@@ -34,6 +34,12 @@ and the test modules import it as ``oracles``.
 * ``norm_signed_pi_product`` is pi_{j,n} with every factor |b^j - b^h|
   signed by its value (``ZTheta.sign``, a norm determinant at alpha), the
   body of ``vandinv.pi_product`` before it ordered each factor by j - h.
+* ``ball_mul_add`` is the fused ball step acc + x*y on raw fields, the former
+  ``scalar._ball_mul_add``; ``ball_dot`` chains it, the former
+  ``scalar.ball_dot``, and ``max_abs`` with ``ball_abs`` is the former
+  ``scalar.max_abs`` over ``RigorousReal.__abs__``, one rounded ball per
+  value.  They are the oracles of ``scalar._ball_dot``, the one fused loop
+  on split fields, and of ``scalar._max_abs``.
 * ``overlaps`` tells whether two enclosures share a point, the body of the
   former ``RigorousReal.overlaps``, which no library code called.
   ``contains``, ``certainly_lt`` and ``certainly_gt`` are the bodies of the
@@ -51,14 +57,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
-from vangeo.scalar import (Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp, exact_sign,
-                           powers, reduce_monic)
+from vangeo.scalar import (_RAD_BITS, Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp,
+                           _filled, _from_dyadic_ends, exact_sign, powers, reduce_monic)
 from vangeo.symfunc import sigma_finite
 from vangeo.vandinv import GeometricVandermonde
 
@@ -260,6 +267,145 @@ def overlaps(x: RigorousReal, other) -> bool:
     """True unless one enclosure lies certainly below the other."""
     other = _coerce(other, x.precision_bits)
     return not (certainly_lt(x, other) or certainly_gt(x, other))
+
+
+# ---------------------------------------------------------------------------
+# the ball residual's dot products and maximum
+# ---------------------------------------------------------------------------
+
+Fields = Tuple[int, int, int, int, int]
+
+# the raw (m, e, r, f, prec) fields of a ball
+fields = operator.attrgetter("_m", "_e", "_r", "_f", "_prec")
+
+
+def ball_mul_add(acc: Fields, x: Fields, y: Fields) -> Fields:
+    """Raw fields of acc + x*y, with the roundings of RigorousReal's ``*``
+    then ``+``: the product is normalised at p, the larger of x's and y's
+    precisions, then the sum at the larger of p and acc's."""
+    m, e, r, f, prec = acc
+    xm, xe, xr, xf, p = x
+    ym, ye, yr, yf, yp = y
+    if yp > p:
+        p = yp
+    if p > prec:
+        prec = p
+    pm, pe = xm * ym, xe + ye
+    # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__: the sum of
+    # the non-zero terms at the least of their exponents.  A zero rm may carry
+    # any exponent, since nothing below reads the exponent of a zero radius.
+    if xr:
+        rm, rf = (ym if ym >= 0 else -ym) * xr, ye + xf
+        if yr:
+            t, g = xr * yr, xf + yf
+            if not rm:
+                rm, rf = t, g
+            elif rf <= g:
+                rm += t << (g - rf)
+            else:
+                rm, rf = (rm << (rf - g)) + t, g
+    else:
+        rm, rf = 0, 0
+    if yr and xm:
+        t, g = (xm if xm >= 0 else -xm) * yr, xe + yf
+        if not rm:
+            rm, rf = t, g
+        elif rf <= g:
+            rm += t << (g - rf)
+        else:
+            rm, rf = (rm << (rf - g)) + t, g
+    # the product normalised at p: round the midpoint to nearest, half an ulp into rm
+    bl = pm.bit_length()
+    if bl > p:
+        s = bl - p
+        q, rem = pm >> s, pm & ((1 << s) - 1)
+        if rem:
+            q += rem >> (s - 1)
+            g = pe + s - 1
+            if not rm:
+                rm, rf = 1, g
+            elif rf <= g:
+                rm += 1 << (g - rf)
+            else:
+                rm, rf = (rm << (rf - g)) + 1, g
+        pm, pe = q, pe + s
+    bl = rm.bit_length()
+    if bl > _RAD_BITS:
+        s = bl - _RAD_BITS
+        rm, rf = -((-rm) >> s), rf + s
+    # the sum: a zero pm or rm keeps its exponent, and a zero sum is normalised below
+    if not m:
+        m, e = pm, pe
+    elif pm:
+        if e <= pe:
+            m += pm << (pe - e)
+        else:
+            m, e = (m << (e - pe)) + pm, pe
+    if not r:
+        r, f = rm, rf
+    elif rm:
+        if f <= rf:
+            r += rm << (rf - f)
+        else:
+            r, f = (r << (f - rf)) + rm, rf
+    # the sum normalised at prec
+    bl = m.bit_length()
+    if bl > prec:
+        s = bl - prec
+        q, rem = m >> s, m & ((1 << s) - 1)
+        if rem:
+            q += rem >> (s - 1)
+            g = e + s - 1
+            if not r:
+                r, f = 1, g
+            elif f <= g:
+                r += 1 << (g - f)
+            else:
+                r, f = (r << (f - g)) + 1, g
+        m, e = q, e + s
+    if not m:
+        e = 0
+    if not r:
+        f = 0
+    else:
+        bl = r.bit_length()
+        if bl > _RAD_BITS:
+            s = bl - _RAD_BITS
+            r, f = -((-r) >> s), f + s
+    return m, e, r, f, prec
+
+
+def ball_dot(start: RigorousReal, xs: Sequence[Fields], ys: Sequence[Fields]) -> RigorousReal:
+    """start + x_0*y_0 + x_1*y_1 + ..., left to right, over the raw fields
+    of the balls x_k and y_k: the same roundings as the loop of ``*`` and
+    ``+``, building only the final ball."""
+    acc = fields(start)
+    for x, y in zip(xs, ys):
+        acc = ball_mul_add(acc, x, y)
+    return _filled(*acc)
+
+
+def ball_abs(x: RigorousReal) -> RigorousReal:
+    """|x|: x or -x when its sign is certain, else from 0 to |m| + r."""
+    s = x.sign()
+    if s is not None:
+        return x if s >= 0 else -x
+    # straddles zero: |x| lies in [0, max(|lower|, |upper|)] = [0, |m| + r]
+    return _from_dyadic_ends((0, 0), _dy_add(abs(x._m), x._e, x._r, x._f), x._prec)
+
+
+def max_abs(values: Iterable[RigorousReal], prec: int) -> RigorousReal:
+    """Enclosure of max |x| over the values, at prec bits: from the largest
+    lower end to the largest upper end of the |x|, compared as dyadics."""
+    lo = hi = (0, 0)
+    for x in values:
+        mag = ball_abs(x)
+        low, high = mag._end(-1), mag._end(1)
+        if _dy_cmp(*low, *lo) > 0:
+            lo = low
+        if _dy_cmp(*high, *hi) > 0:
+            hi = high
+    return _from_dyadic_ends(lo, hi, prec)
 
 
 # ---------------------------------------------------------------------------

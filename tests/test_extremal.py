@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import contains, loop_maximal_ratios, overlaps
+from oracles import ball_abs, contains, loop_maximal_ratios, overlaps
 from vangeo import cli
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import (compare_ratios, conjecture_scan, max_entry, maximal_ratios,
@@ -197,7 +197,7 @@ class TestMaxEntry:
     def test_constant_max_matches_a_ball_kernel_scan(self, name, cached_inverse):
         spec = BaseSpec.parse(name)
         for n in range(2, 31):
-            magnitudes = {(i, j): abs(v) for i, row in enumerate(cached_inverse(spec, n).entries)
+            magnitudes = {(i, j): ball_abs(v) for i, row in enumerate(cached_inverse(spec, n).entries)
                           for j, v in enumerate(row)}
             floor = max(v.lower for v in magnitudes.values())
             argmax = tuple(sorted(p for p, v in magnitudes.items() if v.upper >= floor))

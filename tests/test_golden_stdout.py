@@ -15,7 +15,9 @@ hundreds of bits.  ``verify`` at the exact bases 2, 7/3, 3/2, 13/10 and
 --n-max 13`` at 3/2, 7/3, tau and alpha runs past the caps of the sigma
 checks (n <= 10) and of the oracle and magnitude checks (n <= 12).  Exact
 ``inverse`` at p/q in all three formats, and ``sigma`` at two rationals, a
-decimal and alpha, pin the paths that no other command prints.  A change
+decimal and alpha, pin the paths that no other command prints, and
+``inverse`` at tau and alpha for n = 20 and 24, and n = 12 at 100 digits,
+pins the ball residual's printed bound at larger sizes.  A change
 that moves any printed byte fails here.
 
 To regenerate the data file after an intended change of output::
@@ -191,6 +193,17 @@ verify --base tau --n-max 13
 verify --base alpha --n-max 13
 """
 
+# the ball inverse at larger n, where its residual line prints bounds from
+# longer dot products, and at 100 digits, where the residual runs at 400 bits
+BALL_RESIDUALS = """\
+inverse --base tau --n 20
+inverse --base tau --n 24
+inverse --base alpha --n 20
+inverse --base alpha --n 24
+inverse --base tau --n 12 --digits 100
+inverse --base alpha --n 12 --digits 100
+"""
+
 # the exact p/q paths of ``inverse`` (text, json, csv) and ``sigma`` at
 # rational, decimal and constant points, which the lists above do not reach
 EXACT_PATHS = """\
@@ -205,7 +218,8 @@ sigma --i 4 --j 1 --n 8 --x 1.3 --format json
 
 # ``table`` is in two lists; a command is pinned once
 COMMANDS = [line.split() for line in dict.fromkeys(
-    (FINITE_BALL_SEED_1 + EXTRA + LIMITS_SEED_1 + LIMITS_FORMATS + EXACT_PATHS).splitlines())]
+    (FINITE_BALL_SEED_1 + EXTRA + LIMITS_SEED_1 + LIMITS_FORMATS + EXACT_PATHS
+     + BALL_RESIDUALS).splitlines())]
 
 
 def digest(argv):

@@ -9,18 +9,19 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (certainly_gt, certainly_lt, contains, fraction_hull, fraction_quotient,
-                     loop_power, overlaps, poly_eval, reduced_norm_sign)
+from oracles import (ball_abs, ball_dot, certainly_gt, certainly_lt, contains, fraction_hull,
+                     fraction_quotient, loop_power, max_abs, overlaps, poly_eval,
+                     reduced_norm_sign)
 from vangeo import cli, symfunc, vandinv
 from vangeo.errors import DomainError, ParseError
 from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
                            PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
-                           RigorousReal, ZTheta, _alpha_bounds, _ball_mul_add, _dy_ceil_trim,
-                           _dy_quotient, _filled, _floor_log10, _normalize,
-                           _power, at_base, ball_dot,
+                           RigorousReal, ZTheta, _alpha_bounds, _ball_dot, _ball_mul,
+                           _dy_quotient, _filled, _max_abs,
+                           _normalize, _power, _split, at_base,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
-                           max_abs, poly_eval_ball, powers, reduce_monic,
+                           poly_eval_ball, powers, reduce_monic,
                            resolve_precision_ceiling)
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
@@ -71,7 +72,8 @@ def fraction_bisect(coeffs, lo, hi, tol, precision_bits=None):
 
 
 def fraction_floor_log10(x):
-    """Oracle: the Fraction-power loop that _floor_log10's integer test replaced."""
+    """Oracle: the Fraction-power loop that the printers' integer exponent
+    search replaced."""
     g = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
     while x >= Fraction(10) ** (g + 1):
         g += 1
@@ -87,7 +89,7 @@ def fraction_power_decimal(x, digits=20):
         return "0." + "0" * (digits - 1)
     sign = "-" if x < 0 else ""
     ax = abs(x)
-    e10 = _floor_log10(ax)
+    e10 = fraction_floor_log10(ax)
     scaled = ax * Fraction(10) ** (digits - 1 - e10)
     q, r = divmod(scaled.numerator, scaled.denominator)
     if 2 * r >= scaled.denominator:
@@ -110,7 +112,7 @@ def fraction_power_sci(x, digits=3):
         return "0"
     sign = "-" if x < 0 else ""
     ax = abs(x)
-    e10 = _floor_log10(ax)
+    e10 = fraction_floor_log10(ax)
     scaled = ax * Fraction(10) ** (digits - 1 - e10)
     q, r = divmod(scaled.numerator, scaled.denominator)
     if r:
@@ -149,7 +151,7 @@ class TestRigorousReal:
 
     def test_abs_straddling_zero(self):
         x = RigorousReal.from_interval(-1, 2, 64)
-        y = abs(x)
+        y = ball_abs(x)
         assert y.lower == 0 and y.upper >= 2
 
     def test_intersect_disjoint_raises(self):
@@ -243,6 +245,15 @@ def old_dy_add(m1, e1, m2, e2):
     return (m1 << (e1 - e)) + (m2 << (e2 - e)), e
 
 
+def old_ceil_trim(m, e, bits):
+    """A nonnegative dyadic rounded up so that its mantissa fits in bits."""
+    bl = m.bit_length()
+    if bl <= bits:
+        return m, e
+    s = bl - bits
+    return -((-m) >> s), e + s
+
+
 def old_normalize(m, e, r, f, prec):
     bl = abs(m).bit_length()
     if bl > prec:
@@ -258,7 +269,7 @@ def old_normalize(m, e, r, f, prec):
     if r == 0:
         f = 0
     elif r.bit_length() > 32:
-        r, f = _dy_ceil_trim(r, f, 32)
+        r, f = old_ceil_trim(r, f, 32)
     return m, e, r, f
 
 
@@ -347,6 +358,11 @@ def raw_ball(t):
     return _filled(*t)
 
 
+def split(t):
+    """The split fields (_split: the raw fields and |m|) of raw_ball(t)."""
+    return _split(raw_ball(t))
+
+
 # small, random, and one- or two-bit mantissas of either sign, so that exact
 # rounding ties and single dropped bits come up often
 mantissas = st.one_of(
@@ -372,6 +388,9 @@ def balls(draw, near=None):
 
 exact_balls = st.tuples(mantissas, exponents, precisions).map(
     lambda t: (*old_normalize(t[0], t[1], 0, 0, t[2]), t[2]))
+
+# the exact unit 1 at any precision, whose product the fused loop skips
+units = precisions.map(lambda p: (1, 0, 0, 0, p))
 
 
 @st.composite
@@ -416,6 +435,18 @@ def quotient(divide, x, y):
 def overlapping_pairs(draw):
     near = (draw(st.integers(-2 ** 80, 2 ** 80)), draw(exponents))
     return draw(balls(near)), draw(balls(near))
+
+
+@st.composite
+def held_or_excluded(draw):
+    """A ball about 0 as the residual's are: one that holds 0 (with a zero
+    midpoint now and then) or excludes it, on one grid of exponents, or a
+    nudged copy of such a ball, whose ends nearly tie with its original's."""
+    prec, r, f = draw(precisions), draw(st.integers(1, 2 ** 32 - 1)), draw(st.integers(-80, -60))
+    m = draw(st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 80, 2 ** 80)))
+    m, e, r, f = old_normalize(m, f - draw(st.integers(0, 48)), r, f, prec)
+    nudge = draw(st.sampled_from([0, 0, 1, -1, 1 << 20]))
+    return m + nudge, e, r + (nudge > 1), f, draw(st.sampled_from([prec, 64]))
 
 
 class TestDyadicOracles:
@@ -497,18 +528,29 @@ class TestDyadicOracles:
         assert fields(a + k) == old_add(x, exact_k)
         assert fields(k * a) == old_mul(x, exact_k)
 
-    @given(start=balls(), pairs=st.lists(st.tuples(balls(), balls()), max_size=6))
+    @given(start=st.one_of(balls(), exact_balls),
+           pairs=st.lists(st.tuples(st.one_of(balls(), exact_balls, units),
+                                    st.one_of(balls(), exact_balls)), max_size=6))
     @example(start=(0, 0, 0, 0, 64), pairs=[((5, 3, 1, -2, 64), (7, -4, 1, -9, 64))] * 3)
     @example(start=(3, -40, 0, 0, 16), pairs=[((0, 0, 5, -3, 64), (7, 0, 1, -9, 64)),
                                               ((5, 0, 1, -9, 16), (0, 0, 3, 4, 64))])
     @example(start=(3, 200, 1, 170, 8), pairs=[((5, 0, 0, 0, 64), (7, 0, 0, 0, 64)),
                                                ((-9, -8, 1, -20, 64), (11, 0, 0, 0, 8))])
     @example(start=(1 << 64, 6, 1, 5, 64), pairs=[((1 << 64, 6, 1, 5, 64), (3, -1, 0, 0, 64))])
-    @settings(max_examples=150, deadline=None)
+    # units before carried mantissas and radii, at a lower and at the same precision
+    @example(start=(-1, 0, 0, 0, 64), pairs=[((1, 0, 0, 0, 64), (1 << 64, 6, 1 << 32, 5, 64)),
+                                             ((1, 0, 0, 0, 8), (1 << 64, 6, 1, 5, 64)),
+                                             ((1, 0, 0, 0, 256), (255, -3, 0, 0, 8))])
+    @settings(max_examples=300, deadline=None)
     def test_ball_dot(self, start, pairs):
+        """The fused loop on split fields against the chained fused step it
+        replaced (oracles.ball_dot) and the loop of ``*`` and ``+``, at mixed
+        precisions, with exact units among the x."""
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
-        got = ball_dot(raw_ball(start), xs, ys)
-        assert fields(got) == old_dot(start, xs, ys)
+        expected = old_dot(start, xs, ys)
+        assert fields(ball_dot(raw_ball(start), xs, ys)) == expected
+        got = _ball_dot(split(start), zip(map(split, xs), map(split, ys)))
+        assert got == (*expected, abs(expected[0]))
 
     @given(acc=balls(), x=balls(), y=balls())
     @example(acc=(0, 0, 0, 0, 64), x=(5, 3, 1, -2, 64), y=(7, -4, 1, -9, 64))    # exact zero acc
@@ -522,12 +564,15 @@ class TestDyadicOracles:
              y=(1 << 64, 6, 1, 5, 64))
     @settings(max_examples=300, deadline=None)
     def test_mul_add(self, acc, x, y):
-        assert _ball_mul_add(acc, x, y) == old_add(acc, old_mul(x, y))
+        """One step of the fused loop, and the fused product alone."""
+        assert _ball_dot(split(acc), ((split(x), split(y)),))[:5] == old_add(acc, old_mul(x, y))
+        assert _ball_mul(split(x), split(y)) == (*old_mul(x, y), abs(old_mul(x, y)[0]))
 
     def test_mul_add_is_straight_line(self):
-        """The fused step calls none of the helpers it writes out."""
-        names = set(_ball_mul_add.__code__.co_names)
-        assert not names & {"_dy_add", "_dy_ceil_trim", "_normalize", "abs"}
+        """The fused dot, whose steps are the fused multiply-add, calls none
+        of the helpers it writes out."""
+        names = set(_ball_dot.__code__.co_names)
+        assert not names & {"_dy_add", "_dy_ceil_trim", "_normalize", "abs", "_ball_mul"}
 
     @given(sweep=sweeps())
     @settings(max_examples=150, deadline=None)
@@ -536,8 +581,10 @@ class TestDyadicOracles:
         in one fold and in two, the second going on from the first's state."""
         nodes, upto, prec = sweep
         one = RigorousReal.exact(1, prec)
-        expected = [fields(t) for t in old_sweep([raw_ball(x) for x in nodes], upto, one)]
-        start, half = [fields(one)] + [fields(one * 0)] * upto, len(nodes) // 2
+        expected = [(*t, abs(t[0])) for t in
+                    map(fields, old_sweep([raw_ball(x) for x in nodes], upto, one))]
+        start, half = [_split(one)] + [_split(one * 0)] * upto, len(nodes) // 2
+        nodes = [split(x) for x in nodes]
         assert symfunc.fold_balls(start.copy(), nodes, 0) == expected
         assert symfunc.fold_balls(symfunc.fold_balls(start, nodes[:half], 0),
                                   nodes[half:], half) == expected
@@ -562,7 +609,7 @@ class TestDyadicOracles:
         lambda c: balls((c, 0))), balls((0, -3))))
     @settings(max_examples=300, deadline=None)
     def test_abs(self, x):
-        assert fields(abs(raw_ball(x))) == old_abs(x)
+        assert fields(ball_abs(raw_ball(x))) == old_abs(x)
 
     @given(values=st.one_of(st.lists(balls(), min_size=1, max_size=4),
                             st.lists(exponents.flatmap(lambda e: balls((1, e))),
@@ -602,13 +649,29 @@ class TestDyadicOracles:
             assert fields(_power(chain, k)) == expected
         assert len(chain) == max([1] + [k.bit_length() for k in ks])
 
-    @given(values=st.lists(balls(), min_size=1, max_size=6), prec=st.integers(4, 1100))
-    @settings(max_examples=150, deadline=None)
+    @given(values=st.one_of(st.lists(balls(), min_size=1, max_size=6),
+                            st.lists(held_or_excluded(), min_size=1, max_size=8)),
+           prec=st.integers(4, 1100))
+    # of two balls that hold 0, the one with the smaller |m| 2^e + r 2^f has
+    # the larger upper end of |x|: an inexact rounding adds half an ulp, which
+    # the radius trim carries to the next 32-bit step
+    @example(values=[(0, 0, 3557108165, 0, 64), ((1 << 64) - (1 << 30), -64, 3557108164, 0, 64)],
+             prec=64)
+    @example(values=[((1 << 64) - (1 << 30), -64, 3557108164, 0, 64), (0, 0, 3557108165, 0, 64),
+                     (7, -40, 0, 0, 16)], prec=16)
+    @example(values=[(0, 0, 3557108165, 0, 256), ((1 << 64) - (1 << 30), -64, 3557108164, 0, 64)],
+             prec=300)
+    @settings(max_examples=300, deadline=None)
     def test_max_abs(self, values, prec):
+        """The maximum on split fields and the one of rounded balls
+        (oracles.max_abs) against the Fraction ends of each |x|, over balls
+        that hold 0 and balls that exclude it, near ties of their ends, and
+        mixed precisions."""
         mags = [ends(old_abs(x)) for x in values]
         expected = old_from_interval(max(max(lo for lo, _ in mags), 0),
                                      max(max(hi for _, hi in mags), 0), prec)
         assert fields(max_abs([raw_ball(x) for x in values], prec)) == expected
+        assert fields(_max_abs([split(x) for x in values], prec)) == expected
 
 
 @st.composite
@@ -1105,12 +1168,17 @@ class TestPrinting:
         assert fraction_to_sci(Fraction(1, 3), 2) == "3.4e-01"
         assert fraction_to_sci(Fraction(0), 2) == "0"
 
-    @given(x=st.fractions(min_value=Fraction(1, 10 ** 60), max_value=10 ** 60))
-    @example(x=Fraction(1))
+    @given(x=st.fractions(min_value=Fraction(1, 10 ** 60), max_value=10 ** 60),
+           digits=st.integers(1, 40))
+    @example(x=Fraction(1), digits=1)
     @settings(max_examples=300, deadline=None)
-    def test_floor_log10_matches_fraction_powers(self, x):
+    def test_floor_log10_matches_fraction_powers(self, x, digits):
+        """The printers' decimal exponent floor(log10 x), guessed from bit
+        lengths and confirmed by the scaled integer part, against the
+        Fraction-power loop."""
         assume(x > 0)
-        assert _floor_log10(x) == fraction_floor_log10(x)
+        assert fraction_to_sci(x, digits) == fraction_power_sci(x, digits)
+        assert fraction_to_decimal(x, digits) == fraction_power_decimal(x, digits)
 
     @pytest.mark.parametrize("k", [-5000, -4301, -45, -20, -3, -1, 0, 1, 2, 7, 30, 61,
                                    4301, 5000])
@@ -1119,7 +1187,9 @@ class TestPrinting:
                   Fraction(10 ** abs(k) + 1, 10 ** abs(k)) * Fraction(10) ** k,
                   Fraction(10 ** abs(k) - 1, 10 ** abs(k)) * Fraction(10) ** k):
             if x > 0:
-                assert _floor_log10(x) == fraction_floor_log10(x)
+                for digits in (1, 3, 20):
+                    assert fraction_to_sci(x, digits) == fraction_power_sci(x, digits)
+                    assert fraction_to_decimal(x, digits) == fraction_power_decimal(x, digits)
 
     @given(x=printed_rationals(), digits=st.integers(1, 80))
     @example(x=Fraction(0), digits=1)
