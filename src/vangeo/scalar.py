@@ -402,7 +402,7 @@ def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
             pm, pe, rm, rf = ym, ye, yr, yf
         else:
             pm, pe = xm * ym, xe + ye
-            # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in _ball_mul.  A
+            # |x*y - mx*my| <= |mx|*ry + |my|*rx + rx*ry, as in __mul__.  A
             # zero rm may carry any exponent: nothing reads that of a zero radius.
             if xr:
                 rm, rf = ya * xr, ye + xf
@@ -483,17 +483,6 @@ def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
                 s = bl - _RAD_BITS
                 r, f = -((-r) >> s), f + s
     return m, e, r, f, prec, (m if m >= 0 else -m)
-
-
-def _ball_mul(x: Split, y: Split) -> Split:
-    """x*y on split operands, with the fields of RigorousReal's ``*``."""
-    xm, xe, xr, xf, p, xa = x
-    ym, ye, yr, yf, yp, ya = y
-    if yp > p:
-        p = yp
-    r, f = _dy_add(xa * yr, xe + yf, ya * xr, ye + xf)
-    m, e, r, f = _normalize(xm * ym, xe + ye, *_dy_add(r, f, xr * yr, xf + yf), p)
-    return m, e, r, f, p, (m if m >= 0 else -m)
 
 
 def _max_abs(values: Iterable[Split], prec: int) -> RigorousReal:

@@ -19,15 +19,14 @@ reciprocal formulation
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
 
 whose factors all have moderate magnitude, so ball radii stay tight; its
-column sweeps share their prefixes of nodes, and it scales and signs each
-column on raw fields.  An independent fraction-free (Bareiss) elimination
-oracle and a residual check are included for differential testing.
+column sweeps share their prefixes of nodes.  An independent fraction-free
+(Bareiss) elimination oracle and a residual check are included for
+differential testing.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from .errors import (DimensionError, DomainError, SizeError,
                      UnsupportedBackendError)
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal, ZTheta,
-                     _ball_dot, _ball_mul, _filled, _max_abs, _split, at_base, evaluate_base,
+                     _ball_dot, _filled, _max_abs, _split, at_base, evaluate_base,
                      poly_eval_ball, powers)
 from .symfunc import fold_balls
 # elementary_symmetric is not called here; bench/tracing.py's EXPECTED_BINDINGS
@@ -235,19 +234,20 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
         if j:
             fold_balls(prefix, nodes[j - 1:j], j - 1)
         e = fold_balls(prefix.copy(), nodes[j + 1:], j)
-        # scale by 1/(grow*decay) and sign the checkerboard on fields, one ball per entry
-        scale = _split(one / (grow[j] * decay[n - 1 - j]))
+        inv_denominator = one / (grow[j] * decay[n - 1 - j])
         col = []
-        for i, sigma in enumerate(e):
-            m, ex, r, f, p, _ = _ball_mul(sigma, scale)
-            col.append(_filled(-m if (i + j) % 2 else m, ex, r, f, p))
+        for i in range(n):
+            magnitude = _filled(*e[i][:5]) * inv_denominator
+            col.append(-magnitude if (i + j) % 2 else magnitude)
         columns.append(col)
-    grid = [list(row) for row in zip(*columns)]
+    grid = [[columns[j][i] for j in range(n)] for i in range(n)]
     # the true inverse is symmetric; intersecting the independently computed
     # (i,j) and (j,i) enclosures is sound and tightens both
     for i in range(n):
         for j in range(i + 1, n):
-            grid[i][j] = grid[j][i] = grid[i][j].intersect(grid[j][i])
+            tight = grid[i][j].intersect(grid[j][i])
+            grid[i][j] = tight
+            grid[j][i] = tight
     return tuple(tuple(row) for row in grid)
 
 
@@ -312,10 +312,8 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
         return worst
     prec = precision_bits if precision_bits is not None else (inv.precision_bits
                                                               or DEFAULT_PRECISION_BITS)
-    # the forward matrix V[i][j] = b^(i*j) at the base's enclosure, each power
-    # the previous one times b from b ** 0, as powers builds them
-    b = _split(evaluate_base(gv.base, prec))
-    pows = list(itertools.accumulate([b] * (n - 1) ** 2, _ball_mul, initial=(1, 0, 0, 0, b[4], 1)))
+    # the forward matrix V[i][j] = b^(i*j) at the base's enclosure
+    pows = [_split(x) for x in powers(evaluate_base(gv.base, prec), (n - 1) * (n - 1) + 1)]
     rows = [[pows[i * j] for j in range(n)] for i in range(n)]
     columns = [list(map(_split, column)) for column in zip(*inv.entries)]
     starts = ((0, 0, 0, 0, prec, 0), (-1, 0, 0, 0, prec, 1))
