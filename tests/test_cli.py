@@ -589,7 +589,23 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("x,shown", [("0", "0"), ("-1/2", "-1/2")])
+    @pytest.mark.parametrize("base,message", [
+        ("1", "base must be > 1, got 1"),
+        ("0.5", "base must be > 1, got 1/2"),
+        ("-3/2", "base must be > 1, got -3/2"),
+        ("1/0", "zero denominator in base '1/0'"),
+        ("abc", "cannot parse base 'abc'; expected p/q, a finite decimal, tau, or alpha"),
+        ("pi", "cannot parse base 'pi'; expected p/q, a finite decimal, tau, or alpha"),
+    ])
+    @pytest.mark.parametrize("command", ["inverse", "max", "limit", "verify", "conjecture"])
+    def test_bad_base_message(self, command, base, message, capsys):
+        rest = {"inverse": ["--n", "3"], "max": ["--n", "3"], "limit": ["--tol", "1e-6"],
+                "verify": ["--n-max", "3"], "conjecture": ["--range", "2:3"]}[command]
+        assert cli.main([command, f"--base={base}", *rest]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("x,shown", [("0", "0"), ("-1/2", "-1/2"), ("-3/2", "-3/2")])
     def test_sigma_names_a_nonpositive_point_as_written(self, x, shown, capsys):
         assert cli.main(["sigma", "--i", "1", "--j", "0", "--n", "3", f"--x={x}"]) == 2
         out, err = capsys.readouterr()

@@ -737,6 +737,37 @@ class TestBaseSpec:
         assert spec.exact_value() == Fraction(6, 5)
         assert spec.display() == "1.2"
 
+    @pytest.mark.parametrize("text,value,shown", [
+        ("7/3", Fraction(7, 3), "7/3"), ("14/6", Fraction(7, 3), "7/3"),
+        ("+3/2", Fraction(3, 2), "3/2"), ("2", Fraction(2), "2"),
+        (" 1.30 ", Fraction(13, 10), "1.30"), ("1.5", Fraction(3, 2), "1.5"),
+        ("tau", None, "tau"), ("alpha", None, "alpha")])
+    def test_parse_round_trip(self, text, value, shown):
+        """A base's value and text as parsed, and the text parsed again gives
+        an equal base."""
+        spec = BaseSpec.parse(text)
+        assert spec.exact_value() == value and type(spec.exact_value()) is type(value)
+        assert spec.display() == shown
+        assert spec.is_exact is (value is not None)
+        assert BaseSpec.parse(spec.display()) == spec
+        assert hash(BaseSpec.parse(spec.display())) == hash(spec)
+
+    def test_equality_and_hash(self):
+        """Bases are equal when their values and their texts are: a rational
+        in lowest terms, a decimal as written, a constant by name."""
+        parse = BaseSpec.parse
+        same = [(parse("7/3"), BaseSpec.rational(14, 6)), (parse("+3/2"), BaseSpec.rational(3, 2)),
+                (parse(" 1.30 "), BaseSpec.decimal("1.30")), (parse("tau"), BaseSpec.constant("tau")),
+                (parse("alpha"), parse(" alpha "))]
+        for a, b in same:
+            assert a == b and hash(a) == hash(b)
+        different = [(parse("1.5"), BaseSpec.rational(3, 2)), (parse("1.5"), parse("1.50")),
+                     (parse("tau"), parse("alpha")), (parse("7/3"), parse("7/4")),
+                     (parse("1.5"), parse("+1.5"))]
+        for a, b in different:
+            assert a != b
+        assert len({a for pair in same + different for a in pair}) == 9
+
     def test_parse_constants(self):
         assert BaseSpec.parse("tau").minimal_polynomial() == TAU_POLYNOMIAL
         assert BaseSpec.parse("alpha").minimal_polynomial() == ALPHA_POLYNOMIAL
