@@ -16,8 +16,7 @@ Quick start::
     ((Fraction(2, 1), Fraction(-1, 1)), (Fraction(-1, 1), Fraction(1, 1)))
 """
 
-from .errors import (DimensionError, DomainError, ParseError, SizeError,
-                     UndecidableComparisonError, UnsupportedBackendError,
+from .errors import (DomainError, ParseError, SizeError, UndecidableComparisonError,
                      VangeoError)
 from .extremal import (BoxCheckReport, ConjectureScan, MaxReport, conjecture_scan,
                        max_entry, n_zero, verify_argmax_box, verify_leading_diagonal_max)
@@ -36,11 +35,11 @@ __version__ = "0.1.0"
 __all__ = [
     "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "ConjectureScan",
     "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
-    "DimensionError", "DomainError",
+    "DomainError",
     "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",
     "MaxReport", "ParseError", "RigorousReal",
     "SizeError", "TAU_POLYNOMIAL", "UndecidableComparisonError",
-    "UnsupportedBackendError", "VangeoError", "classify_regime",
+    "VangeoError", "classify_regime",
     "conjecture_scan", "elementary_symmetric", "evaluate_base",
     "fraction_to_decimal", "fraction_to_sci",
     "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",

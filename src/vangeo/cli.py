@@ -141,7 +141,7 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     inv = vandinv.inverse_matrix(gv, fmt.precision_bits)
     cells = _entry_strings(inv, fmt.digits)
     if fmt.kind == "json":
-        return 0, _json({"n": n, "base": base.display(), "backend": inv.backend,
+        return 0, _json({"n": n, "base": base.text, "backend": inv.backend,
                          "entries": [cell for row in cells for cell in row]})
     if fmt.kind == "csv":
         return 0, "\n".join(",".join(row) for row in cells)
@@ -156,15 +156,15 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
 
 
 def cmd_sigma(i: int, j: int, n: int, x_spec: BaseSpec, fmt: OutputFormat) -> Tuple[int, str]:
-    x = x_spec.exact_value()
+    x = x_spec.value
     if x is None:
         x = evaluate_base(x_spec, fmt.precision_bits)
     value = symfunc.sigma_finite(i, j, n, x)
     rendered = _format_entry(value, fmt.digits)
     if fmt.kind == "json":
-        return 0, _json({"i": i, "j": j, "n": n, "x": x_spec.display(), "value": rendered})
+        return 0, _json({"i": i, "j": j, "n": n, "x": x_spec.text, "value": rendered})
     if fmt.kind == "csv":
-        return 0, f"{i},{j},{n},{x_spec.display()},{rendered}"
+        return 0, f"{i},{j},{n},{x_spec.text},{rendered}"
     return 0, rendered
 
 
@@ -173,7 +173,7 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
     report = extremal.max_entry(gv, fmt.precision_bits)
     if fmt.kind == "json":
         return 0, _json({
-            "base": base.display(),
+            "base": base.text,
             "n": n,
             "n_zero": report.n_zero,
             "max": _format_decimal(report.max_value, fmt.digits),
@@ -184,7 +184,7 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
             "backend": report.backend,
         })
     if fmt.kind == "csv":
-        return 0, f"{base.display()},{n},{_max_csv(report, fmt.digits)},false"
+        return 0, f"{base.text},{n},{_max_csv(report, fmt.digits)},false"
     lines = [f"max = {_format_decimal(report.max_value, fmt.digits)}",
              f"argmax = {_format_pairs(report.argmax)}",
              f"n0 = {report.n_zero}",
@@ -199,7 +199,7 @@ def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
                for e in report.entries]
     if fmt.kind == "json":
         return 0, _json({
-            "base": base.display(),
+            "base": base.text,
             "n_zero": report.n_zero,
             "entries": [{"i": e.i, "j": e.j, "value": value, "radius": radius,
                          "sigma_cutoff": e.sigma_cutoff, "product_cutoff": e.product_cutoff}
@@ -488,7 +488,7 @@ def cmd_verify(base: BaseSpec, n_max: int) -> Tuple[int, str]:
     sizes = {n: vandinv.GeometricVandermonde(base, n) for n in range(1, n_max + 1)}
     matrices = {n: vandinv.inverse_matrix(gv) for n, gv in sizes.items()}
     boxes = {n: extremal.verify_argmax_box(sizes[n]) for n in range(2, n_max + 1)}
-    lines = [f"verification suite for base {base.display()}, n up to {n_max}"]
+    lines = [f"verification suite for base {base.text}, n up to {n_max}"]
     failures = 0
     for name, ok, witness in _verify_suite(base, sizes, matrices, boxes):
         if ok is None:
@@ -517,7 +517,7 @@ def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
     if fmt.kind == "csv":
         return 0, "\n".join(f"{r.n},{_max_csv(r, fmt.digits)}" for r in scan.records)
     digits = min(fmt.digits, 12)
-    lines = [f"base {base.display()}: diagonal-argmax scan, n from {n_min} to {n_max}"]
+    lines = [f"base {base.text}: diagonal-argmax scan, n from {n_min} to {n_max}"]
     for r in scan.records:
         flag = "diagonal" if r.diagonal_argmax else "NON-DIAGONAL"
         lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={_format_decimal(r.max_value, digits)}"

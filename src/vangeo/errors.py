@@ -22,13 +22,5 @@ class SizeError(VangeoError, ValueError):
     """A size guard was exceeded: the work asked for is refused up front."""
 
 
-class UnsupportedBackendError(VangeoError, ValueError):
-    """The operation does not support the requested numeric backend."""
-
-
 class UndecidableComparisonError(VangeoError, RuntimeError):
     """An enclosure comparison stayed ambiguous at the precision ceiling."""
-
-
-class DimensionError(VangeoError, ValueError):
-    """Matrix dimensions do not agree."""

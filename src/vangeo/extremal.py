@@ -48,7 +48,7 @@ def n_zero(b: Union[int, Fraction, BaseSpec]) -> int:
     and alpha the threshold is the exact sign of x^{m+1} - x - 1 at the base.
     """
     if isinstance(b, BaseSpec):
-        value = b.exact_value()
+        value = b.value
         if value is not None:
             return n_zero(value)
         m = 1
@@ -212,10 +212,10 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     if gv.n < 2:
         raise DomainError(f"requires n >= 2, got n={gv.n}")
     if max_report is not None and (max_report.base, max_report.n) != (gv.base, gv.n):
-        raise DomainError(f"max_report is not for base {gv.base.display()}, n={gv.n}")
+        raise DomainError(f"max_report is not for base {gv.base.text}, n={gv.n}")
     # b >= tau  <=>  b^2 - b - 1 >= 0   (b > 1)
     if certified_poly_sign(TAU_POLYNOMIAL, gv.base) < 0:
-        raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.display()} is below")
+        raise DomainError(f"requires base >= (1+sqrt(5))/2; {gv.base.text} is below")
     report = max_report or max_entry(gv, precision_bits)
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
     # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest

@@ -233,7 +233,7 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
         if 2 * precision > ceiling:
             raise UndecidableComparisonError(
                 f"cannot reach tolerance {tolf} for l_({i},{j}) at base "
-                f"{base.display()} within the {ceiling}-bit precision ceiling")
+                f"{base.text} within the {ceiling}-bit precision ceiling")
         precision *= 2
 
 

@@ -9,18 +9,19 @@ Two numeric carriers are used throughout the package:
   rounding errors are folded into the radius explicitly.  Ball steps (add,
   multiply, sign, intersect) are integer operations on dyadics.  The ball
   loops run on split fields (``_split``: the raw fields and |m|) through one
-  straight-line fused dot, ``_ball_dot``: the residual's dot products whole,
-  the symmetric-function sweep and Horner (``poly_eval_ball``) one pair at a
-  time.  Division rounds its two outer end quotients from the integer
-  mantissas.  Every rounding into a ball goes through one helper,
-  ``_dy_quotient``.  Of the ball operations only ``from_interval`` (which
-  ``exact`` calls at a non-dyadic rational) takes Fractions in; the
-  accessors return Fractions for printing and for the few decisions made on
-  one end of a ball, such as ``x.lower > 1``.  The printers work on a
-  rational's integer numerator and denominator.
+  straight-line fused dot, ``_ball_dot``, at the one precision that their
+  balls carry: the residual's dot products whole, the symmetric-function
+  sweep and Horner (``poly_eval_ball``) one pair at a time.  Division
+  rounds its two outer end quotients from the integer mantissas.  Every
+  rounding into a ball goes through one helper, ``_dy_quotient``.  Of the
+  ball operations only ``from_interval`` (which ``exact`` calls at a
+  non-dyadic rational) takes Fractions in; the accessors return Fractions
+  for printing and for the few decisions made on one end of a ball, such as
+  ``x.lower > 1``.  The printers work on a rational's integer numerator and
+  denominator.
 
-The module also defines :class:`BaseSpec` (how a base ``b > 1`` is described:
-a rational, a finite decimal, or one of the named algebraic constants),
+The module also defines :class:`BaseSpec` (a base ``b > 1`` as its exact
+value, or None at the named algebraic constants, and the text that prints it),
 and the exact layer at the base: :class:`ZTheta` (integer arithmetic in
 Z[theta] at those constants, with exact division, whose elements sign
 themselves by integer tests), ``at_base`` (an integer polynomial's exact
@@ -373,31 +374,30 @@ def _filled(m: int, e: int, r: int, f: int, prec: int) -> RigorousReal:
     return x
 
 
-Split = Tuple[int, int, int, int, int, int]
+Split = Tuple[int, int, int, int, int]
 
 
 def _split(x: RigorousReal) -> Split:
-    """A ball's raw fields (m, e, r, f, prec) and |m|, taken once per operand."""
+    """A ball's raw fields (m, e, r, f) and |m|, taken once per operand; its
+    precision is the loop's, which the loop is given."""
     m = x._m
-    return m, x._e, x._r, x._f, x._prec, (m if m >= 0 else -m)
+    return m, x._e, x._r, x._f, (m if m >= 0 else -m)
 
 
-def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
+def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]], prec: int) -> Split:
     """acc + x_0*y_0 + x_1*y_1 + ... over pairs of split operands (_split),
-    left to right, with the roundings of RigorousReal's ``*`` then ``+``:
-    each product normalised at p, the larger of its factors' precisions,
-    each sum at the larger of p and the running one.  An exact unit x gives
-    y as the product before that normalisation.  The residual runs whole
-    dots, the ball sweep and Horner (acc*x + c, a one-pair dot from c) one
-    pair at a time; so it is straight-line code on locals, with every dyadic
-    add, rounding and trim written out by _dy_add's rules (a zero operand
-    leaves the other as it is, else the smaller exponent wins)."""
-    m, e, r, f, prec, _ = acc
-    for (xm, xe, xr, xf, p, xa), (ym, ye, yr, yf, yp, ya) in pairs:
-        if yp > p:
-            p = yp
-        if p > prec:
-            prec = p
+    left to right, with the roundings of RigorousReal's ``*`` then ``+`` on
+    balls of prec bits: each product and each sum normalised at prec.  An
+    exact unit x gives y as the product before that normalisation.  Every
+    caller's balls carry prec bits, so the fields are those of that loop;
+    an operand at another precision still gives a sound enclosure, since
+    every rounding goes into the radius.  The residual runs whole dots, the
+    ball sweep and Horner (acc*x + c, a one-pair dot from c) one pair at a
+    time; so it is straight-line code on locals, with every dyadic add,
+    rounding and trim written out by _dy_add's rules (a zero operand leaves
+    the other as it is, else the smaller exponent wins)."""
+    m, e, r, f, _ = acc
+    for (xm, xe, xr, xf, xa), (ym, ye, yr, yf, ya) in pairs:
         if not xr and xm == 1 and not xe:
             pm, pe, rm, rf = ym, ye, yr, yf
         else:
@@ -424,10 +424,10 @@ def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
                     rm += t << (g - rf)
                 else:
                     rm, rf = (rm << (rf - g)) + t, g
-        # the product normalised at p: round the midpoint to nearest, half an ulp into rm
+        # the product normalised at prec: round the midpoint to nearest, half an ulp into rm
         bl = pm.bit_length()
-        if bl > p:
-            s = bl - p
+        if bl > prec:
+            s = bl - prec
             q, rem = pm >> s, pm & ((1 << s) - 1)
             if rem:
                 q += rem >> (s - 1)
@@ -482,36 +482,37 @@ def _ball_dot(acc: Split, pairs: Iterable[Tuple[Split, Split]]) -> Split:
             if bl > _RAD_BITS:
                 s = bl - _RAD_BITS
                 r, f = -((-r) >> s), f + s
-    return m, e, r, f, prec, (m if m >= 0 else -m)
+    return m, e, r, f, (m if m >= 0 else -m)
 
 
 def _max_abs(values: Iterable[Split], prec: int) -> RigorousReal:
-    """Enclosure of max |x| at prec bits over balls given split (_split):
-    from the largest lower to the largest upper end of the |x| that
-    RigorousReal's abs rounded, each at its own precision p.  A ball that
-    excludes 0 gives |x| its exact ends; one that holds 0 gives [0, h],
-    h = |m| 2^e + r 2^f, rounded, with an upper end in [h, h (1 + 2^-k)),
-    k = min(p, _RAD_BITS) - 2.  That end is not monotone in h (an exact
-    rounding drops the half ulp that an inexact one adds, and the radius
-    trim can carry it up a 32-bit step), so every such ball whose bound
-    passes the largest h is rounded: in practice one."""
+    """Enclosure of max |x| at prec bits over balls of prec bits given split
+    (_split): from the largest lower to the largest upper end of the |x|
+    that RigorousReal's abs rounded.  A ball that excludes 0 gives |x| its
+    exact ends; one that holds 0 gives [0, h], h = |m| 2^e + r 2^f, rounded
+    at prec, with an upper end in [h, h (1 + 2^-k)), k = min(prec,
+    _RAD_BITS) - 2.  That end is not monotone in h (an exact rounding drops
+    the half ulp that an inexact one adds, and the radius trim can carry it
+    up a 32-bit step), so every such ball whose bound passes the largest h
+    is rounded: in practice one.  A ball at another precision is rounded at
+    prec too, which is still sound."""
     lo = hi = top = (0, 0)
-    held = []       # (h, p, bound) of each ball that holds 0 and passed the top h so far
-    for m, e, r, f, p, a in values:
+    k = min(prec, _RAD_BITS) - 2
+    held = []       # (h, bound) of each ball that holds 0 and passed the top h so far
+    for m, e, r, f, a in values:
         high = _dy_add(a, e, r, f)
         if r and _dy_cmp(a, e, r, f) <= 0:
-            k = min(p, _RAD_BITS) - 2
             bound = (high[0] << k) + high[0], high[1] - k
             if _dy_cmp(*bound, *top) > 0:
-                held.append((high, p, bound))
+                held.append((high, bound))
         else:
             lo = max(lo, _dy_add(a, e, -r, f), key=_by_value)
             hi = max(hi, high, key=_by_value)
         if _dy_cmp(*high, *top) > 0:
             top = high
-    for high, p, bound in held:
+    for high, bound in held:
         if _dy_cmp(*bound, *top) > 0:
-            hi = max(hi, _from_dyadic_ends((0, 0), high, p)._end(1), key=_by_value)
+            hi = max(hi, _from_dyadic_ends((0, 0), high, prec)._end(1), key=_by_value)
     return _from_dyadic_ends(lo, hi, prec)
 
 
@@ -569,11 +570,11 @@ def poly_eval_ball(coeffs: Sequence[int], x: RigorousReal) -> RigorousReal:
     step a one-pair _ball_dot from c: the balls of the loop over
     RigorousReal.exact(c) and ``*``, ``+``."""
     prec, x = x._prec, _split(x)
-    acc = (0, 0, 0, 0, prec, 0)
+    acc = (0, 0, 0, 0, 0)
     for c in reversed(coeffs):
         m, e, r, f = _normalize(c, 0, 0, 0, prec)
-        acc = _ball_dot((m, e, r, f, prec, abs(m)), ((acc, x),))
-    return _filled(*acc[:5])
+        acc = _ball_dot((m, e, r, f, abs(m)), ((acc, x),), prec)
+    return _filled(*acc[:4], prec)
 
 
 def reduce_monic(coeffs: Iterable[int], modulus: Sequence[int]) -> Tuple[int, ...]:
@@ -736,40 +737,38 @@ _CONSTANT_POLYS = {"tau": TAU_POLYNOMIAL, "alpha": ALPHA_POLYNOMIAL}
 
 @dataclass(frozen=True)
 class BaseSpec:
-    """How a base b is described: an exact rational, a finite decimal
-    literal (kept exact, e.g. "1.4" is 7/5), or a named algebraic constant.
+    """How a base b is described: its exact value, or None for a named
+    algebraic constant, and the text that prints it.  A rational prints as
+    p/q (or p) in lowest terms, a finite decimal literal as written (its
+    value kept exact, e.g. "1.4" is 7/5), a constant by its name; equal
+    bases agree in both, so 7/3 and 14/6 are equal and 1.5 and 3/2 are not.
 
     The constraint b > 1 is enforced when the value is evaluated or used,
     not at construction.
     """
 
-    kind: str                 # "rational" | "decimal" | "constant"
-    numerator: int = 0
-    denominator: int = 1
-    literal: str = ""
-    name: str = ""
+    value: Optional[Fraction]
+    text: str
 
     @staticmethod
     def rational(numerator: int, denominator: int = 1) -> "BaseSpec":
         if denominator == 0:
             raise DomainError("denominator must be nonzero")
         v = Fraction(numerator, denominator)
-        return BaseSpec(kind="rational", numerator=v.numerator, denominator=v.denominator)
+        return BaseSpec(v, str(v))
 
     @staticmethod
     def decimal(literal: str) -> "BaseSpec":
-        m = _DECIMAL_RE.match(literal.strip())
-        if not m:
+        t = literal.strip()
+        if not _DECIMAL_RE.match(t):
             raise ParseError(f"not a finite decimal literal: {literal!r}")
-        v = Fraction(literal.strip())
-        return BaseSpec(kind="decimal", numerator=v.numerator, denominator=v.denominator,
-                        literal=literal.strip())
+        return BaseSpec(Fraction(t), t)
 
     @staticmethod
     def constant(name: str) -> "BaseSpec":
         if name not in _CONSTANT_POLYS:
             raise ParseError(f"unknown constant {name!r}; expected one of: tau, alpha")
-        return BaseSpec(kind="constant", name=name)
+        return BaseSpec(None, name)
 
     @staticmethod
     def parse(text: str) -> "BaseSpec":
@@ -785,29 +784,12 @@ class BaseSpec:
             return BaseSpec.decimal(t)
         raise ParseError(f"cannot parse base {text!r}; expected p/q, a finite decimal, tau, or alpha")
 
-    def exact_value(self) -> Optional[Fraction]:
-        """The exact rational value, or None for algebraic constants."""
-        if self.kind == "constant":
-            return None
-        return Fraction(self.numerator, self.denominator)
-
     @property
     def is_exact(self) -> bool:
-        return self.kind != "constant"
+        return self.value is not None
 
     def minimal_polynomial(self) -> Optional[Tuple[int, ...]]:
-        if self.kind == "constant":
-            return _CONSTANT_POLYS[self.name]
-        return None
-
-    def display(self) -> str:
-        if self.kind == "constant":
-            return self.name
-        if self.kind == "decimal":
-            return self.literal
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        return None if self.value is not None else _CONSTANT_POLYS[self.text]
 
 
 def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
@@ -819,12 +801,11 @@ def evaluate_base(spec: BaseSpec, precision_bits: int) -> RigorousReal:
     """
     if precision_bits < 16:
         raise DomainError(f"precision_bits must be >= 16, got {precision_bits}")
-    if spec.kind in ("rational", "decimal"):
-        value = spec.exact_value()
-        if value <= 1:
-            raise DomainError(f"base must be > 1, got {value}")
-        return RigorousReal.exact(value, precision_bits)
-    return _constant_enclosure(spec.name, precision_bits)
+    if spec.value is None:
+        return _constant_enclosure(spec.text, precision_bits)
+    if spec.value <= 1:
+        raise DomainError(f"base must be > 1, got {spec.value}")
+    return RigorousReal.exact(spec.value, precision_bits)
 
 
 # bounded: `limit` derives its precision from --tol, so the keys are open-ended
@@ -867,7 +848,7 @@ def at_base(coeffs: Sequence[int], spec: BaseSpec) -> Union[Fraction, ZTheta]:
     """An integer polynomial's exact value at the base: at p/q a Fraction,
     from one Horner pass over the integers sum c_k p^k q^(d-k); at tau and
     alpha its remainder modulo the monic minimal polynomial, in Z[theta]."""
-    value = spec.exact_value()
+    value = spec.value
     if value is None:
         modulus = spec.minimal_polynomial()
         return ZTheta(reduce_monic(coeffs, modulus), modulus)
@@ -889,7 +870,7 @@ def certified_poly_sign(coeffs: Sequence[int], spec: BaseSpec) -> int:
     """Exact sign (-1, 0 or +1) of an integer polynomial at the base, which
     must be > 1: the sign of its value at_base, taken in integers
     (ZTheta.sign at tau and alpha)."""
-    value = spec.exact_value()
+    value = spec.value
     if value is not None and value <= 1:
         raise DomainError(f"base must be > 1, got {value}")
     return exact_sign(at_base(coeffs, spec))

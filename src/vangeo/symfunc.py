@@ -26,18 +26,18 @@ def _is_positive(x: Numeric) -> bool:
     return x > 0
 
 
-def fold_balls(e: List[Split], nodes: Iterable[Split], folded: int) -> List[Split]:
+def fold_balls(e: List[Split], nodes: Iterable[Split], folded: int, prec: int) -> List[Split]:
     """Fold ball nodes, given as split fields (scalar._split), one by one
     into e = e_0..e_upto, the split fields of the elementary symmetric
     functions of the ``folded`` nodes before them: elementary_symmetric's
-    recurrence, each step a one-pair fused dot (scalar._ball_dot), so the
-    fields are those of that loop over balls.  The ball inverse keeps e to
-    fold more nodes into it, or into a copy, later.  Returns e, updated in
-    place."""
+    recurrence, each step a one-pair fused dot (scalar._ball_dot) at prec
+    bits, so the fields are those of that loop over balls of prec bits.  The
+    ball inverse keeps e to fold more nodes into it, or into a copy, later.
+    Returns e, updated in place."""
     dot, upto = _ball_dot, len(e) - 1
     for folded, x in enumerate(nodes, folded + 1):
         for k in range(min(folded, upto), 0, -1):
-            e[k] = dot(e[k], ((x, e[k - 1]),))
+            e[k] = dot(e[k], ((x, e[k - 1]),), prec)
     return e
 
 

@@ -31,10 +31,9 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
-from .errors import (DimensionError, DomainError, SizeError,
-                     UnsupportedBackendError)
+from .errors import DomainError, SizeError
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal, ZTheta,
                      _ball_dot, _filled, _max_abs, _split, at_base, evaluate_base,
                      poly_eval_ball, powers)
@@ -56,7 +55,7 @@ class GeometricVandermonde:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError(f"n must be positive, got {self.n}")
-        value = self.base.exact_value()
+        value = self.base.value
         if value is not None and value <= 1:
             raise DomainError(f"base must be > 1, got {value}")
 
@@ -83,7 +82,6 @@ class InverseMatrix:
     base: BaseSpec
     backend: str                    # "exact" | "rigorous"
     entries: Tuple[Tuple[Numeric, ...], ...]
-    precision_bits: Optional[int] = None
 
 
 def pi_product(j: int, n: int, b: Numeric) -> Numeric:
@@ -106,8 +104,7 @@ def inverse_matrix(gv: GeometricVandermonde,
         return InverseMatrix(n=gv.n, base=gv.base, backend="exact",
                              entries=_inverse_entries_exact(gv))
     return InverseMatrix(n=gv.n, base=gv.base, backend="rigorous",
-                         entries=_inverse_entries_rigorous(gv, precision_bits),
-                         precision_bits=precision_bits)
+                         entries=_inverse_entries_rigorous(gv, precision_bits))
 
 
 class ColumnForm:
@@ -129,7 +126,7 @@ class ColumnForm:
     """
 
     def __init__(self, gv: GeometricVandermonde):
-        n, value = gv.n, gv.base.exact_value()
+        n, value = gv.n, gv.base.value
         self.base, self.n = gv.base, n
         if value is not None:
             p, q = value.numerator, value.denominator
@@ -232,12 +229,12 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
     columns: List[List[RigorousReal]] = []
     for j in range(n):
         if j:
-            fold_balls(prefix, nodes[j - 1:j], j - 1)
-        e = fold_balls(prefix.copy(), nodes[j + 1:], j)
+            fold_balls(prefix, nodes[j - 1:j], j - 1, precision_bits)
+        e = fold_balls(prefix.copy(), nodes[j + 1:], j, precision_bits)
         inv_denominator = one / (grow[j] * decay[n - 1 - j])
         col = []
         for i in range(n):
-            magnitude = _filled(*e[i][:5]) * inv_denominator
+            magnitude = _filled(*e[i][:4], precision_bits) * inv_denominator
             col.append(-magnitude if (i + j) % 2 else magnitude)
         columns.append(col)
     grid = [[columns[j][i] for j in range(n)] for i in range(n)]
@@ -257,10 +254,10 @@ def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
     pivot is zero and each division by the previous pivot is exact; the identity
     block ends as det(V') V'^(-1).  Exact rational bases only, n <= 64."""
     if not gv.is_exact:
-        raise UnsupportedBackendError("gaussian_inverse requires an exact rational base")
+        raise DomainError("gaussian_inverse requires an exact rational base")
     if gv.n > _GAUSSIAN_MAX_N:
         raise SizeError(f"gaussian_inverse limited to n <= {_GAUSSIAN_MAX_N}, got {gv.n}")
-    n, (p, q) = gv.n, gv.base.exact_value().as_integer_ratio()
+    n, (p, q) = gv.n, gv.base.value.as_integer_ratio()
     scales = powers(q ** (n - 1), n)
     work = [[p ** (i * k) * q ** (i * (n - 1 - k)) for k in range(n)] +
             [int(k == i) for k in range(n)] for i in range(n)]
@@ -275,24 +272,24 @@ def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
     return InverseMatrix(n=n, base=gv.base, backend="exact", entries=entries)
 
 
-def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
-                  precision_bits: Optional[int] = None) -> Numeric:
+def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix) -> Numeric:
     """Max-entry absolute value of V * inv - I.
 
     Exactly 0 in exact mode; in rigorous mode an enclosure whose lower bound
-    is 0 (the true residual) and whose upper bound certifies tightness: one
-    fused dot per entry on split fields, with the bits of ``*`` and ``+``,
-    and one ball for their maximum of |x|.
+    is 0 (the true residual) and whose upper bound certifies tightness: at
+    the precision that the inverse's balls carry, one fused dot per entry on
+    split fields, with the bits of ``*`` and ``+``, and one ball for their
+    maximum of |x|.
     """
     if inv.n != gv.n or inv.base != gv.base:
-        raise DimensionError("inverse does not match the given matrix")
+        raise DomainError("inverse does not match the given matrix")
     n = gv.n
     if inv.backend == "exact":
         # Row i of V times q^(i(n-1)) (b = p/q) and column j of inv times the
         # lcm of its denominators are integer, so every entry of V * inv - I
         # is an integer dot product over a known denominator, with no gcd
         # unless the entry is non-zero.
-        b = gv.base.exact_value()
+        b = gv.base.value
         p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
         q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
         rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)]
@@ -310,12 +307,11 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix,
                 if excess:
                     worst = max(worst, Fraction(abs(excess), denominator))
         return worst
-    prec = precision_bits if precision_bits is not None else (inv.precision_bits
-                                                              or DEFAULT_PRECISION_BITS)
+    prec = inv.entries[0][0].precision_bits
     # the forward matrix V[i][j] = b^(i*j) at the base's enclosure
     pows = [_split(x) for x in powers(evaluate_base(gv.base, prec), (n - 1) * (n - 1) + 1)]
     rows = [[pows[i * j] for j in range(n)] for i in range(n)]
     columns = [list(map(_split, column)) for column in zip(*inv.entries)]
-    starts = ((0, 0, 0, 0, prec, 0), (-1, 0, 0, 0, prec, 1))
-    return _max_abs((_ball_dot(starts[i == j], zip(row, column))
+    starts = ((0, 0, 0, 0, 0), (-1, 0, 0, 0, 1))
+    return _max_abs((_ball_dot(starts[i == j], zip(row, column), prec)
                      for i, row in enumerate(rows) for j, column in enumerate(columns)), prec)

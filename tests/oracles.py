@@ -469,7 +469,7 @@ def loop_maximal_ratios(items) -> Tuple[tuple, list]:
 
 def vandermonde_matrix(gv: GeometricVandermonde) -> List[List[Fraction]]:
     """The forward matrix V[i][j] = b^(i*j) at a rational base, exactly."""
-    pows = powers(gv.base.exact_value(), (gv.n - 1) * (gv.n - 1) + 1)
+    pows = powers(gv.base.value, (gv.n - 1) * (gv.n - 1) + 1)
     return [[pows[i * j] for j in range(gv.n)] for i in range(gv.n)]
 
 

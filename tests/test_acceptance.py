@@ -138,7 +138,7 @@ def test_criterion_08_structural_identities(capsys, cached_inverse):
     failures = []
     for text in RATIONAL_GRID:
         spec = BaseSpec.parse(text)
-        b = spec.exact_value()
+        b = spec.value
         from vangeo.extremal import n_zero
         n0 = n_zero(b)
         for n in range(1, 13):

@@ -250,7 +250,7 @@ def old_exact_sigma_checks(base, n_max, matrices):
     """The exact suite's sigma checks as they were, one sigma_finite sweep per
     (i, j): the oracle of the shared rows.  Returns {name: (ok, witness)}."""
     from vangeo import symfunc
-    b = base.exact_value()
+    b = base.value
 
     def check_magnitude():
         for n in range(1, min(n_max, 12) + 1):

@@ -243,7 +243,7 @@ class TestClosedFormOracle:
     def test_matches_truncated_series(self, text):
         spec = BaseSpec.parse(text)
         ball = evaluate_base(spec, 256)
-        b = spec.exact_value()
+        b = spec.value
         if b is None:
             b = ball
         product, _, _ = loop_inverse_q_product(ball, self.TOL30)
@@ -311,7 +311,7 @@ class TestFactorization:
         """prod_{h != j} |b^(j-h) - 1| splits into the growing and decaying
         parts used by the limit formula."""
         for text in ["2", "3/2", "6/5"]:
-            b = BaseSpec.parse(text).exact_value()
+            b = BaseSpec.parse(text).value
             for n in range(1, 21):
                 for j in range(n):
                     full = Fraction(1)

@@ -243,3 +243,67 @@ def test_every_dataclass_field_is_read(monkeypatch):
     for argv in REACH_COMMANDS:
         cli.run(argv)
     assert sorted(fields - reads) == sorted(UNREAD_FIELDS)
+
+
+# defaulted parameters no command passes, each with the reason it stays
+UNPASSED_OPTIONS = {
+    "cli.main.argv": "the console script calls main() with none, and it reads sys.argv",
+    "extremal.verify_argmax_box.precision_bits":
+        "bench/tracing.py's _PRECISION_CALLERS binds it by name",
+    "extremal.verify_leading_diagonal_max.precision_bits":
+        "bench/tracing.py's _PRECISION_CALLERS binds it by name",
+}
+
+
+def _defaulted(function):
+    """The names of a function's parameters that have a default."""
+    return [p.name for p in inspect.signature(function).parameters.values()
+            if p.default is not p.empty]
+
+
+def test_every_optional_parameter_is_passed(monkeypatch):
+    """Every defaulted parameter of a function or method defined at the top
+    of a vangeo module, or in one of its classes, is passed explicitly by
+    some command: an option that no command passes restates its default.
+    Each such function is wrapped in every module that binds it, and each
+    call records the parameters it binds without applying defaults.  Nested
+    functions are out of reach of the wrappers."""
+    for cached in _functools_caches():
+        cached.cache_clear()
+    modules = [importlib.import_module(f"vangeo.{path.stem}") for path in MODULES]
+    passed, options, wrappers = set(), set(), {}
+
+    def wrap(function, name):
+        signature, defaulted = inspect.signature(function), set(_defaulted(function))
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs).arguments
+            passed.update(f"{name}.{p}" for p in bound if p in defaulted)
+            return function(*args, **kwargs)
+        options.update(f"{name}.{p}" for p in defaulted)
+        return wrapper
+
+    def own(function):
+        return (inspect.isfunction(function) and _defaulted(function)
+                and Path(function.__code__.co_filename).resolve().parent == PACKAGE.resolve())
+
+    for module in modules:
+        stem = module.__name__.rsplit(".", 1)[1]
+        for name, value in vars(module).items():
+            if own(value) and value.__module__ == module.__name__:
+                wrappers[value] = wrap(value, f"{stem}.{name}")
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for attr, raw in vars(value).items():
+                    function = getattr(raw, "__func__", raw)
+                    if own(function):
+                        wrapped = wrap(function, f"{stem}.{name}.{attr}")
+                        monkeypatch.setattr(value, attr, type(raw)(wrapped)
+                                            if raw is not function else wrapped)
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if inspect.isfunction(value) and value in wrappers:
+                monkeypatch.setattr(module, name, wrappers[value])
+    assert "vandinv.inverse_matrix.precision_bits" in options
+    for argv in REACH_COMMANDS:
+        cli.run(argv)
+    assert sorted(options - passed) == sorted(UNPASSED_OPTIONS)

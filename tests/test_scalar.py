@@ -374,9 +374,10 @@ precisions = st.one_of(st.integers(4, 8), st.integers(4, 1100))
 
 
 @st.composite
-def balls(draw, near=None):
-    """A normalised ball; with near = (c, exponent), one containing c*2**exponent."""
-    prec = draw(precisions)
+def balls(draw, near=None, prec=None):
+    """A normalised ball, at prec bits if given; with near = (c, exponent),
+    one containing c*2**exponent."""
+    prec = draw(precisions) if prec is None else prec
     if near is None:
         m, e = draw(mantissas), draw(exponents)
         r, f = draw(st.one_of(st.just(0), st.integers(0, 2 ** 40))), draw(exponents)
@@ -389,17 +390,30 @@ def balls(draw, near=None):
 exact_balls = st.tuples(mantissas, exponents, precisions).map(
     lambda t: (*old_normalize(t[0], t[1], 0, 0, t[2]), t[2]))
 
-# the exact unit 1 at any precision, whose product the fused loop skips
-units = precisions.map(lambda p: (1, 0, 0, 0, p))
+
+def balls_at(prec):
+    """Balls of prec bits, some exact: the operands of one fused loop."""
+    return st.one_of(balls(prec=prec), st.tuples(mantissas, exponents).map(
+        lambda t: (*old_normalize(t[0], t[1], 0, 0, prec), prec)))
+
+
+@st.composite
+def dots(draw):
+    """A start and up to 6 pairs, all of one precision, with the exact unit
+    1, whose product the fused loop skips, among the x."""
+    prec = draw(precisions)
+    x = st.one_of(balls_at(prec), st.just((1, 0, 0, 0, prec)))
+    return draw(balls_at(prec)), draw(st.lists(st.tuples(x, balls_at(prec)), max_size=6))
 
 
 @st.composite
 def sweeps(draw):
-    """Up to 12 nodes, some exact, at mixed precisions; upto below or at the
-    node count; the unit at a precision of its own."""
-    nodes = draw(st.lists(st.one_of(balls(), exact_balls), max_size=12))
+    """Up to 12 nodes, some exact, and the unit, all of one precision; upto
+    below or at the node count."""
+    prec = draw(precisions)
+    nodes = draw(st.lists(balls_at(prec), max_size=12))
     upto = draw(st.one_of(st.just(len(nodes)), st.integers(0, len(nodes))))
-    return nodes, upto, draw(precisions)
+    return nodes, upto, prec
 
 
 # integers wider than a small precision, and non-dyadic fractions, whose
@@ -438,15 +452,16 @@ def overlapping_pairs(draw):
 
 
 @st.composite
-def held_or_excluded(draw):
-    """A ball about 0 as the residual's are: one that holds 0 (with a zero
-    midpoint now and then) or excludes it, on one grid of exponents, or a
-    nudged copy of such a ball, whose ends nearly tie with its original's."""
-    prec, r, f = draw(precisions), draw(st.integers(1, 2 ** 32 - 1)), draw(st.integers(-80, -60))
+def held_or_excluded(draw, prec):
+    """A ball of prec bits about 0 as the residual's are: one that holds 0
+    (with a zero midpoint now and then) or excludes it, on one grid of
+    exponents, or a nudged copy of such a ball, whose ends nearly tie with
+    its original's."""
+    r, f = draw(st.integers(1, 2 ** 32 - 1)), draw(st.integers(-80, -60))
     m = draw(st.one_of(st.just(0), st.integers(-2 ** 40, 2 ** 40), st.integers(-2 ** 80, 2 ** 80)))
     m, e, r, f = old_normalize(m, f - draw(st.integers(0, 48)), r, f, prec)
     nudge = draw(st.sampled_from([0, 0, 1, -1, 1 << 20]))
-    return m + nudge, e, r + (nudge > 1), f, draw(st.sampled_from([prec, 64]))
+    return m + nudge, e, r + (nudge > 1), f, prec
 
 
 class TestDyadicOracles:
@@ -528,44 +543,45 @@ class TestDyadicOracles:
         assert fields(a + k) == old_add(x, exact_k)
         assert fields(k * a) == old_mul(x, exact_k)
 
-    @given(start=st.one_of(balls(), exact_balls),
-           pairs=st.lists(st.tuples(st.one_of(balls(), exact_balls, units),
-                                    st.one_of(balls(), exact_balls)), max_size=6))
-    @example(start=(0, 0, 0, 0, 64), pairs=[((5, 3, 1, -2, 64), (7, -4, 1, -9, 64))] * 3)
-    @example(start=(3, -40, 0, 0, 16), pairs=[((0, 0, 5, -3, 64), (7, 0, 1, -9, 64)),
-                                              ((5, 0, 1, -9, 16), (0, 0, 3, 4, 64))])
-    @example(start=(3, 200, 1, 170, 8), pairs=[((5, 0, 0, 0, 64), (7, 0, 0, 0, 64)),
-                                               ((-9, -8, 1, -20, 64), (11, 0, 0, 0, 8))])
-    @example(start=(1 << 64, 6, 1, 5, 64), pairs=[((1 << 64, 6, 1, 5, 64), (3, -1, 0, 0, 64))])
-    # units before carried mantissas and radii, at a lower and at the same precision
-    @example(start=(-1, 0, 0, 0, 64), pairs=[((1, 0, 0, 0, 64), (1 << 64, 6, 1 << 32, 5, 64)),
-                                             ((1, 0, 0, 0, 8), (1 << 64, 6, 1, 5, 64)),
-                                             ((1, 0, 0, 0, 256), (255, -3, 0, 0, 8))])
+    @given(dot=dots())
+    @example(dot=((0, 0, 0, 0, 64), [((5, 3, 1, -2, 64), (7, -4, 1, -9, 64))] * 3))
+    @example(dot=((3, -40, 0, 0, 16), [((0, 0, 5, -3, 16), (7, 0, 1, -9, 16)),
+                                       ((5, 0, 1, -9, 16), (0, 0, 3, 4, 16))]))
+    @example(dot=((3, 200, 1, 170, 8), [((5, 0, 0, 0, 8), (7, 0, 0, 0, 8)),
+                                        ((-9, -8, 1, -20, 8), (11, 0, 0, 0, 8))]))
+    @example(dot=((1 << 64, 6, 1, 5, 64), [((1 << 64, 6, 1, 5, 64), (3, -1, 0, 0, 64))]))
+    # units before carried mantissas and radii
+    @example(dot=((-1, 0, 0, 0, 64), [((1, 0, 0, 0, 64), (1 << 64, 6, 1 << 32, 5, 64)),
+                                      ((1, 0, 0, 0, 64), (1 << 64, 6, 1, 5, 64)),
+                                      ((1, 0, 0, 0, 64), (255, -3, 0, 0, 64))]))
     @settings(max_examples=300, deadline=None)
-    def test_ball_dot(self, start, pairs):
+    def test_ball_dot(self, dot):
         """The fused loop on split fields against the chained fused step it
-        replaced (oracles.ball_dot) and the loop of ``*`` and ``+``, at mixed
-        precisions, with exact units among the x."""
+        replaced (oracles.ball_dot) and the loop of ``*`` and ``+``, over
+        balls of one precision, with exact units among the x."""
+        start, pairs = dot
         xs, ys = [p[0] for p in pairs], [p[1] for p in pairs]
         expected = old_dot(start, xs, ys)
         assert fields(ball_dot(raw_ball(start), xs, ys)) == expected
-        got = _ball_dot(split(start), zip(map(split, xs), map(split, ys)))
-        assert got == (*expected, abs(expected[0]))
+        got = _ball_dot(split(start), zip(map(split, xs), map(split, ys)), start[4])
+        assert got == (*expected[:4], abs(expected[0])) and expected[4] == start[4]
 
-    @given(acc=balls(), x=balls(), y=balls())
-    @example(acc=(0, 0, 0, 0, 64), x=(5, 3, 1, -2, 64), y=(7, -4, 1, -9, 64))    # exact zero acc
-    @example(acc=(3, 0, 1, 0, 64), x=(0, 0, 5, 3, 64), y=(7, 0, 1, -9, 64))     # zero in x
-    @example(acc=(3, 0, 1, 0, 64), x=(7, 0, 1, -9, 64), y=(0, 0, 5, 3, 64))     # zero in y
-    @example(acc=(3, 0, 1, 0, 64), x=(5, 0, 0, 0, 64), y=(7, 0, 0, 0, 64))      # both radii 0
-    @example(acc=(3, 100, 1, 90, 64), x=(5, 0, 1, -10, 64), y=(7, 0, 1, -12, 64))  # acc above
-    @example(acc=(3, -100, 1, -90, 64), x=(5, 0, 1, -10, 64), y=(7, 0, 1, -12, 64))
-    @example(acc=(3, 0, 1, -90, 8), x=(255, 0, 1, 10, 8), y=(255, 0, 1, 12, 8))   # rounded at p
-    @example(acc=(1 << 64, 6, 1, 5, 64), x=(1 << 64, 6, 1, 5, 64),              # carried mantissa
-             y=(1 << 64, 6, 1, 5, 64))
+    @given(step=precisions.flatmap(lambda p: st.tuples(*[balls(prec=p)] * 3)))
+    @example(step=((0, 0, 0, 0, 64), (5, 3, 1, -2, 64), (7, -4, 1, -9, 64)))    # exact zero acc
+    @example(step=((3, 0, 1, 0, 64), (0, 0, 5, 3, 64), (7, 0, 1, -9, 64)))     # zero in x
+    @example(step=((3, 0, 1, 0, 64), (7, 0, 1, -9, 64), (0, 0, 5, 3, 64)))     # zero in y
+    @example(step=((3, 0, 1, 0, 64), (5, 0, 0, 0, 64), (7, 0, 0, 0, 64)))      # both radii 0
+    @example(step=((3, 100, 1, 90, 64), (5, 0, 1, -10, 64), (7, 0, 1, -12, 64)))  # acc above
+    @example(step=((3, -100, 1, -90, 64), (5, 0, 1, -10, 64), (7, 0, 1, -12, 64)))
+    @example(step=((3, 0, 1, -90, 8), (255, 0, 1, 10, 8), (255, 0, 1, 12, 8)))   # rounded at p
+    @example(step=((1 << 64, 6, 1, 5, 64), (1 << 64, 6, 1, 5, 64),              # carried mantissa
+                   (1 << 64, 6, 1, 5, 64)))
     @settings(max_examples=300, deadline=None)
-    def test_mul_add(self, acc, x, y):
-        """One step of the fused loop."""
-        assert _ball_dot(split(acc), ((split(x), split(y)),))[:5] == old_add(acc, old_mul(x, y))
+    def test_mul_add(self, step):
+        """One step of the fused loop, over balls of one precision."""
+        acc, x, y = step
+        got = _ball_dot(split(acc), ((split(x), split(y)),), acc[4])
+        assert (*got[:4], acc[4]) == old_add(acc, old_mul(x, y))
 
     def test_mul_add_is_straight_line(self):
         """The fused dot, whose steps are the fused multiply-add, calls none
@@ -580,13 +596,13 @@ class TestDyadicOracles:
         in one fold and in two, the second going on from the first's state."""
         nodes, upto, prec = sweep
         one = RigorousReal.exact(1, prec)
-        expected = [(*t, abs(t[0])) for t in
+        expected = [(*t[:4], abs(t[0])) for t in
                     map(fields, old_sweep([raw_ball(x) for x in nodes], upto, one))]
         start, half = [_split(one)] + [_split(one * 0)] * upto, len(nodes) // 2
         nodes = [split(x) for x in nodes]
-        assert symfunc.fold_balls(start.copy(), nodes, 0) == expected
-        assert symfunc.fold_balls(symfunc.fold_balls(start, nodes[:half], 0),
-                                  nodes[half:], half) == expected
+        assert symfunc.fold_balls(start.copy(), nodes, 0, prec) == expected
+        assert symfunc.fold_balls(symfunc.fold_balls(start, nodes[:half], 0, prec),
+                                  nodes[half:], half, prec) == expected
 
     @given(coeffs=st.lists(integer_coefficients, max_size=12), x=balls())
     @settings(max_examples=150, deadline=None)
@@ -648,24 +664,25 @@ class TestDyadicOracles:
             assert fields(_power(chain, k)) == expected
         assert len(chain) == max([1] + [k.bit_length() for k in ks])
 
-    @given(values=st.one_of(st.lists(balls(), min_size=1, max_size=6),
-                            st.lists(held_or_excluded(), min_size=1, max_size=8)),
-           prec=st.integers(4, 1100))
+    @given(case=st.integers(4, 1100).flatmap(lambda prec: st.tuples(
+        st.one_of(st.lists(balls(prec=prec), min_size=1, max_size=6),
+                  st.lists(held_or_excluded(prec), min_size=1, max_size=8)), st.just(prec))))
     # of two balls that hold 0, the one with the smaller |m| 2^e + r 2^f has
     # the larger upper end of |x|: an inexact rounding adds half an ulp, which
     # the radius trim carries to the next 32-bit step
-    @example(values=[(0, 0, 3557108165, 0, 64), ((1 << 64) - (1 << 30), -64, 3557108164, 0, 64)],
-             prec=64)
-    @example(values=[((1 << 64) - (1 << 30), -64, 3557108164, 0, 64), (0, 0, 3557108165, 0, 64),
-                     (7, -40, 0, 0, 16)], prec=16)
-    @example(values=[(0, 0, 3557108165, 0, 256), ((1 << 64) - (1 << 30), -64, 3557108164, 0, 64)],
-             prec=300)
+    @example(case=([(0, 0, 3557108165, 0, 64), ((1 << 64) - (1 << 30), -64, 3557108164, 0, 64)],
+                   64))
+    @example(case=([((1 << 64) - (1 << 30), -64, 3557108164, 0, 64), (0, 0, 3557108165, 0, 64),
+                    (7, -40, 0, 0, 64)], 64))
+    @example(case=([(0, 0, 3557108165, 0, 256),
+                    ((1 << 64) - (1 << 30), -64, 3557108164, 0, 256)], 256))
     @settings(max_examples=300, deadline=None)
-    def test_max_abs(self, values, prec):
+    def test_max_abs(self, case):
         """The maximum on split fields and the one of rounded balls
         (oracles.max_abs) against the Fraction ends of each |x|, over balls
-        that hold 0 and balls that exclude it, near ties of their ends, and
-        mixed precisions."""
+        of one precision that hold 0 and balls that exclude it, and near ties
+        of their ends."""
+        values, prec = case
         mags = [ends(old_abs(x)) for x in values]
         expected = old_from_interval(max(max(lo for lo, _ in mags), 0),
                                      max(max(hi for _, hi in mags), 0), prec)
@@ -729,13 +746,13 @@ class TestBallDecisions:
 
 class TestBaseSpec:
     def test_parse_rational(self):
-        assert BaseSpec.parse("7/5").exact_value() == Fraction(7, 5)
-        assert BaseSpec.parse("2").exact_value() == 2
+        assert BaseSpec.parse("7/5").value == Fraction(7, 5)
+        assert BaseSpec.parse("2").value == 2
 
     def test_parse_decimal_is_exact(self):
         spec = BaseSpec.parse("1.2")
-        assert spec.exact_value() == Fraction(6, 5)
-        assert spec.display() == "1.2"
+        assert spec.value == Fraction(6, 5)
+        assert spec.text == "1.2"
 
     @pytest.mark.parametrize("text,value,shown", [
         ("7/3", Fraction(7, 3), "7/3"), ("14/6", Fraction(7, 3), "7/3"),
@@ -746,11 +763,11 @@ class TestBaseSpec:
         """A base's value and text as parsed, and the text parsed again gives
         an equal base."""
         spec = BaseSpec.parse(text)
-        assert spec.exact_value() == value and type(spec.exact_value()) is type(value)
-        assert spec.display() == shown
+        assert spec.value == value and type(spec.value) is type(value)
+        assert spec.text == shown
         assert spec.is_exact is (value is not None)
-        assert BaseSpec.parse(spec.display()) == spec
-        assert hash(BaseSpec.parse(spec.display())) == hash(spec)
+        assert BaseSpec.parse(spec.text) == spec
+        assert hash(BaseSpec.parse(spec.text)) == hash(spec)
 
     def test_equality_and_hash(self):
         """Bases are equal when their values and their texts are: a rational
