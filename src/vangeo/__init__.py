@@ -18,8 +18,8 @@ Quick start::
 
 from .errors import (DomainError, ParseError, SizeError, UndecidableComparisonError,
                      VangeoError)
-from .extremal import (BoxCheckReport, ConjectureScan, MaxReport, conjecture_scan,
-                       max_entry, n_zero, verify_argmax_box, verify_leading_diagonal_max)
+from .extremal import (BoxCheckReport, MaxReport, conjecture_scan, max_entry, n_zero,
+                       verify_argmax_box, verify_leading_diagonal_max)
 from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
                      limit_max)
 from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
@@ -33,7 +33,7 @@ from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport", "ConjectureScan",
+    "ALPHA_POLYNOMIAL", "BaseSpec", "BoxCheckReport",
     "DEFAULT_PRECISION_BITS", "DEFAULT_PRECISION_CEILING",
     "DomainError",
     "GeometricVandermonde", "InverseMatrix", "LimitReport", "LimitValue",

@@ -95,7 +95,7 @@ def _format_entry(value: Numeric, digits: int) -> str:
     """Exact values render as fraction strings p or p/q; enclosures render
     as midpoint±radius."""
     if isinstance(value, RigorousReal):
-        rad = "0" if value.is_exact else fraction_to_sci(value.radius, 3)
+        rad = "0" if value.is_exact else fraction_to_sci(value.radius)
         return f"{value.decimal(digits)}±{rad}"
     return str(value)       # an int's digits, or a Fraction's p or p/q
 
@@ -151,7 +151,7 @@ def cmd_inverse(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
         residual = vandinv.residual_norm(gv, inv)
         # a ball contains 0 exactly when its sign is 0 or undecided
         contains = "contains 0" if residual.sign() in (0, None) else "EXCLUDES 0"
-        lines.append(f"residual: {contains}, upper bound {fraction_to_sci(residual.upper, 3)}")
+        lines.append(f"residual: {contains}, upper bound {fraction_to_sci(residual.upper)}")
     return 0, "\n".join(lines)
 
 
@@ -181,7 +181,7 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
             "within_n_zero_box": report.within_n_zero_box,
             "diagonal_argmax": report.diagonal_argmax,
             "tie": False,           # comparisons are exact; kept for the output schema
-            "backend": report.backend,
+            "backend": "exact" if base.is_exact else "rigorous",
         })
     if fmt.kind == "csv":
         return 0, f"{base.text},{n},{_max_csv(report, fmt.digits)},false"
@@ -195,7 +195,7 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
 def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
               precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
     report = limits.limit_max(base, tol, precision_ceiling)
-    entries = [(e, e.value.decimal(fmt.digits), fraction_to_sci(e.value.radius, 3))
+    entries = [(e, e.value.decimal(fmt.digits), fraction_to_sci(e.value.radius))
                for e in report.entries]
     if fmt.kind == "json":
         return 0, _json({
@@ -253,7 +253,7 @@ def _certify_row(base_text: str, expected: str,
         status = "mismatch"
     else:
         status = "uncertified"
-    return computed, status, fraction_to_sci(value.radius, 3)
+    return computed, status, fraction_to_sci(value.radius)
 
 
 def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
@@ -304,12 +304,15 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     checks at tau and alpha read balls, those of the printed ball inverse.
 
     At p/q the magnitude, sigma j-monotonicity and complement checks read
-    integer sigma rows at b and at 1/b, separate sweeps, so the two sides of
-    the complement identity come from independent computations.  At tau and
-    alpha the complement check sets a Z[theta] sweep at theta against
-    sigma_finite at theta^(-1), again independent, and the first minus
-    theta^t times the second must be an exact zero.  The pi checks read one
-    lazily filled table: vandinv.pi_product runs at most once per (j, n).
+    one table of integer sigma rows, one sweep per (n, j).  The nodes of 1/b,
+    scaled by p^(n-1), are those of b, scaled by q^(n-1), in reverse order,
+    so the row of 1/b without node j is the row of b without node n-1-j: the
+    complement check reads both sides from that table, and the j-monotonicity
+    of sigma at 1/b is the one at b read backwards.  At tau and alpha the
+    complement check sets a Z[theta] sweep at theta against sigma_finite at
+    theta^(-1), different ring elements, and the first minus theta^t times
+    the second must be an exact zero.  The pi checks read one lazily filled
+    table: vandinv.pi_product runs at most once per (j, n).
     """
     n_max = len(sizes)
     n0 = extremal.n_zero(base)
@@ -318,8 +321,6 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         p, q = b.numerator, b.denominator
         rows_b = _sigma_rows(([p ** h * q ** (n - 1 - h) for h in range(n)]
                               for n in range(1, min(n_max, 12) + 1)), 1)
-        rows_inv = _sigma_rows(([q ** h * p ** (n - 1 - h) for h in range(n)]
-                                for n in range(1, min(n_max, 10) + 1)), 1)
         sign, residual_witness = exact_sign, "V*C != I"
     else:
         pows = powers(b, min(n_max, 10))
@@ -411,27 +412,27 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         return True, ""
 
     def check_sigma_monotone():
-        # a row's scale depends on (n, i) only, so scaled values compare as sigma
+        # a row's scale depends on (n, i) only, so scaled values compare as
+        # sigma; at 1/b sigma_{i,j,n} is rows_b[n][n-1-j][i] / p^((n-1)i), so
+        # its increase in j is this decrease, read backwards
         for n in range(2, min(n_max, 10) + 1):
-            for rows, increasing in ((rows_b, False), (rows_inv, True)):
-                for i in range(n):
-                    values = [rows[n][j][i] for j in range(n)]
-                    for j in range(n - 1):
-                        ok = values[j] <= values[j + 1] if increasing \
-                            else values[j] >= values[j + 1]
-                        if not ok:
-                            return False, f"sigma j-monotonicity at n={n}, i={i}, j={j}"
+            for i in range(n):
+                values = [rows_b[n][j][i] for j in range(n)]
+                for j in range(n - 1):
+                    if values[j] < values[j + 1]:
+                        return False, f"sigma j-monotonicity at n={n}, i={i}, j={j}"
         return True, ""
 
     def check_complement():
         # sigma_{n-1-i,j,n}(b) = b^t sigma_{i,j,n}(1/b), t = n(n-1)/2 - j, with
-        # the scales q^((n-1)(n-1-i)) and p^((n-1)i) cross-multiplied
+        # the scales q^((n-1)(n-1-i)) and p^((n-1)i) cross-multiplied; the
+        # row of 1/b without node j is the row of b without node n-1-j
         for n in range(1, min(n_max, 10) + 1):
             for i in range(n):
                 for j in range(n):
                     t = n * (n - 1) // 2 - j
                     lhs = rows_b[n][j][n - 1 - i] * q ** t * p ** ((n - 1) * i)
-                    rhs = rows_inv[n][j][i] * p ** t * q ** ((n - 1) * (n - 1 - i))
+                    rhs = rows_b[n][n - 1 - j][i] * p ** t * q ** ((n - 1) * (n - 1 - i))
                     if lhs != rhs:
                         return False, f"complement identity at n={n}, ({i},{j})"
         return True, ""
@@ -508,24 +509,24 @@ def cmd_verify(base: BaseSpec, n_max: int) -> Tuple[int, str]:
 
 def cmd_conjecture(base: BaseSpec, n_min: int, n_max: int,
                    fmt: OutputFormat) -> Tuple[int, str]:
-    scan = extremal.conjecture_scan(base, n_min, n_max, fmt.precision_bits)
+    records = extremal.conjecture_scan(base, n_min, n_max, fmt.precision_bits)
     if fmt.kind == "json":
         return 0, _json([{"n": r.n, "n_zero": r.n_zero,
                           "max": _format_decimal(r.max_value, fmt.digits),
                           "argmax": [list(p) for p in r.argmax], "diagonal": r.diagonal_argmax}
-                         for r in scan.records])
+                         for r in records])
     if fmt.kind == "csv":
-        return 0, "\n".join(f"{r.n},{_max_csv(r, fmt.digits)}" for r in scan.records)
+        return 0, "\n".join(f"{r.n},{_max_csv(r, fmt.digits)}" for r in records)
     digits = min(fmt.digits, 12)
     lines = [f"base {base.text}: diagonal-argmax scan, n from {n_min} to {n_max}"]
-    for r in scan.records:
+    for r in records:
         flag = "diagonal" if r.diagonal_argmax else "NON-DIAGONAL"
         lines.append(f"  n={r.n:3d}  n0={r.n_zero}  max={_format_decimal(r.max_value, digits)}"
                      f"  argmax {_format_pairs(r.argmax)}  {flag}")
-    lines.append(f"summary: {len(scan.non_diagonal)} of {len(scan.records)} sizes "
+    non_diagonal = [r.n for r in records if not r.diagonal_argmax]
+    lines.append(f"summary: {len(non_diagonal)} of {len(records)} sizes "
                  f"lack a diagonal argmax"
-                 + (f" (n = {', '.join(map(str, scan.non_diagonal))})"
-                    if scan.non_diagonal else ""))
+                 + (f" (n = {', '.join(map(str, non_diagonal))})" if non_diagonal else ""))
     return 0, "\n".join(lines)
 
 

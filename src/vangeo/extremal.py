@@ -150,7 +150,6 @@ class MaxReport:
     argmax: Tuple[IndexPair, ...]
     within_n_zero_box: bool
     diagonal_argmax: bool
-    backend: str
 
 
 def max_entry(gv: GeometricVandermonde,
@@ -167,8 +166,7 @@ def max_entry(gv: GeometricVandermonde,
         base=gv.base, n=gv.n, n_zero=n0,
         max_value=gv.column_form.value(*best, precision_bits),
         argmax=argmax, within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
-        diagonal_argmax=any(i == j for i, j in argmax),
-        backend="exact" if gv.is_exact else "rigorous")
+        diagonal_argmax=any(i == j for i, j in argmax))
 
 
 # ---------------------------------------------------------------------------
@@ -229,24 +227,15 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjectureScan:
-    """The MaxReport of every n in [n_min, n_max], and the sizes whose argmax
-    has no diagonal entry.
+def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
+                    precision_bits: int = DEFAULT_PRECISION_BITS) -> Tuple[MaxReport, ...]:
+    """The MaxReport of every n in [n_min, n_max], in order; each one's
+    diagonal_argmax tells whether its argmax has a diagonal entry.
 
     Empirical output only: the eventual-diagonal-argmax statement is an open
     question, so the scan reports and never asserts.
     """
-
-    records: Tuple[MaxReport, ...]
-    non_diagonal: Tuple[int, ...]
-
-
-def conjecture_scan(base: BaseSpec, n_min: int, n_max: int,
-                    precision_bits: int = DEFAULT_PRECISION_BITS) -> ConjectureScan:
-    """Record the argmax structure for every n in [n_min, n_max]."""
     if not 2 <= n_min <= n_max:
         raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
-    records = tuple(max_entry(GeometricVandermonde(base, n), precision_bits)
-                    for n in range(n_min, n_max + 1))
-    return ConjectureScan(records, tuple(r.n for r in records if not r.diagonal_argmax))
+    return tuple(max_entry(GeometricVandermonde(base, n), precision_bits)
+                 for n in range(n_min, n_max + 1))

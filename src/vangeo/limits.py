@@ -268,14 +268,16 @@ def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> L
     """Evaluate l_{i,j} over 0 <= i <= j <= n0 (symmetry covers i > j) and
     pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
     when N_a D_b - N_b D_a > 0 at the base.  Each pair's N and D are built
-    once, by limit_entry, and the argmax reads them from its entries."""
+    once, by limit_entry, and the argmax reads them and the pair from its
+    entries.  No list of the box's pairs is built, so an entry past the
+    precision ceiling fails before the box takes any memory."""
     tolf = _to_tol(tol)
     box = n_zero(base)
-    pairs = [(i, j) for j in range(box + 1) for i in range(j + 1)]
-    entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling) for i, j in pairs]
-    best = _argmax([e.closed_form for e in entries], base)
-    value = RigorousReal.hull([entries[k].value for k in best])
-    argmax = sorted({pair for k in best for pair in (pairs[k], pairs[k][::-1])})
+    entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling)
+               for j in range(box + 1) for i in range(j + 1)]
+    top = [entries[k] for k in _argmax([e.closed_form for e in entries], base)]
+    value = RigorousReal.hull([e.value for e in top])
+    argmax = sorted({pair for e in top for pair in ((e.i, e.j), (e.j, e.i))})
     regime, boundary = classify_regime(base)
     return LimitReport(n_zero=box, value=value, argmax=tuple(argmax),
                        entries=tuple(entries), regime=regime, boundary=boundary)

@@ -340,7 +340,7 @@ class RigorousReal:
     def __repr__(self) -> str:
         if self._r == 0:
             return f"RigorousReal({self.decimal(12)}, exact, prec={self._prec})"
-        return (f"RigorousReal({self.decimal(12)} +/- {fraction_to_sci(self.radius, 3)},"
+        return (f"RigorousReal({self.decimal(12)} +/- {fraction_to_sci(self.radius)},"
                 f" prec={self._prec})")
 
 
@@ -606,35 +606,35 @@ class ZTheta:
         self.modulus = modulus
 
     def __add__(self, other: "ZTheta") -> "ZTheta":
-        return _ztheta([a + b for a, b in zip(self.coefficients, other.coefficients)],
-                       self.modulus)
+        return ZTheta([a + b for a, b in zip(self.coefficients, other.coefficients)],
+                      self.modulus)
 
     def __sub__(self, other: "ZTheta") -> "ZTheta":
-        return _ztheta([a - b for a, b in zip(self.coefficients, other.coefficients)],
-                       self.modulus)
+        return ZTheta([a - b for a, b in zip(self.coefficients, other.coefficients)],
+                      self.modulus)
 
     def __mul__(self, other: Union[int, "ZTheta"]) -> "ZTheta":
         modulus = self.modulus
         if isinstance(other, int):
-            return _ztheta([c * other for c in self.coefficients], modulus)
+            return ZTheta([c * other for c in self.coefficients], modulus)
         x, y = self.coefficients, other.coefficients
         if len(modulus) == 3:
             (a0, a1), (b0, b1), (m0, m1, _) = x, y, modulus
             top = a1 * b1
-            return _ztheta((a0 * b0 - top * m0, a0 * b1 + a1 * b0 - top * m1), modulus)
+            return ZTheta((a0 * b0 - top * m0, a0 * b1 + a1 * b0 - top * m1), modulus)
         (a0, a1, a2), (b0, b1, b2), (m0, m1, m2, _) = x, y, modulus
         top = a2 * b2
         next_top = a1 * b2 + a2 * b1 - top * m2
-        return _ztheta((a0 * b0 - next_top * m0,
-                        a0 * b1 + a1 * b0 - top * m0 - next_top * m1,
-                        a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
+        return ZTheta((a0 * b0 - next_top * m0,
+                       a0 * b1 + a1 * b0 - top * m0 - next_top * m1,
+                       a0 * b2 + a1 * b1 + a2 * b0 - top * m1 - next_top * m2), modulus)
 
     def __pow__(self, exponent: int) -> "ZTheta":
         """self ** exponent for an integer exponent >= 0, by binary powering;
         self ** 0 is the unit."""
         if not isinstance(exponent, int) or exponent < 0:
             return NotImplemented
-        result, square = _ztheta(reduce_monic((1,), self.modulus), self.modulus), self
+        result, square = ZTheta(reduce_monic((1,), self.modulus), self.modulus), self
         while exponent:
             if exponent & 1:
                 result = result * square
@@ -655,7 +655,7 @@ class ZTheta:
             if r:
                 raise ArithmeticError(f"{other!r} does not divide {self!r}")
             quotient.append(q)
-        return _ztheta(quotient, self.modulus)
+        return ZTheta(quotient, self.modulus)
 
     def __repr__(self) -> str:
         return f"ZTheta({self.coefficients!r}, {self.modulus!r})"
@@ -671,13 +671,13 @@ class ZTheta:
         if len(modulus) == 3:
             (a0, a1), (m0, m1, _) = x, modulus
             b0, b1 = -m0 * a1, a0 - m1 * a1
-            return _ztheta((b1, -a1), modulus), a0 * b1 - b0 * a1
+            return ZTheta((b1, -a1), modulus), a0 * b1 - b0 * a1
         (a0, a1, a2), (m0, m1, m2, _) = x, modulus
         # theta x and theta^2 x, each reduced by theta^3 = -(m0 + m1 theta + m2 theta^2)
         b0, b1, b2 = -m0 * a2, a0 - m1 * a2, a1 - m2 * a2
         c0, c1, c2 = -m0 * b2, b0 - m1 * b2, b1 - m2 * b2
         adjugate = (b1 * c2 - b2 * c1, a2 * c1 - a1 * c2, a1 * b2 - a2 * b1)
-        return (_ztheta(adjugate, modulus),
+        return (ZTheta(adjugate, modulus),
                 a0 * adjugate[0] + b0 * adjugate[1] + c0 * adjugate[2])
 
     def sign(self) -> int:
@@ -709,13 +709,6 @@ class ZTheta:
             return -1
         norm = self._adjugate()[1]
         return (norm > 0) - (norm < 0)
-
-
-def _ztheta(coefficients: Sequence[int], modulus: Sequence[int]) -> ZTheta:
-    """A ZTheta with these coefficients, as a tuple, past __init__."""
-    z = object.__new__(ZTheta)
-    z.coefficients, z.modulus = tuple(coefficients), modulus
-    return z
 
 
 # ---------------------------------------------------------------------------
@@ -925,12 +918,11 @@ def fraction_to_decimal(x: Fraction, digits: int = 20) -> str:
     return f"{sign}{mant[:point]}.{mant[point:]}"
 
 
-def fraction_to_sci(x: Fraction, digits: int = 3) -> str:
-    """Render an exact rational in scientific notation, rounding the
-    mantissa up in magnitude (suitable for radii: never understates)."""
+def fraction_to_sci(x: Fraction) -> str:
+    """Render an exact rational in scientific notation with three
+    significant digits, rounding the mantissa up in magnitude (suitable for
+    radii: never understates)."""
     if not x.numerator:
         return "0"
-    sign, mant, e10 = _rounded_digits(x, digits, True)
-    if digits == 1:
-        return f"{sign}{mant}e{e10:+03d}"
+    sign, mant, e10 = _rounded_digits(x, 3, True)
     return f"{sign}{mant[0]}.{mant[1:]}e{e10:+03d}"

@@ -396,8 +396,9 @@ class TestVerifySigmaRows:
                 "complement identity at n=2, (1,0)") in output
 
     def test_one_sweep_per_node_set(self, monkeypatch):
-        # verify --base 7/3 --n-max 10 sweeps each (n, j, x), x in {b, 1/b},
-        # once; sigma_finite runs only for the sigma top step
+        # verify --base 7/3 --n-max 10 sweeps the nodes of b once per (n, j),
+        # and those of 1/b never: the row of 1/b without node j is the row
+        # of b without node n-1-j; sigma_finite runs only for the sigma top step
         from collections import Counter
         from vangeo import symfunc
         sweeps, queries, depth = [], [], []
@@ -419,11 +420,14 @@ class TestVerifySigmaRows:
         monkeypatch.setattr(symfunc, "sigma_finite", counted_sigma)
         code, _ = cli.run(["verify", "--base", "7/3", "--n-max", "10"])
         assert code == 0
-        # from n = 3 on, no node list at b is a node list at 1/b
         longer = [nodes for nodes in sweeps if len(nodes) >= 2]
         assert len(set(longer)) == len(longer)
-        assert Counter(len(nodes) + 1 for nodes in sweeps) \
-            == {n: 2 * n for n in range(1, 11)}
+        assert Counter(len(nodes) + 1 for nodes in sweeps) == {n: n for n in range(1, 11)}
+        # every node list is p^h q^(n-1-h) without one h, in increasing h
+        for nodes in sweeps:
+            n = len(nodes) + 1
+            full = [7 ** h * 3 ** (n - 1 - h) for h in range(n)]
+            assert any(list(nodes) == full[:j] + full[j + 1:] for j in range(n))
         assert sorted(queries) == sorted(q for n in range(2, 11)
                                          for q in ((n - 1, 1, n), (n - 2, 1, n)))
 
@@ -625,6 +629,26 @@ class TestExitCodes:
         assert cli.main(["sigma", "--i", "0", "--j", "0", "--n", "2",
                          "--x", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_limit_near_one_fails_before_its_box_takes_memory(self):
+        """At 1.0001 the box has n0 = 6932, about 2.4e7 pairs, and its first
+        entry passes the precision ceiling: limit must exit 2 with the
+        ceiling message, not build the box first.  The child alone runs
+        with its address space capped at 1 GiB."""
+        import resource
+        env = dict(os.environ)
+        env.pop("VANGEO_PRECISION_CEILING", None)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+
+        def cap():
+            hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, hard))
+        proc = subprocess.run([sys.executable, "-m", "vangeo.cli", "limit", "--base", "1.0001"],
+                              capture_output=True, text=True, env=env, timeout=120,
+                              preexec_fn=cap)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("error: cannot reach tolerance 1/400000000000000000000 for "
+                               "l_(0,0) at base 1.0001 within the 4096-bit precision ceiling\n")
 
 
 class TestLongNumbers:

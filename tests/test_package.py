@@ -1,7 +1,8 @@
 """The package's surface: every README entry point is exported, the test
 oracles stay out of the library, no library module keeps an unused import,
 only cli formats output, every library function is reached by some command,
-and every field of a library dataclass is read by some command."""
+every field of a library dataclass is read by some command, and every option
+that commands pass takes two values over them."""
 
 import ast
 import contextlib
@@ -145,6 +146,18 @@ REACH_COMMANDS = [
     ["conjecture", "--base", "tau", "--range", "2:4", "--format", "json"],
     ["conjecture", "--base", "1.3", "--range", "2:4", "--format", "csv"],
     ["conjecture", "--base", "1.3", "--range", "2:3"],        # prints a decimal base
+    # a second value for each option: --digits, --precision-ceiling, a p/q base
+    ["inverse", "--base", "tau", "--n", "3", "--digits", "100"],
+    ["inverse", "--base", "alpha", "--n", "3", "--digits", "100"],
+    ["sigma", "--i", "1", "--j", "0", "--n", "3", "--x", "tau", "--digits", "100"],
+    ["sigma", "--i", "1", "--j", "2", "--n", "3", "--x", "alpha", "--digits", "100"],
+    ["max", "--base", "tau", "--n", "4", "--digits", "100"],
+    ["max", "--base", "alpha", "--n", "4", "--digits", "100"],
+    ["max", "--base", "3/2", "--n", "4"],
+    ["conjecture", "--base", "tau", "--range", "2:3", "--digits", "100"],
+    ["conjecture", "--base", "alpha", "--range", "2:3", "--digits", "100"],
+    ["limit", "--base", "2", "--tol", "1e-6", "--precision-ceiling", "64"],
+    ["table", "--precision-ceiling", "64"],
 ]
 
 # functions no command needs, each with the reason it stays
@@ -261,24 +274,25 @@ def _defaulted(function):
             if p.default is not p.empty]
 
 
-def test_every_optional_parameter_is_passed(monkeypatch):
-    """Every defaulted parameter of a function or method defined at the top
-    of a vangeo module, or in one of its classes, is passed explicitly by
-    some command: an option that no command passes restates its default.
-    Each such function is wrapped in every module that binds it, and each
-    call records the parameters it binds without applying defaults.  Nested
-    functions are out of reach of the wrappers."""
+def _passed_options(monkeypatch):
+    """Run REACH_COMMANDS with every defaulted parameter of a function or
+    method defined at the top of a vangeo module, or in one of its classes,
+    recorded.  Each such function is wrapped in every module that binds it,
+    and each call records the parameters it binds without applying defaults.
+    Nested functions are out of reach of the wrappers.  Returns the set of
+    options and {option: [the value of each call that passed it]}."""
     for cached in _functools_caches():
         cached.cache_clear()
     modules = [importlib.import_module(f"vangeo.{path.stem}") for path in MODULES]
-    passed, options, wrappers = set(), set(), {}
+    passed, options, wrappers = {}, set(), {}
 
     def wrap(function, name):
         signature, defaulted = inspect.signature(function), set(_defaulted(function))
 
         def wrapper(*args, **kwargs):
             bound = signature.bind(*args, **kwargs).arguments
-            passed.update(f"{name}.{p}" for p in bound if p in defaulted)
+            for p in defaulted & set(bound):
+                passed.setdefault(f"{name}.{p}", []).append(bound[p])
             return function(*args, **kwargs)
         options.update(f"{name}.{p}" for p in defaulted)
         return wrapper
@@ -306,4 +320,26 @@ def test_every_optional_parameter_is_passed(monkeypatch):
     assert "vandinv.inverse_matrix.precision_bits" in options
     for argv in REACH_COMMANDS:
         cli.run(argv)
-    assert sorted(options - passed) == sorted(UNPASSED_OPTIONS)
+    return options, passed
+
+
+def test_every_optional_parameter_is_passed(monkeypatch):
+    """Every defaulted parameter is passed explicitly by some command: an
+    option that no command passes restates its default."""
+    options, passed = _passed_options(monkeypatch)
+    assert sorted(options - set(passed)) == sorted(UNPASSED_OPTIONS)
+
+
+def test_every_option_takes_two_values(monkeypatch):
+    """Every defaulted parameter that commands pass takes two different
+    values over them: an option that every command passes with one and the
+    same value is a constant.  Ints, strings and None count by value, other
+    objects by identity; the recorded values stay alive, so no two of them
+    share an id."""
+    _, passed = _passed_options(monkeypatch)
+
+    def key(value):
+        return value if value is None or isinstance(value, (int, str)) else id(value)
+    constant = sorted(name for name, values in passed.items()
+                      if len({key(value) for value in values}) == 1)
+    assert constant == []
