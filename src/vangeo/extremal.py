@@ -13,8 +13,9 @@ certified_poly_sign.  Entries are compared on the column form
 an integer, or at tau and alpha a Z[theta] element that signs itself
 (ZTheta.sign; a zero element is an exact tie).  maximal_ratios is the one
 argmax over such ratios, for the finite maximum here and for the limit
-maximum in limits.  Balls appear only in the value of the maximum at tau and
-alpha.
+maximum in limits.  max_entry deflates only the columns that the bound
+sigma_{k,j,n} <= E_k cannot exclude; verify_argmax_box reads every entry.
+Balls appear only in the value of the maximum at tau and alpha.
 """
 
 from __future__ import annotations
@@ -118,13 +119,14 @@ def _run_maxima(items):
         yield best, top
 
 
-def maximal_ratios(items) -> Tuple[tuple, list]:
+def maximal_ratios(items, best: Optional[tuple] = None, top=()) -> Tuple[tuple, list]:
     """The largest of the ratios in (key, (A, pi)) items, by exact comparison,
     and the keys of every item that attains it, ties included, in order; the
     ratio returned is the first item that attains it.  Each run of items
     sharing one pi (a column of the column form) is reduced first, so it costs
-    one cross-multiplication A_a pi_b - A_b pi_a per run, not per item."""
-    best, top = None, []
+    one cross-multiplication A_a pi_b - A_b pi_a per run, not per item.  A
+    scan that continues an earlier one passes that one's result as best and top."""
+    top = list(top)
     for ratio, keys in _run_maxima(items):
         order = 1 if best is None else compare_ratios(ratio, best)
         if order > 0:
@@ -152,21 +154,43 @@ class MaxReport:
     diagonal_argmax: bool
 
 
-def max_entry(gv: GeometricVandermonde,
-              precision_bits: int = DEFAULT_PRECISION_BITS) -> MaxReport:
-    """Scan the entries with i <= j for the maximum absolute value by exact
-    comparisons, and mirror the argmax (the inverse is symmetric), so every
-    maximal entry is reported, ties included.  The maximum is a Fraction at a
-    rational base and, at tau and alpha, the ball image of its exact ratio at
-    precision_bits; no comparison reads it."""
-    n0 = n_zero(gv.base)
-    best, top = maximal_ratios(gv.column_form.upper_triangle.items())
+def _max_report(gv: GeometricVandermonde, n0: int, best: tuple, top: list,
+                precision_bits: int) -> MaxReport:
+    """The MaxReport of an argmax scan over the upper triangle: its maximal
+    ratio and the keys (i, j), i <= j, that attain it, mirrored (the inverse
+    is symmetric)."""
     argmax = tuple(sorted({pair for i, j in top for pair in ((i, j), (j, i))}))
     return MaxReport(
         base=gv.base, n=gv.n, n_zero=n0,
         max_value=gv.column_form.value(*best, precision_bits),
         argmax=argmax, within_n_zero_box=all(i <= n0 and j <= n0 for i, j in argmax),
         diagonal_argmax=any(i == j for i, j in argmax))
+
+
+def max_entry(gv: GeometricVandermonde,
+              precision_bits: int = DEFAULT_PRECISION_BITS) -> MaxReport:
+    """Scan the entries with i <= j for the maximum absolute value by exact
+    comparisons, and mirror the argmax (the inverse is symmetric), so every
+    maximal entry is reported, ties included.  The maximum is a Fraction at a
+    rational base and, at tau and alpha, the ball image of its exact ratio at
+    precision_bits; no comparison reads it.
+
+    Only the columns that an elementary bound cannot exclude are deflated:
+    the nodes are positive, so dropping N_j lowers no elementary symmetric
+    sum, sigma_{k,j,n} <= E_k, and no entry of column j exceeds U_j / pi_j
+    (ColumnForm.bounds).  Each box column j <= n0 is deflated, and a later
+    one only when its bound is not strictly below the maximum so far, so a
+    skipped column holds no maximiser, ties included, and the report (its
+    first maximiser too) is the full scan's.  verify_argmax_box keeps the
+    full scan."""
+    n0 = n_zero(gv.base)
+    form, best, top = gv.column_form, None, []
+    for j, bound in enumerate(form.bounds()):
+        if j > n0 and compare_ratios(bound, best) < 0:
+            continue
+        nums, pi = form.magnitudes(j, range(j + 1))
+        best, top = maximal_ratios((((i, j), (a, pi)) for i, a in enumerate(nums)), best, top)
+    return _max_report(gv, n0, best, top, precision_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +214,11 @@ def verify_argmax_box(gv: GeometricVandermonde,
     """Check that the dominant entry cannot escape the [0, n0]^2 box: no
     entry with both indices >= n0 exceeds the (n0, n0) entry.  Witnesses are
     listed row-major, both orientations of a symmetric pair included."""
-    report = max_entry(gv, precision_bits)
-    n, n0, table = gv.n, report.n_zero, gv.column_form.upper_triangle
+    n, n0, table = gv.n, n_zero(gv.base), gv.column_form.upper_triangle
+    # Every entry is read, not only the columns that max_entry's bound keeps:
+    # the bound cannot see a wrong magnitude, and a box check pruned by it
+    # lost the witness of a magnitude planted 1000 times too large at (3, 3).
+    report = _max_report(gv, n0, *maximal_ratios(table.items()), precision_bits)
     above = {pair for pair, magnitude in table.items() if min(pair) >= n0
              and compare_ratios(magnitude, table[n0, n0]) > 0}
     witnesses = tuple((i, j) for i in range(n0, n) for j in range(n0, n)
@@ -218,8 +245,8 @@ def verify_leading_diagonal_max(gv: GeometricVandermonde,
     diagonal_ok = any(pair in ((0, 0), (1, 1)) for pair in report.argmax)
     # |c_{i,1,n}| = sigma_{n-1-i,1,n}(b) / pi_{1,n}, so dropping the largest
     # admissible exponent never loses mass iff |c_{0,1}| <= |c_{1,1}|
-    table = gv.column_form.upper_triangle
-    return diagonal_ok and compare_ratios(table[0, 1], table[1, 1]) <= 0
+    (a01, a11), pi = gv.column_form.magnitudes(1, (0, 1))
+    return diagonal_ok and compare_ratios((a01, pi), (a11, pi)) <= 0
 
 
 # ---------------------------------------------------------------------------

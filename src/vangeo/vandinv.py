@@ -31,12 +31,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 from .errors import DomainError, SizeError
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal, ZTheta,
                      _ball_dot, _filled, _max_abs, _split, at_base, evaluate_base,
-                     poly_eval_ball, powers)
+                     exact_sign, poly_eval_ball, powers)
 from .symfunc import fold_balls
 # elementary_symmetric is not called here; bench/tracing.py's EXPECTED_BINDINGS
 # expects this module to bind it
@@ -178,6 +178,17 @@ class ColumnForm:
             carried = deflated[m] if scale == 1 else deflated[m] * scale
             deflated[m - 1] = divide(terms[m] - carried, divisor)
         return [deflated[n - 1 - i] for i in rows], self.pis[j]
+
+    def bounds(self) -> Iterator[tuple]:
+        """(U_j s, s pi_j) for each column j in order, U_j s the largest term
+        E_(n-1-i) s^(i+1) of magnitudes over the rows i <= j: the nodes are
+        positive, so E_k = F_k + N_j F_(k-1) >= F_k, and A_{i,j} / pi_j <= U_j / pi_j."""
+        terms, scale, top = self._terms, self._scale, None
+        for j, pi in enumerate(self.pis):
+            term = terms[self.n - 1 - j]
+            if top is None or exact_sign(term - top) > 0:
+                top = term
+            yield top, pi if scale == 1 else pi * scale
 
     @functools.cached_property
     def upper_triangle(self) -> dict:

@@ -218,18 +218,22 @@ class TestVerify:
 
     @pytest.mark.parametrize("base", ["7/3", "tau", "alpha", "3/2"])
     def test_one_max_entry_per_size(self, base, monkeypatch):
-        # the leading-diagonal check reads the box check's max report
+        # one full argmax scan per size, the box check's, over every entry
+        # i <= j; the leading-diagonal check reads its max report
         from vangeo import extremal
         sizes = []
-        original = extremal.max_entry
+        original = extremal.maximal_ratios
 
-        def counted(gv, *args, **kwargs):
-            sizes.append(gv.n)
-            return original(gv, *args, **kwargs)
-        monkeypatch.setattr(extremal, "max_entry", counted)
+        def counted(items, *args):
+            items = list(items)
+            n = items[-1][0][1] + 1
+            assert len(items) == n * (n + 1) // 2
+            sizes.append(n)
+            return original(items, *args)
+        monkeypatch.setattr(extremal, "maximal_ratios", counted)
         code, _ = cli.run(["verify", "--base", base, "--n-max", "5"])
         assert code == 0
-        assert sorted(sizes) == [2, 3, 4, 5]
+        assert sizes == [2, 3, 4, 5]
 
     def test_diagonal_check_rejects_another_size_report(self):
         from vangeo import extremal, vandinv

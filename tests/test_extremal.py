@@ -1,19 +1,21 @@
 """Largest inverse entry: n0 threshold, argmax localization, scans."""
 
 import json
+import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ball_abs, contains, loop_maximal_ratios, overlaps
+from oracles import ball_abs, contains, fields, loop_maximal_ratios, overlaps
 from vangeo import cli
 from vangeo.errors import DomainError, SizeError
 from vangeo.extremal import (compare_ratios, conjecture_scan, max_entry, maximal_ratios,
                              n_zero, verify_argmax_box, verify_leading_diagonal_max)
-from vangeo.scalar import BaseSpec, at_base, evaluate_base, powers
+from vangeo.scalar import DEFAULT_PRECISION_BITS, BaseSpec, at_base, evaluate_base, powers
 from vangeo.symfunc import sigma_finite
 import vangeo.extremal as extremal
 import vangeo.vandinv as vandinv
@@ -298,8 +300,15 @@ class TestMaximalRatios:
         assert best is expected_best, name
         assert top == expected_top, name
 
-    @pytest.mark.parametrize("text", ["7/3", "tau"])
-    def test_one_cross_multiplication_per_column(self, text, monkeypatch):
+    @pytest.mark.parametrize("text,cross,total", [("7/3", 12, 15), ("tau", 13, 19)],
+                             ids=["7/3", "tau"])
+    def test_one_cross_multiplication_per_column(self, text, cross, total, monkeypatch):
+        # n = 12, n0 = 1: max_entry deflates columns 0..2 at 7/3 and 0..3 at
+        # tau.  A deflated column j costs j comparisons within its run and one
+        # cross-multiplication with the best so far (none for column 0); each
+        # column past the box costs one more, its bound's, so 7/3 makes
+        # 1 + 10 + 1 cross-multiplications and 3 run comparisons, tau
+        # 1 + 10 + 2 and 6.  The full scan would make 11 and 77.
         calls = []
         compare = extremal.compare_ratios
 
@@ -308,10 +317,92 @@ class TestMaximalRatios:
             return compare(a, b)
 
         monkeypatch.setattr(extremal, "compare_ratios", counted)
-        n = 12
-        max_entry(GeometricVandermonde(BaseSpec.parse(text), n))
-        assert sum(calls) == n - 1
-        assert len(calls) == n * (n + 1) // 2 - 1
+        max_entry(GeometricVandermonde(BaseSpec.parse(text), 12))
+        assert sum(calls) == cross
+        assert len(calls) == total
+
+
+# One band below the golden ratio (n0 >= 2) and two above it (n0 = 1).
+_BANDS = ((Fraction(21, 20), Fraction(8, 5)), (Fraction(33, 20), Fraction(11, 5)),
+          (Fraction(11, 5), Fraction(4)))
+
+
+@st.composite
+def banded_bases(draw):
+    """A base p/q, 2 <= q <= 13, in one of _BANDS, or tau or alpha."""
+    band = draw(st.sampled_from(_BANDS + ("tau", "alpha")))
+    if isinstance(band, str):
+        return BaseSpec.parse(band)
+    lo, hi = band
+    q = draw(st.integers(2, 13))
+    p = draw(st.integers(math.floor(lo * q) + 1, math.floor(hi * q)))
+    return BaseSpec.parse(f"{p}/{q}")
+
+
+def columns_deflated(monkeypatch):
+    """The column indices that ColumnForm.magnitudes is called with, in order."""
+    calls = []
+    original = vandinv.ColumnForm.magnitudes
+
+    def counted(form, j, rows):
+        calls.append(j)
+        return original(form, j, rows)
+    monkeypatch.setattr(vandinv.ColumnForm, "magnitudes", counted)
+    return calls
+
+
+class TestPrunedScan:
+    """max_entry deflates only the columns that the sigma <= E bound cannot
+    exclude; its report is the full scan's."""
+
+    @given(banded_bases(), st.integers(1, 40))
+    @example(BaseSpec.parse("tau"), 40)
+    @example(BaseSpec.parse("alpha"), 40)
+    @example(BaseSpec.parse("13/10"), 40)
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_full_scan(self, base, n):
+        gv = GeometricVandermonde(base, n)
+        best, top = maximal_ratios(gv.column_form.upper_triangle.items())
+        full = extremal._max_report(gv, n_zero(base), best, top, DEFAULT_PRECISION_BITS)
+        pruned = max_entry(gv)
+        assert replace(pruned, max_value=None) == replace(full, max_value=None)
+        if base.is_exact:
+            assert pruned.max_value == full.max_value
+        else:
+            assert fields(pruned.max_value) == fields(full.max_value)
+
+    def test_a_column_whose_bound_ties_is_deflated(self):
+        # n0 = 1 at 7/3; column 2's bound 5 equals the maximum so far, c_{0,0},
+        # and its entry (0, 2) ties it, so the column must not be skipped
+        class Form:
+            pis = [1000, 2000, 3000]
+            columns = [[5000], [4000, 6000], [15000, 3000, 6000]]
+
+            def bounds(self):
+                return iter([(5000, 1000), (6000, 2000), (15000, 3000)])
+
+            def magnitudes(self, j, rows):
+                return [self.columns[j][i] for i in rows], self.pis[j]
+
+            def value(self, num, pi, precision_bits):
+                return Fraction(num, pi)
+
+        class Matrix:
+            base, n, column_form = BaseSpec.parse("7/3"), 3, Form()
+
+        report = max_entry(Matrix())
+        assert report.max_value == 5
+        assert report.argmax == ((0, 0), (0, 2), (2, 0))
+
+    @pytest.mark.parametrize("text,n,most", [("13/10", 100, 5), ("tau", 60, 4)])
+    def test_deflates_few_columns(self, text, n, most, monkeypatch):
+        # a guard on the work done: every box column j <= n0 and at most one
+        # or two past it, not the n columns of the full scan
+        calls = columns_deflated(monkeypatch)
+        base = BaseSpec.parse(text)
+        max_entry(GeometricVandermonde(base, n))
+        assert calls[:n_zero(base) + 1] == list(range(n_zero(base) + 1))
+        assert len(calls) <= most
 
 
 class TestArgmaxBox:

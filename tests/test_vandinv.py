@@ -1,6 +1,8 @@
 """Inverse-matrix closed form: identities, oracle equality, serialization."""
 
+import functools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ import vangeo.symfunc as symfunc
 from vangeo import cli
 import vangeo.vandinv as vandinv
 from vangeo.errors import DomainError
-from vangeo.scalar import BaseSpec, ZTheta, at_base, evaluate_base, poly_eval_ball
+from vangeo.extremal import compare_ratios
+from vangeo.scalar import BaseSpec, ZTheta, at_base, evaluate_base, exact_sign, poly_eval_ball
 from vangeo.symfunc import sigma_finite
 from vangeo.vandinv import (ColumnForm, GeometricVandermonde, InverseMatrix,
                             gaussian_inverse, inverse_matrix, pi_product,
@@ -393,6 +396,27 @@ class TestColumnForm:
             else:
                 assert [e.coefficients for e in form.master] \
                     == [e.coefficients for e in swept], n
+
+    @pytest.mark.parametrize("spec", GRID + [BaseSpec.parse("tau"), BaseSpec.parse("alpha")],
+                             ids=lambda spec: spec.text)
+    def test_bounds_are_the_largest_master_terms(self, spec):
+        # column j's bound is the largest E_(n-1-i) s^(i+1) over the rows
+        # i <= j, with E by the sweep and s = q^(n-1), over s pi_j; no entry
+        # of the column exceeds it
+        by_value = functools.cmp_to_key(lambda a, b: exact_sign(a - b))
+        value = (lambda x: x) if spec.is_exact else operator.attrgetter("coefficients")
+        for n in range(1, 25):
+            form = ColumnForm(GeometricVandermonde(spec, n))
+            one = 1 if spec.is_exact else form.nodes[0]
+            master = symfunc.elementary_symmetric(form.nodes, n, one)
+            s = spec.value.denominator ** (n - 1) if spec.is_exact else 1
+            terms = [master[n - 1 - i] * s ** (i + 1) for i in range(n)]
+            for j, bound in enumerate(form.bounds()):
+                top, scaled_pi = bound
+                assert value(top) == value(max(terms[:j + 1], key=by_value)), (n, j)
+                assert value(scaled_pi) == value(form.pis[j] * s), (n, j)
+                nums, pi = form.magnitudes(j, range(j + 1))
+                assert all(compare_ratios((a, pi), bound) <= 0 for a in nums), (n, j)
 
     @pytest.mark.parametrize("name", ["tau", "alpha"])
     def test_constant_images_overlap_the_ball_kernel(self, name, cached_inverse):
