@@ -175,14 +175,13 @@ def max_entry(gv: GeometricVandermonde,
     rational base and, at tau and alpha, the ball image of its exact ratio at
     precision_bits; no comparison reads it.
 
-    Only the columns that an elementary bound cannot exclude are deflated:
-    the nodes are positive, so dropping N_j lowers no elementary symmetric
-    sum, sigma_{k,j,n} <= E_k, and no entry of column j exceeds U_j / pi_j
-    (ColumnForm.bounds).  Each box column j <= n0 is deflated, and a later
+    Only the columns that an elementary bound cannot exclude are deflated.
+    The nodes are positive, so dropping N_j lowers no elementary symmetric
+    sum: sigma_{k,j,n} <= E_k, and no entry of column j exceeds U_j / pi_j
+    (ColumnForm.bounds).  A box column j <= n0 is always deflated, a later
     one only when its bound is not strictly below the maximum so far, so a
-    skipped column holds no maximiser, ties included, and the report (its
-    first maximiser too) is the full scan's.  verify_argmax_box keeps the
-    full scan."""
+    skipped column holds no maximiser, ties included, and the report is the
+    full scan's.  verify_argmax_box keeps the full scan."""
     n0 = n_zero(gv.base)
     form, best, top = gv.column_form, None, []
     for j, bound in enumerate(form.bounds()):
