@@ -303,12 +303,18 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     so identities are decided by exact signs; only the residual and sign
     checks at tau and alpha read balls, those of the printed ball inverse.
 
-    At p/q the magnitude, sigma j-monotonicity and complement checks read
-    one table of integer sigma rows, one sweep per (n, j).  The nodes of 1/b,
-    scaled by p^(n-1), are those of b, scaled by q^(n-1), in reverse order,
-    so the row of 1/b without node j is the row of b without node n-1-j: the
-    complement check reads both sides from that table, and the j-monotonicity
-    of sigma at 1/b is the one at b read backwards.  At tau and alpha the
+    At p/q every check is an integer identity over the nodes p^h q^(n-1-h).
+    The inversion identity takes O(n) ring operations per column
+    (vandinv.residual_norm); the oracle check cross-multiplies the integer
+    output of the fraction-free elimination with each entry of the closed
+    form; pi_product and sigma_finite take their products and sweeps over
+    the integer nodes and divide once by the scale.  The magnitude, sigma
+    j-monotonicity and complement checks read one table of integer sigma
+    rows, one sweep per (n, j).  The nodes of 1/b, scaled by p^(n-1), are
+    those of b, scaled by q^(n-1), in reverse order, so the row of 1/b
+    without node j is the row of b without node n-1-j: the complement check
+    reads both sides from that table, and the j-monotonicity of sigma at
+    1/b is the one at b read backwards.  At tau and alpha the
     complement check sets a Z[theta] sweep at theta against sigma_finite at
     theta^(-1), different ring elements, and the first minus theta^t times
     the second must be an exact zero.  The pi checks read one lazily filled
@@ -319,7 +325,7 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     b = at_base((0, 1), base)
     if base.is_exact:
         p, q = b.numerator, b.denominator
-        rows_b = _sigma_rows(([p ** h * q ** (n - 1 - h) for h in range(n)]
+        rows_b = _sigma_rows((symfunc.integer_nodes(b, n)
                               for n in range(1, min(n_max, 12) + 1)), 1)
         sign, residual_witness = exact_sign, "V*C != I"
     else:
@@ -372,8 +378,12 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         return "leading-diagonal max", lambda: (None, "skipped: base below the golden ratio")
 
     def check_oracle():
+        # the elimination's c_ik = W_ik s_k / det, det > 0, cross-multiplied
         for n in range(1, min(n_max, 12) + 1):
-            if vandinv.gaussian_inverse(sizes[n]).entries != matrices[n].entries:
+            work, scales, det = vandinv.fraction_free_inverse(sizes[n])
+            if any(w * s * c.denominator != c.numerator * det
+                   for row, entries in zip(work, matrices[n].entries)
+                   for w, s, c in zip(row, scales, entries)):
                 return False, f"closed form != elimination oracle at n={n}"
         return True, ""
 

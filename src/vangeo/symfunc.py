@@ -14,6 +14,7 @@ tests/oracles.py.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, List, Sequence
 
 from .errors import DomainError
@@ -53,6 +54,13 @@ def elementary_symmetric(values: Sequence, upto: int, one) -> List:
     return e
 
 
+def integer_nodes(x: Fraction, n: int) -> List[int]:
+    """N_h = p^h q^(n-1-h) = q^(n-1) x^h for h < n, at x = p/q in lowest
+    terms: the nodes x^h scaled to integers by one common factor."""
+    ps, qs = powers(x.numerator, n), powers(x.denominator, n)
+    return [a * b for a, b in zip(ps, reversed(qs))]
+
+
 def _node_powers(x: Numeric, n: int, skip: int) -> List:
     pows = powers(x, n)
     return pows[:skip] + pows[skip + 1:]
@@ -63,7 +71,9 @@ def sigma_finite(i: int, j: int, n: int, x: Numeric) -> Numeric:
     i-tuples from {0,...,n-1}\\{j}; equals 1 for i = 0.  Needs 0 <= i, j < n
     and a point x > 0: an int, Fraction, RigorousReal or ZTheta.
 
-    Exact inputs (over Z, Q or Z[theta]) sweep directly.  A ball whose
+    Exact inputs sweep directly: a Fraction p/q over the integer nodes
+    p^h q^(n-1-h), whose e_i is q^((n-1)i) sigma_{i,j,n}(x), then divided
+    once by that scale; an int or a ZTheta over its powers.  A ball whose
     lower end is above 1 is routed through the complement identity so every
     swept term stays below 1, which keeps enclosure radii small; a ball that
     reaches down to 1 or below sweeps directly.
@@ -81,4 +91,8 @@ def sigma_finite(i: int, j: int, n: int, x: Numeric) -> Numeric:
         return sigma_finite(n - 1 - i, j, n, 1 / x) * x ** (n * (n - 1) // 2 - j)
     if i == 0:
         return x ** 0
+    if isinstance(x, Fraction):
+        nodes = integer_nodes(x, n)
+        e = elementary_symmetric(nodes[:j] + nodes[j + 1:], i, 1)[i]
+        return Fraction(e, x.denominator ** ((n - 1) * i))
     return elementary_symmetric(_node_powers(x, n, j), i, x ** 0)[i]

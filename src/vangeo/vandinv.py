@@ -20,7 +20,8 @@ reciprocal formulation
 
 whose factors all have moderate magnitude, so ball radii stay tight; its
 column sweeps share their prefixes of nodes.  An independent fraction-free
-(Bareiss) elimination oracle and a residual check are included for
+(Bareiss) elimination oracle and a residual check, which decides V C = I
+at p/q in O(n) integer operations per column, are included for
 differential testing.
 """
 
@@ -37,7 +38,7 @@ from .errors import DomainError, SizeError
 from .scalar import (DEFAULT_PRECISION_BITS, BaseSpec, Numeric, RigorousReal, ZTheta,
                      _ball_dot, _filled, _max_abs, _split, at_base, evaluate_base,
                      exact_sign, poly_eval_ball, powers)
-from .symfunc import fold_balls
+from .symfunc import fold_balls, integer_nodes
 # elementary_symmetric is not called here; bench/tracing.py's EXPECTED_BINDINGS
 # expects this module to bind it
 from .symfunc import elementary_symmetric  # noqa: F401
@@ -86,12 +87,18 @@ class InverseMatrix:
 
 def pi_product(j: int, n: int, b: Numeric) -> Numeric:
     """pi_{j,n} = prod over h != j of |b^j - b^h| > 0, for b > 1, where the
-    factor is b^j - b^h for h < j and b^h - b^j for h > j: no sign is taken."""
+    factor is b^j - b^h for h < j and b^h - b^j for h > j: no sign is taken.
+    A Fraction b = p/q takes the product over the integer nodes
+    p^h q^(n-1-h) = q^(n-1) b^h and divides once by the n-1 factors' scale
+    q^((n-1)^2); any other point, over its powers."""
     if not 0 <= j < n:
         raise DomainError(f"j must satisfy 0 <= j < n, got j={j}, n={n}")
-    pows = powers(b, n)
-    factors = [pows[j] - x for x in pows[:j]] + [x - pows[j] for x in pows[j + 1:]]
-    return math.prod(factors, start=pows[0])
+    exact = isinstance(b, Fraction)
+    nodes = integer_nodes(b, n) if exact else powers(b, n)
+    factors = [nodes[j] - x for x in nodes[:j]] + [x - nodes[j] for x in nodes[j + 1:]]
+    if exact:
+        return Fraction(math.prod(factors), b.denominator ** ((n - 1) ** 2))
+    return math.prod(factors, start=nodes[0])
 
 
 def inverse_matrix(gv: GeometricVandermonde,
@@ -122,7 +129,8 @@ class ColumnForm:
     pis holds every pi_j = prod_{h != j} |N_j - N_h| in closed form, from
     O(n) ring products.  For h < j, N_j - N_h = p^h q^(n-1-j) (p^(j-h) - q^(j-h)),
     so pi_j = p^(a_j) q^(a_(n-1-j)) D_j D_(n-1-j), with a_j = j(2n-3-j)/2 and
-    the gap products D_d = prod_{s=1}^{d} (p^s - q^s).
+    the gap products D_d = prod_{s=1}^{d} (p^s - q^s); the monomials are
+    running products, one step per column.
     """
 
     def __init__(self, gv: GeometricVandermonde):
@@ -130,10 +138,15 @@ class ColumnForm:
         self.base, self.n = gv.base, n
         if value is not None:
             p, q = value.numerator, value.denominator
-            self.nodes = [p ** h * q ** (n - 1 - h) for h in range(n)]
+            self.nodes = integer_nodes(value, n)
             gaps = [p ** s - q ** s for s in range(n + 1)]
-            monomials = [p ** (j * (2 * n - 3 - j) // 2) * q ** ((n - 1 - j) * (n - 2 + j) // 2)
-                         for j in range(n)]
+            # p^(a_j) q^(a_(n-1-j)) as a running product: a_(j+1) - a_j = n-2-j
+            # and a_(n-1-j) - a_(n-2-j) = j, so a step multiplies by p^(n-2-j)
+            # and divides exactly by q^j
+            ps, qs = powers(p, n), powers(q, n)
+            monomials = [q ** ((n - 1) * (n - 2) // 2)]
+            for j in range(n - 1):
+                monomials.append(monomials[-1] * ps[n - 2 - j] // qs[j])
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
             self._scale = q ** (n - 1)
@@ -259,17 +272,18 @@ def _inverse_entries_rigorous(gv: GeometricVandermonde,
     return tuple(tuple(row) for row in grid)
 
 
-def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
-    """Independent oracle: fraction-free (Bareiss) Gauss-Jordan on the integer
+def fraction_free_inverse(gv: GeometricVandermonde) -> Tuple[List[List[int]], List[int], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on the integer
     V' = diag(q^(i(n-1))) V at b = p/q.  Its leading minors are positive, so no
     pivot is zero and each division by the previous pivot is exact; the identity
-    block ends as det(V') V'^(-1).  Exact rational bases only, n <= 64."""
+    block ends as W = det(V') V'^(-1).  Returns (W, scales, det) with
+    V^(-1)[i][k] = W[i][k] scales[k] / det, scales[k] = q^(k(n-1)) and det > 0.
+    Exact rational bases only, n <= 64."""
     if not gv.is_exact:
         raise DomainError("gaussian_inverse requires an exact rational base")
     if gv.n > _GAUSSIAN_MAX_N:
         raise SizeError(f"gaussian_inverse limited to n <= {_GAUSSIAN_MAX_N}, got {gv.n}")
     n, (p, q) = gv.n, gv.base.value.as_integer_ratio()
-    scales = powers(q ** (n - 1), n)
     work = [[p ** (i * k) * q ** (i * (n - 1 - k)) for k in range(n)] +
             [int(k == i) for k in range(n)] for i in range(n)]
     previous = 1
@@ -279,8 +293,14 @@ def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
                                       for a, x in zip(row, pivot_row)]
                 for r, row in enumerate(work)]
         previous = pivot
-    entries = tuple(tuple(Fraction(w * s, pivot) for w, s in zip(row[n:], scales)) for row in work)
-    return InverseMatrix(n=n, base=gv.base, backend="exact", entries=entries)
+    return [row[n:] for row in work], powers(q ** (n - 1), n), previous
+
+
+def gaussian_inverse(gv: GeometricVandermonde) -> InverseMatrix:
+    """Independent oracle: fraction_free_inverse's output as one Fraction per entry."""
+    work, scales, det = fraction_free_inverse(gv)
+    entries = tuple(tuple(Fraction(w * s, det) for w, s in zip(row, scales)) for row in work)
+    return InverseMatrix(n=gv.n, base=gv.base, backend="exact", entries=entries)
 
 
 def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix) -> Numeric:
@@ -291,33 +311,51 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix) -> Numeric:
     the precision that the inverse's balls carry, one fused dot per entry on
     split fields, with the bits of ``*`` and ``+``, and one ball for their
     maximum of |x|.
+
+    Exact mode decides each column in O(n) integer operations.  Let
+    b = p/q, N_h = p^h q^(n-1-h) = s b^h with s = q^(n-1), M = prod_h (x - N_h)
+    and w_j = prod_{h != j} (N_j - N_h), which is non-zero.  Scale column j by
+    the lcm L of its denominators into P_j(x) = sum_k L c_{k,j} s^(n-1-k) x^k,
+    an integer polynomial of degree < n with P_j(N_h) = L s^(n-1) (V C)_{h,j}.
+    Claim: column j of V C is e_j exactly when
+
+        (x - N_j) P_j(x) w_j = L s^(n-1) M(x)   coefficient by coefficient.
+
+    If it holds, cancel x - N_j in Q[x]: P_j w_j = L s^(n-1) prod_{h != j} (x - N_h),
+    which vanishes at N_h for h != j and is L s^(n-1) w_j at N_j, so
+    (V C)_{h,j} = delta_{hj}.  Conversely, if (V C)_{h,j} = delta_{hj}, then
+    P_j and L s^(n-1) prod_{h != j} (x - N_h) / w_j have degree < n and agree
+    at the n distinct nodes, so they are equal, and the identity follows.
+    Its x^n coefficient reads P_{j,n-1} w_j = L s^(n-1), so it can hold only
+    when w_j divides L s^(n-1); the check tests that first, then compares
+    (x - N_j) P_j = (L s^(n-1) / w_j) M, the identity divided by w_j, whose
+    products are smaller.  M is built from its linear factors, so the check
+    shares no step with the column form's master polynomial or deflation.
+    Only a column that fails pays for its n dot products, which give the
+    worst entry.
     """
     if inv.n != gv.n or inv.base != gv.base:
         raise DomainError("inverse does not match the given matrix")
     n = gv.n
     if inv.backend == "exact":
-        # Row i of V times q^(i(n-1)) (b = p/q) and column j of inv times the
-        # lcm of its denominators are integer, so every entry of V * inv - I
-        # is an integer dot product over a known denominator, with no gcd
-        # unless the entry is non-zero.
         b = gv.base.value
-        p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
-        q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
-        rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)]
-                for i in range(n)]
-        worst = Fraction(0)
-        for j in range(n):
-            column = [inv.entries[k][j] for k in range(n)]
-            scale = math.lcm(*(c.denominator for c in column))
-            scaled = [c.numerator * (scale // c.denominator) for c in column]
-            for i in range(n):
-                denominator = q_pows[i * (n - 1)] * scale
-                excess = sum(map(operator.mul, rows[i], scaled))
-                if i == j:
-                    excess -= denominator
-                if excess:
-                    worst = max(worst, Fraction(abs(excess), denominator))
-        return worst
+        nodes = integer_nodes(b, n)
+        master = [1]                        # M's coefficients, x^0 first
+        for node in nodes:
+            master = [a - node * c for a, c in zip([0] + master, master + [0])]
+        scales = powers(b.denominator ** (n - 1), n)
+        failed = []
+        for j, column in enumerate(zip(*inv.entries)):
+            lcm = math.lcm(*(c.denominator for c in column))
+            poly = [c.numerator * (lcm // c.denominator) * s
+                    for c, s in zip(column, reversed(scales))]
+            node = nodes[j]
+            weight = math.prod(node - other for h, other in enumerate(nodes) if h != j)
+            ratio, rest = divmod(lcm * scales[n - 1], weight)
+            if rest or not all(low - node * high == ratio * m
+                               for low, high, m in zip([0] + poly, poly + [0], master)):
+                failed.append((j, column, lcm))
+        return _worst_entry(b, n, failed)
     prec = inv.entries[0][0].precision_bits
     # the forward matrix V[i][j] = b^(i*j) at the base's enclosure
     pows = [_split(x) for x in powers(evaluate_base(gv.base, prec), (n - 1) * (n - 1) + 1)]
@@ -326,3 +364,26 @@ def residual_norm(gv: GeometricVandermonde, inv: InverseMatrix) -> Numeric:
     starts = ((0, 0, 0, 0, 0), (-1, 0, 0, 0, 1))
     return _max_abs((_ball_dot(starts[i == j], zip(row, column), prec)
                      for i, row in enumerate(rows) for j, column in enumerate(columns)), prec)
+
+
+def _worst_entry(b: Fraction, n: int, failed: Sequence[tuple]) -> Fraction:
+    """The largest |(V C - I)_{i,j}| over the given (j, column j, lcm of its
+    denominators) triples, 0 for none.  Row i of V times q^(i(n-1)) and column j
+    times its lcm are integer, so each entry is an integer dot product over a
+    known denominator, with no gcd unless the entry is non-zero."""
+    worst = Fraction(0)
+    if not failed:
+        return worst
+    p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
+    q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
+    rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)] for i in range(n)]
+    for j, column, lcm in failed:
+        scaled = [c.numerator * (lcm // c.denominator) for c in column]
+        for i, row in enumerate(rows):
+            denominator = q_pows[i * (n - 1)] * lcm
+            excess = sum(map(operator.mul, row, scaled))
+            if i == j:
+                excess -= denominator
+            if excess:
+                worst = max(worst, Fraction(abs(excess), denominator))
+    return worst

@@ -31,6 +31,13 @@ and the test modules import it as ``oracles``.
   ``vandinv.gaussian_inverse`` before it became fraction-free, on the exact
   forward matrix ``vandermonde_matrix``, the former library function of
   that name at a rational base.
+* ``residual_loop`` is the exact residual of V * inv - I as n^2 integer dot
+  products, the body of ``vandinv.residual_norm`` at a rational base before
+  it decided each column by one polynomial identity in O(n).
+* ``powers_pi_product`` and ``powers_sigma_finite`` are pi_{j,n} and
+  sigma_{i,j,n} over the powers of a Fraction point, the bodies of
+  ``vandinv.pi_product`` and ``symfunc.sigma_finite`` before they ran on
+  the integer nodes p^h q^(n-1-h).
 * ``norm_signed_pi_product`` is pi_{j,n} with every factor |b^j - b^h|
   signed by its value (``ZTheta.sign``, a norm determinant at alpha), the
   body of ``vandinv.pi_product`` before it ordered each factor by j - h.
@@ -66,8 +73,8 @@ from vangeo.extremal import compare_ratios
 from vangeo.limits import _prec_for_tol, _to_tol
 from vangeo.scalar import (_RAD_BITS, Numeric, RigorousReal, ZTheta, _coerce, _dy_add, _dy_cmp,
                            _filled, _from_dyadic_ends, exact_sign, powers, reduce_monic)
-from vangeo.symfunc import sigma_finite
-from vangeo.vandinv import GeometricVandermonde
+from vangeo.symfunc import elementary_symmetric, sigma_finite
+from vangeo.vandinv import GeometricVandermonde, InverseMatrix
 
 _BRUTEFORCE_MAX_N = 20
 _BRUTEFORCE_MAX_SUBSETS = 10 ** 6
@@ -493,6 +500,45 @@ def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...]
                 factor = work[r][col]
                 work[r] = [a - factor * p for a, p in zip(work[r], work[col])]
     return tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))
+
+
+def residual_loop(gv: GeometricVandermonde, inv: InverseMatrix) -> Fraction:
+    """max |(V * inv - I)_{i,j}| at a rational base, by n^2 dot products:
+    row i of V times q^(i(n-1)) and column j times the lcm of its
+    denominators are integer, so each entry is an integer dot product over
+    a known denominator."""
+    n, b = gv.n, gv.base.value
+    p_pows = powers(b.numerator, (n - 1) * (n - 1) + 1)
+    q_pows = powers(b.denominator, (n - 1) * (n - 1) + 1)
+    rows = [[p_pows[i * k] * q_pows[i * (n - 1 - k)] for k in range(n)] for i in range(n)]
+    worst = Fraction(0)
+    for j in range(n):
+        column = [inv.entries[k][j] for k in range(n)]
+        scale = math.lcm(*(c.denominator for c in column))
+        scaled = [c.numerator * (scale // c.denominator) for c in column]
+        for i in range(n):
+            denominator = q_pows[i * (n - 1)] * scale
+            excess = sum(map(operator.mul, rows[i], scaled))
+            if i == j:
+                excess -= denominator
+            if excess:
+                worst = max(worst, Fraction(abs(excess), denominator))
+    return worst
+
+
+def powers_pi_product(j: int, n: int, b: Fraction) -> Fraction:
+    """pi_{j,n} as the product of b^j - b^h (h < j) and b^h - b^j (h > j)
+    over the Fraction powers of b."""
+    pows = powers(b, n)
+    factors = [pows[j] - x for x in pows[:j]] + [x - pows[j] for x in pows[j + 1:]]
+    return math.prod(factors, start=pows[0])
+
+
+def powers_sigma_finite(i: int, j: int, n: int, x: Fraction) -> Fraction:
+    """sigma_{i,j,n}(x) by the elementary-symmetric sweep over the Fraction
+    powers x^h, h != j."""
+    pows = powers(x, n)
+    return elementary_symmetric(pows[:j] + pows[j + 1:], i, x ** 0)[i]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,35 @@ class TestConstruction:
         assert list(v[2]) == [1, 9, 81, 729]     # row i holds (b^i)^k
 
 
+# Fraction points below 1, integer-valued and above 1
+NODE_POINTS = [Fraction(2, 3), Fraction(1, 4), Fraction(2), Fraction(5), Fraction(7, 3),
+               Fraction(13, 10), Fraction(9, 4)]
+
+
+class TestOnIntegerNodes:
+    """At a Fraction point, pi_product and sigma_finite run over the integer
+    nodes p^h q^(n-1-h) and divide once by the scale: each must equal its
+    old body over the Fraction powers (oracles), at every j, 0 and n-1
+    included, and stay a Fraction."""
+
+    @pytest.mark.parametrize("b", NODE_POINTS, ids=str)
+    def test_pi_product(self, b):
+        for n in range(1, 10):
+            for j in range(n):
+                value = pi_product(j, n, b)
+                assert type(value) is Fraction, (b, n, j)
+                assert value == oracles.powers_pi_product(j, n, b), (b, n, j)
+
+    @pytest.mark.parametrize("b", NODE_POINTS, ids=str)
+    def test_sigma_finite(self, b):
+        for n in range(1, 10):
+            for j in range(n):
+                for i in range(n):
+                    value = sigma_finite(i, j, n, b)
+                    assert type(value) is Fraction, (b, n, i, j)
+                    assert value == oracles.powers_sigma_finite(i, j, n, b), (b, n, i, j)
+
+
 class TestPiProduct:
     @pytest.mark.parametrize("j,n,b,expected", [
         (0, 2, Fraction(2), 1),
@@ -227,6 +256,69 @@ class TestExactInvariants:
                        for i in range(n) for j in range(n))
         assert expected != 0
         assert residual_norm(gv, wrong) == expected
+
+
+# p/q with q <= 13 in each band of the bench's finite_exact workload
+_BAND_BASES = st.one_of(*(
+    st.sampled_from(sorted({Fraction(p, q) for q in range(1, 14) for p in range(q + 1, 3 * q + 1)
+                            if low <= Fraction(p, q) <= high}))
+    for low, high in [(Fraction(6, 5), Fraction(8, 5)), (Fraction(33, 20), Fraction(11, 5)),
+                      (Fraction(11, 5), Fraction(3))]))
+
+
+def _edited(inv, edit):
+    """inv with edit applied to a mutable copy of its rows."""
+    rows = [list(row) for row in inv.entries]
+    edit(rows)
+    return InverseMatrix(n=inv.n, base=inv.base, backend=inv.backend,
+                         entries=tuple(tuple(row) for row in rows))
+
+
+class TestIdentityResidual:
+    """The exact residual decides each column by one polynomial identity in
+    O(n) and scans only the failing columns; it must equal the n^2 dot
+    products of oracles.residual_loop on true and faulty inverses."""
+
+    @given(_BAND_BASES, st.integers(min_value=1, max_value=20), st.data())
+    @example(Fraction(7, 3), 20, None)
+    @example(Fraction(6, 5), 2, None)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_loop(self, b, n, data):
+        gv = GeometricVandermonde(BaseSpec.rational(b.numerator, b.denominator), n)
+        inv = inverse_matrix(gv)
+        if data is None:
+            i, j, factor = n - 1, 0, Fraction(-1)
+        else:
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            factor = data.draw(st.sampled_from([Fraction(-1), Fraction(2), Fraction(1, 3),
+                                                Fraction(10 ** 9 + 1, 10 ** 9)]))
+        wrong = _edited(inv, lambda rows: rows[i].__setitem__(j, rows[i][j] * factor))
+        scanned, scan = [], vandinv._worst_entry
+
+        def recorded(b, n, failed):
+            scanned.append([column for column, _, _ in failed])
+            return scan(b, n, failed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vandinv, "_worst_entry", recorded)
+            assert residual_norm(gv, inv) == oracles.residual_loop(gv, inv) == 0
+            residual = residual_norm(gv, wrong)
+        assert residual == oracles.residual_loop(gv, wrong)
+        assert residual > 0
+        # the identity alone passes every true column and fails only column j
+        assert scanned == [[], [j]]
+
+    @pytest.mark.parametrize("text", ["2", "7/3", "13/10"])
+    def test_a_column_off_by_a_multiple_of_the_identity(self, text):
+        """A column scaled as a whole is still a multiple of the Lagrange
+        column, and must fail by its scale: the check must not divide it away."""
+        spec, n = BaseSpec.parse(text), 6
+        gv = GeometricVandermonde(spec, n)
+
+        def triple_column(rows):
+            for row in rows:
+                row[2] *= 3
+        wrong = _edited(inverse_matrix(gv), triple_column)
+        assert residual_norm(gv, wrong) == oracles.residual_loop(gv, wrong) == 2
 
 
 @pytest.mark.parametrize("text,other", [("7/3", "2"), ("tau", "alpha")])
