@@ -9,11 +9,14 @@ where pi_{j,n} = prod_{h != j} |b^j - b^h|.  ColumnForm holds every
 magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
 (tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial
 from the q-binomial theorem in O(n) ring operations, one O(n) deflation per
-column (Traub 1966; Bjorck & Pereyra 1970), and every pi_j in closed form
-from one table of gap products.  The exact backend turns it into Fractions;
-the extremal scans compare its ratios by exact signs.  The rigorous backend,
-which encloses the entries of `inverse` at tau and alpha, works in the
-reciprocal formulation
+column (Traub 1966; Bjorck & Pereyra 1970), and every pi_j from one table of
+gap products (at p/q, one step per column, big by small).  The exact backend
+reduces each ratio to lowest terms through pi_j's split into powers of p and
+q and a cofactor prime to pq, one gcd against the cofactor per entry pair,
+and fills each Fraction without a second normalisation; the extremal scans
+compare its ratios by exact signs.  The rigorous backend, which encloses
+the entries of `inverse` at tau and alpha, works in the reciprocal
+formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -126,11 +129,14 @@ class ColumnForm:
     term, so the deflation's division by theta^j is a multiplication by
     theta^(-j).
 
-    pis holds every pi_j = prod_{h != j} |N_j - N_h| in closed form, from
-    O(n) ring products.  For h < j, N_j - N_h = p^h q^(n-1-j) (p^(j-h) - q^(j-h)),
-    so pi_j = p^(a_j) q^(a_(n-1-j)) D_j D_(n-1-j), with a_j = j(2n-3-j)/2 and
-    the gap products D_d = prod_{s=1}^{d} (p^s - q^s); the monomials are
-    running products, one step per column.
+    pis holds every pi_j = prod_{h != j} |N_j - N_h|.  For h < j,
+    N_j - N_h = p^h q^(n-1-j) (p^(j-h) - q^(j-h)), so pi_j = p^(a_j)
+    q^(a_(n-1-j)) D_j D_(n-1-j), with a_j = j(2n-3-j)/2 and the gap products
+    D_d = prod_{s=1}^{d} (p^s - q^s).  Over Z the table starts at pi_0 =
+    q^(a_(n-1)) D_(n-1) and takes one step per column, a big entry times and
+    exactly over factors of O(n) bits; over Z[theta] the monomials theta^(a_j)
+    and the D_d are running products.  At p/q the same split puts each ratio
+    in lowest terms (lowest_terms).
     """
 
     def __init__(self, gv: GeometricVandermonde):
@@ -140,16 +146,18 @@ class ColumnForm:
             p, q = value.numerator, value.denominator
             self.nodes = integer_nodes(value, n)
             gaps = [p ** s - q ** s for s in range(n + 1)]
-            # p^(a_j) q^(a_(n-1-j)) as a running product: a_(j+1) - a_j = n-2-j
-            # and a_(n-1-j) - a_(n-2-j) = j, so a step multiplies by p^(n-2-j)
-            # and divides exactly by q^j
-            ps, qs = powers(p, n), powers(q, n)
-            monomials = [q ** ((n - 1) * (n - 2) // 2)]
-            for j in range(n - 1):
-                monomials.append(monomials[-1] * ps[n - 2 - j] // qs[j])
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
             self._scale = q ** (n - 1)
+            self._p, self._q, self._gaps = p, q, gaps
+            # pi_0 = q^(a_(n-1)) D_(n-1); a_(j+1) - a_j = n-2-j and a_(n-1-j) - a_(n-2-j) = j,
+            # so a step multiplies by p^(n-2-j) (p^(j+1) - q^(j+1)) and divides exactly
+            # by q^j (p^(n-1-j) - q^(n-1-j)), big by small
+            ps, qs = powers(p, n), powers(q, n)
+            self.pis = [q ** ((n - 1) * (n - 2) // 2) * math.prod(gaps[1:n])]
+            for j in range(n - 1):
+                self.pis.append(self.pis[-1] * (ps[n - 2 - j] * gaps[j + 1])
+                                // (qs[j] * gaps[n - 1 - j]))
         else:
             modulus = gv.base.minimal_polynomial()
             p, q = at_base((0, 1), gv.base), 1
@@ -163,6 +171,11 @@ class ColumnForm:
             self._divisors = powers(at_base(modulus[1:], gv.base), n)
             self._divide = operator.mul
             self._scale = 1
+            products = [thetas[0]]          # products[d] = D_d
+            for gap in gaps[1:n]:
+                products.append(products[-1] * gap)
+            self.pis = [monomial * products[j] * products[n - 1 - j]
+                        for j, monomial in enumerate(monomials)]
         shifts = powers(p * q, n)           # (pq)^(k-1), from the unit on
         self.master = [shifts[0]]
         for k in range(1, n + 1):
@@ -170,11 +183,6 @@ class ColumnForm:
         # E_m s^(n-m), s = q^(n-1): the deflation's terms with the row scales built in
         self._terms = self.master if self._scale == 1 else [
             e * s for e, s in zip(self.master, reversed(powers(self._scale, n + 1)))]
-        products = [self.master[0]]         # products[d] = D_d
-        for gap in gaps[1:n]:
-            products.append(products[-1] * gap)
-        self.pis = [monomial * products[j] * products[n - 1 - j]
-                    for j, monomial in enumerate(monomials)]
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
         """([A_{i,j} for i in rows], pi_j).  The deflation runs on the
@@ -212,6 +220,58 @@ class ColumnForm:
             table.update(((i, j), (a, pi)) for i, a in enumerate(nums))
         return table
 
+    def lowest_terms(self) -> Iterator[Tuple[int, int, int, int]]:
+        """(i, j, num, den) for i <= j, column by column, with num / den =
+        A_{i,j} / pi_j in lowest terms and den > 0, at b = p/q only.
+
+        Split both sides over p, q and a cofactor prime to pq.  F_k = e_k(N_h :
+        h != j) sums p^(sum of S) q^(sum of n-1-h over S) over the k-subsets S.
+        The exponent of p is least, mu_k, only at the k smallest h != j, and
+        that of q, nu_k, only at the k largest, so F_k = p^(mu_k) q^(nu_k) U
+        with U prime to pq: modulo a prime r | p every term of U but one
+        vanishes, and that one is a power of q, prime to r (and likewise for
+        r | q).  With the row scale, A_{i,j} = F_(n-1-i) q^((n-1)i) =
+        p^mu q^nu U for mu = mu_(n-1-i), nu = nu_(n-1-i) + (n-1)i.  Every gap
+        p^s - q^s is prime to pq, so pi_j = p^(a_j) q^(a_(n-1-j)) d_j with
+        d_j = D_j D_(n-1-j) prime to pq.  Let g = gcd(U, d_j); then
+
+            num = (U/g) p^((mu - a_j)+) q^((nu - a_(n-1-j))+),
+            den = (d_j/g) p^((a_j - mu)+) q^((a_(n-1-j) - nu)+)
+
+        is A_{i,j} / pi_j with p^min(mu, a_j) q^min(nu, a_(n-1-j)) g cancelled,
+        and it is coprime: a prime r | p divides neither U/g, d_j/g nor q, and
+        p appears on one side only; likewise for r | q; a prime r prime to pq
+        dividing both would divide U/g and d_j/g, whose gcd is 1.  So each
+        pair costs one gcd against d_j, not pi_j, and one exact division of A
+        by p^mu q^nu; d_(j+1) = d_j (p^(j+1) - q^(j+1)) / (p^(n-1-j) - q^(n-1-j))
+        is a step big by small."""
+        n, p, q, gaps = self.n, self._p, self._q, self._gaps
+        table = self.upper_triangle
+        p_power, q_power = _Powers(p), _Powers(q)
+        cofactor = math.prod(gaps[1:n])                 # d_0 = D_(n-1)
+        for j in range(n):
+            if j:
+                cofactor = cofactor * gaps[j] // gaps[n - j]
+            a_p, a_q = j * (2 * n - 3 - j) // 2, (n - 1 - j) * (n - 2 + j) // 2
+            for i in range(j + 1):
+                # mu, nu: the sums of the k smallest of {0..n-1} without j and without n-1-j
+                k = n - 1 - i
+                mu = k * (k - 1) // 2 if k <= j else k * (k + 1) // 2 - j
+                nu = (k * (k - 1) // 2 if k <= n - 1 - j else k * (k + 1) // 2 - (n - 1 - j)) \
+                    + (n - 1) * i
+                num = table[i, j][0] // (p_power[mu] * q_power[nu])
+                g = math.gcd(num, cofactor)
+                num, den = (num, cofactor) if g == 1 else (num // g, cofactor // g)
+                if mu > a_p:
+                    num *= p_power[mu - a_p]
+                elif mu < a_p:
+                    den *= p_power[a_p - mu]
+                if nu > a_q:
+                    num *= q_power[nu - a_q]
+                elif nu < a_q:
+                    den *= q_power[a_q - nu]
+                yield i, j, num, den
+
     def value(self, num: Union[int, ZTheta], pi: Union[int, ZTheta],
               precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
         """num / pi: a Fraction over Z, its ball image at the base over Z[theta]."""
@@ -221,12 +281,31 @@ class ColumnForm:
         return poly_eval_ball(num.coefficients, theta) / poly_eval_ball(pi.coefficients, theta)
 
 
+class _Powers(dict):
+    """base^e by exponent e, each power computed on its first use."""
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, e: int) -> int:
+        self[e] = power = self.base ** e
+        return power
+
+
+def _fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, past __new__'s gcd."""
+    x = object.__new__(Fraction)
+    x._numerator, x._denominator = num, den
+    return x
+
+
 def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
     n = gv.n
     grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
     # the inverse is symmetric: fill i <= j and mirror; c_{i,j,n} = (-1)^(i+j) A_{i,j} / pi_j
-    for (i, j), (a, pi) in gv.column_form.upper_triangle.items():
-        grid[i][j] = grid[j][i] = Fraction(-a if (i + j) % 2 else a, pi)
+    for i, j, num, den in gv.column_form.lowest_terms():
+        grid[i][j] = grid[j][i] = _fraction(-num if (i + j) % 2 else num, den)
     return tuple(tuple(row) for row in grid)
 
 

@@ -34,6 +34,10 @@ and the test modules import it as ``oracles``.
 * ``residual_loop`` is the exact residual of V * inv - I as n^2 integer dot
   products, the body of ``vandinv.residual_norm`` at a rational base before
   it decided each column by one polynomial identity in O(n).
+* ``one_gcd_inverse_entries`` is the exact inverse with each entry built
+  as ``Fraction(A_{i,j}, pi_j)``, one gcd against the whole of pi_j, the
+  body of ``vandinv._inverse_entries_exact`` before it reduced each pair
+  through pi_j's split over p, q and a cofactor prime to pq.
 * ``powers_pi_product`` and ``powers_sigma_finite`` are pi_{j,n} and
   sigma_{i,j,n} over the powers of a Fraction point, the bodies of
   ``vandinv.pi_product`` and ``symfunc.sigma_finite`` before they ran on
@@ -500,6 +504,16 @@ def gauss_jordan_inverse(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...]
                 factor = work[r][col]
                 work[r] = [a - factor * p for a, p in zip(work[r], work[col])]
     return tuple(tuple(work[i][n + j] for j in range(n)) for i in range(n))
+
+
+def one_gcd_inverse_entries(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The entries of V^(-1), row-major, each (-1)^(i+j) A_{i,j} / pi_j from
+    the column form, reduced by Fraction's one gcd of A_{i,j} and pi_j."""
+    n = gv.n
+    grid = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), (a, pi) in gv.column_form.upper_triangle.items():
+        grid[i][j] = grid[j][i] = Fraction(-a if (i + j) % 2 else a, pi)
+    return tuple(tuple(row) for row in grid)
 
 
 def residual_loop(gv: GeometricVandermonde, inv: InverseMatrix) -> Fraction:

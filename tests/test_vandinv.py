@@ -2,7 +2,9 @@
 
 import functools
 import json
+import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
@@ -584,3 +586,102 @@ class TestColumnForm:
         entries = [[list(row) for row in inverse_matrix(gv).entries] for _ in range(2)]
         assert entries == [expected, expected]
         assert sorted(calls) == list(range(12))
+
+
+# composite p and q, q = 1, a decimal literal and a base near 1
+LOWEST_TERMS_BASES = ["6/5", "9/4", "25/12", "2", "3", "1.5", "1001/1000"]
+
+
+@st.composite
+def rational_bases(draw):
+    """One of LOWEST_TERMS_BASES, or p/q in lowest terms with 1 <= q <= 40 and
+    q < p <= 3q."""
+    if draw(st.booleans()):
+        return BaseSpec.parse(draw(st.sampled_from(LOWEST_TERMS_BASES)))
+    q = draw(st.integers(1, 40))
+    p = draw(st.integers(q + 1, 3 * q).filter(lambda p: math.gcd(p, q) == 1))
+    return BaseSpec.parse(f"{p}/{q}")
+
+
+def _cofactors(p: int, q: int, n: int):
+    """d_j = D_j D_(n-1-j) with D_d = prod_{s=1}^{d} (p^s - q^s), by products."""
+    gap_products = [math.prod(p ** s - q ** s for s in range(1, d + 1)) for d in range(n)]
+    return [gap_products[j] * gap_products[n - 1 - j] for j in range(n)]
+
+
+class TestLowestTerms:
+    """The exact inverse reduced through pi_j = p^(a_j) q^(a_(n-1-j)) d_j:
+    the same Fractions as one gcd of A_{i,j} and pi_j, with one gcd against
+    d_j per entry pair and no second normalisation."""
+
+    @given(rational_bases(), st.integers(1, 30))
+    @example(BaseSpec.parse("25/12"), 30)
+    @example(BaseSpec.parse("1001/1000"), 30)
+    @example(BaseSpec.parse("3"), 30)
+    @settings(max_examples=60, deadline=None)
+    def test_entries_equal_the_one_gcd_reduction(self, spec, n):
+        entries = inverse_matrix(GeometricVandermonde(spec, n)).entries
+        expected = oracles.one_gcd_inverse_entries(GeometricVandermonde(spec, n))
+        for row, expected_row in zip(entries, expected):
+            for x, y in zip(row, expected_row):
+                assert type(x) is Fraction
+                assert (x.numerator, x.denominator) == (y.numerator, y.denominator), (spec, n)
+
+    @pytest.mark.parametrize("text", LOWEST_TERMS_BASES + ["23/8", "7/3"])
+    def test_the_split_is_prime_to_pq(self, text):
+        # A_{i,j} = p^mu q^nu U with mu, nu the sums of the n-1-i smallest h
+        # and n-1-h over h != j (nu plus the row scale (n-1)i), and pi_j =
+        # p^(a_j) q^(a_(n-1-j)) d_j, with U and d_j prime to pq
+        p, q = BaseSpec.parse(text).value.as_integer_ratio()
+        for n in range(1, 21):
+            form = ColumnForm(GeometricVandermonde(BaseSpec.parse(text), n))
+            cofactors = _cofactors(p, q, n)
+            for j in range(n):
+                a_p, a_q = j * (2 * n - 3 - j) // 2, (n - 1 - j) * (n - 2 + j) // 2
+                assert form.pis[j] == p ** a_p * q ** a_q * cofactors[j], (text, n, j)
+                assert math.gcd(cofactors[j], p * q) == 1, (text, n, j)
+                exponents = sorted(h for h in range(n) if h != j)
+                nums, _ = form.magnitudes(j, range(j + 1))
+                for i, a in enumerate(nums):
+                    k = n - 1 - i
+                    mu = sum(exponents[:k])
+                    nu = sum(sorted(n - 1 - h for h in exponents)[:k]) + (n - 1) * i
+                    u, rest = divmod(a, p ** mu * q ** nu)
+                    assert rest == 0 and math.gcd(u, p * q) == 1, (text, n, i, j)
+
+    @pytest.mark.parametrize("text,n", [("23/8", 14), ("25/12", 9), ("3", 10)])
+    def test_one_small_gcd_per_entry_pair(self, text, n, monkeypatch):
+        # the gcds of one exact inverse: one per pair i <= j, column by column,
+        # each called from vandinv against the cofactor d_j, shorter than pi_j,
+        # and none from Fraction's own normalisation
+        spec = BaseSpec.parse(text)
+        p, q = spec.value.as_integer_ratio()
+        cofactors = _cofactors(p, q, n)
+        pis = ColumnForm(GeometricVandermonde(spec, n)).pis
+        calls = []
+        gcd = math.gcd
+
+        def counted(*args):
+            calls.append((sys._getframe(1).f_globals["__name__"], args))
+            return gcd(*args)
+        monkeypatch.setattr(math, "gcd", counted)
+        inverse_matrix(GeometricVandermonde(spec, n))
+        monkeypatch.undo()
+        columns = [j for j in range(n) for _ in range(j + 1)]
+        assert len(calls) == len(columns)
+        for j, (caller, args) in zip(columns, calls):
+            assert caller == "vangeo.vandinv" and len(args) == 2, (caller, j)
+            assert args[1].bit_length() <= cofactors[j].bit_length(), j
+        assert all(d.bit_length() < pi.bit_length() for d, pi in zip(cofactors[1:], pis[1:]))
+
+    @pytest.mark.parametrize("num,den", [(5, 7), (-12, 35), (1, 1), (-(3 ** 90), 2 ** 70 * 5 ** 11)])
+    def test_filled_fraction_is_the_constructed_one(self, num, den):
+        # the entries fill Fraction's two slots from a coprime pair; they must
+        # behave as Fraction(num, den) does, or the slots have changed
+        filled, built = vandinv._fraction(num, den), Fraction(num, den)
+        assert type(filled) is Fraction
+        assert filled == built and hash(filled) == hash(built) and str(filled) == str(built)
+        assert (filled.numerator, filled.denominator) == (built.numerator, built.denominator)
+        third = Fraction(1, 3)
+        assert filled * third + 1 == built * third + 1
+        assert str(filled * third + 1) == str(built * third + 1)
