@@ -20,12 +20,11 @@ from .errors import (DomainError, ParseError, SizeError, UndecidableComparisonEr
                      VangeoError)
 from .extremal import (BoxCheckReport, MaxReport, conjecture_scan, max_entry, n_zero,
                        verify_argmax_box, verify_leading_diagonal_max)
-from .limits import (LimitReport, LimitValue, classify_regime, limit_entry,
-                     limit_max)
-from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS,
-                     DEFAULT_PRECISION_CEILING, TAU_POLYNOMIAL, BaseSpec,
-                     RigorousReal, evaluate_base, fraction_to_decimal,
-                     fraction_to_sci, resolve_precision_ceiling)
+from .limits import (DEFAULT_PRECISION_CEILING, LimitReport, LimitValue,
+                     classify_regime, limit_entry, limit_max)
+from .scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL,
+                     BaseSpec, RigorousReal, evaluate_base, fraction_to_decimal,
+                     fraction_to_sci)
 from .symfunc import elementary_symmetric, sigma_finite
 from .vandinv import (GeometricVandermonde, InverseMatrix, gaussian_inverse,
                       inverse_matrix, pi_product, residual_norm)
@@ -43,7 +42,6 @@ __all__ = [
     "conjecture_scan", "elementary_symmetric", "evaluate_base",
     "fraction_to_decimal", "fraction_to_sci",
     "gaussian_inverse", "inverse_matrix", "limit_entry", "limit_max",
-    "max_entry", "n_zero", "pi_product", "residual_norm",
-    "resolve_precision_ceiling", "sigma_finite",
+    "max_entry", "n_zero", "pi_product", "residual_norm", "sigma_finite",
     "verify_argmax_box", "verify_leading_diagonal_max", "__version__",
 ]

@@ -38,7 +38,7 @@ from . import extremal, limits, symfunc, vandinv
 from .errors import DomainError, ParseError, VangeoError
 from .scalar import (DEFAULT_PRECISION_BITS, TAU_POLYNOMIAL, BaseSpec, Numeric, RigorousReal,
                      at_base, certified_poly_sign, evaluate_base, exact_sign,
-                     fraction_to_decimal, fraction_to_sci, powers, resolve_precision_ceiling)
+                     fraction_to_decimal, fraction_to_sci, powers)
 
 _FORMATS = ("text", "json", "csv")
 
@@ -49,8 +49,6 @@ class OutputFormat:
     digits: int = 20
 
     def __post_init__(self):
-        if self.kind not in _FORMATS:
-            raise ParseError(f"format must be one of {_FORMATS}, got {self.kind!r}")
         if not 1 <= self.digits <= 1000:
             raise DomainError(f"digits must be in [1, 1000], got {self.digits}")
 
@@ -193,7 +191,7 @@ def cmd_max(base: BaseSpec, n: int, fmt: OutputFormat) -> Tuple[int, str]:
 
 
 def cmd_limit(base: BaseSpec, tol: Fraction, fmt: OutputFormat,
-              precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+              precision_ceiling: int) -> Tuple[int, str]:
     report = limits.limit_max(base, tol, precision_ceiling)
     entries = [(e, e.value.decimal(fmt.digits), fraction_to_sci(e.value.radius))
                for e in report.entries]
@@ -235,16 +233,14 @@ REFERENCE_TABLE: Tuple[Tuple[str, str], ...] = (
 )
 
 
-def _certify_row(base_text: str, expected: str,
-                 precision_ceiling: Optional[int]) -> Tuple[str, str, str]:
+def _certify_row(base_text: str, expected: str) -> Tuple[str, str, str]:
     """Returns (computed string, status, radius string) for one table row."""
     base = BaseSpec.parse(base_text)
     frac_digits = len(expected.split(".")[1]) if "." in expected else 0
     sig_digits = len(expected.replace(".", "").lstrip("-0")) or 1
     half_ulp = Fraction(1, 2) / Fraction(10) ** frac_digits
     tol = half_ulp / 20
-    report = limits.limit_max(base, tol, precision_ceiling)
-    value = report.value
+    value = limits.limit_max(base, tol).value
     computed = value.decimal(sig_digits)
     gap = abs(value.midpoint - Fraction(expected))
     if gap + value.radius <= half_ulp:
@@ -256,10 +252,10 @@ def _certify_row(base_text: str, expected: str,
     return computed, status, fraction_to_sci(value.radius)
 
 
-def cmd_table(fmt: OutputFormat, precision_ceiling: Optional[int] = None) -> Tuple[int, str]:
+def cmd_table(fmt: OutputFormat) -> Tuple[int, str]:
     rows = []
     for base_text, expected in REFERENCE_TABLE:
-        computed, status, radius = _certify_row(base_text, expected, precision_ceiling)
+        computed, status, radius = _certify_row(base_text, expected)
         rows.append({"base": base_text, "computed": computed, "expected": expected,
                      "status": status, "radius": radius})
     failed = any(r["status"] != "match" for r in rows)
@@ -553,7 +549,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "matrices, their extremal entries, and entry limits.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, base=True, n=False, tol=None, rng=False, nmax=False, fmt=True):
+    def common(p, base=True, n=False, tol=None, rng=False, nmax=False, fmt=True, digits=True):
         if base:
             p.add_argument("--base", required=True,
                            help="base b > 1: p/q, a finite decimal, tau, or alpha")
@@ -570,12 +566,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="largest dimension to verify")
         if fmt:
             p.add_argument("--format", choices=_FORMATS, default="text")
+        if digits:
             p.add_argument("--digits", type=int, default=20,
                            help="significant decimal digits to print (default 20)")
-        p.add_argument("--precision-ceiling", type=int, default=None,
-                       help="bits the precision doublings of limit and table may reach; "
-                            "the first round runs at the precision the tolerance sets "
-                            "(default: VANGEO_PRECISION_CEILING or 4096; no effect elsewhere)")
 
     p = sub.add_parser("inverse", help="full signed inverse matrix")
     common(p, n=True)
@@ -589,10 +582,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, n=True)
     p = sub.add_parser("limit", help="entry limits, their max, and the regime")
     common(p, tol="1e-20")
+    p.add_argument("--precision-ceiling", type=int, default=limits.DEFAULT_PRECISION_CEILING,
+                   help="bits the precision doublings of each entry may reach, at least 16; "
+                        "the first round runs at the precision the tolerance sets "
+                        f"(default {limits.DEFAULT_PRECISION_CEILING})")
     p = sub.add_parser("table", help="recompute and certify the reference limit table")
-    common(p, base=False)
+    common(p, base=False, digits=False)
     p = sub.add_parser("verify", help="run the invariant suite for one base")
-    common(p, nmax=True, fmt=False)
+    common(p, nmax=True, fmt=False, digits=False)
     p = sub.add_parser("conjecture", help="diagonal-argmax scan over a range of n")
     common(p, rng=True)
     return parser
@@ -600,11 +597,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
     args = _build_parser().parse_args(argv)
-    ceiling = args.precision_ceiling
-    if ceiling is not None:
-        resolve_precision_ceiling(ceiling)   # validate eagerly
     if args.command == "verify":
         return cmd_verify(BaseSpec.parse(args.base), args.n_max)
+    if args.command == "table":
+        return cmd_table(OutputFormat(kind=args.format))
     fmt = OutputFormat(kind=args.format, digits=args.digits)
     if args.command == "inverse":
         return cmd_inverse(BaseSpec.parse(args.base), args.n, fmt)
@@ -613,9 +609,8 @@ def run(argv: Optional[List[str]] = None) -> Tuple[int, str]:
     if args.command == "max":
         return cmd_max(BaseSpec.parse(args.base), args.n, fmt)
     if args.command == "limit":
-        return cmd_limit(BaseSpec.parse(args.base), _parse_tol(args.tol), fmt, ceiling)
-    if args.command == "table":
-        return cmd_table(fmt, ceiling)
+        return cmd_limit(BaseSpec.parse(args.base), _parse_tol(args.tol), fmt,
+                         args.precision_ceiling)
     if args.command == "conjecture":
         lo, hi = _parse_range(args.range)
         return cmd_conjecture(BaseSpec.parse(args.base), lo, hi, fmt)

@@ -51,12 +51,14 @@ from .errors import DomainError, UndecidableComparisonError
 from .extremal import maximal_ratios, n_zero
 from .scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec, RigorousReal,
                      _dy_add, _dy_cmp, _from_dyadic_ends, _power, at_base,
-                     certified_poly_sign, evaluate_base, poly_eval_ball,
-                     resolve_precision_ceiling)
+                     certified_poly_sign, evaluate_base, poly_eval_ball)
 
 IndexPair = Tuple[int, int]
 Poly = List[int]
 Dyadic = Tuple[int, int]        # (m, e), the value m * 2**e
+
+# bits the precision doublings of limit_entry may reach
+DEFAULT_PRECISION_CEILING = 4096
 
 REGIME_ABOVE = "above_alpha"
 REGIME_BETWEEN = "between_tau_alpha"
@@ -205,15 +207,18 @@ class LimitValue:
 
 
 def limit_entry(i: int, j: int, base: BaseSpec, tol,
-                precision_ceiling: Optional[int] = None) -> LimitValue:
+                precision_ceiling: int = DEFAULT_PRECISION_CEILING) -> LimitValue:
     """l_{i,j} to enclosure radius <= tol, from the closed form evaluated over
-    enclosures of the base at doubling precision."""
+    enclosures of the base at doubling precision.  The first round runs at
+    the precision the tolerance sets, even above precision_ceiling (at least
+    16 bits); a round doubles it only while the result stays within it."""
     if i < 0 or j < 0:
         raise DomainError(f"need i, j >= 0, got i={i}, j={j}")
+    if precision_ceiling < 16:
+        raise DomainError(f"precision ceiling must be >= 16 bits, got {precision_ceiling}")
     tolf = _to_tol(tol)
     tol_num, tol_den = tolf.numerator, tolf.denominator
     num, den = _closed_form(i, j)
-    ceiling = resolve_precision_ceiling(precision_ceiling)
     precision = _prec_for_tol(tolf)
     while True:
         b = evaluate_base(base, precision)
@@ -230,10 +235,10 @@ def limit_entry(i: int, j: int, base: BaseSpec, tol,
             if value is not None and _dy_cmp(value._r * tol_den, value._f, tol_num, 0) <= 0:
                 return LimitValue(i=i, j=j, value=value, sigma_cutoff=i,
                                   product_cutoff=pairs, closed_form=(num, den))
-        if 2 * precision > ceiling:
+        if 2 * precision > precision_ceiling:
             raise UndecidableComparisonError(
                 f"cannot reach tolerance {tolf} for l_({i},{j}) at base "
-                f"{base.text} within the {ceiling}-bit precision ceiling")
+                f"{base.text} within the {precision_ceiling}-bit precision ceiling")
         precision *= 2
 
 
@@ -264,13 +269,14 @@ def _argmax(closed_forms: Sequence[Tuple[Poly, Poly]], base: BaseSpec) -> List[i
     return maximal_ratios(enumerate(forms))[1]
 
 
-def limit_max(base: BaseSpec, tol, precision_ceiling: Optional[int] = None) -> LimitReport:
+def limit_max(base: BaseSpec, tol,
+              precision_ceiling: int = DEFAULT_PRECISION_CEILING) -> LimitReport:
     """Evaluate l_{i,j} over 0 <= i <= j <= n0 (symmetry covers i > j) and
     pick the argmax by exact comparison of the closed forms: l_a > l_b exactly
     when N_a D_b - N_b D_a > 0 at the base.  Each pair's N and D are built
     once, by limit_entry, and the argmax reads them and the pair from its
-    entries.  No list of the box's pairs is built, so an entry past the
-    precision ceiling fails before the box takes any memory."""
+    entries.  No list of the box's pairs is built, so an entry past
+    precision_ceiling fails before the box takes any memory."""
     tolf = _to_tol(tol)
     box = n_zero(base)
     entries = [limit_entry(i, j, base, tolf / 4, precision_ceiling)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -47,27 +46,6 @@ from .errors import DomainError, ParseError
 _RAD_BITS = 32
 
 DEFAULT_PRECISION_BITS = 256
-DEFAULT_PRECISION_CEILING = 4096
-PRECISION_CEILING_ENV = "VANGEO_PRECISION_CEILING"
-
-
-def resolve_precision_ceiling(explicit: Optional[int] = None) -> int:
-    """Precision ceiling in bits: explicit argument, else the
-    VANGEO_PRECISION_CEILING environment variable, else 4096."""
-    if explicit is not None:
-        if explicit < 16:
-            raise DomainError(f"precision ceiling must be >= 16 bits, got {explicit}")
-        return explicit
-    env = os.environ.get(PRECISION_CEILING_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ParseError(f"{PRECISION_CEILING_ENV} must be an integer, got {env!r}") from None
-        if value < 16:
-            raise DomainError(f"{PRECISION_CEILING_ENV} must be >= 16, got {value}")
-        return value
-    return DEFAULT_PRECISION_CEILING
 
 
 # ---------------------------------------------------------------------------

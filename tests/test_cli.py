@@ -140,7 +140,7 @@ class TestTable:
 
     def test_wrong_reference_is_flagged_mismatch(self):
         # a reference off by 10 ulps must certify as mismatch, not uncertified
-        _, status, _ = cli._certify_row("2", "5.194119929182595427", None)
+        _, status, _ = cli._certify_row("2", "5.194119929182595427")
         assert status == "mismatch"
 
     def test_mismatch_exits_one(self, monkeypatch):
@@ -641,7 +641,6 @@ class TestExitCodes:
         with its address space capped at 1 GiB."""
         import resource
         env = dict(os.environ)
-        env.pop("VANGEO_PRECISION_CEILING", None)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
 
         def cap():
@@ -653,6 +652,31 @@ class TestExitCodes:
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == ("error: cannot reach tolerance 1/400000000000000000000 for "
                                "l_(0,0) at base 1.0001 within the 4096-bit precision ceiling\n")
+
+
+class TestPrecisionCeiling:
+    """The ceiling bounds limit's precision doublings, and only the flag sets it."""
+
+    ARGV = ["limit", "--base", "1.05", "--tol", "1e-10"]
+
+    def test_default_reaches_tolerance(self, capsys):
+        assert cli.main(self.ARGV) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_flag_caps_the_doublings(self, capsys):
+        assert cli.main(self.ARGV + ["--precision-ceiling", "64"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "within the 64-bit precision ceiling" in err
+
+    def test_environment_is_ignored(self, monkeypatch, capsys):
+        """VANGEO_<OPTION>=64 for every option of limit, a ceiling that would
+        refuse this command, leaves its exit status and stdout as they are."""
+        assert cli.main(self.ARGV) == 0
+        expected = capsys.readouterr().out
+        for option in _subcommand_options()["limit"]:
+            monkeypatch.setenv("VANGEO_" + option[2:].upper().replace("-", "_"), "64")
+        assert cli.main(self.ARGV) == 0
+        assert capsys.readouterr().out == expected
 
 
 class TestLongNumbers:
@@ -709,10 +733,21 @@ class TestDeterminism:
         assert "max = 5.1941199" in short
         assert "max = 5.1941199291825954173069" in long
 
-    def test_precision_ceiling_flag_accepted(self):
-        output = run_ok(["max", "--base", "tau", "--n", "6",
-                         "--precision-ceiling", "2048"])
-        assert "argmax = (1,1)" in output
+    @pytest.mark.parametrize("argv", [
+        ["inverse", "--base", "2", "--n", "3", "--precision-ceiling", "2048"],
+        ["sigma", "--i", "0", "--j", "0", "--n", "2", "--x", "2", "--precision-ceiling", "2048"],
+        ["max", "--base", "tau", "--n", "6", "--precision-ceiling", "2048"],
+        ["table", "--precision-ceiling", "2048"],
+        ["verify", "--base", "2", "--n-max", "3", "--precision-ceiling", "2048"],
+        ["conjecture", "--base", "2", "--range", "2:3", "--precision-ceiling", "2048"],
+        ["table", "--digits", "5"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_options_limit_alone_takes_are_refused(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "unrecognized arguments" in err and "Traceback" not in err
 
     def test_shared_parser_keeps_no_options(self):
         # the parser is built once per process; a json run must not leave its
@@ -757,14 +792,27 @@ _VALUES = {
     "--precision-ceiling": st.sampled_from(["8", "16", "64", "4096"]),
 }
 _OPTIONS = {
-    "inverse": ("--base", "--n", "--format", "--digits", "--precision-ceiling"),
+    "inverse": ("--base", "--n", "--format", "--digits"),
     "sigma": ("--i", "--j", "--n", "--x", "--format", "--digits"),
-    "max": ("--base", "--n", "--format", "--digits", "--precision-ceiling"),
+    "max": ("--base", "--n", "--format", "--digits"),
     "limit": ("--base", "--tol", "--format", "--digits", "--precision-ceiling"),
-    "table": ("--format", "--digits", "--precision-ceiling"),
-    "verify": ("--base", "--n-max", "--precision-ceiling"),
-    "conjecture": ("--base", "--range", "--format", "--digits", "--precision-ceiling"),
+    "table": ("--format",),
+    "verify": ("--base", "--n-max"),
+    "conjecture": ("--base", "--range", "--format", "--digits"),
 }
+
+
+def _subcommand_options():
+    """{subcommand: the set of option strings its parser accepts, less --help}."""
+    actions = cli._build_parser()._subparsers._group_actions[0].choices
+    return {name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in actions.items()}
+
+
+def test_fuzz_draws_every_option_of_the_parser():
+    """The fuzz below draws each command's options from _OPTIONS: it must
+    list exactly what the parser accepts."""
+    assert {name: set(flags) for name, flags in _OPTIONS.items()} == _subcommand_options()
 
 
 @st.composite

@@ -4,7 +4,7 @@ commands, pinned in ``golden_stdout.json``.
 The set is every command of one pass of the ``finite_ball`` and ``limits``
 bench workloads (seed 1, written out here so this test does not import
 ``bench/``), plus ``inverse``/``max``/``verify`` at tau and alpha at 64 and
-100 digits, a 16-bit precision ceiling, a few exact-base maxima, and the
+100 digits and ``max`` there at n = 12, a few exact-base maxima, and the
 limits paths that print pentagonal cutoffs and radii: ``limit`` in json and
 csv at tau, alpha and two rational bases, ``limit --tol 1e-10`` at the
 near-1 bases 1.1 and 1.07, and ``table`` in all three formats.  The sizes
@@ -147,8 +147,8 @@ max --base tau --n 14 --digits 64
 max --base tau --n 14 --digits 100
 max --base alpha --n 14 --digits 64
 max --base alpha --n 14 --digits 100
-max --base tau --n 12 --precision-ceiling 16
-max --base alpha --n 12 --precision-ceiling 16
+max --base tau --n 12
+max --base alpha --n 12
 verify --base tau --n-max 8
 verify --base alpha --n-max 8
 sigma --i 2 --j 1 --n 6 --x tau --digits 40

@@ -156,6 +156,10 @@ class TestLimitEntry:
         with pytest.raises(DomainError):
             limit_entry(-1, 0, BaseSpec.parse("2"), TOL15)
 
+    def test_ceiling_below_16_rejected(self):
+        with pytest.raises(DomainError, match="^precision ceiling must be >= 16 bits, got 8$"):
+            limit_entry(0, 0, BaseSpec.parse("2"), TOL15, precision_ceiling=8)
+
     def test_escalation_and_ceiling(self):
         """At 1.03 and 1e-10, l_(3,5) fails its tolerance at 97 and 194
         bits: the ceilings 128 and 256 refuse it and name themselves, and

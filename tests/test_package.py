@@ -157,7 +157,6 @@ REACH_COMMANDS = [
     ["conjecture", "--base", "tau", "--range", "2:3", "--digits", "100"],
     ["conjecture", "--base", "alpha", "--range", "2:3", "--digits", "100"],
     ["limit", "--base", "2", "--tol", "1e-6", "--precision-ceiling", "64"],
-    ["table", "--precision-ceiling", "64"],
 ]
 
 # functions no command needs, each with the reason it stays

@@ -2,7 +2,6 @@
 
 import math
 import operator
-import os
 from fractions import Fraction
 
 import pytest
@@ -14,15 +13,13 @@ from oracles import (ball_abs, ball_dot, certainly_gt, certainly_lt, contains, f
                      reduced_norm_sign)
 from vangeo import cli, symfunc, vandinv
 from vangeo.errors import DomainError, ParseError
-from vangeo.scalar import (ALPHA_POLYNOMIAL, DEFAULT_PRECISION_CEILING,
-                           PRECISION_CEILING_ENV, TAU_POLYNOMIAL, BaseSpec,
+from vangeo.scalar import (ALPHA_POLYNOMIAL, TAU_POLYNOMIAL, BaseSpec,
                            RigorousReal, ZTheta, _alpha_bounds, _ball_dot,
                            _dy_quotient, _filled, _max_abs,
                            _normalize, _power, _split, at_base,
                            certified_poly_sign, evaluate_base,
                            fraction_to_decimal, fraction_to_sci,
-                           poly_eval_ball, powers, reduce_monic,
-                           resolve_precision_ceiling)
+                           poly_eval_ball, powers, reduce_monic)
 
 # √5 to ~600 bits via integer square root, as a two-sided rational bracket.
 _S = math.isqrt(5 << 1200)
@@ -1265,22 +1262,3 @@ class TestPrinting:
             text = fraction_to_sci(Fraction(num, den))
             mantissa, exp = text.split("e")
             assert Fraction(mantissa) * Fraction(10) ** int(exp) >= Fraction(num, den)
-
-
-class TestPrecisionCeiling:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(PRECISION_CEILING_ENV, raising=False)
-        assert resolve_precision_ceiling() == DEFAULT_PRECISION_CEILING
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_CEILING_ENV, "8192")
-        assert resolve_precision_ceiling() == 8192
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv(PRECISION_CEILING_ENV, "8192")
-        assert resolve_precision_ceiling(2048) == 2048
-
-    def test_invalid_rejected(self, monkeypatch):
-        monkeypatch.delenv(PRECISION_CEILING_ENV, raising=False)
-        with pytest.raises(DomainError):
-            resolve_precision_ceiling(8)
