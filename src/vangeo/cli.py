@@ -314,7 +314,11 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
     complement check sets a Z[theta] sweep at theta against sigma_finite at
     theta^(-1), different ring elements, and the first minus theta^t times
     the second must be an exact zero.  The pi checks read one lazily filled
-    table: vandinv.pi_product runs at most once per (j, n).
+    table: vandinv.pi_product runs at most once per (j, n).  At p/q the
+    exact inverse comes from the column form's cofactor deflation, and the
+    box and diagonal checks from its table of A_{i,j}, so the magnitude
+    check also cross-multiplies each |c_{i,j}|, i <= j, with A_{i,j} / pi_j:
+    a wrong A fails it as a wrong inverse does.
     """
     n_max = len(sizes)
     n0 = extremal.n_zero(base)
@@ -393,16 +397,19 @@ def _verify_suite(base: BaseSpec, sizes, matrices, boxes):
         return True, ""
 
     def check_magnitude():
-        # |c| * pi = a/d * u/v against sigma_k(b) = rows_b[n][j][k] / q^((n-1)k)
+        # |c| * pi = a/d * u/v against sigma_k(b) = rows_b[n][j][k] / q^((n-1)k),
+        # and for i <= j, |c| against the column form's ratio A_{i,j} / pi_j
         for n in range(1, min(n_max, 12) + 1):
-            e = matrices[n].entries
+            e, table = matrices[n].entries, sizes[n].column_form.upper_triangle
             for j in range(n):
                 pi_j = pi(j, n)
                 for i in range(n):
                     k = n - 1 - i
                     c = abs(e[i][j])
                     if (c.numerator * pi_j.numerator * q ** ((n - 1) * k)
-                            != rows_b[n][j][k] * c.denominator * pi_j.denominator):
+                            != rows_b[n][j][k] * c.denominator * pi_j.denominator
+                            or i <= j and c.numerator * table[i, j][1]
+                            != table[i, j][0] * c.denominator):
                         return False, f"|c|*pi != sigma at n={n}, ({i},{j})"
         return True, ""
 

@@ -10,13 +10,14 @@ magnitude as an exact ratio A_{i,j} / pi_j over Z (b = p/q) or over Z[theta]
 (tau, alpha; the integer arithmetic of scalar.ZTheta): one master polynomial
 from the q-binomial theorem in O(n) ring operations, one O(n) deflation per
 column (Traub 1966; Bjorck & Pereyra 1970), and every pi_j from one table of
-gap products (at p/q, one step per column, big by small).  The exact backend
-reduces each ratio to lowest terms through pi_j's split into powers of p and
-q and a cofactor prime to pq, one gcd against the cofactor per entry pair,
-and fills each Fraction without a second normalisation; the extremal scans
-compare its ratios by exact signs.  The rigorous backend, which encloses
-the entries of `inverse` at tau and alpha, works in the reciprocal
-formulation
+gap products (at p/q, one step per column, big by small); the extremal
+scans compare these ratios by exact signs.  The exact backend never forms
+A_{i,j}: it deflates the part of A_{i,j} prime to pq directly, from the
+master polynomial without its powers of pq, cancels the powers of p and q
+by their exponents, takes one gcd per entry pair against pi_j's cofactor
+prime to pq, and fills each Fraction without a second normalisation.  The
+rigorous backend, which encloses the entries of `inverse` at tau and alpha,
+works in the reciprocal formulation
 
     |c_{i,j,n}| = sigma_{i,j,n}(1/b) / ( prod_{s=1}^{j} (b^s - 1)
                                        * prod_{t=1}^{n-1-j} (1 - b^{-t}) ),
@@ -112,7 +113,7 @@ def inverse_matrix(gv: GeometricVandermonde,
     from the state its prefix of nodes shares with the columns before it."""
     if gv.is_exact:
         return InverseMatrix(n=gv.n, base=gv.base, backend="exact",
-                             entries=_inverse_entries_exact(gv))
+                             entries=gv.column_form.exact_entries)
     return InverseMatrix(n=gv.n, base=gv.base, backend="rigorous",
                          entries=_inverse_entries_rigorous(gv, precision_bits))
 
@@ -135,8 +136,14 @@ class ColumnForm:
     D_d = prod_{s=1}^{d} (p^s - q^s).  Over Z the table starts at pi_0 =
     q^(a_(n-1)) D_(n-1) and takes one step per column, a big entry times and
     exactly over factors of O(n) bits; over Z[theta] the monomials theta^(a_j)
-    and the D_d are running products.  At p/q the same split puts each ratio
-    in lowest terms (lowest_terms).
+    and the D_d are running products.
+
+    At p/q the exact inverse reads none of these: the same split into powers
+    of p and q and cofactors prime to pq gives a deflation of the cofactors
+    U of A_{i,j} = p^mu q^nu U from E_k / (pq)^(k(k-1)/2) (cofactors), and
+    puts each ratio in lowest terms (lowest_terms).  So master and the
+    row-scaled terms are built on first use, and at p/q so is pis, for the
+    scans and checks that read A.
     """
 
     def __init__(self, gv: GeometricVandermonde):
@@ -149,15 +156,7 @@ class ColumnForm:
             # the deflation divides by N_j: exactly over Z, by theta^(-j) over Z[theta]
             self._divisors, self._divide = self.nodes, operator.floordiv
             self._scale = q ** (n - 1)
-            self._p, self._q, self._gaps = p, q, gaps
-            # pi_0 = q^(a_(n-1)) D_(n-1); a_(j+1) - a_j = n-2-j and a_(n-1-j) - a_(n-2-j) = j,
-            # so a step multiplies by p^(n-2-j) (p^(j+1) - q^(j+1)) and divides exactly
-            # by q^j (p^(n-1-j) - q^(n-1-j)), big by small
-            ps, qs = powers(p, n), powers(q, n)
-            self.pis = [q ** ((n - 1) * (n - 2) // 2) * math.prod(gaps[1:n])]
-            for j in range(n - 1):
-                self.pis.append(self.pis[-1] * (ps[n - 2 - j] * gaps[j + 1])
-                                // (qs[j] * gaps[n - 1 - j]))
+            self._ps, self._qs = powers(p, n), powers(q, n)
         else:
             modulus = gv.base.minimal_polynomial()
             p, q = at_base((0, 1), gv.base), 1
@@ -176,13 +175,47 @@ class ColumnForm:
                 products.append(products[-1] * gap)
             self.pis = [monomial * products[j] * products[n - 1 - j]
                         for j, monomial in enumerate(monomials)]
-        shifts = powers(p * q, n)           # (pq)^(k-1), from the unit on
-        self.master = [shifts[0]]
+        self._p, self._q, self._gaps = p, q, gaps
+
+    @functools.cached_property
+    def pis(self) -> List[int]:
+        """pi_0, ..., pi_(n-1) at p/q, built on first use (__init__ sets them
+        over Z[theta]).  pi_0 = q^(a_(n-1)) D_(n-1); a_(j+1) - a_j = n-2-j and
+        a_(n-1-j) - a_(n-2-j) = j, so a step multiplies by p^(n-2-j)
+        (p^(j+1) - q^(j+1)) and divides exactly by q^j (p^(n-1-j) - q^(n-1-j)),
+        big by small."""
+        n, gaps, ps, qs = self.n, self._gaps, self._ps, self._qs
+        pis = [self._q ** ((n - 1) * (n - 2) // 2) * math.prod(gaps[1:n])]
+        for j in range(n - 1):
+            pis.append(pis[-1] * (ps[n - 2 - j] * gaps[j + 1]) // (qs[j] * gaps[n - 1 - j]))
+        return pis
+
+    @functools.cached_property
+    def master(self) -> list:
+        """E_0, ..., E_n by the q-binomial recurrence, built on first use."""
+        n, gaps = self.n, self._gaps
+        shifts = powers(self._p * self._q, n)   # (pq)^(k-1), from the unit on
+        master = [shifts[0]]
         for k in range(1, n + 1):
-            self.master.append(self.master[-1] * shifts[k - 1] * gaps[n - k + 1] // gaps[k])
-        # E_m s^(n-m), s = q^(n-1): the deflation's terms with the row scales built in
-        self._terms = self.master if self._scale == 1 else [
-            e * s for e, s in zip(self.master, reversed(powers(self._scale, n + 1)))]
+            master.append(master[-1] * shifts[k - 1] * gaps[n - k + 1] // gaps[k])
+        return master
+
+    @functools.cached_property
+    def _terms(self) -> list:
+        """E_m s^(n-m), s = q^(n-1): the deflation's terms with the row scales built in."""
+        if self._scale == 1:
+            return self.master
+        return [e * s for e, s in zip(self.master, reversed(powers(self._scale, self.n + 1)))]
+
+    @functools.cached_property
+    def _homogeneous(self) -> List[int]:
+        """E_k / (pq)^(k(k-1)/2) for k < n at p/q: the master recurrence without
+        its (pq)^(k-1) factor, the homogeneous Gaussian binomial in p and q."""
+        n, gaps = self.n, self._gaps
+        hat = [1]
+        for k in range(1, n):
+            hat.append(hat[-1] * gaps[n - k + 1] // gaps[k])
+        return hat
 
     def magnitudes(self, j: int, rows: Sequence[int]) -> Tuple[List, Union[int, ZTheta]]:
         """([A_{i,j} for i in rows], pi_j).  The deflation runs on the
@@ -220,6 +253,22 @@ class ColumnForm:
             table.update(((i, j), (a, pi)) for i, a in enumerate(nums))
         return table
 
+    def cofactors(self, j: int) -> List[int]:
+        """[U_(n-1-i) for i <= j] at b = p/q: the parts of A_{i,j} prime to pq
+        (lowest_terms), deflated from U_(n-1) = 1 by
+        U_(k-1) = (E^_k - p^((k-j)+) q^(k-j') U_k) / p^((j-k+1)+), with
+        j' = n-1-j and E^_k = E_k / (pq)^(k(k-1)/2)."""
+        n, ps, qs, hat = self.n, self._ps, self._qs, self._homogeneous
+        low = n - 1 - j                                 # j'
+        u = [1]
+        for k in range(n - 1, low, -1):
+            carried = u[-1] * qs[k - low]
+            if k > j:
+                u.append(hat[k] - carried * ps[k - j])
+            else:
+                u.append((hat[k] - carried) // ps[j - k + 1])
+        return u
+
     def lowest_terms(self) -> Iterator[Tuple[int, int, int, int]]:
         """(i, j, num, den) for i <= j, column by column, with num / den =
         A_{i,j} / pi_j in lowest terms and den > 0, at b = p/q only.
@@ -227,13 +276,14 @@ class ColumnForm:
         Split both sides over p, q and a cofactor prime to pq.  F_k = e_k(N_h :
         h != j) sums p^(sum of S) q^(sum of n-1-h over S) over the k-subsets S.
         The exponent of p is least, mu_k, only at the k smallest h != j, and
-        that of q, nu_k, only at the k largest, so F_k = p^(mu_k) q^(nu_k) U
-        with U prime to pq: modulo a prime r | p every term of U but one
+        that of q, nu_k, only at the k largest, so F_k = p^(mu_k) q^(nu_k) U_k
+        with U_k prime to pq: modulo a prime r | p every term of U_k but one
         vanishes, and that one is a power of q, prime to r (and likewise for
         r | q).  With the row scale, A_{i,j} = F_(n-1-i) q^((n-1)i) =
-        p^mu q^nu U for mu = mu_(n-1-i), nu = nu_(n-1-i) + (n-1)i.  Every gap
-        p^s - q^s is prime to pq, so pi_j = p^(a_j) q^(a_(n-1-j)) d_j with
-        d_j = D_j D_(n-1-j) prime to pq.  Let g = gcd(U, d_j); then
+        p^mu q^nu U for mu = mu_(n-1-i), nu = nu_(n-1-i) + (n-1)i and
+        U = U_(n-1-i).  Every gap p^s - q^s is prime to pq, so pi_j =
+        p^(a_j) q^(a_(n-1-j)) d_j with d_j = D_j D_(n-1-j) prime to pq.  Let
+        g = gcd(U, d_j); then
 
             num = (U/g) p^((mu - a_j)+) q^((nu - a_(n-1-j))+),
             den = (d_j/g) p^((a_j - mu)+) q^((a_(n-1-j) - nu)+)
@@ -242,26 +292,46 @@ class ColumnForm:
         and it is coprime: a prime r | p divides neither U/g, d_j/g nor q, and
         p appears on one side only; likewise for r | q; a prime r prime to pq
         dividing both would divide U/g and d_j/g, whose gcd is 1.  So each
-        pair costs one gcd against d_j, not pi_j, and one exact division of A
-        by p^mu q^nu; d_(j+1) = d_j (p^(j+1) - q^(j+1)) / (p^(n-1-j) - q^(n-1-j))
-        is a step big by small."""
-        n, p, q, gaps = self.n, self._p, self._q, self._gaps
-        table = self.upper_triangle
-        p_power, q_power = _Powers(p), _Powers(q)
-        cofactor = math.prod(gaps[1:n])                 # d_0 = D_(n-1)
+        pair costs one gcd against d_j, not pi_j, and d_(j+1) = d_j
+        (p^(j+1) - q^(j+1)) / (p^(n-1-j) - q^(n-1-j)) is a step big by small.
+
+        The U_k come from a deflation of their own (cofactors), so neither A
+        nor p^mu q^nu is formed.  Let T_k = k(k-1)/2, j' = n-1-j and
+        E^_k = E_k / (pq)^(T_k), the master recurrence without its (pq)^(k-1)
+        factor.  The deflation step E_k = F_k + N_j F_(k-1), N_j = p^j q^j',
+        becomes a step on the U_k:
+
+        - A sum of k distinct exponents from 0..n-1 is at least T_k, so
+          mu_k, nu_k >= T_k and dividing the step by (pq)^(T_k) gives
+          p^(j + mu_(k-1) - T_k) q^(j' + nu_(k-1) - T_k) U_(k-1)
+          = E^_k - p^(mu_k - T_k) q^(nu_k - T_k) U_k, every exponent >= 0.
+        - In closed form mu_k = T_k + (k-j)+ (the k smallest of 0..n-1
+          without j are 0..k-1 for k <= j, else 0..k without j), so
+          j + mu_(k-1) - T_k = j - (k-1) + (k-1-j)+ = (j-k+1)+; likewise
+          nu_k = T_k + (k-j')+ and j' + nu_(k-1) - T_k = (j'-k+1)+, which
+          is 0 for k > j'.  Column j reads U_k for k = n-1-i >= j' only, so
+          each step has k > j' and is
+          U_(k-1) = (E^_k - p^((k-j)+) q^(k-j') U_k) / p^((j-k+1)+),
+          exact, by a power of p of at most j log2(p) bits.  cofactors
+          reads ps[k - j], ps[j - k + 1] and qs[k - j'] only on the branch
+          where that exponent is at least 1, so no index wraps below 0 to
+          the last power.
+        - F_(n-1) = prod_(h != j) N_h is one monomial, so U_(n-1) = 1."""
+        n, gaps = self.n, self._gaps
+        p_power, q_power = _Powers(self._p), _Powers(self._q)
+        d = math.prod(gaps[1:n])                        # d_0 = D_(n-1)
         for j in range(n):
             if j:
-                cofactor = cofactor * gaps[j] // gaps[n - j]
+                d = d * gaps[j] // gaps[n - j]
             a_p, a_q = j * (2 * n - 3 - j) // 2, (n - 1 - j) * (n - 2 + j) // 2
-            for i in range(j + 1):
+            for i, u in enumerate(self.cofactors(j)):
                 # mu, nu: the sums of the k smallest of {0..n-1} without j and without n-1-j
                 k = n - 1 - i
                 mu = k * (k - 1) // 2 if k <= j else k * (k + 1) // 2 - j
                 nu = (k * (k - 1) // 2 if k <= n - 1 - j else k * (k + 1) // 2 - (n - 1 - j)) \
                     + (n - 1) * i
-                num = table[i, j][0] // (p_power[mu] * q_power[nu])
-                g = math.gcd(num, cofactor)
-                num, den = (num, cofactor) if g == 1 else (num // g, cofactor // g)
+                g = math.gcd(u, d)
+                num, den = (u, d) if g == 1 else (u // g, d // g)
                 if mu > a_p:
                     num *= p_power[mu - a_p]
                 elif mu < a_p:
@@ -271,6 +341,17 @@ class ColumnForm:
                 elif nu < a_q:
                     den *= q_power[a_q - nu]
                 yield i, j, num, den
+
+    @functools.cached_property
+    def exact_entries(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The inverse at b = p/q, row-major, built once per form: the
+        inverse is symmetric, so lowest_terms fills i <= j and is mirrored;
+        c_{i,j,n} = (-1)^(i+j) A_{i,j} / pi_j."""
+        n = self.n
+        grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+        for i, j, num, den in self.lowest_terms():
+            grid[i][j] = grid[j][i] = _fraction(-num if (i + j) % 2 else num, den)
+        return tuple(tuple(row) for row in grid)
 
     def value(self, num: Union[int, ZTheta], pi: Union[int, ZTheta],
               precision_bits: int = DEFAULT_PRECISION_BITS) -> Numeric:
@@ -298,15 +379,6 @@ def _fraction(num: int, den: int) -> Fraction:
     x = object.__new__(Fraction)
     x._numerator, x._denominator = num, den
     return x
-
-
-def _inverse_entries_exact(gv: GeometricVandermonde) -> Tuple[Tuple[Fraction, ...], ...]:
-    n = gv.n
-    grid: List[List[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    # the inverse is symmetric: fill i <= j and mirror; c_{i,j,n} = (-1)^(i+j) A_{i,j} / pi_j
-    for i, j, num, den in gv.column_form.lowest_terms():
-        grid[i][j] = grid[j][i] = _fraction(-num if (i + j) % 2 else num, den)
-    return tuple(tuple(row) for row in grid)
 
 
 def _inverse_entries_rigorous(gv: GeometricVandermonde,

@@ -36,7 +36,8 @@ and the test modules import it as ``oracles``.
   it decided each column by one polynomial identity in O(n).
 * ``one_gcd_inverse_entries`` is the exact inverse with each entry built
   as ``Fraction(A_{i,j}, pi_j)``, one gcd against the whole of pi_j, the
-  body of ``vandinv._inverse_entries_exact`` before it reduced each pair
+  body of the former ``vandinv._inverse_entries_exact`` (now
+  ``ColumnForm.exact_entries``) before it reduced each pair
   through pi_j's split over p, q and a cofactor prime to pq.
 * ``powers_pi_product`` and ``powers_sigma_finite`` are pi_{j,n} and
   sigma_{i,j,n} over the powers of a Fraction point, the bodies of

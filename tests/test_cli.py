@@ -501,12 +501,28 @@ def scale_magnitude(n, i, j, factor):
     return plant
 
 
+def scale_cofactor(n, i, j, factor):
+    """Fault: the cofactor U_(n-1-i) of column j of the size-n exact inverse
+    times factor, leaving the column form's A_{i,j} as it is."""
+    def plant(monkeypatch):
+        original = vandinv.ColumnForm.cofactors
+
+        def faulty(form, jj):
+            u = original(form, jj)
+            if (form.n, jj) == (n, j):
+                u[i] *= factor
+            return u
+        monkeypatch.setattr(vandinv.ColumnForm, "cofactors", faulty)
+    return plant
+
+
 VERIFY_FAULTS = {
     "flip": scale_entry(4, 1, 2, -1),
     "double": scale_entry(3, 0, 0, 2),
     "pi": scale_pi(5, 2, 1000),
     "box": scale_magnitude(5, 3, 3, 1000),
     "diagonal": scale_magnitude(4, 0, 1, 1000),
+    "cofactor": scale_cofactor(5, 1, 3, 1000),
 }
 
 _IDENTITY = "inversion identity V*C = I: V*C != I at n={}"
@@ -536,18 +552,19 @@ VERIFY_FAULT_LINES = [
                    _PI.format(""))),
     ("tau", "pi", (_PI.format(_CERTIFIED),)),
     ("alpha", "pi", (_PI.format(_CERTIFIED),)),
-    # at p/q the planted magnitude is also in the exact inverse
-    ("7/3", "box", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 3),
-                    _BOX.format(""), _DIAGONAL.format(_GOLDEN, 5))),
-    ("3/2", "box", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 3),
-                    _BOX.format(""))),
+    # at p/q the exact inverse comes from the cofactors, not from A: the
+    # magnitude check sets the inverse against the planted A_{i,j} / pi_j
+    ("7/3", "box", (_MAGNITUDE.format(5, 3, 3), _BOX.format(""), _DIAGONAL.format(_GOLDEN, 5))),
+    ("3/2", "box", (_MAGNITUDE.format(5, 3, 3), _BOX.format(""))),
     ("tau", "box", (_BOX.format(_CERTIFIED), _DIAGONAL.format(_CERTIFIED, 5))),
     ("alpha", "box", (_BOX.format(_CERTIFIED), _DIAGONAL.format(_CERTIFIED, 5))),
-    ("7/3", "diagonal", (_IDENTITY.format(4), _ORACLE.format(4), _MAGNITUDE.format(4, 1, 0),
-                         _DIAGONAL.format(_GOLDEN, 4))),
-    ("3/2", "diagonal", (_IDENTITY.format(4), _ORACLE.format(4), _MAGNITUDE.format(4, 1, 0))),
+    ("7/3", "diagonal", (_MAGNITUDE.format(4, 0, 1), _DIAGONAL.format(_GOLDEN, 4))),
+    ("3/2", "diagonal", (_MAGNITUDE.format(4, 0, 1),)),
     ("tau", "diagonal", (_DIAGONAL.format(_CERTIFIED, 4),)),
     ("alpha", "diagonal", (_DIAGONAL.format(_CERTIFIED, 4),)),
+    # a wrong cofactor is a wrong exact inverse whose A table is right
+    ("7/3", "cofactor", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 1))),
+    ("3/2", "cofactor", (_IDENTITY.format(5), _ORACLE.format(5), _MAGNITUDE.format(5, 3, 1))),
 ]
 
 

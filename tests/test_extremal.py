@@ -28,7 +28,7 @@ def no_inverse(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("extremal decisions must not build an inverse")
     for module, name in ((extremal, "inverse_matrix"), (vandinv, "inverse_matrix"),
-                         (vandinv, "_inverse_entries_exact"),
+                         (vandinv.ColumnForm, "lowest_terms"),
                          (vandinv, "_inverse_entries_rigorous")):
         monkeypatch.setattr(module, name, refuse)
 

@@ -15,7 +15,11 @@ hundreds of bits.  ``verify`` at the exact bases 2, 7/3, 3/2, 13/10 and
 --n-max 13`` at 3/2, 7/3, tau and alpha runs past the caps of the sigma
 checks (n <= 10) and of the oracle and magnitude checks (n <= 12).  Exact
 ``inverse`` at p/q in all three formats, and ``sigma`` at two rationals, a
-decimal and alpha, pin the paths that no other command prints, and
+decimal and alpha, pin the paths that no other command prints.  The exact
+inverses cover composite p and q (6/5, 9/4, 25/12), q = 1 (2), a decimal
+(1.5), a base near 1 (1001/1000), the sizes n = 1 and 2, and n = 28 at
+23/8 and 6/5, where the cofactors of the entries reach hundreds of bits;
+their keys were made by the commit before the cofactor deflation.  And
 ``inverse`` at tau and alpha for n = 20 and 24, and n = 12 at 100 digits,
 pins the ball residual's printed bound at larger sizes.  A change
 that moves any printed byte fails here.
@@ -210,6 +214,14 @@ EXACT_PATHS = """\
 inverse --base 7/3 --n 12
 inverse --base 13/11 --n 20 --format json
 inverse --base 3/2 --n 9 --format csv
+inverse --base 23/8 --n 28 --format csv
+inverse --base 6/5 --n 28 --format csv
+inverse --base 9/4 --n 16 --format json
+inverse --base 2 --n 15
+inverse --base 1.5 --n 11
+inverse --base 1001/1000 --n 12
+inverse --base 25/12 --n 1
+inverse --base 25/12 --n 2
 sigma --i 3 --j 2 --n 9 --x 7/3
 sigma --i 2 --j 0 --n 7 --x 2/5
 sigma --i 2 --j 1 --n 6 --x alpha --digits 40

@@ -572,16 +572,18 @@ class TestColumnForm:
         assert first == gaussian_inverse(gv).entries
 
     def test_inverse_matrix_deflates_each_column_once(self, monkeypatch):
-        # two exact inverses of one matrix object cost one deflation per column
+        # two exact inverses of one matrix object cost one cofactor deflation
+        # per column, and no deflation of A
         spec = BaseSpec.parse("7/3")
         expected = [list(row) for row in inverse_matrix(GeometricVandermonde(spec, 12)).entries]
         calls = []
-        original = ColumnForm.magnitudes
+        original = ColumnForm.cofactors
 
-        def counted(form, j, rows):
+        def counted(form, j):
             calls.append(j)
-            return original(form, j, rows)
-        monkeypatch.setattr(ColumnForm, "magnitudes", counted)
+            return original(form, j)
+        monkeypatch.setattr(ColumnForm, "cofactors", counted)
+        monkeypatch.setattr(ColumnForm, "magnitudes", None)
         gv = GeometricVandermonde(spec, 12)
         entries = [[list(row) for row in inverse_matrix(gv).entries] for _ in range(2)]
         assert entries == [expected, expected]
@@ -631,7 +633,8 @@ class TestLowestTerms:
     def test_the_split_is_prime_to_pq(self, text):
         # A_{i,j} = p^mu q^nu U with mu, nu the sums of the n-1-i smallest h
         # and n-1-h over h != j (nu plus the row scale (n-1)i), and pi_j =
-        # p^(a_j) q^(a_(n-1-j)) d_j, with U and d_j prime to pq
+        # p^(a_j) q^(a_(n-1-j)) d_j, with U and d_j prime to pq; the cofactor
+        # deflation yields these U without forming A
         p, q = BaseSpec.parse(text).value.as_integer_ratio()
         for n in range(1, 21):
             form = ColumnForm(GeometricVandermonde(BaseSpec.parse(text), n))
@@ -642,12 +645,15 @@ class TestLowestTerms:
                 assert math.gcd(cofactors[j], p * q) == 1, (text, n, j)
                 exponents = sorted(h for h in range(n) if h != j)
                 nums, _ = form.magnitudes(j, range(j + 1))
-                for i, a in enumerate(nums):
+                deflated = form.cofactors(j)
+                assert len(deflated) == j + 1, (text, n, j)
+                for i, (a, got) in enumerate(zip(nums, deflated)):
                     k = n - 1 - i
                     mu = sum(exponents[:k])
                     nu = sum(sorted(n - 1 - h for h in exponents)[:k]) + (n - 1) * i
                     u, rest = divmod(a, p ** mu * q ** nu)
                     assert rest == 0 and math.gcd(u, p * q) == 1, (text, n, i, j)
+                    assert got == u, (text, n, i, j)
 
     @pytest.mark.parametrize("text,n", [("23/8", 14), ("25/12", 9), ("3", 10)])
     def test_one_small_gcd_per_entry_pair(self, text, n, monkeypatch):
